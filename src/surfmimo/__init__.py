@@ -48,6 +48,7 @@ from .experiments import (
     SharingConfig,
     SharingPair,
     aggregate_capacity,
+    analyze_link,
     build_link_scene,
     pulse_profile,
     radiation_benchmark,

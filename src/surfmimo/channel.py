@@ -12,11 +12,27 @@ Every (TX port, RX port) pair maps to one of four channel kinds:
   surface<->air transformations are modeled at most once per path), with an
   optional scatterer-ring multipath model, off by default.
 
-Composite integrals are midpoint-rule Riemann sums on a fixed grid, summed
-in a fixed order, so results are deterministic for a given scene and grid.
-Distances inside integral kernels that fall below the model reference
-distances are clamped (the gain laws diverge at zero); direct paths that
-would be clamped emit a RuntimeWarning instead of extrapolating.
+One engine synthesizes every port pair over a whole frequency vector: the
+material constants are interpolated once per vector, the surface-path
+geometry (direct path, images, obstacle factors) is computed once per port
+pair, and the single surface integrals are batched over frequency.  ``csi``
+is one call into it; ``build_mimo`` and ``h_ss``/``h_sa``/``h_as``/``h_aa``
+are single-frequency calls.
+
+Composite integrals are midpoint-rule Riemann sums over the N cell centers
+of a regular grid.  The air kernel between two cells depends only on their
+offset, so the double integral a_tx^T K a_rx is a 2-D correlation, taken
+per subcarrier as one FFT convolution with the kernel sampled on the
+circulant lattice of cell offsets (the CG-FFT method of moment-method
+solvers).  Memory is O(N): no N x N matrix is formed and nothing is cached.
+
+Results are deterministic: equal inputs give bitwise-equal outputs, and each
+``csi`` matrix is bitwise equal to ``build_mimo`` at its subcarrier.  The FFT
+sums in a different order than a direct double sum, so the two agree to
+rounding (about 1e-15 relative), not bitwise.  Distances inside integral
+kernels that fall below the model reference distances are clamped (the gain
+laws diverge at zero); direct paths that would be clamped emit a
+RuntimeWarning instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NearFieldError, PresetError
 from .geometry import ANTENNA, CONTACT, Scene, image_sources, segment_crosses_rect
-from .propagation import SPEED_OF_LIGHT, FrequencyBand, phase_velocity
+from .propagation import SPEED_OF_LIGHT, FrequencyBand, _air_amplitude, phase_velocity
 
 DEFAULT_SUBCARRIERS = {20e6: 56, 40e6: 114}
 
@@ -161,74 +177,83 @@ def default_params() -> ChannelParams:
     return ChannelParams(coupling=presets.load_coupling())
 
 
-# --- integration grid and path caches ----------------------------------------
-
-_GRID_CACHE: dict = {}
-_KERNEL_CACHE: dict = {}
-_PATH_CACHE: dict = {}
-_KERNEL_CACHE_MAX = 256
-_PATH_CACHE_MAX = 4096
-_KERNEL_POINTS_MAX = 150  # only cache kernels for modest grids
+# --- integration grid -----------------------------------------------------------
 
 
-def _grid_points(width: float, height: float, n: int):
+class _Grid:
     """Midpoint-rule grid over the surface: n cells across the width, a
-    proportional (>= 2) count across the height.  Returns (points, pairwise
-    distances, cell area)."""
-    if n < 2:
-        raise ConfigError(f"integration grid must have at least 2 points per dimension, got {n}")
-    ny = max(2, int(round(n * height / width)))
-    key = (width, height, n, ny)
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
-    xs = (np.arange(n) + 0.5) * (width / n)
-    ys = (np.arange(ny) + 0.5) * (height / ny)
-    px, py = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([px.ravel(), py.ravel()])
-    diff = pts[:, None, :] - pts[None, :, :]
-    dpp = np.sqrt(np.sum(diff * diff, axis=2))
-    da = (width / n) * (height / ny)
-    _GRID_CACHE[key] = (pts, dpp, da)
-    return pts, dpp, da
+    proportional (>= 2) count across the height, points ordered x-major (a
+    length-N field reshapes to (n, ny)).  The air kernel is sampled on the
+    (2n, 2ny) circulant lattice of cell offsets: index i holds offset i below
+    n and i - 2n above (index n is never read).  ``lattice_d`` is the clamped
+    distance max(hypot(ix*dx, iy*dy), air_ref_m), ``lattice_amp`` the air
+    amplitude law there."""
+
+    def __init__(self, surface, n: int, params: ChannelParams):
+        if n < 2:
+            raise ConfigError(
+                f"integration grid must have at least 2 points per dimension, got {n}")
+        ny = max(2, int(round(n * surface.height_m / surface.width_m)))
+        dx, dy = surface.width_m / n, surface.height_m / ny
+        xs = (np.arange(n) + 0.5) * dx
+        ys = (np.arange(ny) + 0.5) * dy
+        px, py = np.meshgrid(xs, ys, indexing="ij")
+        self.x, self.y = px.ravel(), py.ravel()
+        self.shape = (n, ny)
+        self.da = dx * dy
+        ix = np.concatenate([np.arange(n), np.arange(-n, 0)]) * dx
+        iy = np.concatenate([np.arange(ny), np.arange(-ny, 0)]) * dy
+        self.lattice_d = np.maximum(np.hypot(ix[:, None], iy[None, :]), params.air_ref_m)
+        self.lattice_amp = _air_amplitude(params.air_ref_m / self.lattice_d, params.air_exponent)
+
+    def surface_distance(self, contact, d0: float):
+        """Clamped in-plane distance from a contact to every grid point."""
+        return np.maximum(np.hypot(self.x - contact[0], self.y - contact[1]), d0)
+
+    def air_distance(self, antenna, air_ref: float):
+        """Clamped distance from an antenna to every grid point."""
+        d2 = (self.x - antenna[0]) ** 2 + (self.y - antenna[1]) ** 2 + antenna[2] ** 2
+        return np.maximum(np.sqrt(d2), air_ref)
+
+    def air_kernel(self, k: float):
+        """The clamped air gain at wavenumber k on the offset lattice."""
+        return self.lattice_amp * np.exp(-1j * k * self.lattice_d)
+
+    def correlate(self, kernel, left, right):
+        """sum_p sum_q left[t, p] K(p - q) right[r, q] for every row pair, as a
+        (len(left), len(right)) array.  K is a kernel sampled on the offset
+        lattice; all right rows share one FFT convolution with it."""
+        n, ny = self.shape
+        padded = np.zeros((len(right), 2 * n, 2 * ny), dtype=complex)
+        padded[:, :n, :ny] = right.reshape(-1, n, ny)
+        conv = np.fft.ifft2(np.fft.fft2(padded) * np.fft.fft2(kernel))
+        return left @ conv[:, :n, :ny].reshape(len(right), n * ny).T
 
 
-def _air_amp_arr(d, d0: float, p: float):
-    r = d0 / d
-    if p == 1:
-        return r
-    if p == 2:
-        return r * r
-    return r**p
+def _surface_field(d, gamma, m):
+    """Surface gain exp(-gamma d) d0/d at clamped distances d, with the
+    propagation constant gamma = alpha + j beta."""
+    return np.exp(-gamma * d) * (m.d0_m / d)
 
 
-def _air_gain_arr(d, f_hz: float, d0: float, p: float):
-    """Vectorized air gain with silent near-field clamping (kernel use only)."""
-    d = np.maximum(d, d0)
-    k = 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
-    return _air_amp_arr(d, d0, p) * np.exp(-1j * k * d)
+def _composite(grid: _Grid, k: float, a_tx, a_rx, params: ChannelParams):
+    """C1 surface->air->surface integrals at one wavenumber for every pair of
+    transmit (rows of a_tx) and receive (rows of a_rx) surface fields:
+    C1 * sum A_S(tx,p1) A_air(p1,p2) A_S(p2,rx) dA^2, shape (T, R)."""
+    c1 = params.coupling.c1
+    return c1 * grid.da * grid.da * grid.correlate(grid.air_kernel(k), a_tx, a_rx)
 
 
-def _surface_gain_arr(d, f_hz: float, material):
-    """Vectorized surface gain with silent near-field clamping (kernel use only)."""
-    d = np.maximum(d, material.d0_m)
-    alpha = material.alpha_at(f_hz)
-    beta = material.beta_at(f_hz)
-    return np.exp(-(alpha + 1j * beta) * d) * (material.d0_m / d)
+def _cross_integrand(grid: _Grid, contact, antenna, gamma, k, m, params: ChannelParams):
+    """Surface->air integrand A_S(contact, p) A_air(p, antenna) over the grid,
+    one row per (gamma, k) frequency: shape (F, N)."""
+    d_s = grid.surface_distance(contact, m.d0_m)
+    d_a = grid.air_distance(antenna, params.air_ref_m)
+    w = (m.d0_m / d_s) * _air_amplitude(params.air_ref_m / d_a, params.air_exponent)
+    return w * np.exp(-np.multiply.outer(gamma, d_s) - 1j * np.multiply.outer(k, d_a))
 
 
-def _air_kernel(width, height, n, f_hz, d0, p):
-    pts, dpp, da = _grid_points(width, height, n)
-    key = (width, height, n, f_hz, d0, p)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return pts, hit, da
-    kern = _air_gain_arr(dpp, f_hz, d0, p)
-    if pts.shape[0] <= _KERNEL_POINTS_MAX:
-        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
-            _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-        _KERNEL_CACHE[key] = kern
-    return pts, kern, da
+# --- discrete paths ---------------------------------------------------------------
 
 
 def _obstacle_factor(p0, p1, scene: Scene) -> float:
@@ -240,15 +265,14 @@ def _obstacle_factor(p0, p1, scene: Scene) -> float:
     return factor
 
 
-def _surface_path_geometry(tx, rx, scene: Scene, order: int):
-    """Frequency-independent path data: lengths, reflection counts, obstacle
-    factors.  Index 0 is the direct path; the rest are boundary images of the
-    receiver position (straight segments to the mirrored point, the standard
-    image-method approximation, also used for obstacle shadowing)."""
-    key = (tuple(tx), tuple(rx), scene.surface, scene.obstacles, order)
-    hit = _PATH_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _surface_paths(tx, rx, scene: Scene, params: ChannelParams):
+    """(clamped lengths, amplitude weights) of the direct surface path (index
+    0) and the boundary images of the receiver (straight segments to the
+    mirrored point, the standard image-method approximation, also used for
+    obstacle shadowing).  Weights carry refl_coeff per bounce, obstacle
+    losses and the d0/d spreading law; they do not depend on frequency."""
+    m = scene.surface.material
+    order = params.max_image_order if m.refl_coeff > 0 else 0
     lengths = [math.hypot(tx[0] - rx[0], tx[1] - rx[1])]
     counts = [0.0]
     factors = [_obstacle_factor(tx, rx, scene)]
@@ -259,129 +283,38 @@ def _surface_path_geometry(tx, rx, scene: Scene, order: int):
             lengths.append(math.hypot(tx[0] - pos[0], tx[1] - pos[1]))
             counts.append(float(count))
             factors.append(_obstacle_factor(tx, pos, scene))
-    hit = (np.array(lengths), np.array(counts), np.array(factors))
-    if len(_PATH_CACHE) >= _PATH_CACHE_MAX:
-        _PATH_CACHE.pop(next(iter(_PATH_CACHE)))
-    _PATH_CACHE[key] = hit
-    return hit
-
-
-def _surface_paths(tx, rx, scene: Scene, f_hz: float, params: ChannelParams):
-    """(lengths, complex amplitudes) of the direct surface path plus boundary
-    images, with per-bounce refl_coeff and obstacle losses applied."""
-    m = scene.surface.material
-    order = params.max_image_order if m.refl_coeff > 0 else 0
-    lengths, counts, factors = _surface_path_geometry(tx, rx, scene, order)
     if lengths[0] < m.d0_m:
         warnings.warn(
             f"direct surface path of {lengths[0]:.4g} m is below the reference "
             f"distance {m.d0_m:.4g} m; clamping to the reference distance",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     clamped = np.maximum(lengths, m.d0_m)
-    alpha = m.alpha_at(f_hz)
-    beta = m.beta_at(f_hz)
-    amps = (
-        (m.refl_coeff**counts)
-        * factors
-        * np.exp(-(alpha + 1j * beta) * clamped)
-        * (m.d0_m / clamped)
-    )
-    return clamped, amps
+    return clamped, m.refl_coeff ** np.array(counts) * np.array(factors) * (m.d0_m / clamped)
 
 
-def _antenna_foot(antenna, scene: Scene):
-    """Point on the surface under (nearest to) an antenna, and the hop distance."""
-    ax, ay, az = antenna
-    fx = min(max(ax, 0.0), scene.surface.width_m)
-    fy = min(max(ay, 0.0), scene.surface.height_m)
-    hop = math.sqrt((ax - fx) ** 2 + (ay - fy) ** 2 + az * az)
-    return (fx, fy), hop
+def _path_amps(lengths, weights, gamma):
+    """Complex path amplitudes, one row per propagation constant: (F, P)."""
+    return weights * np.exp(-np.multiply.outer(gamma, lengths))
 
 
-def _hop_gain(hop: float, f_hz: float, params: ChannelParams) -> complex:
-    """Air gain of the local surface->antenna hop (clamped by design)."""
-    hop_c = max(hop, params.air_ref_m)
-    k = 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
-    amp = _air_amp_arr(hop_c, params.air_ref_m, params.air_exponent)
-    return amp * complex(math.cos(k * hop_c), -math.sin(k * hop_c))
-
-
-def _center_hz(f) -> float:
-    return f.center_hz if isinstance(f, FrequencyBand) else float(f)
-
-
-# --- the four channel kinds ---------------------------------------------------
-
-
-def h_ss(tx_contact, rx_contact, scene: Scene, f, grid: int = 32,
-         params: ChannelParams | None = None) -> complex:
-    """Contact-to-contact gain: direct path + boundary images + composite term.
-
-    The composite term sums surface->air->surface over all discretized point
-    pairs (p1, p2): C1 * sum A_S(tx,p1) A_air(p1,p2) A_S(p2,rx) dA^2.
-    """
-    params = params or default_params()
-    f_hz = _center_hz(f)
-    _, amps = _surface_paths(tx_contact, rx_contact, scene, f_hz, params)
-    total = complex(np.sum(amps))
-    c1 = params.coupling.c1
-    if c1 > 0:
-        m = scene.surface.material
-        pts, kern, da = _air_kernel(
-            scene.surface.width_m, scene.surface.height_m, grid, f_hz,
-            params.air_ref_m, params.air_exponent,
-        )
-        a_tx = _surface_gain_arr(
-            np.hypot(pts[:, 0] - tx_contact[0], pts[:, 1] - tx_contact[1]), f_hz, m
-        )
-        a_rx = _surface_gain_arr(
-            np.hypot(pts[:, 0] - rx_contact[0], pts[:, 1] - rx_contact[1]), f_hz, m
-        )
-        total += c1 * da * da * complex(a_tx @ (kern @ a_rx))
-    return total
-
-
-def _h_cross(contact, antenna, scene: Scene, f, grid: int, c_scalar: float,
-             params: ChannelParams) -> complex:
-    """Shared body of h_sa / h_as (the two integrals are mirror images)."""
-    f_hz = _center_hz(f)
-    total = 0j
-    if c_scalar > 0:
-        m = scene.surface.material
-        pts, _, da = _grid_points(scene.surface.width_m, scene.surface.height_m, grid)
-        a_surf = _surface_gain_arr(
-            np.hypot(pts[:, 0] - contact[0], pts[:, 1] - contact[1]), f_hz, m
-        )
-        d_air = np.sqrt(
-            (pts[:, 0] - antenna[0]) ** 2
-            + (pts[:, 1] - antenna[1]) ** 2
-            + antenna[2] ** 2
-        )
-        b_air = _air_gain_arr(d_air, f_hz, params.air_ref_m, params.air_exponent)
-        total += c_scalar * da * complex(a_surf @ b_air)
+def _near_field(contact, antenna, scene: Scene, gamma, k, params: ChannelParams):
+    """Local coupling contact -> foot (the surface point nearest the antenna)
+    -> antenna: (surface path lengths, clamped hop length, amplitudes (F, P)),
+    or None when the coupling is off or the antenna is beyond the near-field
+    radius.  The hop is clamped to the air reference distance by design."""
     nfc = params.coupling.near_field_coupling
-    if nfc > 0:
-        foot, hop = _antenna_foot(antenna, scene)
-        if hop <= params.near_field_radius_m:
-            _, amps = _surface_paths(contact, foot, scene, f_hz, params)
-            total += nfc * complex(np.sum(amps)) * _hop_gain(hop, f_hz, params)
-    return total
-
-
-def h_sa(tx_contact, rx_antenna, scene: Scene, f, grid: int = 32,
-         params: ChannelParams | None = None) -> complex:
-    """Contact-to-antenna gain: C2 integral + local near-field coupling."""
-    params = params or default_params()
-    return _h_cross(tx_contact, rx_antenna, scene, f, grid, params.coupling.c2, params)
-
-
-def h_as(tx_antenna, rx_contact, scene: Scene, f, grid: int = 32,
-         params: ChannelParams | None = None) -> complex:
-    """Antenna-to-contact gain: C3 integral + local near-field coupling."""
-    params = params or default_params()
-    return _h_cross(rx_contact, tx_antenna, scene, f, grid, params.coupling.c3, params)
+    ax, ay, az = antenna
+    foot = (min(max(ax, 0.0), scene.surface.width_m), min(max(ay, 0.0), scene.surface.height_m))
+    hop = math.sqrt((ax - foot[0]) ** 2 + (ay - foot[1]) ** 2 + az * az)
+    if nfc <= 0 or hop > params.near_field_radius_m:
+        return None
+    hop_c = max(hop, params.air_ref_m)
+    hop_amp = _air_amplitude(params.air_ref_m / hop_c, params.air_exponent)
+    hop_gain = hop_amp * np.exp(-1j * k * hop_c)
+    lengths, weights = _surface_paths(contact, foot, scene, params)
+    return lengths, hop_c, nfc * _path_amps(lengths, weights, gamma) * hop_gain[:, None]
 
 
 def _scatterers(tx, rx, model: AirMultipathModel):
@@ -401,41 +334,128 @@ def _scatterers(tx, rx, model: AirMultipathModel):
     return pos, phases
 
 
-def h_aa(tx_antenna, rx_antenna, f, params: ChannelParams | None = None) -> complex:
-    """Antenna-to-antenna gain: direct air path (plus optional scatterer ring)."""
-    params = params or ChannelParams()
-    f_hz = _center_hz(f)
-    d = math.dist(tx_antenna, rx_antenna)
+def _air_link(tx, rx, k, params: ChannelParams):
+    """Antenna-to-antenna gains at wavenumbers k: line of sight plus the
+    optional scatterer ring."""
+    d = math.dist(tx, rx)
     if d < params.air_ref_m:
         raise NearFieldError(
             f"antenna separation {d:.4g} m is below the air reference distance "
             f"{params.air_ref_m} m"
         )
-    k = 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
-    los = _air_amp_arr(d, params.air_ref_m, params.air_exponent) * complex(
-        math.cos(k * d), -math.sin(k * d)
-    )
+    amp = _air_amplitude(params.air_ref_m / d, params.air_exponent)
+    los = amp * np.exp(-1j * k * d)
     mp = params.air_multipath
     if mp is None:
-        return complex(los)
-    pos, phases = _scatterers(tx_antenna, rx_antenna, mp)
-    d1 = np.sqrt(np.sum((pos - np.asarray(tx_antenna)) ** 2, axis=1))
-    d2 = np.sqrt(np.sum((pos - np.asarray(rx_antenna)) ** 2, axis=1))
-    scale = abs(los) * 10.0 ** (mp.relative_gain_db / 20.0) / math.sqrt(mp.n_scatterers)
-    scattered = scale * np.exp(1j * (phases - k * (d1 + d2)))
-    return complex(los + np.sum(scattered))
+        return los
+    pos, phases = _scatterers(tx, rx, mp)
+    d1 = np.sqrt(np.sum((pos - np.asarray(tx)) ** 2, axis=1))
+    d2 = np.sqrt(np.sum((pos - np.asarray(rx)) ** 2, axis=1))
+    scale = amp * 10.0 ** (mp.relative_gain_db / 20.0) / math.sqrt(mp.n_scatterers)
+    return los + np.sum(scale * np.exp(1j * (phases - np.multiply.outer(k, d1 + d2))), axis=-1)
+
+
+# --- the channel engine -----------------------------------------------------------
+
+
+def _propagation(m, freqs):
+    """Surface propagation constants alpha + j beta and air wavenumbers at the
+    frequencies (one table interpolation for the whole vector)."""
+    freqs = np.asarray(freqs, dtype=float)
+    return m.alpha_at(freqs) + 1j * m.beta_at(freqs), 2.0 * math.pi * freqs / SPEED_OF_LIGHT
+
+
+def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
+                rx_ports, tx_ports):
+    """Gains of every (RX port, TX port) pair at every frequency, as an
+    (F, R, T) array; ports are (kind, position) pairs."""
+    m = scene.surface.material
+    gamma, k = _propagation(m, freqs)
+    coupling = params.coupling
+    g = _Grid(scene.surface, grid, params)
+    h = np.zeros((len(freqs), len(rx_ports), len(tx_ports)), dtype=complex)
+    for i, (rk, rp) in enumerate(rx_ports):
+        for j, (tk, tp) in enumerate(tx_ports):
+            if tk == CONTACT and rk == CONTACT:
+                paths = _surface_paths(tp, rp, scene, params)
+                h[:, i, j] = np.sum(_path_amps(*paths, gamma), axis=-1)
+            elif tk == ANTENNA and rk == ANTENNA:
+                h[:, i, j] = _air_link(tp, rp, k, params)
+            else:
+                contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
+                c_scalar = coupling.c2 if tk == CONTACT else coupling.c3
+                if c_scalar > 0:
+                    integrand = _cross_integrand(g, contact, antenna, gamma, k, m, params)
+                    h[:, i, j] = c_scalar * g.da * np.sum(integrand, axis=-1)
+                near = _near_field(contact, antenna, scene, gamma, k, params)
+                if near is not None:
+                    h[:, i, j] += np.sum(near[2], axis=-1)
+
+    rows = [i for i, (kind, _) in enumerate(rx_ports) if kind == CONTACT]
+    cols = [j for j, (kind, _) in enumerate(tx_ports) if kind == CONTACT]
+    if coupling.c1 > 0 and rows and cols:
+        d_tx = np.array([g.surface_distance(tx_ports[j][1], m.d0_m) for j in cols])
+        d_rx = np.array([g.surface_distance(rx_ports[i][1], m.d0_m) for i in rows])
+        block = np.ix_(rows, cols)
+        for f in range(len(freqs)):
+            a_tx = _surface_field(d_tx, gamma[f], m)
+            a_rx = _surface_field(d_rx, gamma[f], m)
+            h[f][block] += _composite(g, k[f], a_tx, a_rx, params).T
+    return h
+
+
+def _center_hz(f) -> float:
+    return f.center_hz if isinstance(f, FrequencyBand) else float(f)
+
+
+def _one(scene, f, grid, params, rx_port, tx_port) -> complex:
+    params = params or default_params()
+    h = _synthesize(scene, [_center_hz(f)], grid, params, [rx_port], [tx_port])
+    return complex(h[0, 0, 0])
+
+
+# --- the four channel kinds ---------------------------------------------------
+
+
+def h_ss(tx_contact, rx_contact, scene: Scene, f, grid: int = 32,
+         params: ChannelParams | None = None) -> complex:
+    """Contact-to-contact gain: direct path + boundary images + composite term.
+
+    The composite term sums surface->air->surface over all discretized point
+    pairs (p1, p2): C1 * sum A_S(tx,p1) A_air(p1,p2) A_S(p2,rx) dA^2.
+    """
+    return _one(scene, f, grid, params, (CONTACT, rx_contact), (CONTACT, tx_contact))
+
+
+def h_sa(tx_contact, rx_antenna, scene: Scene, f, grid: int = 32,
+         params: ChannelParams | None = None) -> complex:
+    """Contact-to-antenna gain: C2 integral + local near-field coupling."""
+    return _one(scene, f, grid, params, (ANTENNA, rx_antenna), (CONTACT, tx_contact))
+
+
+def h_as(tx_antenna, rx_contact, scene: Scene, f, grid: int = 32,
+         params: ChannelParams | None = None) -> complex:
+    """Antenna-to-contact gain: C3 integral + local near-field coupling."""
+    return _one(scene, f, grid, params, (CONTACT, rx_contact), (ANTENNA, tx_antenna))
+
+
+def h_aa(tx_antenna, rx_antenna, f, params: ChannelParams | None = None) -> complex:
+    """Antenna-to-antenna gain: direct air path (plus optional scatterer ring)."""
+    params = params or ChannelParams()
+    k = 2.0 * math.pi * _center_hz(f) / SPEED_OF_LIGHT
+    return complex(_air_link(tx_antenna, rx_antenna, np.array([k]), params)[0])
 
 
 # --- matrix assembly ----------------------------------------------------------
 
 
-def _all_ports(nodes):
-    kinds, positions = [], []
-    for node in nodes:
-        for kind, pos in node.ports:
-            kinds.append(kind)
-            positions.append(pos)
-    return tuple(kinds), tuple(positions)
+def _scene_ports(scene: Scene):
+    """(RX ports, RX kinds, TX ports, TX kinds) in node order."""
+    rx = tuple(port for node in scene.receivers() for port in node.ports)
+    tx = tuple(port for node in scene.transmitters() for port in node.ports)
+    if not tx or not rx:
+        raise DomainError("scene needs at least one transmitter port and one receiver port")
+    return rx, tuple(kind for kind, _ in rx), tx, tuple(kind for kind, _ in tx)
 
 
 def build_mimo(scene: Scene, f, grid: int = 32,
@@ -447,22 +467,9 @@ def build_mimo(scene: Scene, f, grid: int = 32,
     """
     params = params or default_params()
     band = f if isinstance(f, FrequencyBand) else FrequencyBand(float(f))
-    tx_kinds, tx_pos = _all_ports(scene.transmitters())
-    rx_kinds, rx_pos = _all_ports(scene.receivers())
-    if not tx_kinds or not rx_kinds:
-        raise DomainError("scene needs at least one transmitter port and one receiver port")
-    h = np.zeros((len(rx_kinds), len(tx_kinds)), dtype=complex)
-    for i, (rk, rp) in enumerate(zip(rx_kinds, rx_pos)):
-        for j, (tk, tp) in enumerate(zip(tx_kinds, tx_pos)):
-            if tk == CONTACT and rk == CONTACT:
-                h[i, j] = h_ss(tp, rp, scene, band, grid, params)
-            elif tk == CONTACT and rk == ANTENNA:
-                h[i, j] = h_sa(tp, rp, scene, band, grid, params)
-            elif tk == ANTENNA and rk == CONTACT:
-                h[i, j] = h_as(tp, rp, scene, band, grid, params)
-            else:
-                h[i, j] = h_aa(tp, rp, band, params)
-    return ChannelMatrix(h, band, rx_kinds, tx_kinds)
+    rx, rx_kinds, tx, tx_kinds = _scene_ports(scene)
+    h = _synthesize(scene, [band.center_hz], grid, params, rx, tx)
+    return ChannelMatrix(h[0], band, rx_kinds, tx_kinds)
 
 
 def subcarrier_frequencies(band: FrequencyBand, n_subcarriers: int) -> np.ndarray:
@@ -476,7 +483,7 @@ def subcarrier_frequencies(band: FrequencyBand, n_subcarriers: int) -> np.ndarra
 
 def csi(scene: Scene, band: FrequencyBand, n_subcarriers: int | None = None,
         grid: int = 32, params: ChannelParams | None = None):
-    """Per-subcarrier channel matrices across the band.
+    """Per-subcarrier channel matrices across the band, in one engine pass.
 
     Defaults to the 802.11 data+pilot tone counts (114 at 40 MHz, 56 at
     20 MHz).  Frequency diversity emerges from the multipath delay structure.
@@ -493,11 +500,13 @@ def csi(scene: Scene, band: FrequencyBand, n_subcarriers: int | None = None,
             f"{band.center_hz + band.bandwidth_hz / 2:.4g}] Hz outside material "
             f"preset coverage [{lo:.4g}, {hi:.4g}] Hz"
         )
-    out = []
-    for f_sc in freqs:
-        sub = FrequencyBand(float(f_sc), band.bandwidth_hz, band.band_id)
-        out.append(build_mimo(scene, sub, grid, params))
-    return out
+    rx, rx_kinds, tx, tx_kinds = _scene_ports(scene)
+    h = _synthesize(scene, freqs, grid, params, rx, tx)
+    return [
+        ChannelMatrix(h[i], FrequencyBand(float(f_sc), band.bandwidth_hz, band.band_id),
+                      rx_kinds, tx_kinds)
+        for i, f_sc in enumerate(freqs)
+    ]
 
 
 # --- impulse responses ---------------------------------------------------------
@@ -523,66 +532,51 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
     collapses to one aggregate tap at its magnitude-weighted mean delay;
     composite routes are treated as surface-guided diffuse energy, so the
     whole route uses the surface velocity — they never precede the direct
-    surface arrival.
+    surface arrival.  The tap amplitudes are the channel engine's integrals
+    at the band center.
     """
     params = params or default_params()
-    f_hz = band.center_hz
     tk, tp = tx_port
     rk, rp = rx_port
-    m = scene.surface.material
-    taps = []
-
-    if tk == CONTACT and rk == CONTACT:
-        v = phase_velocity(band, m)
-        lengths, amps = _surface_paths(tp, rp, scene, f_hz, params)
-        taps.extend(zip(lengths / v, amps))
-        c1 = params.coupling.c1
-        if c1 > 0:
-            pts, kern, da = _air_kernel(
-                scene.surface.width_m, scene.surface.height_m, grid, f_hz,
-                params.air_ref_m, params.air_exponent,
-            )
-            d1 = np.maximum(np.hypot(pts[:, 0] - tp[0], pts[:, 1] - tp[1]), m.d0_m)
-            d3 = np.maximum(np.hypot(pts[:, 0] - rp[0], pts[:, 1] - rp[1]), m.d0_m)
-            a_tx = _surface_gain_arr(d1, f_hz, m)
-            a_rx = _surface_gain_arr(d3, f_hz, m)
-            amp = c1 * da * da * complex(a_tx @ (kern @ a_rx))
-            w = np.abs(a_tx)[:, None] * np.abs(kern) * np.abs(a_rx)[None, :]
-            d2 = np.maximum(
-                np.hypot(pts[:, 0][:, None] - pts[:, 0][None, :],
-                         pts[:, 1][:, None] - pts[:, 1][None, :]),
-                params.air_ref_m,
-            )
-            tau = (d1[:, None] + d3[None, :] + d2) / v
-            taps.append((float(np.sum(w * tau) / np.sum(w)), amp))
-    elif tk == ANTENNA and rk == ANTENNA:
+    if tk == ANTENNA and rk == ANTENNA:
         d = math.dist(tp, rp)
-        taps.append((d / SPEED_OF_LIGHT, h_aa(tp, rp, band, params)))
+        return ImpulseResponse(((d / SPEED_OF_LIGHT, h_aa(tp, rp, band, params)),),
+                               band.bandwidth_hz)
+
+    m = scene.surface.material
+    v = phase_velocity(band, m)
+    gamma, k = _propagation(m, [band.center_hz])
+    g = _Grid(scene.surface, grid, params)
+    taps = []
+    if tk == CONTACT and rk == CONTACT:
+        lengths, weights = _surface_paths(tp, rp, scene, params)
+        taps.extend(zip(lengths / v, _path_amps(lengths, weights, gamma)[0]))
+        if params.coupling.c1 > 0:
+            # sum w tau over point pairs, w = |A_S(tx,p1)| |A_air(p1,p2)| |A_S(p2,rx)|
+            # and v tau = d1(p1) + d2(p1-p2) + d3(p2): three Toeplitz forms
+            d1 = g.surface_distance(tp, m.d0_m)
+            d3 = g.surface_distance(rp, m.d0_m)
+            a_tx = _surface_field(d1, gamma[0], m)
+            a_rx = _surface_field(d3, gamma[0], m)
+            amp = _composite(g, k[0], a_tx[None], a_rx[None], params)[0, 0]
+            w_tx, w_rx = np.abs(a_tx), np.abs(a_rx)
+            forms = g.correlate(g.lattice_amp, np.stack([w_tx, w_tx * d1]),
+                                np.stack([w_rx, w_rx * d3])).real
+            air = g.correlate(g.lattice_amp * g.lattice_d, w_tx[None], w_rx[None]).real[0, 0]
+            taps.append((float((forms[1, 0] + forms[0, 1] + air) / (v * forms[0, 0])), amp))
     else:
         contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
         c_scalar = params.coupling.c2 if tk == CONTACT else params.coupling.c3
-        v = phase_velocity(band, m)
-        nfc = params.coupling.near_field_coupling
-        foot, hop = _antenna_foot(antenna, scene)
-        if nfc > 0 and hop <= params.near_field_radius_m:
-            hop_c = max(hop, params.air_ref_m)
-            hg = _hop_gain(hop, f_hz, params)
-            lengths, amps = _surface_paths(contact, foot, scene, f_hz, params)
-            taps.extend(zip(lengths / v + hop_c / SPEED_OF_LIGHT, nfc * amps * hg))
+        near = _near_field(contact, antenna, scene, gamma, k, params)
+        if near is not None:
+            lengths, hop_c, amps = near
+            taps.extend(zip(lengths / v + hop_c / SPEED_OF_LIGHT, amps[0]))
         if c_scalar > 0:
-            pts, _, da = _grid_points(scene.surface.width_m, scene.surface.height_m, grid)
-            d1 = np.maximum(np.hypot(pts[:, 0] - contact[0], pts[:, 1] - contact[1]), m.d0_m)
-            a_surf = _surface_gain_arr(d1, f_hz, m)
-            d2 = np.maximum(
-                np.sqrt((pts[:, 0] - antenna[0]) ** 2
-                        + (pts[:, 1] - antenna[1]) ** 2
-                        + antenna[2] ** 2),
-                params.air_ref_m,
-            )
-            b_air = _air_gain_arr(d2, f_hz, params.air_ref_m, params.air_exponent)
-            amp = c_scalar * da * complex(a_surf @ b_air)
-            w = np.abs(a_surf) * np.abs(b_air)
-            tau = (d1 + d2) / v
-            taps.append((float(np.sum(w * tau) / np.sum(w)), amp))
+            integrand = _cross_integrand(g, contact, antenna, gamma, k, m, params)[0]
+            w = np.abs(integrand)
+            tau = (g.surface_distance(contact, m.d0_m)
+                   + g.air_distance(antenna, params.air_ref_m)) / v
+            taps.append((float(np.sum(w * tau) / np.sum(w)),
+                         c_scalar * g.da * np.sum(integrand)))
 
     return ImpulseResponse(_merge_taps(taps), band.bandwidth_hz)

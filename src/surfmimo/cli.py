@@ -24,10 +24,10 @@ from .experiments import (
     SharingPair,
     aggregate_sweep,
     aggregation_plan,
+    analyze_link,
     default_template,
     pulse_profile,
     radiation_benchmark,
-    run_link,
     separation_sweep,
     share_sim,
     share_template,
@@ -147,7 +147,7 @@ def _cmd_analyze(args) -> int:
 
     matrices = csi(cfg.scene, cfg.band, settings.n_subcarriers, settings.grid,
                    settings.params)
-    result = run_link(cfg.scene, settings)
+    result = analyze_link(matrices, settings)
     print(
         f"{result.mode}: capacity {result.capacity_bps / 1e6:.1f} Mbps, "
         f"condition {result.condition_number:.3g}, "

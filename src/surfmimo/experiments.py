@@ -174,11 +174,19 @@ def build_link_scene(template: SceneTemplate, distance_m: float, mode: str,
 
 
 def run_link(scene: Scene, settings: LinkSettings | None = None) -> LinkResult:
-    """Full link analysis for one scene: capacity, conditioning, stream SNRs,
-    and the best achievable table rate over all transmit-column subsets."""
+    """Full link analysis for one scene: synthesize its per-subcarrier channel
+    matrices, then analyze them (see analyze_link)."""
     settings = settings or LinkSettings()
-    params = settings.channel_params()
-    matrices = csi(scene, settings.band, settings.n_subcarriers, settings.grid, params)
+    matrices = csi(scene, settings.band, settings.n_subcarriers, settings.grid,
+                   settings.channel_params())
+    return analyze_link(matrices, settings)
+
+
+def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
+    """Link analysis of per-subcarrier channel matrices: capacity,
+    conditioning, stream SNRs, and the best achievable table rate over all
+    transmit-column subsets."""
+    settings = settings or LinkSettings()
     rho = settings.snr_linear()
     bandwidth = settings.band.bandwidth_hz
 

@@ -203,6 +203,18 @@ def test_csi_single_subcarrier_equals_center_matrix():
     assert len(mats) == 1
     assert np.array_equal(mats[0].entries, build_mimo(scene, BAND, grid=8,
                                                       params=NO_COUPLING).entries)
+    # the batched pass and the single-frequency path agree bitwise at every
+    # subcarrier of a coupled hybrid scene (all four channel kinds)
+    st = ex.LinkSettings()
+    hybrid = ex.build_link_scene(ex.default_template(), 0.6, ex.MODE_3X3, st)
+    hybrid = Scene(hybrid.surface, hybrid.nodes, (Obstacle(0.4, 0.0, 0.5, 0.4),))
+    coupled = ChannelParams(coupling=CouplingConstants(0.05, 0.03, 0.04, 0.7),
+                            air_multipath=AirMultipathModel(n_scatterers=8))
+    mats = csi(hybrid, BAND, n_subcarriers=7, grid=12, params=coupled)
+    assert len(mats) == 7
+    for mm in mats:
+        assert np.array_equal(mm.entries, build_mimo(hybrid, mm.frequency, grid=12,
+                                                     params=coupled).entries)
 
 
 def test_csi_default_subcarrier_counts():

@@ -64,6 +64,24 @@ def test_analyze_prints_summary(tmp_path, capsys):
     assert read_results(out).columns[2] == "capacity_bps_hz"
 
 
+def test_analyze_synthesizes_csi_once(tmp_path, monkeypatch):
+    from surfmimo import channel, experiments
+
+    calls = []
+
+    def counting_csi(*args, **kwargs):
+        calls.append(args)
+        return channel_csi(*args, **kwargs)
+
+    channel_csi = channel.csi
+    monkeypatch.setattr(channel, "csi", counting_csi)
+    monkeypatch.setattr(experiments, "csi", counting_csi)
+    code = main(["analyze", "--scene", str(_tiny_scene(tmp_path)),
+                 "--snr-db", "25", "--out", str(tmp_path / "an.csv")])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--mode", "surface-2x2", "--distances-ft", "1,2",

@@ -1,0 +1,157 @@
+"""The FFT channel engine against direct dense sums of the same integrals.
+
+The dense references below build the full N x N point-pair distance matrix
+and air kernel and sum the midpoint-rule integrals term by term, the way the
+model defines them.  The engine must agree with them to 1e-12 relative on
+random scenes, grids and air exponents.
+"""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surfmimo import channel
+from surfmimo.channel import ChannelParams, CouplingConstants, h_as, h_sa, h_ss, impulse_response
+from surfmimo.geometry import ANTENNA, CONTACT, Scene, SurfaceSpec
+from surfmimo.propagation import SPEED_OF_LIGHT, FrequencyBand, MaterialParams, phase_velocity
+
+RTOL = 1e-12
+
+# spray-paint constants without boundary reflections: a contact pair then has
+# exactly two taps, the direct path and the composite cluster
+MATERIAL = MaterialParams("spray-noimages", 0.1, 0.0, (9e8, 2.45e9, 6e9),
+                          (0.242437, 0.4, 0.625969), (34.295646, 93.360369, 228.637639))
+
+
+def _dense_grid(surface, n):
+    ny = max(2, int(round(n * surface.height_m / surface.width_m)))
+    xs = (np.arange(n) + 0.5) * (surface.width_m / n)
+    ys = (np.arange(ny) + 0.5) * (surface.height_m / ny)
+    px, py = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([px.ravel(), py.ravel()])
+    return pts, (surface.width_m / n) * (surface.height_m / ny)
+
+
+def _dense_surface(pts, contact, f, m):
+    d = np.maximum(np.hypot(pts[:, 0] - contact[0], pts[:, 1] - contact[1]), m.d0_m)
+    return d, np.exp(-(m.alpha_at(f) + 1j * m.beta_at(f)) * d) * (m.d0_m / d)
+
+
+def _dense_air(d, f, params):
+    d = np.maximum(d, params.air_ref_m)
+    k = 2.0 * math.pi * f / SPEED_OF_LIGHT
+    return d, (params.air_ref_m / d) ** params.air_exponent * np.exp(-1j * k * d)
+
+
+def dense_composites(scene, txs, rxs, f, n, params):
+    """C1 * a_tx^T K a_rx dA^2 and its magnitude-weighted mean delay for every
+    (transmit, receive) contact pair, as two (T, R) arrays."""
+    m = scene.surface.material
+    pts, da = _dense_grid(scene.surface, n)
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2, kern = _dense_air(np.sqrt(np.sum(diff * diff, axis=2)), f, params)
+    amps = np.zeros((len(txs), len(rxs)), dtype=complex)
+    delays = np.zeros((len(txs), len(rxs)))
+    for t, tx in enumerate(txs):
+        d1, a_tx = _dense_surface(pts, tx, f, m)
+        for r, rx in enumerate(rxs):
+            d3, a_rx = _dense_surface(pts, rx, f, m)
+            amps[t, r] = params.coupling.c1 * da * da * (a_tx @ (kern @ a_rx))
+            w = np.abs(a_tx)[:, None] * np.abs(kern) * np.abs(a_rx)[None, :]
+            tau = (d1[:, None] + d3[None, :] + d2) / phase_velocity(f, m)
+            delays[t, r] = np.sum(w * tau) / np.sum(w)
+    return amps, delays
+
+
+def dense_cross(scene, contact, antenna, f, n, c_scalar, params):
+    """c * sum A_S(contact, p) A_air(p, antenna) dA and its mean delay."""
+    m = scene.surface.material
+    pts, da = _dense_grid(scene.surface, n)
+    d1, a = _dense_surface(pts, contact, f, m)
+    d2, b = _dense_air(np.sqrt((pts[:, 0] - antenna[0]) ** 2 + (pts[:, 1] - antenna[1]) ** 2
+                               + antenna[2] ** 2), f, params)
+    w = np.abs(a) * np.abs(b)
+    return c_scalar * da * np.sum(a * b), np.sum(w * (d1 + d2)) / np.sum(w) / phase_velocity(f, m)
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(2, 40))
+    ny = draw(st.integers(2, 40))
+    width = draw(st.floats(0.2, 3.0))
+    surface = SurfaceSpec(width, width * ny / n, MATERIAL)
+
+    def contact():
+        return (draw(st.floats(0.0, surface.width_m)), draw(st.floats(0.0, surface.height_m)))
+
+    def antenna():
+        return (draw(st.floats(-0.2, surface.width_m + 0.2)),
+                draw(st.floats(-0.2, surface.height_m + 0.2)), draw(st.floats(0.0, 0.3)))
+
+    params = ChannelParams(
+        coupling=CouplingConstants(draw(st.floats(0.001, 0.1)), draw(st.floats(0.001, 0.1)),
+                                   draw(st.floats(0.001, 0.1)), 0.0),
+        air_exponent=draw(st.sampled_from([1.0, 2.0, 2.5])),
+    )
+    f = draw(st.floats(2.0e9, 2.6e9))
+    return surface, n, params, f, contact(), contact(), antenna()
+
+
+def _close(got, want):
+    return abs(got - want) <= RTOL * abs(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases())
+def test_fft_composite_matches_dense_double_sum(case):
+    surface, n, params, f, tx, rx, antenna = case
+    scene = Scene(surface)
+    band = FrequencyBand(f)
+    # the engine correlates all receive contacts at once
+    txs, rxs = [tx, rx], [rx, tx, (min(max(antenna[0], 0.0), surface.width_m), rx[1])]
+    amps, delays = dense_composites(scene, txs, rxs, f, n, params)
+    m = surface.material
+    grid = channel._Grid(surface, n, params)
+    gamma = m.alpha_at(f) + 1j * m.beta_at(f)
+    fields = [np.array([channel._surface_field(grid.surface_distance(p, m.d0_m), gamma, m)
+                        for p in ps]) for ps in (txs, rxs)]
+    got = channel._composite(grid, 2.0 * math.pi * f / SPEED_OF_LIGHT, *fields, params)
+    assert np.all(np.abs(got - amps) <= RTOL * np.abs(amps))
+
+    without = ChannelParams(coupling=CouplingConstants(0.0, 0.0, 0.0, 0.0),
+                            air_exponent=params.air_exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # contacts closer than d0
+        # the composite cluster is the tap after the direct path
+        (_, direct), composite = impulse_response(
+            (CONTACT, tx), (CONTACT, rx), scene, band, n, params).taps
+        total = h_ss(tx, rx, scene, band, n, params)
+        paths = h_ss(tx, rx, scene, band, n, without)
+    assert _close(composite[1], amps[0, 0])
+    assert _close(composite[0], delays[0, 0])
+    # the same integral inside h_ss, next to the direct path
+    assert paths == direct
+    assert abs(total - paths - amps[0, 0]) <= RTOL * (abs(paths) + abs(amps[0, 0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases())
+def test_cross_terms_match_dense_sums(case):
+    surface, n, params, f, contact, _, antenna = case
+    scene = Scene(surface)
+    band = FrequencyBand(f)
+    for c_scalar, h, tx, rx in (
+        (params.coupling.c2, h_sa(contact, antenna, scene, band, n, params),
+         (CONTACT, contact), (ANTENNA, antenna)),
+        (params.coupling.c3, h_as(antenna, contact, scene, band, n, params),
+         (ANTENNA, antenna), (CONTACT, contact)),
+    ):
+        amp, delay = dense_cross(scene, contact, antenna, f, n, c_scalar, params)
+        assert _close(h, amp)
+        (tap,) = impulse_response(tx, rx, scene, band, n, params).taps
+        assert _close(tap[1], amp)
+        assert _close(tap[0], delay)
+
