@@ -185,47 +185,67 @@ def run_link(scene: Scene, settings: LinkSettings | None = None) -> LinkResult:
 def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
     """Link analysis of per-subcarrier channel matrices: capacity,
     conditioning, stream SNRs, and the best achievable table rate over all
-    transmit-column subsets."""
+    transmit-column subsets.
+
+    The matrices are stacked once to (F, n_rx, n_tx); each transmit-column
+    subset then takes one stacked zero-forcing call, and a subset that is
+    singular at any subcarrier is skipped.  The first subset (fewest
+    streams, then lowest column indices) with the highest rate wins.
+    """
     settings = settings or LinkSettings()
     rho = settings.snr_linear()
-    bandwidth = settings.band.bandwidth_hz
-
-    caps = [capacity(m, rho) for m in matrices]
-    conds = [condition_number(m) for m in matrices]
-    n_tx = matrices[0].entries.shape[1]
+    beta = settings.esm_beta
+    h = np.stack([m.entries for m in matrices])
+    n_tx = h.shape[-1]
 
     table = settings.rate_table()
     best_rate = -1.0
     best_snrs: tuple = (float("-inf"),)
+    best_columns: tuple = ()
     for k in range(1, n_tx + 1):
         for subset in itertools.combinations(range(n_tx), k):
-            per_stream = [[] for _ in subset]
             try:
-                for m in matrices:
-                    snrs = zf_stream_snrs(m.entries[:, subset], rho)
-                    for i, s in enumerate(snrs):
-                        per_stream[i].append(s)
+                snrs = zf_stream_snrs(h[:, :, subset], rho).T  # (k, F)
             except StreamSeparationError:
                 continue
-            pooled = np.concatenate([np.asarray(s) for s in per_stream])
-            esnr = max(effective_snr(pooled, settings.esm_beta), 1e-300)
-            rate = map_rate(10.0 * math.log10(esnr), table, n_streams=k)
+            rate = map_rate(_esnr_db(snrs, beta), table, n_streams=k)
             if rate > best_rate:
                 best_rate = rate
-                best_snrs = tuple(
-                    10.0 * math.log10(max(effective_snr(np.asarray(s), settings.esm_beta), 1e-300))
-                    for s in per_stream
-                )
+                best_snrs = tuple(_esnr_db(s, beta) for s in snrs)
+                best_columns = subset
     if best_rate < 0:  # every subset was singular; report a dead link
         best_rate = 0.0
 
     return LinkResult(
-        capacity_bps=bandwidth * float(np.mean(caps)),
-        condition_number=float(np.max(conds)),
+        capacity_bps=settings.band.bandwidth_hz * float(np.mean(capacity(h, rho))),
+        condition_number=float(np.max(condition_number(h))),
         stream_snrs_db=best_snrs,
         phy_rate_bps=best_rate,
         mode=_MODE_LABELS.get(n_tx, f"MIMO-{n_tx}x{n_tx}"),
+        tx_columns=best_columns,
     )
+
+
+def _esnr_db(snrs_linear, beta: float) -> float:
+    return 10.0 * math.log10(max(effective_snr(snrs_linear, beta), 1e-300))
+
+
+def _resolved(settings: LinkSettings) -> LinkSettings:
+    """settings with the coupling constants and the rate table parsed from
+    the presets once, so the links of one run do not re-read them."""
+    return replace(settings, params=settings.channel_params(),
+                   mcs_table=settings.rate_table())
+
+
+def _tables_by_bandwidth(bandwidths_hz) -> dict:
+    """Rows of the shipped MCS table for each bandwidth, from one parse."""
+    from . import presets
+
+    bandwidths_hz = set(bandwidths_hz)
+    if not bandwidths_hz:
+        return {}
+    full = presets.load_mcs_table()
+    return {bw: full.for_bandwidth(bw / 1e6) for bw in bandwidths_hz}
 
 
 def throughput_sweep(template: SceneTemplate | None = None, distances_m=None,
@@ -233,7 +253,7 @@ def throughput_sweep(template: SceneTemplate | None = None, distances_m=None,
     """Rate/capacity/conditioning across link distances.  Returns
     [(distance_m, LinkResult), ...]."""
     template = template or default_template()
-    settings = settings or LinkSettings()
+    settings = _resolved(settings or LinkSettings())
     if distances_m is None:
         distances_m = default_distances_m()
     out = []
@@ -254,7 +274,7 @@ def separation_sweep(template: SceneTemplate | None = None,
     condition number, mean pooled stream SNR.  Returns
     [(separation_m, LinkResult), ...].
     """
-    settings = settings or LinkSettings()
+    settings = _resolved(settings or LinkSettings())
     out = []
     for sep in separations_m:
         if mode == MODE_AIR_MIMO:
@@ -431,14 +451,16 @@ def aggregate_capacity(plan: AggregationPlan, distance_m: float,
     before rate lookup.  Chains that fall below the lowest table threshold
     contribute zero.  Returns (total_bps, [ChainResult, ...]).
     """
-    from . import presets
+    return aggregate_sweep(plan, (distance_m,), template, settings)[0][1:]
 
-    template = template or aggregate_template()
-    settings = settings or LinkSettings()
+
+def _aggregate_at(plan: AggregationPlan, distance_m: float,
+                  template: SceneTemplate, settings: LinkSettings, tables: dict):
     rows = []
     total = 0.0
     for chain in plan.chains:
-        s = replace(settings, band=chain.band, mcs_table=None)
+        s = replace(settings, band=chain.band,
+                    mcs_table=tables[chain.band.bandwidth_hz])
         if s.snr_db is not None:
             s = replace(s, snr_db=s.snr_db - chain.conversion_loss_db)
         else:
@@ -452,8 +474,7 @@ def aggregate_capacity(plan: AggregationPlan, distance_m: float,
                 for n in scene.nodes
             ),
         )
-        table = presets.load_mcs_table(bandwidth_mhz=chain.band.bandwidth_hz / 1e6)
-        result = run_link(scene, replace(s, mcs_table=table))
+        result = run_link(scene, s)
         esnr_db = float(np.max(result.stream_snrs_db))
         rows.append(ChainResult(
             label=chain.label,
@@ -471,11 +492,18 @@ def aggregate_capacity(plan: AggregationPlan, distance_m: float,
 def aggregate_sweep(plan: AggregationPlan, distances_m=None,
                     template: SceneTemplate | None = None,
                     settings: LinkSettings | None = None):
-    """aggregate_capacity across distances (default 1-9 ft on the 10 ft strip)."""
+    """aggregate_capacity across distances (default 1-9 ft on the 10 ft strip).
+
+    The template, the coupling constants and one shipped MCS table per chain
+    bandwidth are resolved once for the whole sweep."""
     if distances_m is None:
         distances_m = tuple(i * FOOT_M for i in range(1, 10))
+    template = template or aggregate_template()
+    settings = settings or LinkSettings()
+    settings = replace(settings, params=settings.channel_params())
+    tables = _tables_by_bandwidth(c.band.bandwidth_hz for c in plan.chains)
     return [
-        (float(d), *aggregate_capacity(plan, d, template, settings))
+        (float(d), *_aggregate_at(plan, d, template, settings, tables))
         for d in distances_m
     ]
 
@@ -595,7 +623,7 @@ def share_template(material_name: str = "spraypaint") -> SceneTemplate:
 
 
 def _solo_rate(pair: SharingPair, template: SceneTemplate,
-               settings: LinkSettings) -> float:
+               settings: LinkSettings, tables: dict) -> float:
     if pair.solo_rate_bps is not None:
         return float(pair.solo_rate_bps)
     scene = Scene(
@@ -605,7 +633,7 @@ def _solo_rate(pair: SharingPair, template: SceneTemplate,
             Node("ap", "receiver", contacts=(pair.ap,)),
         ),
     )
-    s = replace(settings, band=pair.band, mcs_table=None)
+    s = replace(settings, band=pair.band, mcs_table=tables[pair.band.bandwidth_hz])
     return run_link(scene, s).phy_rate_bps
 
 
@@ -626,7 +654,11 @@ def share_sim(config: SharingConfig, n_slots: int,
         raise DomainError(f"n_slots must be positive, got {n_slots}")
     template = template or share_template()
     settings = settings or LinkSettings()
-    solo = [_solo_rate(p, template, settings) for p in config.pairs]
+    unknown = [p for p in config.pairs if p.solo_rate_bps is None]
+    if unknown:  # coupling and rate tables parsed once, only when needed
+        settings = replace(settings, params=settings.channel_params())
+    tables = _tables_by_bandwidth(p.band.bandwidth_hz for p in unknown)
+    solo = [_solo_rate(p, template, settings, tables) for p in config.pairs]
 
     by_channel: dict = {}
     for i, p in enumerate(config.pairs):

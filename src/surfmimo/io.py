@@ -536,8 +536,11 @@ def analyze_result_set(matrices, snr_linear, metadata=None) -> ResultSet:
 
     columns = ("subcarrier_index", "frequency_hz", "capacity_bps_hz",
                "condition_number")
+    h = np.stack([m.entries for m in matrices])
+    caps = capacity(h, snr_linear)
+    conds = condition_number(h)
     rows = [
-        (s, m.frequency.center_hz, capacity(m, snr_linear), condition_number(m))
+        (s, m.frequency.center_hz, float(caps[s]), float(conds[s]))
         for s, m in enumerate(matrices)
     ]
     return ResultSet(columns, rows, metadata or {})
@@ -545,10 +548,13 @@ def analyze_result_set(matrices, snr_linear, metadata=None) -> ResultSet:
 
 def sweep_result_set(rows_by_mode: dict, mac_efficiency: float,
                      metadata=None) -> ResultSet:
-    """rows_by_mode: {mode_name: [(distance_m, LinkResult), ...]}."""
+    """rows_by_mode: {mode_name: [(distance_m, LinkResult), ...]}.
+
+    n_streams and tx_columns name the winning transmit-column subset (0 and
+    "none" for a dead link)."""
     columns = ("mode", "distance_m", "distance_ft", "capacity_mbps",
                "condition_number", "stream_snrs_db", "phy_rate_mbps",
-               "throughput_mbps")
+               "throughput_mbps", "n_streams", "tx_columns")
     rows = []
     for mode in rows_by_mode:
         for d, r in rows_by_mode[mode]:
@@ -557,6 +563,8 @@ def sweep_result_set(rows_by_mode: dict, mac_efficiency: float,
                 ";".join(repr(float(s)) for s in r.stream_snrs_db),
                 r.phy_rate_bps / 1e6,
                 r.phy_rate_bps * mac_efficiency / 1e6,
+                len(r.tx_columns),
+                ";".join(str(c) for c in r.tx_columns) or "none",
             ))
     return ResultSet(columns, rows, metadata or {})
 

@@ -1,8 +1,23 @@
 """Information-theoretic and link-level analysis of channel matrices.
 
-Capacity is the equal-power log-det form; stream separation uses a
-zero-forcing receiver; per-subcarrier SNRs are compressed to a single
-effective SNR which an MCS table maps to a PHY rate.
+Every matrix function takes either one matrix ``(n_rx, n_tx)`` or a stack
+``(..., n_rx, n_tx)`` (for example all subcarriers of a link, ``(F, n_rx,
+n_tx)``), and answers a stack with one LAPACK call instead of a Python loop
+over its matrices.  One matrix gives the scalar / 1-D result; a stack gives
+the same result per matrix along the leading axes.
+
+* Capacity is the equal-power log-det form, from a batched ``slogdet``.
+* The condition number is sigma_max / sigma_min from a batched singular-value
+  decomposition (+inf where a matrix is numerically singular).
+* Stream separation uses a zero-forcing receiver.  Its noise amplification
+  ``[(H†H)^-1]_kk`` is read off the thin SVD ``H = U S V†`` as
+  ``sum_i |V_ki|^2 / s_i^2``.  Forming and inverting the Gram matrix ``H†H``
+  would square the condition number before the inverse is taken, so
+  near-singular links would lose twice as many digits; the SVD form loses
+  only what the channel itself costs, and the same singular values decide
+  whether the streams are separable at all.
+* Per-subcarrier SNRs are compressed to a single effective SNR which an MCS
+  table maps to a PHY rate.
 """
 
 from __future__ import annotations
@@ -17,42 +32,54 @@ from .errors import DomainError, StreamSeparationError, UndefinedConditionError
 
 
 def _as_matrix(h) -> np.ndarray:
+    """One matrix or a stack of them as a complex array; a vector is one
+    column."""
     m = np.asarray(getattr(h, "entries", h), dtype=complex)
     if m.ndim == 1:
         m = m[:, None]
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise DomainError(f"expected a matrix, got array of shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise DomainError("channel matrix contains non-finite entries")
     return m
 
 
-def capacity(h, snr_linear: float) -> float:
-    """Shannon capacity log2 det(I + (snr/N_tx) H H†), in bits/s/Hz.
+def _singular(s: np.ndarray, shape) -> np.ndarray:
+    """Numerically singular matrices, from singular values sorted descending."""
+    return s[..., -1] <= s[..., 0] * max(shape[-2:]) * np.finfo(float).eps
+
+
+def _scalar_or_stack(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+def capacity(h, snr_linear: float):
+    """Shannon capacity log2 det(I + (snr/N_tx) H H†), in bits/s/Hz; a float
+    for one matrix, an array over the leading axes of a stack.
 
     Transmit power is split equally over the N_tx columns (no waterfilling).
     """
     if snr_linear <= 0:
         raise DomainError(f"snr_linear must be positive, got {snr_linear}")
     m = _as_matrix(h)
-    n_rx, n_tx = m.shape
-    gram = np.eye(n_rx, dtype=complex) + (snr_linear / n_tx) * (m @ m.conj().T)
+    n_rx, n_tx = m.shape[-2:]
+    gram = np.eye(n_rx, dtype=complex) + (snr_linear / n_tx) * (m @ m.conj().swapaxes(-1, -2))
     sign, logdet = np.linalg.slogdet(gram)
-    if sign.real <= 0:
+    if np.any(sign.real <= 0):
         raise DomainError("capacity determinant is not positive")
-    return float(logdet / math.log(2.0))
+    return _scalar_or_stack(logdet / math.log(2.0))
 
 
-def condition_number(h) -> float:
-    """sigma_max / sigma_min of the matrix; +inf for (numerically) singular input."""
+def condition_number(h):
+    """sigma_max / sigma_min of each matrix; +inf for (numerically) singular
+    input.  A float for one matrix, an array over the leading axes of a stack."""
     m = _as_matrix(h)
-    if not np.any(m):
+    if not np.all(np.any(m, axis=(-2, -1))):
         raise UndefinedConditionError("condition number of the zero matrix is undefined")
     s = np.linalg.svd(m, compute_uv=False)
-    tol = s[0] * max(m.shape) * np.finfo(float).eps
-    if s[-1] <= tol:
-        return math.inf
-    return float(s[0] / s[-1])
+    with np.errstate(divide="ignore"):
+        kappa = np.where(_singular(s, m.shape), math.inf, s[..., 0] / s[..., -1])
+    return _scalar_or_stack(kappa)
 
 
 def mrc_combine(h, snr_linear: float = 1.0) -> float:
@@ -70,24 +97,25 @@ def mrc_combine(h, snr_linear: float = 1.0) -> float:
 
 
 def zf_stream_snrs(h, snr_linear: float) -> np.ndarray:
-    """Post-zero-forcing SNR per spatial stream: snr / (N_tx * [(H†H)^-1]_kk).
+    """Post-zero-forcing SNR per spatial stream: snr / (N_tx * [(H†H)^-1]_kk),
+    with the inverse's diagonal taken from the thin SVD of H.  Shape (n_tx,)
+    for one matrix, (..., n_tx) for a stack.
 
-    Raises StreamSeparationError for singular matrices so callers can fall
-    back to fewer streams.
+    Raises StreamSeparationError when any matrix is singular, so callers can
+    fall back to fewer streams.
     """
     m = _as_matrix(h)
     if snr_linear <= 0:
         raise DomainError(f"snr_linear must be positive, got {snr_linear}")
-    n_rx, n_tx = m.shape
+    n_rx, n_tx = m.shape[-2:]
     if n_rx < n_tx:
         raise StreamSeparationError(
             f"cannot separate {n_tx} streams with {n_rx} receive ports"
         )
-    gram = m.conj().T @ m
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= s[0] * max(m.shape) * np.finfo(float).eps:
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    if np.any(_singular(s, m.shape)):
         raise StreamSeparationError("channel matrix is singular; streams are not separable")
-    inv_diag = np.real(np.diag(np.linalg.inv(gram)))
+    inv_diag = np.sum(np.abs(vh) ** 2 / s[..., :, None] ** 2, axis=-2)
     return snr_linear / (n_tx * inv_diag)
 
 
@@ -172,6 +200,9 @@ class LinkResult:
     stream_snrs_db: tuple
     phy_rate_bps: float
     mode: str
+    # the transmit-column subset whose stream SNRs are reported (the winner);
+    # () for a dead link, where no subset is separable
+    tx_columns: tuple = ()
 
     def __post_init__(self):
         if self.capacity_bps < 0:

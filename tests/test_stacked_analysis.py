@@ -1,0 +1,280 @@
+"""Stacked link analysis: the (..., n, k) forms of capacity, condition number
+and zero-forcing SNRs against per-matrix references kept here, analyze_link
+against a per-subcarrier reference loop, and preset parsing per run."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surfmimo import presets
+from surfmimo.channel import ChannelMatrix
+from surfmimo.errors import StreamSeparationError, UndefinedConditionError
+from surfmimo.experiments import (
+    FOOT_M,
+    MODE_2X2,
+    LinkSettings,
+    SharingConfig,
+    SharingPair,
+    aggregate_sweep,
+    analyze_link,
+    default_distances_m,
+    scenario2_plan,
+    share_sim,
+    throughput_sweep,
+)
+from surfmimo.geometry import CONTACT
+from surfmimo.io import sweep_result_set
+from surfmimo.mimo import (
+    LinkResult,
+    capacity,
+    condition_number,
+    effective_snr,
+    map_rate,
+    zf_stream_snrs,
+)
+from surfmimo.propagation import FrequencyBand
+
+
+def _gram_inverse_diag_exact(h) -> np.ndarray:
+    """Real diagonal of inv(H†H), computed in exact rational arithmetic.
+
+    The complex k x k Gram matrix is carried as its real 2k x 2k embedding
+    [[Re, -Im], [Im, Re]], whose inverse embeds the complex inverse; its first
+    k diagonal entries are Re[(H†H)^-1]_kk.  Gauss-Jordan on Fractions has no
+    rounding, so the reference is exact for the float entries given.
+    """
+    h = np.asarray(h, dtype=complex)
+    hr = np.block([[h.real, -h.imag], [h.imag, h.real]])
+    cols = [[Fraction(float(x)) for x in col] for col in hr.T]
+    n = len(cols)
+    g = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(n)]
+         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if g[r][c] != 0)
+        g[c], g[p] = g[p], g[c]
+        piv = g[c][c]
+        g[c] = [x / piv for x in g[c]]
+        for r in range(n):
+            if r != c and g[r][c] != 0:
+                f = g[r][c]
+                g[r] = [x - f * y for x, y in zip(g[r], g[c])]
+    k = h.shape[1]
+    return np.array([float(g[i][n + i]) for i in range(k)])
+
+
+def _zf_float_inv(h, rho) -> np.ndarray:
+    """Per-matrix ZF SNRs from the float inverse of the Gram matrix."""
+    m = np.asarray(h, dtype=complex)
+    s = np.linalg.svd(m, compute_uv=False)
+    if m.shape[0] < m.shape[1] or s[-1] <= s[0] * max(m.shape) * np.finfo(float).eps:
+        raise StreamSeparationError("singular")
+    return rho / (m.shape[1] * np.real(np.diag(np.linalg.inv(m.conj().T @ m))))
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _conditioned(rng, n_rx, k, kappa):
+    """An n_rx x k matrix with condition number kappa and a random scale."""
+    s = np.sort(rng.uniform(1.0 / kappa, 1.0, size=k))[::-1]
+    s[0], s[-1] = 1.0, (1.0 / kappa if k > 1 else 1.0)
+    scale = 10.0 ** rng.uniform(-4.0, 2.0)
+    return scale * (_unitary(rng, n_rx)[:, :k] * s) @ _unitary(rng, k).conj().T
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 4),
+       k=st.integers(1, 4), f=st.integers(1, 5), log_kappa=st.floats(0.0, 4.0))
+def test_stacked_zf_matches_exact_gram_inverse(seed, n_rx, k, f, log_kappa):
+    k = min(k, n_rx)
+    rng = np.random.default_rng(seed)
+    kappas = 10.0 ** rng.uniform(0.0, log_kappa, size=f)
+    kappas[0] = 10.0 ** log_kappa
+    stack = np.stack([_conditioned(rng, n_rx, k, kap) for kap in kappas])
+    rho = 10.0 ** rng.uniform(0.0, 4.0)
+    got = zf_stream_snrs(stack, rho)
+    assert got.shape == (f, k)
+    for m, g in zip(stack, got):
+        ref = rho / (k * _gram_inverse_diag_exact(m))
+        np.testing.assert_allclose(g, ref, rtol=1e-9, atol=0)
+        np.testing.assert_array_equal(g, zf_stream_snrs(m, rho))
+
+
+def test_float_gram_inverse_loses_digits_the_svd_keeps():
+    # At condition number 1e4 the float inverse of H^H H (condition 1e8) is
+    # off by far more than the SVD form; this is why the SVD form is used.
+    rng = np.random.default_rng(20)
+    h = np.stack([_conditioned(rng, 3, 3, 1e4) for _ in range(20)])
+    exact = np.array([100.0 / (3 * _gram_inverse_diag_exact(m)) for m in h])
+    svd_err = np.max(np.abs(zf_stream_snrs(h, 100.0) / exact - 1))
+    inv_err = np.max(np.abs(np.array([_zf_float_inv(m, 100.0) for m in h]) / exact - 1))
+    assert svd_err < 1e-11
+    assert inv_err > 10 * svd_err
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(2, 4))
+def test_zf_near_parallel_columns_stay_finite_and_monotone(seed, n_rx):
+    # H = [a, a + t b] with b orthogonal to a: the exact stream SNRs are
+    # rho/2 |a|^2 t^2|b|^2 / (|a|^2 + t^2|b|^2) and rho/2 t^2 |b|^2, both
+    # increasing in t.  (Without b orthogonal to a the first need not be.)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
+    b = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
+    b = b - a * (np.vdot(a, b) / np.vdot(a, a))
+    t = np.logspace(-6.0, 0.0, 13)
+    stack = np.stack([np.column_stack([a, a + ti * b]) for ti in t])
+    rho = 100.0
+    snrs = zf_stream_snrs(stack, rho)
+    assert np.all(np.isfinite(snrs)) and np.all(snrs > 0)
+    assert np.all(np.diff(snrs, axis=0) >= 0)
+    aa, bb = np.vdot(a, a).real, np.vdot(b, b).real
+    closed = np.column_stack([rho / 2 * aa * t**2 * bb / (aa + t**2 * bb),
+                              rho / 2 * t**2 * bb])
+    np.testing.assert_allclose(snrs, closed, rtol=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 4),
+       n_tx=st.integers(1, 4), f=st.integers(1, 6), rank_deficient=st.booleans())
+def test_stacked_capacity_and_condition_equal_per_matrix_loop(seed, n_rx, n_tx, f,
+                                                              rank_deficient):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((f, n_rx, n_tx)) + 1j * rng.standard_normal((f, n_rx, n_tx))
+    if rank_deficient and n_tx > 1:
+        stack[f // 2, :, 1] = stack[f // 2, :, 0]
+    rho = 10.0 ** rng.uniform(-1.0, 4.0)
+    caps = capacity(stack, rho)
+    conds = condition_number(stack)
+    assert caps.shape == conds.shape == (f,)
+    for m, c, kappa in zip(stack, caps, conds):
+        assert c == pytest.approx(capacity(m, rho), rel=1e-12)
+        ref = condition_number(m)
+        assert kappa == ref if math.isinf(ref) else kappa == pytest.approx(ref, rel=1e-12)
+    if rank_deficient and 1 < n_tx <= n_rx:
+        assert math.isinf(conds[f // 2])
+
+
+def test_stack_with_one_singular_matrix_is_not_separable():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+    zf_stream_snrs(stack, 10.0)  # separable as drawn
+    stack[4, :, 1] = 2.0 * stack[4, :, 0]
+    with pytest.raises(StreamSeparationError):
+        zf_stream_snrs(stack, 10.0)
+    stack[4] = 0.0
+    with pytest.raises(UndefinedConditionError):
+        condition_number(stack)
+
+
+def _reference_analyze(matrices, st_: LinkSettings):
+    """The per-subcarrier analysis loop: capacity, condition number and
+    float-Gram-inverse ZF one matrix at a time."""
+    rho = st_.snr_linear()
+    table = st_.rate_table()
+    n_tx = matrices[0].entries.shape[1]
+    caps = [capacity(m.entries, rho) for m in matrices]
+    conds = [condition_number(m.entries) for m in matrices]
+    best = (-1.0, (float("-inf"),), ())
+    skipped = []
+    for k in range(1, n_tx + 1):
+        for subset in itertools.combinations(range(n_tx), k):
+            per_stream = [[] for _ in subset]
+            try:
+                for m in matrices:
+                    for i, s in enumerate(_zf_float_inv(m.entries[:, subset], rho)):
+                        per_stream[i].append(s)
+            except StreamSeparationError:
+                skipped.append(subset)
+                continue
+            pooled = np.concatenate([np.asarray(s) for s in per_stream])
+            esnr = max(effective_snr(pooled, st_.esm_beta), 1e-300)
+            rate = map_rate(10.0 * math.log10(esnr), table, n_streams=k)
+            if rate > best[0]:
+                snrs = tuple(10.0 * math.log10(max(effective_snr(np.asarray(s), st_.esm_beta),
+                                                   1e-300)) for s in per_stream)
+                best = (rate, snrs, subset)
+    return (st_.band.bandwidth_hz * float(np.mean(caps)), float(np.max(conds)),
+            best, skipped)
+
+
+def test_analyze_link_matches_per_subcarrier_loop():
+    rng = np.random.default_rng(11)
+    band = FrequencyBand(2.437e9, 40e6)
+    entries = rng.standard_normal((12, 3, 3)) + 1j * rng.standard_normal((12, 3, 3))
+    entries[5, :, 1] = entries[5, :, 0]  # columns 0 and 1 parallel at one subcarrier
+    ports = (CONTACT,) * 3
+    matrices = [ChannelMatrix(e, band, ports, ports) for e in entries]
+    st_ = LinkSettings(band=band, snr_db=22.0)
+
+    cap, cond, (rate, snrs, columns), skipped = _reference_analyze(matrices, st_)
+    assert skipped == [(0, 1), (0, 1, 2)]
+    got = analyze_link(matrices, st_)
+    assert rate > 0
+    assert got.phy_rate_bps == rate
+    assert got.tx_columns == columns
+    np.testing.assert_allclose(got.stream_snrs_db, snrs, rtol=1e-9)
+    assert got.capacity_bps == pytest.approx(cap, rel=1e-9)
+    assert math.isinf(got.condition_number) and math.isinf(cond)
+
+
+def test_dead_link_has_no_columns_in_sweep_csv():
+    band = FrequencyBand(2.437e9, 40e6)
+    ports = (CONTACT,) * 2
+    # each column vanishes at one subcarrier, so no subset is separable
+    dead_entries = np.array([[[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
+    dead = analyze_link([ChannelMatrix(e, band, ports, ports) for e in dead_entries],
+                        LinkSettings(band=band, snr_db=20.0))
+    assert dead.phy_rate_bps == 0.0 and dead.tx_columns == ()
+    # a link starved of SNR still names the subset whose SNRs it reports
+    starved = analyze_link([ChannelMatrix(np.eye(2), band, ports, ports)],
+                           LinkSettings(band=band, snr_db=-60.0))
+    assert starved.phy_rate_bps == 0.0 and starved.tx_columns == (0,)
+    live = LinkResult(3e8, 12.5, (21.0, 18.0), 1.2e8, "MIMO-3x3", tx_columns=(0, 2))
+    rs = sweep_result_set({"surface-3x3": [(FOOT_M, live), (2 * FOOT_M, dead)]}, 0.65)
+    assert rs.columns[-2:] == ("n_streams", "tx_columns")
+    assert [row[-2:] for row in rs.rows] == [(2, "0;2"), (0, "none")]
+
+
+def _count_parses(monkeypatch) -> dict:
+    calls = {"load_coupling": 0, "load_mcs_table": 0}
+    for name in calls:
+        real = getattr(presets, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(presets, name, counted)
+    return calls
+
+
+def test_throughput_sweep_parses_presets_once(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    rows = throughput_sweep(distances_m=default_distances_m(), mode=MODE_2X2,
+                            settings=LinkSettings(grid=8, n_subcarriers=2))
+    assert len(rows) == 16
+    assert calls["load_coupling"] <= 1
+    assert calls["load_mcs_table"] <= 1
+
+
+def test_aggregate_and_share_parse_presets_once(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    fast = LinkSettings(grid=8, n_subcarriers=2)
+    rows = aggregate_sweep(scenario2_plan(), (FOOT_M, 2 * FOOT_M), settings=fast)
+    assert len(rows) == 2
+    assert calls == {"load_coupling": 1, "load_mcs_table": 1}
+
+    calls.update(load_coupling=0, load_mcs_table=0)
+    pairs = (SharingPair((0.2, 0.3), (0.5, 0.3), 1),
+             SharingPair((0.2, 0.1), (0.5, 0.1), 1, band=FrequencyBand(2.437e9, 40e6)),
+             SharingPair((0.2, 0.5), (0.5, 0.5), 6))
+    share_sim(SharingConfig(pairs), 50, settings=fast)
+    assert calls == {"load_coupling": 1, "load_mcs_table": 1}
