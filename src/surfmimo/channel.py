@@ -21,18 +21,24 @@ are single-frequency calls.
 
 Composite integrals are midpoint-rule Riemann sums over the N cell centers
 of a regular grid.  The air kernel between two cells depends only on their
-offset, so the double integral a_tx^T K a_rx is a 2-D correlation, taken
-per subcarrier as one FFT convolution with the kernel sampled on the
-circulant lattice of cell offsets (the CG-FFT method of moment-method
-solvers).  Memory is O(N): no N x N matrix is formed and nothing is cached.
+offset, so the double integral a_tx^T K a_rx is a 2-D correlation: an FFT
+convolution with the kernel sampled on the circulant (2n, 2ny) lattice of
+cell offsets (the CG-FFT method of moment-method solvers).  The C1 composite
+is taken over blocks of subcarriers, one batched FFT correlation and one
+batched matmul per block.  A block holds as many tones as fit in a fixed
+budget of padded-lattice elements (``_BLOCK_ELEMENTS``), at least one; sizing
+by elements rather than by tones keeps the working set O(N) and bounded at
+any grid and any tone count.  No N x N matrix is formed and nothing is
+cached.
 
-Results are deterministic: equal inputs give bitwise-equal outputs, and each
-``csi`` matrix is bitwise equal to ``build_mimo`` at its subcarrier.  The FFT
-sums in a different order than a direct double sum, so the two agree to
-rounding (about 1e-15 relative), not bitwise.  Distances inside integral
-kernels that fall below the model reference distances are clamped (the gain
-laws diverge at zero); direct paths that would be clamped emit a
-RuntimeWarning instead of extrapolating.
+Results are deterministic: equal inputs give bitwise-equal outputs, each
+``csi`` matrix is bitwise equal to ``build_mimo`` at its subcarrier, and the
+block size does not change a bit of the output.  The FFT sums in a
+different order than a direct double sum, so the two agree to rounding
+(about 1e-15 relative), not bitwise.  Distances inside integral kernels that
+fall below the model reference distances are clamped (the gain laws diverge
+at zero); direct paths that would be clamped emit a RuntimeWarning instead of
+extrapolating.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ from .geometry import ANTENNA, CONTACT, Scene, image_sources, segment_crosses_re
 from .propagation import SPEED_OF_LIGHT, FrequencyBand, _air_amplitude, phase_velocity
 
 DEFAULT_SUBCARRIERS = {20e6: 56, 40e6: 114}
+
+# Padded-lattice elements (complex values) per block of C1 subcarriers.
+_BLOCK_ELEMENTS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,7 @@ class ChannelMatrix:
             raise DomainError(f"channel matrix must be 2-D and non-empty, got shape {e.shape}")
         if e.shape != (len(self.rx_port_kinds), len(self.tx_port_kinds)):
             raise DomainError("port label counts do not match matrix dimensions")
-        if not (np.all(np.isfinite(e.real)) and np.all(np.isfinite(e.imag))):
+        if not np.isfinite(e).all():
             raise DomainError("channel matrix contains non-finite entries")
 
 
@@ -215,31 +224,36 @@ class _Grid:
         d2 = (self.x - antenna[0]) ** 2 + (self.y - antenna[1]) ** 2 + antenna[2] ** 2
         return np.maximum(np.sqrt(d2), air_ref)
 
-    def air_kernel(self, k: float):
-        """The clamped air gain at wavenumber k on the offset lattice."""
-        return self.lattice_amp * np.exp(-1j * k * self.lattice_d)
+    def air_kernel(self, k):
+        """The clamped air gain on the offset lattice at wavenumber k, or at
+        each of a vector of wavenumbers: shape k.shape + (2n, 2ny)."""
+        return self.lattice_amp * np.exp(np.multiply.outer(-1j * k, self.lattice_d))
 
     def correlate(self, kernel, left, right):
         """sum_p sum_q left[t, p] K(p - q) right[r, q] for every row pair, as a
-        (len(left), len(right)) array.  K is a kernel sampled on the offset
-        lattice; all right rows share one FFT convolution with it."""
+        (..., T, R) array from a (..., 2n, 2ny) kernel sampled on the offset
+        lattice and (..., T, N) and (..., R, N) rows; leading axes (one per
+        subcarrier) broadcast.  All right rows of one kernel share one FFT
+        convolution with it."""
         n, ny = self.shape
-        padded = np.zeros((len(right), 2 * n, 2 * ny), dtype=complex)
-        padded[:, :n, :ny] = right.reshape(-1, n, ny)
-        conv = np.fft.ifft2(np.fft.fft2(padded) * np.fft.fft2(kernel))
-        return left @ conv[:, :n, :ny].reshape(len(right), n * ny).T
+        field = np.fft.fft2(right.reshape(right.shape[:-1] + (n, ny)), s=(2 * n, 2 * ny))
+        conv = np.fft.ifft2(field * np.fft.fft2(kernel)[..., None, :, :])
+        return left @ np.swapaxes(conv[..., :n, :ny].reshape(right.shape), -1, -2)
 
 
 def _surface_field(d, gamma, m):
     """Surface gain exp(-gamma d) d0/d at clamped distances d, with the
-    propagation constant gamma = alpha + j beta."""
-    return np.exp(-gamma * d) * (m.d0_m / d)
+    propagation constant gamma = alpha + j beta, or a vector of them (one
+    leading axis per entry): shape gamma.shape + d.shape."""
+    return np.exp(np.multiply.outer(-gamma, d)) * (m.d0_m / d)
 
 
-def _composite(grid: _Grid, k: float, a_tx, a_rx, params: ChannelParams):
-    """C1 surface->air->surface integrals at one wavenumber for every pair of
-    transmit (rows of a_tx) and receive (rows of a_rx) surface fields:
-    C1 * sum A_S(tx,p1) A_air(p1,p2) A_S(p2,rx) dA^2, shape (T, R)."""
+def _composite(grid: _Grid, k, a_tx, a_rx, params: ChannelParams):
+    """C1 surface->air->surface integrals for every pair of transmit (rows of
+    a_tx) and receive (rows of a_rx) surface fields:
+    C1 * sum A_S(tx,p1) A_air(p1,p2) A_S(p2,rx) dA^2, shape (T, R) at one
+    wavenumber k, or (B, T, R) for B wavenumbers and (B, T, N), (B, R, N)
+    fields."""
     c1 = params.coupling.c1
     return c1 * grid.da * grid.da * grid.correlate(grid.air_kernel(k), a_tx, a_rx)
 
@@ -396,11 +410,13 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
     if coupling.c1 > 0 and rows and cols:
         d_tx = np.array([g.surface_distance(tx_ports[j][1], m.d0_m) for j in cols])
         d_rx = np.array([g.surface_distance(rx_ports[i][1], m.d0_m) for i in rows])
-        block = np.ix_(rows, cols)
-        for f in range(len(freqs)):
-            a_tx = _surface_field(d_tx, gamma[f], m)
-            a_rx = _surface_field(d_rx, gamma[f], m)
-            h[f][block] += _composite(g, k[f], a_tx, a_rx, params).T
+        rows, cols = np.array(rows)[:, None], np.array(cols)
+        tones = max(1, _BLOCK_ELEMENTS // g.lattice_d.size)
+        for lo in range(0, len(freqs), tones):
+            f = slice(lo, lo + tones)
+            c1 = _composite(g, k[f], _surface_field(d_tx, gamma[f], m),
+                            _surface_field(d_rx, gamma[f], m), params)
+            h[f, rows, cols] += np.swapaxes(c1, -1, -2)
     return h
 
 

@@ -45,6 +45,18 @@ def _version_string() -> str:
     return f"surfmimo {__version__} (presets {presets.preset_version()})"
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that reads the preset version only when the flag is given."""
+
+    def __init__(self, option_strings, dest):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(_version_string())
+        parser.exit()
+
+
 def _parse_float_list(text: str, flag: str):
     """Comma list ('1,2,3') or inclusive integer range ('1:16')."""
     text = text.strip()
@@ -306,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="surfmimo",
         description="Simulate and analyze MIMO links over conductive surfaces.",
     )
-    parser.add_argument("--version", action="version", version=_version_string())
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("channel", help="per-subcarrier channel matrices for a scene")

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, StreamSeparationError, UndefinedConditionError
 
@@ -131,8 +130,11 @@ def effective_snr(snrs_linear, beta: float = 1.0) -> float:
         raise DomainError("effective_snr needs at least one subcarrier")
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
-    # logsumexp keeps exp(-snr/beta) from underflowing at high SNR.
-    return float(-beta * (logsumexp(-s / beta) - math.log(s.size)))
+    # a log-mean-exp shifted by the max keeps exp(-snr/beta) from
+    # underflowing at high SNR
+    x = -s / beta
+    top = x.max()
+    return float(-beta * (top + math.log(np.mean(np.exp(x - top)))))
 
 
 @dataclass(frozen=True)

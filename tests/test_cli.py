@@ -32,6 +32,22 @@ def test_version_banner(capsys):
     assert "surfmimo" in capsys.readouterr().out
 
 
+def test_version_text_is_built_only_for_version(monkeypatch, capsys):
+    from surfmimo import __version__, presets
+    from surfmimo.cli import build_parser
+
+    calls = []
+    real = presets.preset_version
+    monkeypatch.setattr(presets, "preset_version", lambda *a: calls.append(a) or real(*a))
+    build_parser()
+    assert calls == []
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == f"surfmimo {__version__} (presets {real()})\n"
+
+
 def test_channel_from_config_path(tmp_path, capsys):
     out = tmp_path / "ch.csv"
     code = main(["channel", "--scene", str(_tiny_scene(tmp_path)),

@@ -3,7 +3,9 @@
 The dense references below build the full N x N point-pair distance matrix
 and air kernel and sum the midpoint-rule integrals term by term, the way the
 model defines them.  The engine must agree with them to 1e-12 relative on
-random scenes, grids and air exponents.
+random scenes, grids and air exponents, one tone at a time or a stack of
+tones in one call.  The engine takes the C1 composite over blocks of
+subcarriers; the block size must not change a bit of the output.
 """
 
 import math
@@ -13,9 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfmimo import channel
+from surfmimo import channel, presets
 from surfmimo.channel import ChannelParams, CouplingConstants, h_as, h_sa, h_ss, impulse_response
-from surfmimo.geometry import ANTENNA, CONTACT, Scene, SurfaceSpec
+from surfmimo.geometry import ANTENNA, CONTACT, Node, Scene, SurfaceSpec
 from surfmimo.propagation import SPEED_OF_LIGHT, FrequencyBand, MaterialParams, phase_velocity
 
 RTOL = 1e-12
@@ -105,8 +107,8 @@ def _close(got, want):
 
 
 @settings(max_examples=30, deadline=None)
-@given(cases())
-def test_fft_composite_matches_dense_double_sum(case):
+@given(cases(), st.lists(st.floats(2.0e9, 2.6e9), max_size=2))
+def test_fft_composite_matches_dense_double_sum(case, more_freqs):
     surface, n, params, f, tx, rx, antenna = case
     scene = Scene(surface)
     band = FrequencyBand(f)
@@ -115,11 +117,22 @@ def test_fft_composite_matches_dense_double_sum(case):
     amps, delays = dense_composites(scene, txs, rxs, f, n, params)
     m = surface.material
     grid = channel._Grid(surface, n, params)
+    d_tx, d_rx = (np.array([grid.surface_distance(p, m.d0_m) for p in ps]) for ps in (txs, rxs))
     gamma = m.alpha_at(f) + 1j * m.beta_at(f)
-    fields = [np.array([channel._surface_field(grid.surface_distance(p, m.d0_m), gamma, m)
-                        for p in ps]) for ps in (txs, rxs)]
-    got = channel._composite(grid, 2.0 * math.pi * f / SPEED_OF_LIGHT, *fields, params)
+    got = channel._composite(grid, 2.0 * math.pi * f / SPEED_OF_LIGHT,
+                             channel._surface_field(d_tx, gamma, m),
+                             channel._surface_field(d_rx, gamma, m), params)
     assert np.all(np.abs(got - amps) <= RTOL * np.abs(amps))
+
+    # a stack of tones in one call: (B, T, R), each tone its own dense sum
+    freqs = np.array([f, *more_freqs])
+    gammas, ks = channel._propagation(m, freqs)
+    stacked = channel._composite(grid, ks, channel._surface_field(d_tx, gammas, m),
+                                 channel._surface_field(d_rx, gammas, m), params)
+    assert stacked.shape == (len(freqs), len(txs), len(rxs))
+    for fb, got_b in zip(freqs, stacked):
+        want = amps if fb == f else dense_composites(scene, txs, rxs, fb, n, params)[0]
+        assert np.all(np.abs(got_b - want) <= RTOL * np.abs(want))
 
     without = ChannelParams(coupling=CouplingConstants(0.0, 0.0, 0.0, 0.0),
                             air_exponent=params.air_exponent)
@@ -155,3 +168,36 @@ def test_cross_terms_match_dense_sums(case):
         assert _close(tap[1], amp)
         assert _close(tap[0], delay)
 
+
+def _coupled_3x3():
+    """A 3x3 hybrid desk scene (two contacts and one antenna per node) with
+    every coupling term on."""
+    scene = Scene(SurfaceSpec(1.2, 0.6096, presets.load_material("spraypaint")), (
+        Node("tx", "transmitter", contacts=((0.15, 0.30), (0.2, 0.45)),
+             antennas=((0.15, 0.2, 0.02),)),
+        Node("rx", "receiver", contacts=((0.9, 0.3), (1.05, 0.15)),
+             antennas=((1.0, 0.4, 0.03),)),
+    ))
+    return scene, ChannelParams(coupling=CouplingConstants(0.05, 0.03, 0.04, 0.7))
+
+
+def test_csi_is_bitwise_independent_of_the_block_size(monkeypatch):
+    scene, params = _coupled_3x3()
+    band, tones, n = FrequencyBand(2.437e9, 40e6), 61, 12
+    lattice = channel._Grid(scene.surface, n, params).lattice_d.size
+    per_block = channel._BLOCK_ELEMENTS // lattice
+    # the default budget splits the tones into blocks, the last one partial
+    assert 1 < per_block < tones and tones % per_block
+
+    def run(budget):
+        monkeypatch.setattr(channel, "_BLOCK_ELEMENTS", budget)
+        return np.array([mm.entries for mm in channel.csi(scene, band, tones, n, params)])
+
+    default = run(channel._BLOCK_ELEMENTS)
+    assert np.all(default != 0)
+    for budget in (1, 3 * lattice, tones * lattice):  # one tone, three, all
+        assert np.array_equal(run(budget), default)
+    # a one-tone block is the single-frequency path of build_mimo
+    freqs = channel.subcarrier_frequencies(band, tones)
+    for f_sc, h in zip(freqs[::10], default[::10]):
+        assert np.array_equal(channel.build_mimo(scene, f_sc, n, params).entries, h)

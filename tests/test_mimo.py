@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from surfmimo.errors import DomainError, StreamSeparationError, UndefinedConditionError
 from surfmimo.mimo import (
@@ -112,6 +113,24 @@ def test_effective_snr_pooling():
         effective_snr([])
     with pytest.raises(DomainError):
         effective_snr([1.0], beta=0.0)
+
+
+def _scipy_esm(snrs, beta=1.0):
+    s = np.asarray(snrs, dtype=float)
+    return -beta * (logsumexp(-s / beta) - math.log(s.size))
+
+
+def test_effective_snr_matches_scipy_logsumexp():
+    rng = np.random.default_rng(4)
+    cases = [(10.0 ** rng.uniform(-1.0, 3.5, size), beta)
+             for size in (1, 2, 7, 56, 114) for beta in (0.5, 1.0, 3.0)]
+    # above 1e4 every exp(-snr) underflows; one subcarrier is the SNR itself
+    cases += [(10.0 ** rng.uniform(4.0, 9.0, size), 1.0) for size in (1, 3, 114)]
+    cases += [(np.array([2e4, 3e4]), 1.0), (np.array([1e6]), 2.0), (np.array([0.25]), 1.0)]
+    for snrs, beta in cases:
+        want = _scipy_esm(snrs, beta)
+        assert abs(effective_snr(snrs, beta) - want) <= 1e-12 * abs(want)
+    assert effective_snr([0.25]) == 0.25
 
 
 def _tiny_table():
