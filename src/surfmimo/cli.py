@@ -81,7 +81,7 @@ def _scene_metadata(cfg: rio.ScenarioConfig, command: str, seed) -> dict:
 
     return {
         "tool_version": __version__,
-        "preset_version": presets.preset_version(),
+        "preset_version": cfg.preset_version,
         "config_hash": rio.config_hash(cfg),
         "seed": cfg.seed if seed is None else seed,
         "command": command,

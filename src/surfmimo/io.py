@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .channel import ChannelParams, NoiseModel
+from . import presets
+from .channel import ChannelParams, CouplingConstants, NoiseModel
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import FOOT_M, LinkSettings, SceneTemplate
 from .geometry import CONTACT, Node, Obstacle, Scene, SurfaceSpec, validate_scene
@@ -54,12 +55,8 @@ ANALYSIS_DEFAULTS = {
 }
 
 
-def _position_index(text: str) -> dict:
+def _position_index(root) -> dict:
     """Map (key, path, tuples) -> 1-based line numbers, via the YAML node tree."""
-    try:
-        root = yaml.compose(text)
-    except yaml.YAMLError:
-        return {}
     idx: dict = {}
 
     def walk(node, path):
@@ -74,17 +71,21 @@ def _position_index(text: str) -> dict:
             for i, value in enumerate(node.value):
                 walk(value, path + (i,))
 
-    if root is not None:
-        walk(root, ())
+    walk(root, ())
     return idx
 
 
 class _Collector:
-    def __init__(self, text: str):
-        self.positions = _position_index(text)
+    """Problems found in a config; the line index is built on the first one."""
+
+    def __init__(self, root):
+        self.root = root
+        self.positions = None
         self.problems: list = []
 
     def add(self, path, message: str):
+        if self.positions is None:
+            self.positions = _position_index(self.root)
         line = self.positions.get(tuple(path))
         where = f"line {line}: " if line else ""
         self.problems.append(f"{where}{message}")
@@ -132,7 +133,7 @@ def parse_config(text) -> "ScenarioConfig":
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     try:
-        data = yaml.safe_load(text)
+        data, root = presets.load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}: " if mark else ""
@@ -143,7 +144,7 @@ def parse_config(text) -> "ScenarioConfig":
     if not isinstance(data, dict):
         raise ConfigError([f"config must be a mapping, got {type(data).__name__}"])
 
-    col = _Collector(text)
+    col = _Collector(root)
     col.unknown_keys(data, _TOP_KEYS, ())
     name = data.get("name", "")
     if not isinstance(name, str):
@@ -152,6 +153,7 @@ def parse_config(text) -> "ScenarioConfig":
 
     # surface -------------------------------------------------------------
     surface = None
+    shipped = None
     raw_surface = data.get("surface")
     material_ref = ""
     if not isinstance(raw_surface, dict):
@@ -164,11 +166,9 @@ def parse_config(text) -> "ScenarioConfig":
         if not isinstance(material_ref, str) or not material_ref:
             col.add(("surface", "material"), "surface needs a material preset name or path")
         elif width is not None and height is not None:
-            from . import presets
-
             try:
-                material = presets.load_material(material_ref)
-                surface = SurfaceSpec(width, height, material)
+                shipped = presets.load_presets()
+                surface = SurfaceSpec(width, height, shipped.material(material_ref))
             except SurfMimoError as exc:
                 col.add(("surface", "material"), str(exc))
             except OSError as exc:
@@ -302,7 +302,8 @@ def parse_config(text) -> "ScenarioConfig":
         "seed": seed,
     }
     return ScenarioConfig(name=name, scene=scene, band=band, seed=seed,
-                          analysis=analysis, normalized=normalized)
+                          analysis=analysis, normalized=normalized,
+                          coupling=shipped.coupling, preset_version=shipped.version)
 
 
 def load_config(path) -> "ScenarioConfig":
@@ -319,7 +320,9 @@ def load_config(path) -> "ScenarioConfig":
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated scenario: scene, band, analysis knobs, seed."""
+    """A fully validated scenario: scene, band, analysis knobs, seed, and the
+    coupling constants and version of the shipped material presets, taken
+    from the one parse of that file that resolved the material name."""
 
     name: str
     scene: Scene
@@ -327,13 +330,13 @@ class ScenarioConfig:
     seed: int
     analysis: dict
     normalized: dict
+    coupling: CouplingConstants
+    preset_version: str
 
     def channel_params(self) -> ChannelParams:
-        from . import presets
-
         a = self.analysis
         return ChannelParams(
-            coupling=presets.load_coupling(),
+            coupling=self.coupling,
             air_ref_m=a["air_ref_m"],
             air_exponent=a["air_exponent"],
             near_field_radius_m=a["near_field_radius_m"],
@@ -341,8 +344,6 @@ class ScenarioConfig:
         )
 
     def settings(self) -> LinkSettings:
-        from . import presets
-
         a = self.analysis
         table = None
         if a["mcs_table"]:
@@ -375,7 +376,7 @@ class ScenarioConfig:
 def config_hash(config: ScenarioConfig) -> str:
     """Hash of everything that shapes the output: the normalized config, the
     preset files it pulls in, and the tool version."""
-    from . import __version__, presets
+    from . import __version__
 
     h = hashlib.sha256()
     h.update(json.dumps(config.normalized, sort_keys=True,
@@ -388,7 +389,7 @@ def config_hash(config: ScenarioConfig) -> str:
 
 def parameter_hash(params: dict) -> str:
     """config_hash equivalent for runs driven by flags instead of a config file."""
-    from . import __version__, presets
+    from . import __version__
 
     h = hashlib.sha256()
     h.update(json.dumps(params, sort_keys=True, separators=(",", ":"),
@@ -415,6 +416,19 @@ def _format_value(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+# Formatters for the exact types most cells have, each agreeing with
+# _format_value; any other type (subclasses included) falls back to it.
+_FORMATTERS = {
+    type(None): lambda v: "",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: float.__repr__,
+    str: str,
+    np.int64: lambda v: str(int(v)),
+    np.float64: float.__repr__,
+}
 
 
 def _parse_value(s: str):
@@ -468,8 +482,9 @@ def write_results(rs: ResultSet, path) -> None:
                 fh.write(f"# {key}: {rs.metadata[key]}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(rs.columns)
+            formatter = _FORMATTERS.get
             for row in rs.rows:
-                writer.writerow([_format_value(v) for v in row])
+                writer.writerow([formatter(type(v), _format_value)(v) for v in row])
     except OSError as exc:
         raise ResultIOError(f"cannot write results to {path}: {exc}") from exc
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -24,10 +25,26 @@ def _read_text(path) -> str:
     return Path(path).read_text() if not hasattr(path, "read_text") else path.read_text()
 
 
+def load_yaml(text):
+    """(data, root node) of one YAML document, composed once.
+
+    libyaml's parser is used when PyYAML was built with it, the pure-Python
+    one otherwise.  Both feed PyYAML's Python resolver and safe constructor,
+    so the data is the same either way.  The root is None for an empty
+    document.  Raises yaml.YAMLError with a ``problem_mark`` on bad syntax.
+    """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
+    try:
+        root = loader.get_single_node()
+        return (None if root is None else loader.construct_document(root)), root
+    finally:
+        loader.dispose()
+
+
 def _load_materials_doc(path=None) -> dict:
     src = path if path is not None else data_dir() / "materials.yaml"
     try:
-        doc = yaml.safe_load(_read_text(src))
+        doc, _ = load_yaml(_read_text(src))
     except yaml.YAMLError as exc:
         raise PresetError(f"cannot parse material preset file {src}: {exc}") from exc
     if not isinstance(doc, dict) or "materials" not in doc:
@@ -35,13 +52,11 @@ def _load_materials_doc(path=None) -> dict:
     return doc
 
 
-def preset_version(path=None) -> str:
-    return str(_load_materials_doc(path).get("version", "unversioned"))
+def _version(doc: dict) -> str:
+    return str(doc.get("version", "unversioned"))
 
 
-def load_materials(path=None) -> dict:
-    """All material presets from a file (default: the shipped presets)."""
-    doc = _load_materials_doc(path)
+def _materials(doc: dict) -> dict:
     out = {}
     for name, spec in doc["materials"].items():
         try:
@@ -61,9 +76,20 @@ def load_materials(path=None) -> dict:
     return out
 
 
-def load_material(name_or_path: str, path=None) -> MaterialParams:
-    """A material by preset name, or every material from a custom file path."""
-    materials = load_materials(path)
+def _coupling(doc: dict) -> CouplingConstants:
+    c = doc.get("coupling", {})
+    try:
+        return CouplingConstants(
+            c1=float(c.get("c1", 0.0)),
+            c2=float(c.get("c2", 0.0)),
+            c3=float(c.get("c3", 0.0)),
+            near_field_coupling=float(c.get("near_field_coupling", 0.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise PresetError(f"malformed coupling section: {exc}") from exc
+
+
+def _pick_material(materials: dict, name_or_path: str) -> MaterialParams:
     if name_or_path in materials:
         return materials[name_or_path]
     p = Path(name_or_path)
@@ -79,18 +105,42 @@ def load_material(name_or_path: str, path=None) -> MaterialParams:
     )
 
 
+def preset_version(path=None) -> str:
+    return _version(_load_materials_doc(path))
+
+
+def load_materials(path=None) -> dict:
+    """All material presets from a file (default: the shipped presets)."""
+    return _materials(_load_materials_doc(path))
+
+
+def load_material(name_or_path: str, path=None) -> MaterialParams:
+    """A material by preset name, or every material from a custom file path."""
+    return _pick_material(load_materials(path), name_or_path)
+
+
 def load_coupling(path=None) -> CouplingConstants:
+    return _coupling(_load_materials_doc(path))
+
+
+@dataclass(frozen=True)
+class MaterialPresets:
+    """Everything a material preset file holds, from one parse of it."""
+
+    materials: dict
+    coupling: CouplingConstants
+    version: str
+
+    def material(self, name_or_path: str) -> MaterialParams:
+        """Like load_material, without parsing this file again."""
+        return _pick_material(self.materials, name_or_path)
+
+
+def load_presets(path=None) -> MaterialPresets:
+    """Materials, coupling constants and version of one preset file
+    (default: the shipped presets), parsed once."""
     doc = _load_materials_doc(path)
-    c = doc.get("coupling", {})
-    try:
-        return CouplingConstants(
-            c1=float(c.get("c1", 0.0)),
-            c2=float(c.get("c2", 0.0)),
-            c3=float(c.get("c3", 0.0)),
-            near_field_coupling=float(c.get("near_field_coupling", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise PresetError(f"malformed coupling section: {exc}") from exc
+    return MaterialPresets(_materials(doc), _coupling(doc), _version(doc))
 
 
 def load_mcs_table(path=None, bandwidth_mhz: float | None = None) -> McsTable:

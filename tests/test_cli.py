@@ -98,6 +98,22 @@ def test_analyze_synthesizes_csi_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["channel"], ["analyze", "--snr-db", "25"], ["pulse", "--duration-ns", "50"],
+])
+def test_scene_commands_parse_each_yaml_file_once(tmp_path, monkeypatch, command):
+    from surfmimo import presets
+
+    parsed = []
+    real = presets.load_yaml
+    monkeypatch.setattr(presets, "load_yaml", lambda text: parsed.append(text) or real(text))
+    scene = _tiny_scene(tmp_path)
+    code = main(command + ["--scene", str(scene), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_OK
+    materials = (presets.data_dir() / "materials.yaml").read_text()
+    assert parsed == [scene.read_text(), materials]
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--mode", "surface-2x2", "--distances-ft", "1,2",

@@ -1,11 +1,19 @@
 """Config parsing, result serialization, reproducibility hashes."""
 
+import csv
+import io
 import math
+import os
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surfmimo import presets
 from surfmimo.channel import build_mimo
 from surfmimo.errors import ConfigError, ResultIOError
 from surfmimo.experiments import (
@@ -87,27 +95,29 @@ def test_parse_config_units_and_overrides():
     assert cfg.channel_params().coupling.near_field_coupling == 0.95
 
 
+BAD = textwrap.dedent("""\
+    name: broken
+    turbo: on
+    surface:
+      material: spraypaint
+      width_m: wide
+      height_m: 1.0
+      gloss: 1
+    nodes:
+      - id: tx
+        role: transmitter
+        contacts: [[0.5, 0.5, 9]]
+      - role: receiver
+        contacts: [[1.5, 0.5]]
+    analysis:
+      grid: 3.7
+    seed: -4
+""")
+
+
 def test_parse_config_collects_every_problem_with_lines():
-    bad = textwrap.dedent("""\
-        name: broken
-        turbo: on
-        surface:
-          material: spraypaint
-          width_m: wide
-          height_m: 1.0
-          gloss: 1
-        nodes:
-          - id: tx
-            role: transmitter
-            contacts: [[0.5, 0.5, 9]]
-          - role: receiver
-            contacts: [[1.5, 0.5]]
-        analysis:
-          grid: 3.7
-        seed: -4
-    """)
     with pytest.raises(ConfigError) as err:
-        parse_config(bad)
+        parse_config(BAD)
     problems = err.value.problems
     joined = "\n".join(problems)
     assert "unknown key 'turbo'" in joined
@@ -174,6 +184,102 @@ def test_config_consumers_agree_with_direct_calls():
     assert m.rx_port_kinds == (CONTACT,)
 
 
+# --- YAML loaders ---------------------------------------------------------------
+
+
+def _under_both_loaders(monkeypatch, fn):
+    """fn() with the loader load_yaml picks (libyaml when PyYAML has it), then
+    with the pure-Python one, as on an install without libyaml."""
+    default = fn()
+    with monkeypatch.context() as m:
+        m.delattr(yaml, "CSafeLoader", raising=False)
+        pure = fn()
+    return default, pure
+
+
+def _problems(text) -> list:
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    return err.value.problems
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_load_yaml_uses_libyaml_when_present(monkeypatch):
+    made = []
+
+    class Counted(yaml.CSafeLoader):
+        def __init__(self, stream):
+            made.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Counted)
+    parse_config(GOOD)
+    assert made[0] == GOOD
+    assert len(made) == 2  # the config, then the shipped material presets
+
+
+def test_shipped_scenes_parse_equal_under_both_loaders(monkeypatch):
+    names = sorted(f.name[:-5] for f in (presets.data_dir() / "scenes").iterdir()
+                   if f.name.endswith(".yaml"))
+    assert len(names) >= 4
+
+    def parse_all():
+        return [load_config(presets.scene_path(n)) for n in names]
+
+    default, pure = _under_both_loaders(monkeypatch, parse_all)
+    assert default == pure
+
+
+def test_presets_equal_under_both_loaders(monkeypatch):
+    def load_all():
+        return (presets.load_materials(), presets.load_coupling(),
+                presets.preset_version(), presets.load_presets())
+
+    default, pure = _under_both_loaders(monkeypatch, load_all)
+    assert default == pure
+    materials, coupling, version, shipped = default
+    assert shipped.materials == materials
+    assert shipped.coupling == coupling
+    assert shipped.version == version
+
+
+def test_invalid_config_problems_equal_under_both_loaders(monkeypatch):
+    default, pure = _under_both_loaders(monkeypatch, lambda: _problems(BAD))
+    assert default == pure
+    assert any(p.startswith("line 2:") for p in pure)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("name: x\n  bad_indent: [\n", 2),
+    ("name: x\nnodes: [1, 2\nseed: 3\n", 3),
+    ("name: 'open\n", 2),
+])
+def test_syntax_error_line_under_both_loaders(monkeypatch, text, line):
+    default, pure = _under_both_loaders(monkeypatch, lambda: _problems(text))
+    for problems in (default, pure):
+        assert len(problems) == 1
+        assert problems[0].startswith(f"line {line}: ")
+
+
+def test_merged_key_problem_reports_the_line_it_is_written_on():
+    text = GOOD.replace("  width_m: 3.0\n", "  <<: *base\n").replace(
+        "name: unit\n", "name: unit\n_base: &base {width_m: wide}\n")
+    problems = _problems(text)
+    assert "line 2: 'width_m' must be a number, got 'wide'" in problems
+
+
+def test_valid_config_builds_no_line_index(monkeypatch):
+    from surfmimo import io as rio
+
+    def refuse(root):
+        raise AssertionError("line index built for a valid config")
+
+    monkeypatch.setattr(rio, "_position_index", refuse)
+    assert parse_config(GOOD).name == "unit"
+    with pytest.raises(AssertionError, match="line index"):
+        parse_config(BAD)
+
+
 # --- hashes -------------------------------------------------------------------
 
 
@@ -220,6 +326,59 @@ def test_result_set_written_bytes_deterministic(tmp_path):
     write_results(rs, p1)
     write_results(rs, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _reference_format(v) -> str:
+    """The cell formatting write_results used before it dispatched on type."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, np.float64(-0.0),
+                     np.float64(math.nan), np.float64(-math.inf)]),
+    st.text(alphabet=st.sampled_from('ab ,"\'\n\r;'), max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(_CELLS, min_size=width, max_size=width),
+                           max_size=6)))
+def test_written_cells_match_reference_formatting(rows):
+    from surfmimo import io as rio
+
+    for row in rows:
+        for v in row:
+            assert rio._FORMATTERS.get(type(v), rio._format_value)(v) == _reference_format(v)
+    columns = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.csv")
+        write_results(ResultSet(columns, rows, {"k": "v"}), path)
+        got = open(path, "rb").read()
+    want = io.StringIO()
+    want.write("# surfmimo-results v1\n# k: v\n")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_reference_format(v) for v in row])
+    assert got == want.getvalue().encode("utf-8")
 
 
 def test_result_set_validation_and_read_errors(tmp_path):
