@@ -23,7 +23,12 @@ Composite integrals are midpoint-rule Riemann sums over the N cell centers
 of a regular grid.  The air kernel between two cells depends only on their
 offset, so the double integral a_tx^T K a_rx is a 2-D correlation: an FFT
 convolution with the kernel sampled on the circulant (2n, 2ny) lattice of
-cell offsets (the CG-FFT method of moment-method solvers).  The C1 composite
+cell offsets (the CG-FFT method of moment-method solvers).  An FFT rounds
+every output relative to the largest kernel value, which sits at the
+smallest offsets; a pair whose integral lies orders of magnitude below that
+(far contacts on a long surface, coarse grid) would lose its relative
+precision.  The 3x3 nearest offsets are therefore summed directly and only
+the rest of the kernel goes through the FFT.  The C1 composite
 is taken over blocks of subcarriers, one batched FFT correlation and one
 batched matmul per block.  A block holds as many tones as fit in a fixed
 budget of padded-lattice elements (``_BLOCK_ELEMENTS``), at least one; sizing
@@ -35,10 +40,10 @@ Results are deterministic: equal inputs give bitwise-equal outputs, each
 ``csi`` matrix is bitwise equal to ``build_mimo`` at its subcarrier, and the
 block size does not change a bit of the output.  The FFT sums in a
 different order than a direct double sum, so the two agree to rounding
-(about 1e-15 relative), not bitwise.  Distances inside integral kernels that
-fall below the model reference distances are clamped (the gain laws diverge
-at zero); direct paths that would be clamped emit a RuntimeWarning instead of
-extrapolating.
+(checked to 1e-12 relative), not bitwise.  Distances inside integral kernels
+that fall below the model reference distances are clamped (the gain laws
+diverge at zero); direct paths that would be clamped emit a RuntimeWarning
+instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -57,6 +62,10 @@ DEFAULT_SUBCARRIERS = {20e6: 56, 40e6: 114}
 
 # Padded-lattice elements (complex values) per block of C1 subcarriers.
 _BLOCK_ELEMENTS = 2 ** 13
+
+# Cell offsets (x, y) at which correlations sum the kernel directly.
+_NEAR_OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+_NEAR_X, _NEAR_Y = (np.array(c) for c in zip(*_NEAR_OFFSETS))
 
 
 @dataclass(frozen=True)
@@ -234,11 +243,20 @@ class _Grid:
         (..., T, R) array from a (..., 2n, 2ny) kernel sampled on the offset
         lattice and (..., T, N) and (..., R, N) rows; leading axes (one per
         subcarrier) broadcast.  All right rows of one kernel share one FFT
-        convolution with it."""
+        convolution with the kernel outside the nearest offsets; those are
+        summed directly, one shifted product per offset."""
         n, ny = self.shape
-        field = np.fft.fft2(right.reshape(right.shape[:-1] + (n, ny)), s=(2 * n, 2 * ny))
-        conv = np.fft.ifft2(field * np.fft.fft2(kernel)[..., None, :, :])
-        return left @ np.swapaxes(conv[..., :n, :ny].reshape(right.shape), -1, -2)
+        field = right.reshape(right.shape[:-1] + (n, ny))
+        far = kernel.copy()
+        far[..., _NEAR_X, _NEAR_Y] = 0
+        conv = np.fft.ifft2(np.fft.fft2(field, s=(2 * n, 2 * ny))
+                            * np.fft.fft2(far)[..., None, :, :])[..., :n, :ny]
+        for ox, oy in _NEAR_OFFSETS:
+            # output cell p takes K(o) * right[p - o]
+            conv[..., max(ox, 0):n + min(ox, 0), max(oy, 0):ny + min(oy, 0)] += (
+                kernel[..., ox, oy, None, None, None]
+                * field[..., max(-ox, 0):n + min(-ox, 0), max(-oy, 0):ny + min(-oy, 0)])
+        return left @ np.swapaxes(conv.reshape(right.shape), -1, -2)
 
 
 def _surface_field(d, gamma, m):
