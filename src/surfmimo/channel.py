@@ -16,8 +16,8 @@ One engine synthesizes every port pair over a whole frequency vector: the
 material constants are interpolated once per vector, the surface-path
 geometry (direct path, images, obstacle factors) is computed once per port
 pair, and the single surface integrals are batched over frequency.  ``csi``
-is one call into it; ``build_mimo`` and ``h_ss``/``h_sa``/``h_as``/``h_aa``
-are single-frequency calls.
+is one call into it, and so is a whole sweep of distances; ``build_mimo``
+and ``h_ss``/``h_sa``/``h_as``/``h_aa`` are single-frequency calls.
 
 Composite integrals are midpoint-rule Riemann sums over the N cell centers
 of a regular grid.  The air kernel between two cells depends only on their
@@ -28,22 +28,35 @@ every output relative to the largest kernel value, which sits at the
 smallest offsets; a pair whose integral lies orders of magnitude below that
 (far contacts on a long surface, coarse grid) would lose its relative
 precision.  The 3x3 nearest offsets are therefore summed directly and only
-the rest of the kernel goes through the FFT.  The C1 composite
-is taken over blocks of subcarriers, one batched FFT correlation and one
-batched matmul per block.  A block holds as many tones as fit in a fixed
-budget of padded-lattice elements (``_BLOCK_ELEMENTS``), at least one; sizing
-by elements rather than by tones keeps the working set O(N) and bounded at
-any grid and any tone count.  No N x N matrix is formed and nothing is
+the rest of the kernel goes through the FFT.  One side's contact rows go
+through the FFT and the other side's are matmul'ed against the result.  The
+clamped kernel is exactly even on the lattice (K(o) == K(-o) bitwise), so
+either side may take the FFT: the side with fewer contact rows does, and the
+receive side on a tie.  The C1 composite is taken over blocks of
+subcarriers, one batched FFT correlation and one batched matmul per block.
+A block holds as many tones as fit in a fixed budget of complex elements
+(``_BLOCK_ELEMENTS``), at least one: per tone, the kernel and each FFT'd row
+on the padded lattice plus both sides' field rows on the grid.  The C2/C3
+cross integrands take blocks of the same budget at N cells per tone.
+Sizing by elements rather than by tones keeps the working set bounded at any
+grid, tone count and row count.  No N x N matrix is formed and nothing is
 cached.
+
+An entry depends only on its two ports, so a distance sweep, where only the
+receiver moves, is one pass: ``_channel_stack`` stacks the receive ports of
+every distance against the shared transmit ports, and the transmit rows take
+the FFT once for the whole sweep.
 
 Results are deterministic: equal inputs give bitwise-equal outputs, each
 ``csi`` matrix is bitwise equal to ``build_mimo`` at its subcarrier, and the
-block size does not change a bit of the output.  The FFT sums in a
-different order than a direct double sum, so the two agree to rounding
-(checked to 1e-12 relative), not bitwise.  Distances inside integral kernels
-that fall below the model reference distances are clamped (the gain laws
-diverge at zero); direct paths that would be clamped emit a RuntimeWarning
-instead of extrapolating.
+block size does not change a bit of the output.  A sweep row agrees with the
+same distance synthesized alone to rounding (checked to 1e-12 relative), not
+bitwise: the FFT side can differ, and BLAS picks its matmul kernel by row
+count.  The FFT sums in a different order than a direct double sum, so the
+two agree to rounding (checked to 1e-12 relative), not bitwise.  Distances
+inside integral kernels that fall below the model reference distances are
+clamped (the gain laws diverge at zero); direct paths that would be clamped
+emit a RuntimeWarning instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -56,12 +69,18 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NearFieldError, PresetError
 from .geometry import ANTENNA, CONTACT, Scene, image_sources, segment_crosses_rect
-from .propagation import SPEED_OF_LIGHT, FrequencyBand, _air_amplitude, phase_velocity
+from .propagation import (
+    SPEED_OF_LIGHT,
+    FrequencyBand,
+    _air_amplitude,
+    _center_hz,
+    phase_velocity,
+)
 
 DEFAULT_SUBCARRIERS = {20e6: 56, 40e6: 114}
 
-# Padded-lattice elements (complex values) per block of C1 subcarriers.
-_BLOCK_ELEMENTS = 2 ** 13
+# Complex elements per block of subcarriers in the C1 and C2/C3 integrals.
+_BLOCK_ELEMENTS = 2 ** 15
 
 # Cell offsets (x, y) at which correlations sum the kernel directly.
 _NEAR_OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
@@ -271,18 +290,38 @@ def _composite(grid: _Grid, k, a_tx, a_rx, params: ChannelParams):
     a_tx) and receive (rows of a_rx) surface fields:
     C1 * sum A_S(tx,p1) A_air(p1,p2) A_S(p2,rx) dA^2, shape (T, R) at one
     wavenumber k, or (B, T, R) for B wavenumbers and (B, T, N), (B, R, N)
-    fields."""
+    fields.  The rows of a_rx go through the FFT.  The air kernel is even in
+    the offset, so swapping the two sides gives the transposed integrals."""
     c1 = params.coupling.c1
     return c1 * grid.da * grid.da * grid.correlate(grid.air_kernel(k), a_tx, a_rx)
 
 
-def _cross_integrand(grid: _Grid, contact, antenna, gamma, k, m, params: ChannelParams):
-    """Surface->air integrand A_S(contact, p) A_air(p, antenna) over the grid,
-    one row per (gamma, k) frequency: shape (F, N)."""
+def _cross_legs(grid: _Grid, contact, antenna, m, params: ChannelParams):
+    """(d_s, d_a, w) over the grid: clamped surface legs contact -> p, clamped
+    air legs p -> antenna, and the frequency-independent amplitude of the
+    surface->air integrand."""
     d_s = grid.surface_distance(contact, m.d0_m)
     d_a = grid.air_distance(antenna, params.air_ref_m)
-    w = (m.d0_m / d_s) * _air_amplitude(params.air_ref_m / d_a, params.air_exponent)
+    return d_s, d_a, (m.d0_m / d_s) * _air_amplitude(params.air_ref_m / d_a, params.air_exponent)
+
+
+def _cross_integrand(legs, gamma, k):
+    """Surface->air integrand A_S(contact, p) A_air(p, antenna) over the grid,
+    one row per (gamma, k) frequency: shape (F, N)."""
+    d_s, d_a, w = legs
     return w * np.exp(-np.multiply.outer(gamma, d_s) - 1j * np.multiply.outer(k, d_a))
+
+
+def _cross_terms(grid: _Grid, legs, gamma, k, c_scalar: float):
+    """c_scalar times the surface->air integral, one value per (gamma, k)
+    frequency.  The integrand is taken over blocks of tones, as many as fit
+    in the block budget at N cells each (at least one)."""
+    tones = max(1, _BLOCK_ELEMENTS // grid.x.size)
+    out = np.empty(len(k), dtype=complex)
+    for lo in range(0, len(k), tones):
+        f = slice(lo, lo + tones)
+        out[f] = c_scalar * grid.da * np.sum(_cross_integrand(legs, gamma[f], k[f]), axis=-1)
+    return out
 
 
 # --- discrete paths ---------------------------------------------------------------
@@ -417,8 +456,8 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
                 contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
                 c_scalar = coupling.c2 if tk == CONTACT else coupling.c3
                 if c_scalar > 0:
-                    integrand = _cross_integrand(g, contact, antenna, gamma, k, m, params)
-                    h[:, i, j] = c_scalar * g.da * np.sum(integrand, axis=-1)
+                    legs = _cross_legs(g, contact, antenna, m, params)
+                    h[:, i, j] = _cross_terms(g, legs, gamma, k, c_scalar)
                 near = _near_field(contact, antenna, scene, gamma, k, params)
                 if near is not None:
                     h[:, i, j] += np.sum(near[2], axis=-1)
@@ -428,18 +467,23 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
     if coupling.c1 > 0 and rows and cols:
         d_tx = np.array([g.surface_distance(tx_ports[j][1], m.d0_m) for j in cols])
         d_rx = np.array([g.surface_distance(rx_ports[i][1], m.d0_m) for i in rows])
+        # the side with fewer contact rows goes through the FFT (receive rows
+        # on a tie); a block counts the kernel and the FFT'd rows on the
+        # padded lattice and both field stacks on the grid
+        swap = len(cols) < len(rows)
+        per_tone = (g.lattice_d.size * (1 + min(len(rows), len(cols)))
+                    + g.x.size * (len(rows) + len(cols)))
+        tones = max(1, _BLOCK_ELEMENTS // per_tone)
         rows, cols = np.array(rows)[:, None], np.array(cols)
-        tones = max(1, _BLOCK_ELEMENTS // g.lattice_d.size)
         for lo in range(0, len(freqs), tones):
             f = slice(lo, lo + tones)
-            c1 = _composite(g, k[f], _surface_field(d_tx, gamma[f], m),
-                            _surface_field(d_rx, gamma[f], m), params)
-            h[f, rows, cols] += np.swapaxes(c1, -1, -2)
+            a_tx = _surface_field(d_tx, gamma[f], m)
+            a_rx = _surface_field(d_rx, gamma[f], m)
+            if swap:
+                h[f, rows, cols] += _composite(g, k[f], a_rx, a_tx, params)
+            else:
+                h[f, rows, cols] += np.swapaxes(_composite(g, k[f], a_tx, a_rx, params), -1, -2)
     return h
-
-
-def _center_hz(f) -> float:
-    return f.center_hz if isinstance(f, FrequencyBand) else float(f)
 
 
 def _one(scene, f, grid, params, rx_port, tx_port) -> complex:
@@ -522,11 +566,34 @@ def csi(scene: Scene, band: FrequencyBand, n_subcarriers: int | None = None,
     Defaults to the 802.11 data+pilot tone counts (114 at 40 MHz, 56 at
     20 MHz).  Frequency diversity emerges from the multipath delay structure.
     """
-    params = params or default_params()
+    freqs, h, rx_kinds, tx_kinds = _channel_stack([scene], band, n_subcarriers, grid, params)
+    return [
+        ChannelMatrix(h[i, 0], FrequencyBand(float(f_sc), band.bandwidth_hz, band.band_id),
+                      rx_kinds, tx_kinds)
+        for i, f_sc in enumerate(freqs)
+    ]
+
+
+def subcarrier_count(band: FrequencyBand, n_subcarriers: int | None = None) -> int:
+    """n_subcarriers, or the 802.11 data+pilot tone count of the band's
+    bandwidth (64 for a bandwidth without one) when it is None."""
     if n_subcarriers is None:
-        n_subcarriers = DEFAULT_SUBCARRIERS.get(band.bandwidth_hz, 64)
-    freqs = subcarrier_frequencies(band, n_subcarriers)
-    m = scene.surface.material
+        return DEFAULT_SUBCARRIERS.get(band.bandwidth_hz, 64)
+    return n_subcarriers
+
+
+def _channel_stack(scenes, band: FrequencyBand, n_subcarriers: int | None, grid: int,
+                   params: ChannelParams | None):
+    """The csi channels of scenes that differ only in their receive ports, in
+    one engine pass: (freqs, h, rx_kinds, tx_kinds) with h of shape
+    (F, D, n_rx, n_tx), h[:, d] the channel of scenes[d] at the subcarrier
+    frequencies freqs.  Every scene's receive ports are stacked against the
+    shared transmit ports in one (F, D * n_rx, n_tx) synthesis; an entry
+    depends only on its two ports."""
+    params = params or default_params()
+    freqs = subcarrier_frequencies(band, subcarrier_count(band, n_subcarriers))
+    first = scenes[0]
+    m = first.surface.material
     lo, hi = m.freqs_hz[0], m.freqs_hz[-1]
     if band.center_hz - band.bandwidth_hz / 2 < lo or band.center_hz + band.bandwidth_hz / 2 > hi:
         raise PresetError(
@@ -534,13 +601,20 @@ def csi(scene: Scene, band: FrequencyBand, n_subcarriers: int | None = None,
             f"{band.center_hz + band.bandwidth_hz / 2:.4g}] Hz outside material "
             f"preset coverage [{lo:.4g}, {hi:.4g}] Hz"
         )
-    rx, rx_kinds, tx, tx_kinds = _scene_ports(scene)
-    h = _synthesize(scene, freqs, grid, params, rx, tx)
-    return [
-        ChannelMatrix(h[i], FrequencyBand(float(f_sc), band.bandwidth_hz, band.band_id),
-                      rx_kinds, tx_kinds)
-        for i, f_sc in enumerate(freqs)
-    ]
+    _, rx_kinds, tx, tx_kinds = _scene_ports(first)
+    rx_all = []
+    for scene in scenes:
+        rx, kinds, scene_tx, _ = _scene_ports(scene)
+        if (scene.surface != first.surface or scene.obstacles != first.obstacles
+                or scene_tx != tx or kinds != rx_kinds):
+            raise DomainError("stacked scenes must share the surface, the obstacles, "
+                              "the transmit ports and the receive port kinds")
+        rx_all.extend(rx)
+    h = _synthesize(first, freqs, grid, params, rx_all, tx)
+    if not np.isfinite(h).all():
+        raise DomainError("channel matrix contains non-finite entries")
+    h = h.reshape(len(freqs), len(scenes), len(rx_kinds), len(tx_kinds))
+    return freqs, h, rx_kinds, tx_kinds
 
 
 # --- impulse responses ---------------------------------------------------------
@@ -606,10 +680,10 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
             lengths, hop_c, amps = near
             taps.extend(zip(lengths / v + hop_c / SPEED_OF_LIGHT, amps[0]))
         if c_scalar > 0:
-            integrand = _cross_integrand(g, contact, antenna, gamma, k, m, params)[0]
+            legs = _cross_legs(g, contact, antenna, m, params)
+            integrand = _cross_integrand(legs, gamma, k)[0]
             w = np.abs(integrand)
-            tau = (g.surface_distance(contact, m.d0_m)
-                   + g.air_distance(antenna, params.air_ref_m)) / v
+            tau = (legs[0] + legs[1]) / v
             taps.append((float(np.sum(w * tau) / np.sum(w)),
                          c_scalar * g.da * np.sum(integrand)))
 

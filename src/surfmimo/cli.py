@@ -13,6 +13,7 @@ import sys
 
 from . import io as rio
 from . import presets
+from .channel import subcarrier_count
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import (
     FOOT_M,
@@ -110,11 +111,15 @@ def _emit(rs, args, kind: str) -> int:
 
 
 def _sweep_settings(args) -> tuple:
-    """(template, settings) resolved from --scene or the sweep-style flags."""
+    """(template, settings, hash params) resolved from --scene or the
+    sweep-style flags.  The hash params name the scene config by its
+    config_hash and the subcarrier count the run resolves to."""
+    scene_hash = None
     if args.scene:
         cfg = _load_scene_config(args.scene)
         template = cfg.template()
         settings = cfg.settings()
+        scene_hash = rio.config_hash(cfg)
     else:
         template = default_template(args.material)
         settings = LinkSettings()
@@ -131,7 +136,12 @@ def _sweep_settings(args) -> tuple:
         from dataclasses import replace
 
         settings = replace(settings, **overrides)
-    return template, settings
+    return template, settings, {
+        "material": template.surface.material.name, "scene": scene_hash,
+        "n_subcarriers": subcarrier_count(settings.band, settings.n_subcarriers),
+        "tx_power_dbm": settings.tx_power_dbm, "snr_db": settings.snr_db,
+        "grid": settings.grid,
+    }
 
 
 # --- subcommand bodies ----------------------------------------------------------
@@ -171,33 +181,28 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    template, settings = _sweep_settings(args)
+    template, settings, hashed = _sweep_settings(args)
     distances = [d * FOOT_M for d in _parse_float_list(args.distances_ft, "--distances-ft")]
     modes = list(SWEEP_MODES) if args.mode == "all" else [args.mode]
     rows_by_mode = {
         mode: throughput_sweep(template, distances, mode, settings) for mode in modes
     }
     meta = _param_metadata("sweep", args.seed, {
-        "material": template.surface.material.name,
-        "distances_ft": args.distances_ft, "modes": modes,
-        "tx_power_dbm": settings.tx_power_dbm, "snr_db": settings.snr_db,
-        "grid": settings.grid,
+        **hashed, "distances_ft": args.distances_ft, "modes": modes,
     })
     rs = rio.sweep_result_set(rows_by_mode, settings.mac_efficiency, meta)
     return _emit(rs, args, "sweep")
 
 
 def _cmd_separation(args) -> int:
-    template, settings = _sweep_settings(args)
+    template, settings, hashed = _sweep_settings(args)
     seps = [s / 100.0 for s in _parse_float_list(args.separations_cm, "--separations-cm")]
     modes = list(SWEEP_MODES) if args.mode == "all" else [args.mode]
     rows_by_mode = {
         mode: separation_sweep(template, seps, mode, settings) for mode in modes
     }
     meta = _param_metadata("separation", args.seed, {
-        "material": template.surface.material.name,
-        "separations_cm": args.separations_cm, "modes": modes,
-        "tx_power_dbm": settings.tx_power_dbm, "grid": settings.grid,
+        **hashed, "separations_cm": args.separations_cm, "modes": modes,
     })
     rs = rio.separation_result_set(rows_by_mode, settings.mac_efficiency, meta)
     return _emit(rs, args, "separation")

@@ -2,12 +2,18 @@
 pulse/delay profiling, multi-band rate aggregation, radiation offsets, and
 carrier-sense surface sharing.
 
-All runners share one link pipeline: synthesize per-subcarrier channel
-matrices, derive zero-forcing stream SNRs for every candidate transmit-column
-subset, compress them with an effective-SNR mapping, look the result up in
-the rate table, and keep the best (rate, stream-count) choice.  Reported
-rates are PHY rates; MAC overhead is a separate scalar applied only when
-results are written out.
+All runners share one link pipeline: synthesize the channel stacked over
+subcarriers, derive zero-forcing stream SNRs for every candidate
+transmit-column subset, compress them with an effective-SNR mapping, look
+the result up in the rate table, and keep the best (rate, stream-count)
+choice.  Reported rates are PHY rates; MAC overhead is a separate scalar
+applied only when results are written out.
+
+In a distance sweep (``throughput_sweep``, and ``aggregate_sweep`` per
+chain) only the receiver moves.  The runner builds and validates each
+distance's scene, then synthesizes all of them in one channel-engine pass
+and analyzes each distance's ``(F, n_rx, n_tx)`` slice of that array; no
+per-subcarrier matrix objects are built.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, NoiseModel, csi, default_params, impulse_response
+from .channel import ChannelParams, NoiseModel, _channel_stack, default_params, impulse_response
 from .errors import ConfigError, DomainError
 from .geometry import Node, Scene, SurfaceSpec
 from .mimo import (
@@ -174,12 +180,19 @@ def build_link_scene(template: SceneTemplate, distance_m: float, mode: str,
 
 
 def run_link(scene: Scene, settings: LinkSettings | None = None) -> LinkResult:
-    """Full link analysis for one scene: synthesize its per-subcarrier channel
-    matrices, then analyze them (see analyze_link)."""
-    settings = settings or LinkSettings()
-    matrices = csi(scene, settings.band, settings.n_subcarriers, settings.grid,
-                   settings.channel_params())
-    return analyze_link(matrices, settings)
+    """Full link analysis for one scene: synthesize its channel over the
+    subcarriers, then analyze it (see analyze_link)."""
+    return _run_links([scene], settings or LinkSettings())[0]
+
+
+def _run_links(scenes, settings: LinkSettings) -> list:
+    """run_link for scenes that differ only in their receive ports (the
+    distances of a sweep), from one channel-engine pass for all of them."""
+    if not scenes:
+        return []
+    _, h, _, _ = _channel_stack(scenes, settings.band, settings.n_subcarriers, settings.grid,
+                                settings.channel_params())
+    return [_analyze(h[:, d], settings) for d in range(len(scenes))]
 
 
 def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
@@ -192,12 +205,14 @@ def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
     singular at any subcarrier is skipped.  The first subset (fewest
     streams, then lowest column indices) with the highest rate wins.
     """
-    settings = settings or LinkSettings()
+    return _analyze(np.stack([m.entries for m in matrices]), settings or LinkSettings())
+
+
+def _analyze(h, settings: LinkSettings) -> LinkResult:
+    """analyze_link of a channel stacked over subcarriers, (F, n_rx, n_tx)."""
     rho = settings.snr_linear()
     beta = settings.esm_beta
-    h = np.stack([m.entries for m in matrices])
     n_tx = h.shape[-1]
-
     table = settings.rate_table()
     best_rate = -1.0
     best_snrs: tuple = (float("-inf"),)
@@ -256,11 +271,8 @@ def throughput_sweep(template: SceneTemplate | None = None, distances_m=None,
     settings = _resolved(settings or LinkSettings())
     if distances_m is None:
         distances_m = default_distances_m()
-    out = []
-    for d in distances_m:
-        scene = build_link_scene(template, d, mode, settings)
-        out.append((float(d), run_link(scene, settings)))
-    return out
+    scenes = [build_link_scene(template, d, mode, settings) for d in distances_m]
+    return [(float(d), r) for d, r in zip(distances_m, _run_links(scenes, settings))]
 
 
 def separation_sweep(template: SceneTemplate | None = None,
@@ -454,39 +466,26 @@ def aggregate_capacity(plan: AggregationPlan, distance_m: float,
     return aggregate_sweep(plan, (distance_m,), template, settings)[0][1:]
 
 
-def _aggregate_at(plan: AggregationPlan, distance_m: float,
-                  template: SceneTemplate, settings: LinkSettings, tables: dict):
-    rows = []
-    total = 0.0
-    for chain in plan.chains:
-        s = replace(settings, band=chain.band,
-                    mcs_table=tables[chain.band.bandwidth_hz])
-        if s.snr_db is not None:
-            s = replace(s, snr_db=s.snr_db - chain.conversion_loss_db)
-        else:
-            s = replace(s, tx_power_dbm=s.tx_power_dbm - chain.conversion_loss_db)
-        scene = build_link_scene(template, distance_m, MODE_2X2, s)
-        # contact-to-contact only: strip the antennas, keep the contacts
-        scene = Scene(
-            scene.surface,
-            nodes=tuple(
-                Node(n.id, n.role, contacts=n.contacts, antennas=())
-                for n in scene.nodes
-            ),
-        )
-        result = run_link(scene, s)
-        esnr_db = float(np.max(result.stream_snrs_db))
-        rows.append(ChainResult(
+def _chain_results(chain: Chain, scenes, settings: LinkSettings, tables: dict) -> list:
+    """One chain's ChainResult at every scene, from one channel-engine pass.
+    The chain's conversion loss comes straight off its SNR."""
+    s = replace(settings, band=chain.band, mcs_table=tables[chain.band.bandwidth_hz])
+    if s.snr_db is not None:
+        s = replace(s, snr_db=s.snr_db - chain.conversion_loss_db)
+    else:
+        s = replace(s, tx_power_dbm=s.tx_power_dbm - chain.conversion_loss_db)
+    return [
+        ChainResult(
             label=chain.label,
             center_hz=chain.band.center_hz,
             bandwidth_hz=chain.band.bandwidth_hz,
             dfs=chain.dfs,
             conversion_loss_db=chain.conversion_loss_db,
-            esnr_db=esnr_db,
+            esnr_db=float(np.max(result.stream_snrs_db)),
             phy_rate_bps=result.phy_rate_bps,
-        ))
-        total += result.phy_rate_bps
-    return total, rows
+        )
+        for result in _run_links(scenes, s)
+    ]
 
 
 def aggregate_sweep(plan: AggregationPlan, distances_m=None,
@@ -495,17 +494,28 @@ def aggregate_sweep(plan: AggregationPlan, distances_m=None,
     """aggregate_capacity across distances (default 1-9 ft on the 10 ft strip).
 
     The template, the coupling constants and one shipped MCS table per chain
-    bandwidth are resolved once for the whole sweep."""
+    bandwidth are resolved once for the whole sweep, and each chain takes
+    one channel-engine pass over all distances."""
     if distances_m is None:
         distances_m = tuple(i * FOOT_M for i in range(1, 10))
     template = template or aggregate_template()
     settings = settings or LinkSettings()
     settings = replace(settings, params=settings.channel_params())
     tables = _tables_by_bandwidth(c.band.bandwidth_hz for c in plan.chains)
-    return [
-        (float(d), *_aggregate_at(plan, d, template, settings, tables))
-        for d in distances_m
-    ]
+    scenes = []
+    for d in distances_m:
+        scene = build_link_scene(template, d, MODE_2X2, settings)
+        # contact-to-contact only: strip the antennas, keep the contacts
+        scenes.append(Scene(scene.surface, nodes=tuple(
+            Node(n.id, n.role, contacts=n.contacts, antennas=()) for n in scene.nodes)))
+    by_chain = [_chain_results(chain, scenes, settings, tables) for chain in plan.chains]
+    out = []
+    for d, rows in zip(distances_m, zip(*by_chain)):
+        total = 0.0
+        for row in rows:
+            total += row.phy_rate_bps
+        out.append((float(d), total, list(rows)))
+    return out
 
 
 # --- radiation offsets ----------------------------------------------------------

@@ -34,6 +34,7 @@ from surfmimo.propagation import (
     phase_velocity,
     surface_gain,
 )
+from surfmimo import channel
 from surfmimo import experiments as ex
 from surfmimo import presets
 
@@ -93,6 +94,28 @@ def test_reciprocity_exact_when_cross_couplings_match():
     a = build_mimo(scene, BAND, grid=24).entries
     b = build_mimo(swapped, BAND, grid=24).entries
     assert np.max(np.abs(a - b.T)) < 1e-12
+
+
+def test_reciprocity_through_the_swapped_fft_side(monkeypatch):
+    # one transmit contact against two receive contacts: the transmit row goes
+    # through the FFT; with the roles swapped the receive row does
+    fft_rows = []
+    composite = channel._composite
+    monkeypatch.setattr(channel, "_composite", lambda g, k, left, right, p: (
+        fft_rows.append(right.shape[-2]) or composite(g, k, left, right, p)))
+    surface = ex.default_template().surface
+    tx = Node("a", "transmitter", contacts=((0.3, 0.3),), antennas=((0.3, 0.3, 0.02),))
+    rx = Node("b", "receiver", contacts=((1.2, 0.3), (1.25, 0.2)), antennas=((1.2, 0.3, 0.03),))
+
+    def flipped(node):
+        role = "receiver" if node.role == "transmitter" else "transmitter"
+        return Node(node.id, role, node.contacts, node.antennas)
+
+    a = build_mimo(Scene(surface, (tx, rx)), BAND, grid=24).entries
+    b = build_mimo(Scene(surface, (flipped(tx), flipped(rx))), BAND, grid=24).entries
+    assert a.shape == (3, 2) and b.shape == (2, 3)
+    assert fft_rows == [1, 1]
+    assert np.all(np.abs(a - b.T) <= 1e-12 * np.abs(a))
 
 
 def test_build_mimo_port_dispatch_and_shape():

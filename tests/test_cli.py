@@ -81,17 +81,16 @@ def test_analyze_prints_summary(tmp_path, capsys):
 
 
 def test_analyze_synthesizes_csi_once(tmp_path, monkeypatch):
-    from surfmimo import channel, experiments
+    from surfmimo import channel
 
     calls = []
 
-    def counting_csi(*args, **kwargs):
+    def counting_synthesize(*args, **kwargs):
         calls.append(args)
-        return channel_csi(*args, **kwargs)
+        return synthesize(*args, **kwargs)
 
-    channel_csi = channel.csi
-    monkeypatch.setattr(channel, "csi", counting_csi)
-    monkeypatch.setattr(experiments, "csi", counting_csi)
+    synthesize = channel._synthesize
+    monkeypatch.setattr(channel, "_synthesize", counting_synthesize)
     code = main(["analyze", "--scene", str(_tiny_scene(tmp_path)),
                  "--snr-db", "25", "--out", str(tmp_path / "an.csv")])
     assert code == EXIT_OK
@@ -133,6 +132,30 @@ def test_sweep_range_and_all_modes(tmp_path):
     assert {r[0] for r in rs.rows} == {"siso", "air-mimo", "surface-2x2",
                                        "surface-3x3"}
     assert len(rs.rows) == 8
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--mode", "surface-2x2", "--distances-ft", "1"],
+    ["separation", "--separations-cm", "1"],
+])
+def test_sweep_config_hash_covers_subcarriers_and_scene(tmp_path, command):
+    # separation sweeps the default 1-16 ft, so the scenes are 6 and 5.5 m wide
+    wide, narrow = tmp_path / "wide.yaml", tmp_path / "narrow.yaml"
+    text = _tiny_scene(tmp_path).read_text()
+    wide.write_text(text.replace("width_m: 3.0", "width_m: 6.0"))
+    narrow.write_text(text.replace("width_m: 3.0", "width_m: 5.5"))
+
+    def config_hash(*flags):
+        out = tmp_path / "o.csv"
+        assert main(command + ["--snr-db", "25", "--grid", "8", *flags,
+                               "--out", str(out)]) == EXIT_OK
+        return read_results(out).metadata["config_hash"]
+
+    assert config_hash("--subcarriers", "2") == config_hash("--subcarriers", "2")
+    assert config_hash("--subcarriers", "2") != config_hash("--subcarriers", "3")
+    assert config_hash("--scene", str(wide)) == config_hash("--scene", str(wide))
+    assert config_hash("--scene", str(wide)) != config_hash("--scene", str(narrow))
+    assert config_hash("--scene", str(wide)) != config_hash("--subcarriers", "2")
 
 
 def test_separation_command(tmp_path):

@@ -4,12 +4,14 @@ The dense references below build the full N x N point-pair distance matrix
 and air kernel and sum the midpoint-rule integrals term by term, the way the
 model defines them.  The engine must agree with them to 1e-12 relative on
 random scenes, grids and air exponents, one tone at a time or a stack of
-tones in one call.  The engine takes the C1 composite over blocks of
-subcarriers; the block size must not change a bit of the output.
+tones in one call, with either side's contacts through the FFT.  The engine
+takes the C1 composite and the cross integrands over blocks of subcarriers;
+the block size must not change a bit of the output.
 """
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -146,6 +148,15 @@ def test_fft_composite_matches_dense_double_sum(case, more_freqs):
                             air_exponent=params.air_exponent)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # contacts closer than d0
+        # inside the engine, next to the direct paths: more receive rows (R > T)
+        # send the transmit rows through the FFT, fewer (R < T) the receive rows
+        for rx_pts, tx_pts, want in ((rxs, txs, amps.T), (txs, rxs, amps)):
+            rx_ports, tx_ports = ([(CONTACT, p) for p in pts] for pts in (rx_pts, tx_pts))
+            with mock.patch.object(channel, "_composite", wraps=channel._composite) as spy:
+                h = channel._synthesize(scene, [f], n, params, rx_ports, tx_ports)[0]
+            assert spy.call_args.args[3].shape[-2] == 2  # the FFT'd rows
+            paths = channel._synthesize(scene, [f], n, without, rx_ports, tx_ports)[0]
+            assert np.all(np.abs(h - paths - want) <= RTOL * (np.abs(paths) + np.abs(want)))
         # the composite cluster is the tap after the direct path
         (_, direct), composite = impulse_response(
             (CONTACT, tx), (CONTACT, rx), scene, band, n, params).taps
@@ -192,20 +203,36 @@ def _coupled_3x3():
 def test_csi_is_bitwise_independent_of_the_block_size(monkeypatch):
     scene, params = _coupled_3x3()
     band, tones, n = FrequencyBand(2.437e9, 40e6), 61, 12
-    lattice = channel._Grid(scene.surface, n, params).lattice_d.size
-    per_block = channel._BLOCK_ELEMENTS // lattice
-    # the default budget splits the tones into blocks, the last one partial
-    assert 1 < per_block < tones and tones % per_block
+    grid = channel._Grid(scene.surface, n, params)
+    cells, lattice = grid.x.size, grid.lattice_d.size
+    # a C1 tone: the kernel and two FFT'd contact rows on the lattice, and
+    # two transmit and two receive field rows on the grid
+    c1_tone = 3 * lattice + 4 * cells
+    budget = 3 * c1_tone
+    per_block = {"composite": budget // c1_tone, "cross": budget // cells}
+    # this budget splits both the composite and the cross integrands into
+    # blocks, the last one partial
+    for size in per_block.values():
+        assert 1 < size < tones and tones % size
+
+    blocks = {"composite": set(), "cross": set()}
+    composite, cross_integrand = channel._composite, channel._cross_integrand
+    monkeypatch.setattr(channel, "_composite", lambda g, k, a, b, p: (
+        blocks["composite"].add(len(k)) or composite(g, k, a, b, p)))
+    monkeypatch.setattr(channel, "_cross_integrand", lambda legs, gamma, k: (
+        blocks["cross"].add(len(k)) or cross_integrand(legs, gamma, k)))
 
     def run(budget):
         monkeypatch.setattr(channel, "_BLOCK_ELEMENTS", budget)
         return np.array([mm.entries for mm in channel.csi(scene, band, tones, n, params)])
 
-    default = run(channel._BLOCK_ELEMENTS)
-    assert np.all(default != 0)
-    for budget in (1, 3 * lattice, tones * lattice):  # one tone, three, all
-        assert np.array_equal(run(budget), default)
+    split = run(budget)
+    assert np.all(split != 0)
+    assert blocks == {key: {size, tones % size} for key, size in per_block.items()}
+    # one tone per block, the default budget, all tones in one block
+    for other in (1, channel._BLOCK_ELEMENTS, tones * c1_tone):
+        assert np.array_equal(run(other), split)
     # a one-tone block is the single-frequency path of build_mimo
     freqs = channel.subcarrier_frequencies(band, tones)
-    for f_sc, h in zip(freqs[::10], default[::10]):
+    for f_sc, h in zip(freqs[::10], split[::10]):
         assert np.array_equal(channel.build_mimo(scene, f_sc, n, params).entries, h)

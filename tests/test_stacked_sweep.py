@@ -1,0 +1,124 @@
+"""A distance sweep as one channel-engine pass.
+
+The sweep runners stack the receive ports of every distance against the
+shared transmit ports in one synthesis and send whichever side has fewer
+contact rows through the FFT.  Each distance must agree with the same
+distance synthesized alone (the per-distance engine) to 1e-12 relative, and
+its link analysis must pick the same rate, stream count and columns.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surfmimo import channel
+from surfmimo.channel import csi
+from surfmimo.errors import DomainError
+from surfmimo.experiments import (
+    FOOT_M,
+    MODE_2X2,
+    MODE_3X3,
+    SWEEP_MODES,
+    LinkSettings,
+    _resolved,
+    build_link_scene,
+    default_distances_m,
+    default_template,
+    run_link,
+    throughput_sweep,
+)
+from surfmimo.geometry import Node, Scene
+
+RTOL = 1e-12
+FAST = LinkSettings(grid=8, n_subcarriers=3)
+
+
+def _check_against_single_distances(mode, distances, st_):
+    template = default_template()
+    st_ = _resolved(st_)
+    scenes = [build_link_scene(template, d, mode, st_) for d in distances]
+    _, stacked, _, _ = channel._channel_stack(scenes, st_.band, st_.n_subcarriers,
+                                              st_.grid, st_.params)
+    assert stacked.shape[1] == len(distances)
+    for d, scene in enumerate(scenes):
+        alone = np.array([m.entries for m in csi(scene, st_.band, st_.n_subcarriers,
+                                                 st_.grid, st_.params)])
+        assert np.all(np.abs(stacked[:, d] - alone) <= RTOL * np.abs(alone))
+
+    swept = throughput_sweep(template, distances, mode, st_)
+    assert [d for d, _ in swept] == [float(d) for d in distances]
+    for scene, (_, got) in zip(scenes, swept):
+        want = run_link(scene, st_)
+        assert got.phy_rate_bps == want.phy_rate_bps
+        assert got.tx_columns == want.tx_columns
+        assert got.capacity_bps == pytest.approx(want.capacity_bps, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_stacked_sweep_matches_each_distance_alone(mode):
+    _check_against_single_distances(mode, default_distances_m(),
+                                    LinkSettings(grid=16, n_subcarriers=8))
+
+
+@settings(max_examples=12, deadline=None)
+@given(mode=st.sampled_from(SWEEP_MODES),
+       feet=st.lists(st.floats(1.0, 16.0), min_size=1, max_size=5),
+       grid=st.integers(4, 24), tones=st.integers(1, 6))
+def test_stacked_sweep_matches_random_distance_sets(mode, feet, grid, tones):
+    _check_against_single_distances(mode, [f * FOOT_M for f in feet],
+                                    LinkSettings(grid=grid, n_subcarriers=tones))
+
+
+def test_sweep_synthesizes_once_per_mode(monkeypatch):
+    calls = []
+    synthesize = channel._synthesize
+    monkeypatch.setattr(channel, "_synthesize",
+                        lambda *args: calls.append(len(args[4])) or synthesize(*args))
+    for mode in SWEEP_MODES:
+        calls.clear()
+        rows = throughput_sweep(distances_m=default_distances_m(), mode=mode, settings=FAST)
+        assert len(rows) == 16
+        n_rx = len(build_link_scene(default_template(), FOOT_M, mode).receivers()[0].ports)
+        assert calls == [16 * n_rx]  # every distance's receive ports in one call
+
+
+def test_kernel_is_exactly_even_on_the_sweep_grid():
+    # the FFT side may be swapped only because K(o) == K(-o) bitwise
+    params = channel.default_params()
+    grid = channel._Grid(default_template().surface, 32, params)
+    k = 2.0 * math.pi * channel.subcarrier_frequencies(FAST.band, 114) / channel.SPEED_OF_LIGHT
+    kernel = grid.air_kernel(k)
+    mirrored = np.roll(np.flip(kernel, axis=(-2, -1)), 1, axis=(-2, -1))  # K[-i, -j]
+    assert np.array_equal(kernel, mirrored)
+
+
+def test_non_finite_entry_on_the_stacked_path_raises(monkeypatch):
+    real = channel._air_link
+
+    def poisoned(tx, rx, k, params):
+        h = real(tx, rx, k, params)
+        h[-1] = np.nan
+        return h
+
+    monkeypatch.setattr(channel, "_air_link", poisoned)
+    scenes = [build_link_scene(default_template(), d, MODE_2X2) for d in (FOOT_M, 2 * FOOT_M)]
+    with pytest.raises(DomainError, match="non-finite"):
+        channel._channel_stack(scenes, FAST.band, 2, 8, None)
+    with pytest.raises(DomainError, match="non-finite"):
+        throughput_sweep(distances_m=(FOOT_M, 2 * FOOT_M), mode=MODE_2X2, settings=FAST)
+
+
+def test_stacked_scenes_must_share_the_transmit_side():
+    template = default_template()
+    a = build_link_scene(template, FOOT_M, MODE_3X3)
+    b = build_link_scene(template, 2 * FOOT_M, MODE_3X3)
+    moved = Scene(b.surface, tuple(
+        Node(n.id, n.role, tuple((x + 0.01, y) for x, y in n.contacts), n.antennas)
+        if n.role == "transmitter" else n for n in b.nodes))
+    other_mode = build_link_scene(template, 2 * FOOT_M, MODE_2X2)
+    for bad in (moved, other_mode):
+        with pytest.raises(DomainError, match="stacked scenes"):
+            channel._channel_stack([a, bad], FAST.band, 2, 8, None)
