@@ -15,7 +15,7 @@ Every (TX port, RX port) pair maps to one of four channel kinds:
 One engine synthesizes every port pair over a whole frequency vector: the
 material constants are interpolated once per vector, the surface-path
 geometry (direct path, images, obstacle factors) is computed once per port
-pair, and the single surface integrals are batched over frequency.  ``csi``
+pair, and the surface integrals are batched over frequency and ports.  ``csi``
 is one call into it, and so is a whole sweep of distances; ``build_mimo``
 and ``h_ss``/``h_sa``/``h_as``/``h_aa`` are single-frequency calls.
 
@@ -32,15 +32,17 @@ the rest of the kernel goes through the FFT.  One side's contact rows go
 through the FFT and the other side's are matmul'ed against the result.  The
 clamped kernel is exactly even on the lattice (K(o) == K(-o) bitwise), so
 either side may take the FFT: the side with fewer contact rows does, and the
-receive side on a tie.  The C1 composite is taken over blocks of
-subcarriers, one batched FFT correlation and one batched matmul per block.
-A block holds as many tones as fit in a fixed budget of complex elements
-(``_BLOCK_ELEMENTS``), at least one: per tone, the kernel and each FFT'd row
-on the padded lattice plus both sides' field rows on the grid.  The C2/C3
-cross integrands take blocks of the same budget at N cells per tone.
-Sizing by elements rather than by tones keeps the working set bounded at any
-grid, tone count and row count.  No N x N matrix is formed and nothing is
-cached.
+receive side on a tie.  The integrals share one loop over blocks of
+subcarriers, and a block computes each port's field over the grid once: the
+surface field exp(-gamma d) d0/d of every contact and the air field
+(air_ref/d)^p exp(-j k d) of every antenna.  C1 is one batched FFT
+correlation of contact fields; C2 (contact -> antenna) and C3 (antenna ->
+contact) are one batched matmul each, receive fields against transmit
+fields.  A block holds as many tones as fit in a fixed budget of complex
+elements (``_BLOCK_ELEMENTS``), at least one: per tone, the kernel and each
+FFT'd row on the padded lattice plus every field row on the grid.  Sizing by
+elements rather than by tones keeps the working set bounded at any grid,
+tone count and row count.  No N x N matrix is formed and nothing is cached.
 
 An entry depends only on its two ports, so a distance sweep, where only the
 receiver moves, is one pass: ``_channel_stack`` stacks the receive ports of
@@ -237,6 +239,7 @@ class _Grid:
         px, py = np.meshgrid(xs, ys, indexing="ij")
         self.x, self.y = px.ravel(), py.ravel()
         self.shape = (n, ny)
+        self.params = params
         self.da = dx * dy
         ix = np.concatenate([np.arange(n), np.arange(-n, 0)]) * dx
         iy = np.concatenate([np.arange(ny), np.arange(-ny, 0)]) * dy
@@ -255,7 +258,7 @@ class _Grid:
     def air_kernel(self, k):
         """The clamped air gain on the offset lattice at wavenumber k, or at
         each of a vector of wavenumbers: shape k.shape + (2n, 2ny)."""
-        return self.lattice_amp * np.exp(np.multiply.outer(-1j * k, self.lattice_d))
+        return _air_field(self.lattice_d, k, self.params)
 
     def correlate(self, kernel, left, right):
         """sum_p sum_q left[t, p] K(p - q) right[r, q] for every row pair, as a
@@ -285,6 +288,14 @@ def _surface_field(d, gamma, m):
     return np.exp(np.multiply.outer(-gamma, d)) * (m.d0_m / d)
 
 
+def _air_field(d, k, params: ChannelParams):
+    """Air gain (air_ref/d)^p exp(-j k d) at clamped distances d, at
+    wavenumber k or a vector of them (one leading axis per entry): shape
+    k.shape + d.shape."""
+    amp = _air_amplitude(params.air_ref_m / d, params.air_exponent)
+    return amp * np.exp(np.multiply.outer(-1j * k, d))
+
+
 def _composite(grid: _Grid, k, a_tx, a_rx, params: ChannelParams):
     """C1 surface->air->surface integrals for every pair of transmit (rows of
     a_tx) and receive (rows of a_rx) surface fields:
@@ -294,34 +305,6 @@ def _composite(grid: _Grid, k, a_tx, a_rx, params: ChannelParams):
     the offset, so swapping the two sides gives the transposed integrals."""
     c1 = params.coupling.c1
     return c1 * grid.da * grid.da * grid.correlate(grid.air_kernel(k), a_tx, a_rx)
-
-
-def _cross_legs(grid: _Grid, contact, antenna, m, params: ChannelParams):
-    """(d_s, d_a, w) over the grid: clamped surface legs contact -> p, clamped
-    air legs p -> antenna, and the frequency-independent amplitude of the
-    surface->air integrand."""
-    d_s = grid.surface_distance(contact, m.d0_m)
-    d_a = grid.air_distance(antenna, params.air_ref_m)
-    return d_s, d_a, (m.d0_m / d_s) * _air_amplitude(params.air_ref_m / d_a, params.air_exponent)
-
-
-def _cross_integrand(legs, gamma, k):
-    """Surface->air integrand A_S(contact, p) A_air(p, antenna) over the grid,
-    one row per (gamma, k) frequency: shape (F, N)."""
-    d_s, d_a, w = legs
-    return w * np.exp(-np.multiply.outer(gamma, d_s) - 1j * np.multiply.outer(k, d_a))
-
-
-def _cross_terms(grid: _Grid, legs, gamma, k, c_scalar: float):
-    """c_scalar times the surface->air integral, one value per (gamma, k)
-    frequency.  The integrand is taken over blocks of tones, as many as fit
-    in the block budget at N cells each (at least one)."""
-    tones = max(1, _BLOCK_ELEMENTS // grid.x.size)
-    out = np.empty(len(k), dtype=complex)
-    for lo in range(0, len(k), tones):
-        f = slice(lo, lo + tones)
-        out[f] = c_scalar * grid.da * np.sum(_cross_integrand(legs, gamma[f], k[f]), axis=-1)
-    return out
 
 
 # --- discrete paths ---------------------------------------------------------------
@@ -382,8 +365,7 @@ def _near_field(contact, antenna, scene: Scene, gamma, k, params: ChannelParams)
     if nfc <= 0 or hop > params.near_field_radius_m:
         return None
     hop_c = max(hop, params.air_ref_m)
-    hop_amp = _air_amplitude(params.air_ref_m / hop_c, params.air_exponent)
-    hop_gain = hop_amp * np.exp(-1j * k * hop_c)
+    hop_gain = _air_field(hop_c, k, params)
     lengths, weights = _surface_paths(contact, foot, scene, params)
     return lengths, hop_c, nfc * _path_amps(lengths, weights, gamma) * hop_gain[:, None]
 
@@ -415,7 +397,7 @@ def _air_link(tx, rx, k, params: ChannelParams):
             f"{params.air_ref_m} m"
         )
     amp = _air_amplitude(params.air_ref_m / d, params.air_exponent)
-    los = amp * np.exp(-1j * k * d)
+    los = _air_field(d, k, params)
     mp = params.air_multipath
     if mp is None:
         return los
@@ -454,35 +436,49 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
                 h[:, i, j] = _air_link(tp, rp, k, params)
             else:
                 contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
-                c_scalar = coupling.c2 if tk == CONTACT else coupling.c3
-                if c_scalar > 0:
-                    legs = _cross_legs(g, contact, antenna, m, params)
-                    h[:, i, j] = _cross_terms(g, legs, gamma, k, c_scalar)
                 near = _near_field(contact, antenna, scene, gamma, k, params)
                 if near is not None:
-                    h[:, i, j] += np.sum(near[2], axis=-1)
+                    h[:, i, j] = np.sum(near[2], axis=-1)
 
-    rows = [i for i, (kind, _) in enumerate(rx_ports) if kind == CONTACT]
-    cols = [j for j, (kind, _) in enumerate(tx_ports) if kind == CONTACT]
-    if coupling.c1 > 0 and rows and cols:
-        d_tx = np.array([g.surface_distance(tx_ports[j][1], m.d0_m) for j in cols])
-        d_rx = np.array([g.surface_distance(rx_ports[i][1], m.d0_m) for i in rows])
-        # the side with fewer contact rows goes through the FFT (receive rows
-        # on a tie); a block counts the kernel and the FFT'd rows on the
-        # padded lattice and both field stacks on the grid
-        swap = len(cols) < len(rows)
-        per_tone = (g.lattice_d.size * (1 + min(len(rows), len(cols)))
-                    + g.x.size * (len(rows) + len(cols)))
-        tones = max(1, _BLOCK_ELEMENTS // per_tone)
-        rows, cols = np.array(rows)[:, None], np.array(cols)
-        for lo in range(0, len(freqs), tones):
-            f = slice(lo, lo + tones)
-            a_tx = _surface_field(d_tx, gamma[f], m)
-            a_rx = _surface_field(d_rx, gamma[f], m)
-            if swap:
-                h[f, rows, cols] += _composite(g, k[f], a_rx, a_tx, params)
-            else:
-                h[f, rows, cols] += np.swapaxes(_composite(g, k[f], a_tx, a_rx, params), -1, -2)
+    # the integrals C1 (contact -> contact), C2 (contact -> antenna) and C3
+    # (antenna -> contact) from the fields of the ports they use: surface
+    # fields of contacts, air fields of antennas, each once per block of tones
+    rx_c, rx_a, tx_c, tx_a = ([i for i, (kind, _) in enumerate(ports) if kind == want]
+                              for ports in (rx_ports, tx_ports) for want in (CONTACT, ANTENNA))
+    use_c1 = coupling.c1 > 0 and bool(rx_c and tx_c)
+    use_c2 = coupling.c2 > 0 and bool(rx_a and tx_c)
+    use_c3 = coupling.c3 > 0 and bool(rx_c and tx_a)
+    if not (use_c1 or use_c2 or use_c3):
+        return h
+
+    # only the rows some integral uses
+    rx_c, tx_c = (rx_c if use_c1 or use_c3 else []), (tx_c if use_c1 or use_c2 else [])
+    rx_a, tx_a = (rx_a if use_c2 else []), (tx_a if use_c3 else [])
+    d_rx_c, d_tx_c = (np.array([g.surface_distance(ports[i][1], m.d0_m) for i in rows])
+                      for ports, rows in ((rx_ports, rx_c), (tx_ports, tx_c)))
+    d_rx_a, d_tx_a = (np.array([g.air_distance(ports[i][1], params.air_ref_m) for i in rows])
+                      for ports, rows in ((rx_ports, rx_a), (tx_ports, tx_a)))
+    # the side with fewer contact rows goes through the FFT (receive rows on a
+    # tie); a block counts the kernel and the FFT'd rows on the padded lattice
+    # and every field row on the grid
+    swap = len(tx_c) < len(rx_c)
+    per_tone = g.x.size * (len(rx_c) + len(tx_c) + len(rx_a) + len(tx_a))
+    if use_c1:
+        per_tone += g.lattice_d.size * (1 + min(len(rx_c), len(tx_c)))
+    tones = max(1, _BLOCK_ELEMENTS // per_tone)
+    rx_c, rx_a = np.array(rx_c, int)[:, None], np.array(rx_a, int)[:, None]
+    for lo in range(0, len(freqs), tones):
+        f = slice(lo, lo + tones)
+        s_rx, s_tx = _surface_field(d_rx_c, gamma[f], m), _surface_field(d_tx_c, gamma[f], m)
+        a_rx, a_tx = _air_field(d_rx_a, k[f], params), _air_field(d_tx_a, k[f], params)
+        if use_c1 and swap:
+            h[f, rx_c, tx_c] += _composite(g, k[f], s_rx, s_tx, params)
+        elif use_c1:
+            h[f, rx_c, tx_c] += np.swapaxes(_composite(g, k[f], s_tx, s_rx, params), -1, -2)
+        if use_c2:
+            h[f, rx_a, tx_c] += coupling.c2 * g.da * (a_rx @ np.swapaxes(s_tx, -1, -2))
+        if use_c3:
+            h[f, rx_c, tx_a] += coupling.c3 * g.da * (s_rx @ np.swapaxes(a_tx, -1, -2))
     return h
 
 
@@ -680,11 +676,11 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
             lengths, hop_c, amps = near
             taps.extend(zip(lengths / v + hop_c / SPEED_OF_LIGHT, amps[0]))
         if c_scalar > 0:
-            legs = _cross_legs(g, contact, antenna, m, params)
-            integrand = _cross_integrand(legs, gamma, k)[0]
-            w = np.abs(integrand)
-            tau = (legs[0] + legs[1]) / v
-            taps.append((float(np.sum(w * tau) / np.sum(w)),
-                         c_scalar * g.da * np.sum(integrand)))
+            d_s = g.surface_distance(contact, m.d0_m)
+            d_a = g.air_distance(antenna, params.air_ref_m)
+            field = _surface_field(d_s, gamma[0], m) * _air_field(d_a, k[0], params)
+            w = np.abs(field)
+            taps.append((float(np.sum(w * (d_s + d_a)) / (v * np.sum(w))),
+                         c_scalar * g.da * np.sum(field)))
 
     return ImpulseResponse(_merge_taps(taps), band.bandwidth_hz)

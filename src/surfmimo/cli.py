@@ -23,6 +23,7 @@ from .experiments import (
     RadiationProfile,
     SharingConfig,
     SharingPair,
+    _resolved,
     aggregate_sweep,
     aggregation_plan,
     analyze_link,
@@ -112,8 +113,10 @@ def _emit(rs, args, kind: str) -> int:
 
 def _sweep_settings(args) -> tuple:
     """(template, settings, hash params) resolved from --scene or the
-    sweep-style flags.  The hash params name the scene config by its
-    config_hash and the subcarrier count the run resolves to."""
+    sweep-style flags.  The settings carry the parsed coupling constants and
+    rate table, so the sweeps of every mode share one parse.  The hash params
+    name the scene config by its config_hash and the subcarrier count the run
+    resolves to."""
     scene_hash = None
     if args.scene:
         cfg = _load_scene_config(args.scene)
@@ -136,6 +139,7 @@ def _sweep_settings(args) -> tuple:
         from dataclasses import replace
 
         settings = replace(settings, **overrides)
+    settings = _resolved(settings)
     return template, settings, {
         "material": template.surface.material.name, "scene": scene_hash,
         "n_subcarriers": subcarrier_count(settings.band, settings.n_subcarriers),

@@ -113,6 +113,31 @@ def test_scene_commands_parse_each_yaml_file_once(tmp_path, monkeypatch, command
     assert parsed == [scene.read_text(), materials]
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--distances-ft", "1,2"], ["separation", "--separations-cm", "1,6"],
+])
+def test_sweep_commands_parse_presets_once_for_all_modes(tmp_path, monkeypatch, command):
+    from surfmimo import presets
+
+    calls = {"load_yaml": 0, "load_mcs_table": 0}
+
+    def counting(name):
+        real = getattr(presets, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(presets, name, counting(name))
+    code = main(command + ["--mode", "all", *FAST_SWEEP, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_OK
+    # materials.yaml for the template, the coupling constants and the preset
+    # version; the rate table once for all four modes
+    assert calls == {"load_yaml": 3, "load_mcs_table": 1}
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--mode", "surface-2x2", "--distances-ft", "1,2",

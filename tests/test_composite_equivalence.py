@@ -4,9 +4,10 @@ The dense references below build the full N x N point-pair distance matrix
 and air kernel and sum the midpoint-rule integrals term by term, the way the
 model defines them.  The engine must agree with them to 1e-12 relative on
 random scenes, grids and air exponents, one tone at a time or a stack of
-tones in one call, with either side's contacts through the FFT.  The engine
-takes the C1 composite and the cross integrands over blocks of subcarriers;
-the block size must not change a bit of the output.
+tones in one call, with either side's contacts through the FFT, and with
+several contacts and antennas on each side.  The engine takes the C1, C2 and
+C3 integrals over blocks of subcarriers; the block size must not change a bit
+of the output.
 """
 
 import math
@@ -170,8 +171,8 @@ def test_fft_composite_matches_dense_double_sum(case, more_freqs):
 
 
 @settings(max_examples=30, deadline=None)
-@given(cases())
-def test_cross_terms_match_dense_sums(case):
+@given(cases(), st.data())
+def test_cross_terms_match_dense_sums(case, data):
     surface, n, params, f, contact, _, antenna = case
     scene = Scene(surface)
     band = FrequencyBand(f)
@@ -186,6 +187,33 @@ def test_cross_terms_match_dense_sums(case):
         (tap,) = impulse_response(tx, rx, scene, band, n, params).taps
         assert _close(tap[1], amp)
         assert _close(tap[0], delay)
+
+    # several contacts and antennas on each side in any order, in one call:
+    # every contact -> antenna entry is its C2 integral, every antenna ->
+    # contact entry its C3 integral
+    def ports(z_lo, z_hi):
+        contacts = data.draw(st.lists(st.tuples(
+            st.floats(0.0, surface.width_m), st.floats(0.0, surface.height_m)),
+            min_size=2, max_size=3))
+        antennas = data.draw(st.lists(st.tuples(
+            st.floats(-0.2, surface.width_m + 0.2), st.floats(-0.2, surface.height_m + 0.2),
+            st.floats(z_lo, z_hi)), min_size=2, max_size=3))
+        return data.draw(st.permutations(
+            [(CONTACT, p) for p in contacts] + [(ANTENNA, p) for p in antennas]))
+
+    # receive antennas sit above the transmit antennas, so every antenna pair
+    # is beyond the air reference distance
+    tx_ports, rx_ports = ports(0.0, 0.3), ports(0.45, 0.75)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # contacts closer than d0
+        h = channel._synthesize(scene, [f], n, params, rx_ports, tx_ports)[0]
+    for i, (rk, rp) in enumerate(rx_ports):
+        for j, (tk, tp) in enumerate(tx_ports):
+            if rk != tk:
+                c_scalar = params.coupling.c2 if tk == CONTACT else params.coupling.c3
+                contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
+                amp, _ = dense_cross(scene, contact, antenna, f, n, c_scalar, params)
+                assert _close(h[i, j], amp)
 
 
 def _coupled_3x3():
@@ -205,22 +233,32 @@ def test_csi_is_bitwise_independent_of_the_block_size(monkeypatch):
     band, tones, n = FrequencyBand(2.437e9, 40e6), 61, 12
     grid = channel._Grid(scene.surface, n, params)
     cells, lattice = grid.x.size, grid.lattice_d.size
-    # a C1 tone: the kernel and two FFT'd contact rows on the lattice, and
-    # two transmit and two receive field rows on the grid
-    c1_tone = 3 * lattice + 4 * cells
-    budget = 3 * c1_tone
-    per_block = {"composite": budget // c1_tone, "cross": budget // cells}
-    # this budget splits both the composite and the cross integrands into
-    # blocks, the last one partial
-    for size in per_block.values():
-        assert 1 < size < tones and tones % size
+    # a tone: the kernel and two FFT'd contact rows on the lattice, and two
+    # contact and one antenna field rows per side on the grid
+    tone = 3 * lattice + 6 * cells
+    # just short of four tones: leaving any of those rows out of the count
+    # would fit four or more
+    budget = 4 * tone - 1
+    size = budget // tone
+    assert budget // (tone - 2 * cells) > size
+    # this budget splits the tones into blocks, the last one partial
+    assert 1 < size < tones and tones % size
 
-    blocks = {"composite": set(), "cross": set()}
-    composite, cross_integrand = channel._composite, channel._cross_integrand
+    # the block size of every field stack and correlation, in call order
+    blocks = {"surface": [], "antenna": [], "composite": []}
+    surface_field, air_field, composite = (
+        channel._surface_field, channel._air_field, channel._composite)
+
+    def antenna_rows(d, k, p):
+        if np.shape(d) == (1, cells):  # not the kernel or a line-of-sight path
+            blocks["antenna"].append(len(k))
+        return air_field(d, k, p)
+
+    monkeypatch.setattr(channel, "_surface_field", lambda d, gamma, m: (
+        blocks["surface"].append(len(gamma)) or surface_field(d, gamma, m)))
+    monkeypatch.setattr(channel, "_air_field", antenna_rows)
     monkeypatch.setattr(channel, "_composite", lambda g, k, a, b, p: (
-        blocks["composite"].add(len(k)) or composite(g, k, a, b, p)))
-    monkeypatch.setattr(channel, "_cross_integrand", lambda legs, gamma, k: (
-        blocks["cross"].add(len(k)) or cross_integrand(legs, gamma, k)))
+        blocks["composite"].append(len(k)) or composite(g, k, a, b, p)))
 
     def run(budget):
         monkeypatch.setattr(channel, "_BLOCK_ELEMENTS", budget)
@@ -228,9 +266,13 @@ def test_csi_is_bitwise_independent_of_the_block_size(monkeypatch):
 
     split = run(budget)
     assert np.all(split != 0)
-    assert blocks == {key: {size, tones % size} for key, size in per_block.items()}
+    # one loop over the blocks: per block, each side's contact fields and
+    # antenna fields once and one correlation
+    sizes = [size] * (tones // size) + [tones % size]
+    per_side = [b for b in sizes for _ in ("rx", "tx")]
+    assert blocks == {"surface": per_side, "antenna": per_side, "composite": sizes}
     # one tone per block, the default budget, all tones in one block
-    for other in (1, channel._BLOCK_ELEMENTS, tones * c1_tone):
+    for other in (1, channel._BLOCK_ELEMENTS, tones * tone):
         assert np.array_equal(run(other), split)
     # a one-tone block is the single-frequency path of build_mimo
     freqs = channel.subcarrier_frequencies(band, tones)
