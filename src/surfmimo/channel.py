@@ -13,9 +13,13 @@ Every (TX port, RX port) pair maps to one of four channel kinds:
   optional scatterer-ring multipath model, off by default.
 
 One engine synthesizes every port pair over a whole frequency vector: the
-material constants are interpolated once per vector, the surface-path
-geometry (direct path, images, obstacle factors) is computed once per port
-pair, and the surface integrals are batched over frequency and ports.  ``csi``
+material constants are interpolated once per vector, the surface paths
+(direct path, images, obstacle factors, and their amplitudes over the
+vector) are evaluated once per distinct (source, target) point pair, and
+the surface integrals are batched over frequency and ports.  The near-field
+hop runs its surface leg to the foot under the antenna; when that foot is a
+contact of the scene (an antenna mounted above its node's contact), the leg
+is the contact pair's paths, evaluated once for both entries.  ``csi``
 is one call into it, and so is a whole sweep of distances; ``build_mimo``
 and ``h_ss``/``h_sa``/``h_as``/``h_aa`` are single-frequency calls.
 
@@ -353,21 +357,23 @@ def _path_amps(lengths, weights, gamma):
     return weights * np.exp(-np.multiply.outer(gamma, lengths))
 
 
-def _near_field(contact, antenna, scene: Scene, gamma, k, params: ChannelParams):
-    """Local coupling contact -> foot (the surface point nearest the antenna)
-    -> antenna: (surface path lengths, clamped hop length, amplitudes (F, P)),
-    or None when the coupling is off or the antenna is beyond the near-field
-    radius.  The hop is clamped to the air reference distance by design."""
-    nfc = params.coupling.near_field_coupling
+def _near_field(antenna, scene: Scene, params: ChannelParams):
+    """The local coupling contact -> foot (the surface point nearest the
+    antenna) -> antenna: (foot, clamped hop length), or None when the
+    coupling is off or the antenna is beyond the near-field radius.  The hop
+    is clamped to the air reference distance by design."""
     ax, ay, az = antenna
     foot = (min(max(ax, 0.0), scene.surface.width_m), min(max(ay, 0.0), scene.surface.height_m))
     hop = math.sqrt((ax - foot[0]) ** 2 + (ay - foot[1]) ** 2 + az * az)
-    if nfc <= 0 or hop > params.near_field_radius_m:
+    if params.coupling.near_field_coupling <= 0 or hop > params.near_field_radius_m:
         return None
-    hop_c = max(hop, params.air_ref_m)
-    hop_gain = _air_field(hop_c, k, params)
-    lengths, weights = _surface_paths(contact, foot, scene, params)
-    return lengths, hop_c, nfc * _path_amps(lengths, weights, gamma) * hop_gain[:, None]
+    return foot, max(hop, params.air_ref_m)
+
+
+def _hop_amps(amps, hop_c, k, params: ChannelParams):
+    """Near-field amplitudes (F, P): the surface path amplitudes contact ->
+    foot times the coupling and the air gain of the hop."""
+    return params.coupling.near_field_coupling * amps * _air_field(hop_c, k, params)[:, None]
 
 
 def _scatterers(tx, rx, model: AirMultipathModel):
@@ -427,18 +433,26 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
     coupling = params.coupling
     g = _Grid(scene.surface, grid, params)
     h = np.zeros((len(freqs), len(rx_ports), len(tx_ports)), dtype=complex)
+    # the entries on each distinct surface path set (source, target), with
+    # the near-field hop length or None for a contact -> contact entry
+    uses = {}
     for i, (rk, rp) in enumerate(rx_ports):
         for j, (tk, tp) in enumerate(tx_ports):
             if tk == CONTACT and rk == CONTACT:
-                paths = _surface_paths(tp, rp, scene, params)
-                h[:, i, j] = np.sum(_path_amps(*paths, gamma), axis=-1)
+                uses.setdefault((tuple(tp), tuple(rp)), []).append((i, j, None))
             elif tk == ANTENNA and rk == ANTENNA:
                 h[:, i, j] = _air_link(tp, rp, k, params)
             else:
                 contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
-                near = _near_field(contact, antenna, scene, gamma, k, params)
+                near = _near_field(antenna, scene, params)
                 if near is not None:
-                    h[:, i, j] = np.sum(near[2], axis=-1)
+                    foot, hop_c = near
+                    uses.setdefault((tuple(contact), foot), []).append((i, j, hop_c))
+    for (source, target), entries in uses.items():
+        amps = _path_amps(*_surface_paths(source, target, scene, params), gamma)
+        for i, j, hop_c in entries:
+            h[:, i, j] = np.sum(amps if hop_c is None else _hop_amps(amps, hop_c, k, params),
+                                axis=-1)
 
     # the integrals C1 (contact -> contact), C2 (contact -> antenna) and C3
     # (antenna -> contact) from the fields of the ports they use: surface
@@ -578,6 +592,23 @@ def subcarrier_count(band: FrequencyBand, n_subcarriers: int | None = None) -> i
     return n_subcarriers
 
 
+def _stack_ports(scenes):
+    """(receive ports of each scene, receive kinds, transmit ports, transmit
+    kinds) of scenes that differ only in their receive ports; DomainError
+    when they differ in anything else or in the kinds of receive ports."""
+    first = scenes[0]
+    _, rx_kinds, tx, tx_kinds = _scene_ports(first)
+    rx_each = []
+    for scene in scenes:
+        rx, kinds, scene_tx, _ = _scene_ports(scene)
+        if (scene.surface != first.surface or scene.obstacles != first.obstacles
+                or scene_tx != tx or kinds != rx_kinds):
+            raise DomainError("stacked scenes must share the surface, the obstacles, "
+                              "the transmit ports and the receive port kinds")
+        rx_each.append(rx)
+    return rx_each, rx_kinds, tx, tx_kinds
+
+
 def _channel_stack(scenes, band: FrequencyBand, n_subcarriers: int | None, grid: int,
                    params: ChannelParams | None):
     """The csi channels of scenes that differ only in their receive ports, in
@@ -597,16 +628,8 @@ def _channel_stack(scenes, band: FrequencyBand, n_subcarriers: int | None, grid:
             f"{band.center_hz + band.bandwidth_hz / 2:.4g}] Hz outside material "
             f"preset coverage [{lo:.4g}, {hi:.4g}] Hz"
         )
-    _, rx_kinds, tx, tx_kinds = _scene_ports(first)
-    rx_all = []
-    for scene in scenes:
-        rx, kinds, scene_tx, _ = _scene_ports(scene)
-        if (scene.surface != first.surface or scene.obstacles != first.obstacles
-                or scene_tx != tx or kinds != rx_kinds):
-            raise DomainError("stacked scenes must share the surface, the obstacles, "
-                              "the transmit ports and the receive port kinds")
-        rx_all.extend(rx)
-    h = _synthesize(first, freqs, grid, params, rx_all, tx)
+    rx_each, rx_kinds, tx, tx_kinds = _stack_ports(scenes)
+    h = _synthesize(first, freqs, grid, params, [p for rx in rx_each for p in rx], tx)
     if not np.isfinite(h).all():
         raise DomainError("channel matrix contains non-finite entries")
     h = h.reshape(len(freqs), len(scenes), len(rx_kinds), len(tx_kinds))
@@ -671,9 +694,11 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
     else:
         contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
         c_scalar = params.coupling.c2 if tk == CONTACT else params.coupling.c3
-        near = _near_field(contact, antenna, scene, gamma, k, params)
+        near = _near_field(antenna, scene, params)
         if near is not None:
-            lengths, hop_c, amps = near
+            foot, hop_c = near
+            lengths, weights = _surface_paths(contact, foot, scene, params)
+            amps = _hop_amps(_path_amps(lengths, weights, gamma), hop_c, k, params)
             taps.extend(zip(lengths / v + hop_c / SPEED_OF_LIGHT, amps[0]))
         if c_scalar > 0:
             d_s = g.surface_distance(contact, m.d0_m)

@@ -13,7 +13,7 @@ import sys
 
 from . import io as rio
 from . import presets
-from .channel import subcarrier_count
+from .channel import ChannelParams, subcarrier_count
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import (
     FOOT_M,
@@ -28,12 +28,12 @@ from .experiments import (
     aggregation_plan,
     analyze_link,
     default_template,
+    multi_mode_sweep,
     pulse_profile,
     radiation_benchmark,
     separation_sweep,
     share_sim,
     share_template,
-    throughput_sweep,
 )
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,12 +90,14 @@ def _scene_metadata(cfg: rio.ScenarioConfig, command: str, seed) -> dict:
     }
 
 
-def _param_metadata(command: str, seed: int, params: dict) -> dict:
+def _param_metadata(command: str, seed: int, params: dict, preset_version=None) -> dict:
+    """Metadata of a flag-driven command; preset_version, when the command
+    already parsed the presets, spares a parse of materials.yaml."""
     from . import __version__
 
     return {
         "tool_version": __version__,
-        "preset_version": presets.preset_version(),
+        "preset_version": presets.preset_version() if preset_version is None else preset_version,
         "config_hash": rio.parameter_hash({"command": command, "seed": seed, **params}),
         "seed": seed,
         "command": command,
@@ -112,20 +114,23 @@ def _emit(rs, args, kind: str) -> int:
 
 
 def _sweep_settings(args) -> tuple:
-    """(template, settings, hash params) resolved from --scene or the
-    sweep-style flags.  The settings carry the parsed coupling constants and
-    rate table, so the sweeps of every mode share one parse.  The hash params
-    name the scene config by its config_hash and the subcarrier count the run
-    resolves to."""
+    """(template, settings, hash params, preset version) resolved from
+    --scene or the sweep-style flags, from one parse of materials.yaml.  The
+    settings carry the parsed coupling constants and rate table, so the
+    sweeps of every mode share them.  The hash params name the scene config
+    by its config_hash and the subcarrier count the run resolves to."""
     scene_hash = None
     if args.scene:
         cfg = _load_scene_config(args.scene)
         template = cfg.template()
         settings = cfg.settings()
         scene_hash = rio.config_hash(cfg)
+        version = cfg.preset_version
     else:
-        template = default_template(args.material)
-        settings = LinkSettings()
+        shipped = presets.load_presets()
+        template = default_template(shipped.material(args.material))
+        settings = LinkSettings(params=ChannelParams(coupling=shipped.coupling))
+        version = shipped.version
     overrides = {}
     if args.tx_power_dbm is not None:
         overrides["tx_power_dbm"] = args.tx_power_dbm
@@ -145,7 +150,7 @@ def _sweep_settings(args) -> tuple:
         "n_subcarriers": subcarrier_count(settings.band, settings.n_subcarriers),
         "tx_power_dbm": settings.tx_power_dbm, "snr_db": settings.snr_db,
         "grid": settings.grid,
-    }
+    }, version
 
 
 # --- subcommand bodies ----------------------------------------------------------
@@ -185,21 +190,19 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    template, settings, hashed = _sweep_settings(args)
+    template, settings, hashed, version = _sweep_settings(args)
     distances = [d * FOOT_M for d in _parse_float_list(args.distances_ft, "--distances-ft")]
     modes = list(SWEEP_MODES) if args.mode == "all" else [args.mode]
-    rows_by_mode = {
-        mode: throughput_sweep(template, distances, mode, settings) for mode in modes
-    }
+    rows_by_mode = multi_mode_sweep(template, distances, modes, settings)
     meta = _param_metadata("sweep", args.seed, {
         **hashed, "distances_ft": args.distances_ft, "modes": modes,
-    })
+    }, version)
     rs = rio.sweep_result_set(rows_by_mode, settings.mac_efficiency, meta)
     return _emit(rs, args, "sweep")
 
 
 def _cmd_separation(args) -> int:
-    template, settings, hashed = _sweep_settings(args)
+    template, settings, hashed, version = _sweep_settings(args)
     seps = [s / 100.0 for s in _parse_float_list(args.separations_cm, "--separations-cm")]
     modes = list(SWEEP_MODES) if args.mode == "all" else [args.mode]
     rows_by_mode = {
@@ -207,7 +210,7 @@ def _cmd_separation(args) -> int:
     }
     meta = _param_metadata("separation", args.seed, {
         **hashed, "separations_cm": args.separations_cm, "modes": modes,
-    })
+    }, version)
     rs = rio.separation_result_set(rows_by_mode, settings.mac_efficiency, meta)
     return _emit(rs, args, "separation")
 

@@ -7,13 +7,19 @@ subcarriers, derive zero-forcing stream SNRs for every candidate
 transmit-column subset, compress them with an effective-SNR mapping, look
 the result up in the rate table, and keep the best (rate, stream-count)
 choice.  Reported rates are PHY rates; MAC overhead is a separate scalar
-applied only when results are written out.
+applied only when results are written out.  A link takes one thin SVD of
+its whole stack, for the condition number and the all-column ZF SNRs;
+one-column subsets use the closed form rho * sum |h|^2, and only the other
+subsets take an SVD of their own.
 
 In a distance sweep (``throughput_sweep``, and ``aggregate_sweep`` per
 chain) only the receiver moves.  The runner builds and validates each
 distance's scene, then synthesizes all of them in one channel-engine pass
 and analyzes each distance's ``(F, n_rx, n_tx)`` slice of that array; no
-per-subcarrier matrix objects are built.
+per-subcarrier matrix objects are built.  A sweep over several modes
+(``multi_mode_sweep``) synthesizes only the modes whose ports no other
+mode of the sweep holds and reads the rest as index slices of those
+stacks: ``--mode all`` is two engine passes, surface-3x3 and air-mimo.
 """
 
 from __future__ import annotations
@@ -24,7 +30,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, NoiseModel, _channel_stack, default_params, impulse_response
+from .channel import (
+    ChannelParams,
+    NoiseModel,
+    _channel_stack,
+    _stack_ports,
+    default_params,
+    impulse_response,
+)
 from .errors import ConfigError, DomainError
 from .geometry import Node, Scene, SurfaceSpec
 from .mimo import (
@@ -32,7 +45,7 @@ from .mimo import (
     McsTable,
     StreamSeparationError,
     capacity,
-    condition_number,
+    condition_and_zf,
     effective_snr,
     map_rate,
     zf_stream_snrs,
@@ -114,17 +127,19 @@ class SceneTemplate:
         return self.tx_x_m, y
 
 
-def default_template(material_name: str = "spraypaint") -> SceneTemplate:
-    """A 17.5 ft x 2 ft surface.
+def default_template(material="spraypaint") -> SceneTemplate:
+    """A 17.5 ft x 2 ft surface of a material, given as its parameters or by
+    preset name or path.
 
     The 16 ft sweep endpoint then sits about a foot from the far edge: close
     enough that the edge echo is strong and still carries enough excess delay
     to decorrelate across a 40 MHz band, which is what makes frequency
     diversity keep growing out to the last sweep point.
     """
-    from . import presets
+    if isinstance(material, str):
+        from . import presets
 
-    material = presets.load_material(material_name)
+        material = presets.load_material(material)
     return SceneTemplate(SurfaceSpec(17.5 * FOOT_M, 2.0 * FOOT_M, material))
 
 
@@ -200,10 +215,12 @@ def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
     conditioning, stream SNRs, and the best achievable table rate over all
     transmit-column subsets.
 
-    The matrices are stacked once to (F, n_rx, n_tx); each transmit-column
-    subset then takes one stacked zero-forcing call, and a subset that is
-    singular at any subcarrier is skipped.  The first subset (fewest
-    streams, then lowest column indices) with the highest rate wins.
+    The matrices are stacked once to (F, n_rx, n_tx).  One thin SVD of the
+    whole stack gives the condition number and the zero-forcing SNRs of the
+    all-column subset; a one-column subset takes the closed form of
+    zf_stream_snrs, and each other subset one stacked zero-forcing call.  A
+    subset that is singular at any subcarrier is skipped.  The first subset
+    (fewest streams, then lowest column indices) with the highest rate wins.
     """
     return _analyze(np.stack([m.entries for m in matrices]), settings or LinkSettings())
 
@@ -214,15 +231,22 @@ def _analyze(h, settings: LinkSettings) -> LinkResult:
     beta = settings.esm_beta
     n_tx = h.shape[-1]
     table = settings.rate_table()
+    kappa, all_columns = condition_and_zf(h, rho)
     best_rate = -1.0
     best_snrs: tuple = (float("-inf"),)
     best_columns: tuple = ()
     for k in range(1, n_tx + 1):
         for subset in itertools.combinations(range(n_tx), k):
-            try:
-                snrs = zf_stream_snrs(h[:, :, subset], rho).T  # (k, F)
-            except StreamSeparationError:
+            if k == n_tx > 1:
+                snrs = all_columns
+            else:
+                try:
+                    snrs = zf_stream_snrs(h[:, :, subset], rho)
+                except StreamSeparationError:
+                    snrs = None
+            if snrs is None:
                 continue
+            snrs = snrs.T  # (k, F)
             rate = map_rate(_esnr_db(snrs, beta), table, n_streams=k)
             if rate > best_rate:
                 best_rate = rate
@@ -233,7 +257,7 @@ def _analyze(h, settings: LinkSettings) -> LinkResult:
 
     return LinkResult(
         capacity_bps=settings.band.bandwidth_hz * float(np.mean(capacity(h, rho))),
-        condition_number=float(np.max(condition_number(h))),
+        condition_number=float(np.max(kappa)),
         stream_snrs_db=best_snrs,
         phy_rate_bps=best_rate,
         mode=_MODE_LABELS.get(n_tx, f"MIMO-{n_tx}x{n_tx}"),
@@ -267,12 +291,56 @@ def throughput_sweep(template: SceneTemplate | None = None, distances_m=None,
                      mode: str = MODE_2X2, settings: LinkSettings | None = None):
     """Rate/capacity/conditioning across link distances.  Returns
     [(distance_m, LinkResult), ...]."""
+    return multi_mode_sweep(template, distances_m, (mode,), settings)[mode]
+
+
+def multi_mode_sweep(template: SceneTemplate | None = None, distances_m=None,
+                     modes=SWEEP_MODES, settings: LinkSettings | None = None) -> dict:
+    """throughput_sweep of several modes over the same distances:
+    {mode: [(distance_m, LinkResult), ...]} in the order of modes.
+
+    Every mode's scenes are built and checked.  A mode whose transmit ports,
+    and receive ports at every distance, are all found by value among the
+    ports of another mode of the sweep is read as index slices of that
+    mode's channel stack instead of being synthesized again.  Antenna
+    positions coincide across modes, so siso and surface-2x2 come out of
+    surface-3x3, and the four modes take two engine passes."""
     template = template or default_template()
     settings = _resolved(settings or LinkSettings())
-    if distances_m is None:
-        distances_m = default_distances_m()
-    scenes = [build_link_scene(template, d, mode, settings) for d in distances_m]
-    return [(float(d), r) for d, r in zip(distances_m, _run_links(scenes, settings))]
+    distances_m = default_distances_m() if distances_m is None else tuple(distances_m)
+    scenes = {mode: [build_link_scene(template, d, mode, settings) for d in distances_m]
+              for mode in modes}
+    if not distances_m:
+        return {mode: [] for mode in scenes}
+    ports = {mode: _stack_ports(s) for mode, s in scenes.items()}
+    stacks, reads = {}, {}
+    # largest first, so a mode meets every mode that could hold it as a host
+    for mode in sorted(ports, key=lambda m: -(len(ports[m][0][0]) + len(ports[m][2]))):
+        for host in stacks:
+            index = _port_index(ports[mode], ports[host])
+            if index is not None:
+                reads[mode] = stacks[host][(slice(None),) + index]
+                break
+        else:
+            stacks[mode] = reads[mode] = _channel_stack(
+                scenes[mode], settings.band, settings.n_subcarriers, settings.grid,
+                settings.params)[1]
+    return {mode: [(float(d), _analyze(reads[mode][:, i], settings))
+                   for i, d in enumerate(distances_m)] for mode in scenes}
+
+
+def _port_index(ports, host):
+    """Index arrays (distance, receive port, transmit port) that read the
+    (F, D, n_rx, n_tx) stack of ports out of the stack of host, or None when
+    one of the ports is not among the host's; both are _stack_ports tuples."""
+    rx_each, _, tx, _ = ports
+    host_rx, _, host_tx, _ = host
+    try:
+        rx = [[h_rx.index(p) for p in r] for r, h_rx in zip(rx_each, host_rx)]
+        cols = [host_tx.index(p) for p in tx]
+    except ValueError:
+        return None
+    return np.arange(len(rx))[:, None, None], np.array(rx)[:, :, None], np.array(cols)
 
 
 def separation_sweep(template: SceneTemplate | None = None,

@@ -15,7 +15,13 @@ the same result per matrix along the leading axes.
   would square the condition number before the inverse is taken, so
   near-singular links would lose twice as many digits; the SVD form loses
   only what the channel itself costs, and the same singular values decide
-  whether the streams are separable at all.
+  whether the streams are separable at all.  ``condition_and_zf`` reads the
+  condition number and the all-column ZF SNRs off one SVD, so a link
+  analysis decomposes its full stack once.
+* A single stream needs no decomposition: ``[(h†h)^-1] = 1 / sum |h_i|^2``,
+  so its ZF SNR is the maximal-ratio-combined ``snr * sum |h_i|^2``.  Its one
+  singular value is ``|h|``, which ``_singular`` flags exactly when the
+  column is all zero, so that is when it is not separable.
 * Per-subcarrier SNRs are compressed to a single effective SNR which an MCS
   table maps to a PHY rate.
 """
@@ -52,14 +58,18 @@ def _scalar_or_stack(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
+def _check_snr(snr_linear: float) -> None:
+    if snr_linear <= 0:
+        raise DomainError(f"snr_linear must be positive, got {snr_linear}")
+
+
 def capacity(h, snr_linear: float):
     """Shannon capacity log2 det(I + (snr/N_tx) H H†), in bits/s/Hz; a float
     for one matrix, an array over the leading axes of a stack.
 
     Transmit power is split equally over the N_tx columns (no waterfilling).
     """
-    if snr_linear <= 0:
-        raise DomainError(f"snr_linear must be positive, got {snr_linear}")
+    _check_snr(snr_linear)
     m = _as_matrix(h)
     n_rx, n_tx = m.shape[-2:]
     gram = np.eye(n_rx, dtype=complex) + (snr_linear / n_tx) * (m @ m.conj().swapaxes(-1, -2))
@@ -69,16 +79,45 @@ def capacity(h, snr_linear: float):
     return _scalar_or_stack(logdet / math.log(2.0))
 
 
+def _nonzero(m: np.ndarray) -> np.ndarray:
+    """m, after refusing a stack in which any matrix is all zero."""
+    if not np.all(np.any(m, axis=(-2, -1))):
+        raise UndefinedConditionError("condition number of the zero matrix is undefined")
+    return m
+
+
+def _kappa(s: np.ndarray, shape):
+    """sigma_max / sigma_min from singular values sorted descending; +inf
+    where the matrix is singular."""
+    with np.errstate(divide="ignore"):
+        return _scalar_or_stack(np.where(_singular(s, shape), math.inf, s[..., 0] / s[..., -1]))
+
+
+def _zf_snrs(s: np.ndarray, vh: np.ndarray, snr_linear: float) -> np.ndarray:
+    """ZF stream SNRs snr / (N_tx * [(H†H)^-1]_kk) from the thin SVD of H:
+    singular values s (..., n) and right singular vectors vh (..., n, n_tx)."""
+    inv_diag = np.sum(np.abs(vh) ** 2 / s[..., :, None] ** 2, axis=-2)
+    return snr_linear / (vh.shape[-1] * inv_diag)
+
+
 def condition_number(h):
     """sigma_max / sigma_min of each matrix; +inf for (numerically) singular
     input.  A float for one matrix, an array over the leading axes of a stack."""
-    m = _as_matrix(h)
-    if not np.all(np.any(m, axis=(-2, -1))):
-        raise UndefinedConditionError("condition number of the zero matrix is undefined")
-    s = np.linalg.svd(m, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        kappa = np.where(_singular(s, m.shape), math.inf, s[..., 0] / s[..., -1])
-    return _scalar_or_stack(kappa)
+    m = _nonzero(_as_matrix(h))
+    return _kappa(np.linalg.svd(m, compute_uv=False), m.shape)
+
+
+def condition_and_zf(h, snr_linear: float):
+    """(condition_number(h), zf_stream_snrs(h, snr_linear)) from one thin SVD
+    of h.  The ZF SNRs are None where zf_stream_snrs would raise
+    StreamSeparationError, and for one column agree with its closed form to
+    rounding; a zero matrix raises as in condition_number."""
+    m = _nonzero(_as_matrix(h))
+    _check_snr(snr_linear)
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    n_rx, n_tx = m.shape[-2:]
+    separable = n_rx >= n_tx and not np.any(_singular(s, m.shape))
+    return _kappa(s, m.shape), (_zf_snrs(s, vh, snr_linear) if separable else None)
 
 
 def mrc_combine(h, snr_linear: float = 1.0) -> float:
@@ -90,32 +129,34 @@ def mrc_combine(h, snr_linear: float = 1.0) -> float:
     g = np.asarray(h, dtype=complex).ravel()
     if g.size == 0:
         raise DomainError("mrc_combine needs at least one branch")
-    if snr_linear <= 0:
-        raise DomainError(f"snr_linear must be positive, got {snr_linear}")
+    _check_snr(snr_linear)
     return float(snr_linear * np.sum(np.abs(g) ** 2))
 
 
 def zf_stream_snrs(h, snr_linear: float) -> np.ndarray:
     """Post-zero-forcing SNR per spatial stream: snr / (N_tx * [(H†H)^-1]_kk),
-    with the inverse's diagonal taken from the thin SVD of H.  Shape (n_tx,)
-    for one matrix, (..., n_tx) for a stack.
+    with the inverse's diagonal taken from the thin SVD of H, or for one
+    column the closed form snr * sum |h_i|^2.  Shape (n_tx,) for one matrix,
+    (..., n_tx) for a stack.
 
-    Raises StreamSeparationError when any matrix is singular, so callers can
-    fall back to fewer streams.
+    Raises StreamSeparationError when any matrix is singular (for one column:
+    all zero), so callers can fall back to fewer streams.
     """
     m = _as_matrix(h)
-    if snr_linear <= 0:
-        raise DomainError(f"snr_linear must be positive, got {snr_linear}")
+    _check_snr(snr_linear)
     n_rx, n_tx = m.shape[-2:]
     if n_rx < n_tx:
         raise StreamSeparationError(
             f"cannot separate {n_tx} streams with {n_rx} receive ports"
         )
+    if n_tx == 1:
+        if not np.all(np.any(m, axis=-2)):
+            raise StreamSeparationError("channel column is zero; the stream is not separable")
+        return snr_linear * np.sum(np.abs(m) ** 2, axis=-2)
     _, s, vh = np.linalg.svd(m, full_matrices=False)
     if np.any(_singular(s, m.shape)):
         raise StreamSeparationError("channel matrix is singular; streams are not separable")
-    inv_diag = np.sum(np.abs(vh) ** 2 / s[..., :, None] ** 2, axis=-2)
-    return snr_linear / (n_tx * inv_diag)
+    return _zf_snrs(s, vh, snr_linear)
 
 
 def effective_snr(snrs_linear, beta: float = 1.0) -> float:

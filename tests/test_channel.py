@@ -162,6 +162,31 @@ def test_near_field_term_dominates_close_to_the_surface():
     assert abs(full - without) > 10 * abs(without)
 
 
+def test_near_field_hop_runs_the_contact_pair_paths_to_the_foot():
+    # antennas mounted above contacts: the hop's surface leg is the path set
+    # from the other node's contact to the contact under the antenna (images
+    # of the foot), the same set as that contact pair's entry.  The obstacle
+    # shadows images in one direction only, so the direction matters.
+    ct, cr = (0.1524, 0.3048), (0.7524, 0.3048)
+    at, ar = ct + (0.02,), cr + (0.02,)
+    scene = Scene(ex.default_template().surface,
+                  nodes=(Node("tx", "transmitter", (ct,), (at,)),
+                         Node("rx", "receiver", (cr,), (ar,))),
+                  obstacles=(Obstacle(0.2, 0.45, 0.45, 0.6),))
+    p = ChannelParams(coupling=CouplingConstants(c1=0.0, c2=0.0, c3=0.0,
+                                                 near_field_coupling=0.7))
+    hop = 0.7 * np.exp(-2j * math.pi * BAND.center_hz / SPEED_OF_LIGHT * 0.1)  # clamped hop
+    forward = h_ss(ct, cr, scene, BAND, params=p)
+    backward = h_ss(cr, ct, scene, BAND, params=p)
+    assert abs(forward - backward) > 1e-3 * abs(forward)
+    assert h_sa(ct, ar, scene, BAND, params=p) == pytest.approx(hop * forward, rel=1e-13)
+    assert h_as(at, cr, scene, BAND, params=p) == pytest.approx(hop * backward, rel=1e-13)
+    m = build_mimo(scene, BAND, params=p).entries  # one synthesis, shared path sets
+    np.testing.assert_array_equal(m, [[forward, h_as(at, cr, scene, BAND, params=p)],
+                                      [h_sa(ct, ar, scene, BAND, params=p),
+                                       h_aa(at, ar, BAND, params=p)]])
+
+
 def test_cross_terms_mirror_each_other():
     st = ex.LinkSettings()
     scene = ex.build_link_scene(ex.default_template(), 0.5, ex.MODE_2X2, st)

@@ -97,8 +97,22 @@ def test_analyze_synthesizes_csi_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_sweep_all_modes_synthesizes_twice(tmp_path, monkeypatch):
+    from surfmimo import channel
+
+    calls = []
+    synthesize = channel._synthesize
+    monkeypatch.setattr(channel, "_synthesize",
+                        lambda *args: calls.append(args) or synthesize(*args))
+    code = main(["sweep", "--mode", "all", "--distances-ft", "1,2", *FAST_SWEEP,
+                 "--out", str(tmp_path / "sw.csv")])
+    assert code == EXIT_OK
+    assert len(calls) == 2  # surface-3x3 (holding siso and surface-2x2) and air-mimo
+
+
 @pytest.mark.parametrize("command", [
     ["channel"], ["analyze", "--snr-db", "25"], ["pulse", "--duration-ns", "50"],
+    ["sweep", "--mode", "siso", "--distances-ft", "1,2"],
 ])
 def test_scene_commands_parse_each_yaml_file_once(tmp_path, monkeypatch, command):
     from surfmimo import presets
@@ -133,9 +147,9 @@ def test_sweep_commands_parse_presets_once_for_all_modes(tmp_path, monkeypatch, 
         monkeypatch.setattr(presets, name, counting(name))
     code = main(command + ["--mode", "all", *FAST_SWEEP, "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_OK
-    # materials.yaml for the template, the coupling constants and the preset
-    # version; the rate table once for all four modes
-    assert calls == {"load_yaml": 3, "load_mcs_table": 1}
+    # materials.yaml once for the template, the coupling constants and the
+    # preset version; the rate table once for all four modes
+    assert calls == {"load_yaml": 1, "load_mcs_table": 1}
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):

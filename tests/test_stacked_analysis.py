@@ -32,6 +32,7 @@ from surfmimo.io import sweep_result_set
 from surfmimo.mimo import (
     LinkResult,
     capacity,
+    condition_and_zf,
     condition_number,
     effective_snr,
     map_rate,
@@ -172,6 +173,34 @@ def test_stack_with_one_singular_matrix_is_not_separable():
     stack[4] = 0.0
     with pytest.raises(UndefinedConditionError):
         condition_number(stack)
+    # one column: its one singular value |h| is singular exactly when the
+    # column is all zero, and tiny entries underflow to an SNR of 0, not a raise
+    column = stack[:, :, :1].copy()
+    with pytest.raises(StreamSeparationError):
+        zf_stream_snrs(column, 10.0)
+    column[:] = 1e-200
+    np.testing.assert_array_equal(zf_stream_snrs(column, 10.0), np.zeros((6, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 4),
+       n_tx=st.integers(1, 4), f=st.integers(1, 5), rank_deficient=st.booleans())
+def test_condition_and_zf_from_one_svd_match_the_separate_calls(seed, n_rx, n_tx, f,
+                                                                rank_deficient):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((f, n_rx, n_tx)) + 1j * rng.standard_normal((f, n_rx, n_tx))
+    if rank_deficient and n_tx > 1:
+        stack[f // 2, :, 1] = stack[f // 2, :, 0]
+    kappa, snrs = condition_and_zf(stack, 50.0)
+    # with and without singular vectors LAPACK takes different paths
+    np.testing.assert_allclose(kappa, condition_number(stack), rtol=1e-12)
+    try:
+        want = zf_stream_snrs(stack, 50.0)
+    except StreamSeparationError:
+        assert snrs is None
+    else:
+        # one column: the SVD form against the closed form, to rounding
+        np.testing.assert_allclose(snrs, want, rtol=0 if n_tx > 1 else 1e-14)
 
 
 def _reference_analyze(matrices, st_: LinkSettings):
@@ -205,24 +234,34 @@ def _reference_analyze(matrices, st_: LinkSettings):
             best, skipped)
 
 
-def test_analyze_link_matches_per_subcarrier_loop():
+@pytest.mark.parametrize("parallel", [True, False],
+                         ids=["parallel-columns", "well-conditioned"])
+def test_analyze_link_matches_per_subcarrier_loop(parallel):
     rng = np.random.default_rng(11)
     band = FrequencyBand(2.437e9, 40e6)
-    entries = rng.standard_normal((12, 3, 3)) + 1j * rng.standard_normal((12, 3, 3))
-    entries[5, :, 1] = entries[5, :, 0]  # columns 0 and 1 parallel at one subcarrier
+    if parallel:
+        entries = rng.standard_normal((12, 3, 3)) + 1j * rng.standard_normal((12, 3, 3))
+        entries[5, :, 1] = entries[5, :, 0]  # columns 0 and 1 parallel at one subcarrier
+    else:
+        entries = np.stack([_conditioned(rng, 3, 3, 10.0 ** rng.uniform(0.5, 2.0))
+                            for _ in range(12)])
     ports = (CONTACT,) * 3
     matrices = [ChannelMatrix(e, band, ports, ports) for e in entries]
-    st_ = LinkSettings(band=band, snr_db=22.0)
+    st_ = LinkSettings(band=band, snr_db=22.0 if parallel else 60.0)
 
     cap, cond, (rate, snrs, columns), skipped = _reference_analyze(matrices, st_)
-    assert skipped == [(0, 1), (0, 1, 2)]
+    assert skipped == ([(0, 1), (0, 1, 2)] if parallel else [])
     got = analyze_link(matrices, st_)
     assert rate > 0
     assert got.phy_rate_bps == rate
     assert got.tx_columns == columns
     np.testing.assert_allclose(got.stream_snrs_db, snrs, rtol=1e-9)
     assert got.capacity_bps == pytest.approx(cap, rel=1e-9)
-    assert math.isinf(got.condition_number) and math.isinf(cond)
+    if parallel:
+        assert math.isinf(got.condition_number) and math.isinf(cond)
+    else:
+        assert math.isfinite(cond)
+        assert got.condition_number == pytest.approx(cond, rel=1e-12)
 
 
 def test_dead_link_has_no_columns_in_sweep_csv():

@@ -4,7 +4,9 @@ The sweep runners stack the receive ports of every distance against the
 shared transmit ports in one synthesis and send whichever side has fewer
 contact rows through the FFT.  Each distance must agree with the same
 distance synthesized alone (the per-distance engine) to 1e-12 relative, and
-its link analysis must pick the same rate, stream count and columns.
+its link analysis must pick the same rate, stream count and columns.  A
+multi-mode sweep reads a mode whose ports another mode holds as slices of
+that mode's stack; each mode must match the same mode swept alone.
 """
 
 import math
@@ -27,6 +29,7 @@ from surfmimo.experiments import (
     build_link_scene,
     default_distances_m,
     default_template,
+    multi_mode_sweep,
     run_link,
     throughput_sweep,
 )
@@ -70,6 +73,52 @@ def test_stacked_sweep_matches_each_distance_alone(mode):
 def test_stacked_sweep_matches_random_distance_sets(mode, feet, grid, tones):
     _check_against_single_distances(mode, [f * FOOT_M for f in feet],
                                     LinkSettings(grid=grid, n_subcarriers=tones))
+
+
+def _check_modes_against_each_alone(distances, st_):
+    together = multi_mode_sweep(default_template(), distances, SWEEP_MODES, st_)
+    assert list(together) == list(SWEEP_MODES)
+    for mode in SWEEP_MODES:
+        alone = throughput_sweep(default_template(), distances, mode, st_)
+        assert [d for d, _ in together[mode]] == [d for d, _ in alone]
+        for (_, got), (_, want) in zip(together[mode], alone):
+            assert got.phy_rate_bps == want.phy_rate_bps
+            assert got.tx_columns == want.tx_columns
+            assert len(got.stream_snrs_db) == len(want.stream_snrs_db)  # n_streams
+            assert got.mode == want.mode
+            np.testing.assert_allclose(
+                [got.capacity_bps, got.condition_number, *got.stream_snrs_db],
+                [want.capacity_bps, want.condition_number, *want.stream_snrs_db],
+                rtol=RTOL)
+
+
+def test_all_modes_match_each_mode_swept_alone():
+    _check_modes_against_each_alone(default_distances_m(), LinkSettings(grid=16, n_subcarriers=8))
+
+
+@settings(max_examples=10, deadline=None)
+@given(feet=st.lists(st.floats(1.0, 16.0), min_size=1, max_size=5),
+       grid=st.integers(4, 24), tones=st.integers(1, 6))
+def test_all_modes_match_each_mode_alone_at_random_distance_sets(feet, grid, tones):
+    _check_modes_against_each_alone([f * FOOT_M for f in feet],
+                                    LinkSettings(grid=grid, n_subcarriers=tones))
+
+
+def test_modes_held_by_another_mode_are_not_synthesized(monkeypatch):
+    calls = []
+    synthesize = channel._synthesize
+    monkeypatch.setattr(channel, "_synthesize",
+                        lambda *args: calls.append(len(args[4])) or synthesize(*args))
+    distances = (FOOT_M, 2 * FOOT_M)
+    # siso and surface-2x2 are slices of surface-3x3; air-mimo has its own antenna
+    assert list(multi_mode_sweep(distances_m=distances, settings=FAST)) == list(SWEEP_MODES)
+    assert calls == [2 * 3, 2 * 2]  # surface-3x3, then air-mimo
+    calls.clear()
+    multi_mode_sweep(distances_m=distances, modes=(MODE_2X2, "air-mimo"), settings=FAST)
+    assert calls == [2 * 2, 2 * 2]
+    calls.clear()
+    assert multi_mode_sweep(distances_m=(), settings=FAST) == {m: [] for m in SWEEP_MODES}
+    assert calls == []
 
 
 def test_sweep_synthesizes_once_per_mode(monkeypatch):
