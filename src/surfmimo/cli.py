@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import io as rio
 from . import presets
-from .channel import ChannelParams, subcarrier_count
+from .channel import ChannelParams, csi
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import (
     FOOT_M,
@@ -25,13 +26,14 @@ from .experiments import (
     SharingPair,
     _resolved,
     aggregate_sweep,
+    aggregate_template,
     aggregation_plan,
     analyze_link,
     default_template,
+    multi_mode_separation_sweep,
     multi_mode_sweep,
     pulse_profile,
     radiation_benchmark,
-    separation_sweep,
     share_sim,
     share_template,
 )
@@ -78,105 +80,63 @@ def _load_scene_config(ref: str) -> rio.ScenarioConfig:
     return rio.load_config(presets.scene_path(ref))
 
 
-def _scene_metadata(cfg: rio.ScenarioConfig, command: str, seed) -> dict:
-    from . import __version__
-
-    return {
-        "tool_version": __version__,
-        "preset_version": cfg.preset_version,
-        "config_hash": rio.config_hash(cfg),
-        "seed": cfg.seed if seed is None else seed,
-        "command": command,
-    }
-
-
-def _param_metadata(command: str, seed: int, params: dict, preset_version=None) -> dict:
-    """Metadata of a flag-driven command; preset_version, when the command
-    already parsed the presets, spares a parse of materials.yaml."""
-    from . import __version__
-
-    return {
-        "tool_version": __version__,
-        "preset_version": presets.preset_version() if preset_version is None else preset_version,
-        "config_hash": rio.parameter_hash({"command": command, "seed": seed, **params}),
-        "seed": seed,
-        "command": command,
-    }
-
-
-def _emit(rs, args, kind: str) -> int:
-    rio.write_results(rs, args.out)
-    print(f"wrote {args.out} ({len(rs.rows)} rows)")
-    if getattr(args, "plot_script", None):
-        rio.write_plot_script(kind, args.out, args.plot_script)
-        print(f"wrote {args.plot_script}")
-    return EXIT_OK
+def _seed(args, cfg=None) -> int:
+    """--seed when given, else the scene config's seed, else DEFAULT_SEED."""
+    if args.seed is not None:
+        return args.seed
+    return rio.DEFAULT_SEED if cfg is None else cfg.seed
 
 
 def _sweep_settings(args) -> tuple:
-    """(template, settings, hash params, preset version) resolved from
-    --scene or the sweep-style flags, from one parse of materials.yaml.  The
-    settings carry the parsed coupling constants and rate table, so the
-    sweeps of every mode share them.  The hash params name the scene config
-    by its config_hash and the subcarrier count the run resolves to."""
-    scene_hash = None
+    """(template, settings, preset version, seed) from --scene or the
+    sweep-style flags, with materials.yaml parsed once.  The settings carry
+    the parsed coupling constants and rate table, so the sweeps of every
+    mode share them."""
+    cfg = None
     if args.scene:
         cfg = _load_scene_config(args.scene)
-        template = cfg.template()
-        settings = cfg.settings()
-        scene_hash = rio.config_hash(cfg)
-        version = cfg.preset_version
+        template, settings, version = cfg.template(), cfg.settings(), cfg.preset_version
     else:
         shipped = presets.load_presets()
         template = default_template(shipped.material(args.material))
         settings = LinkSettings(params=ChannelParams(coupling=shipped.coupling))
         version = shipped.version
-    overrides = {}
-    if args.tx_power_dbm is not None:
-        overrides["tx_power_dbm"] = args.tx_power_dbm
-    if args.snr_db is not None:
-        overrides["snr_db"] = args.snr_db
-    if args.grid is not None:
-        overrides["grid"] = args.grid
-    if args.subcarriers is not None:
-        overrides["n_subcarriers"] = args.subcarriers
-    if overrides:
-        from dataclasses import replace
+    overrides = {"tx_power_dbm": args.tx_power_dbm, "snr_db": args.snr_db,
+                 "grid": args.grid, "n_subcarriers": args.subcarriers}
+    settings = replace(settings, **{k: v for k, v in overrides.items() if v is not None})
+    return template, _resolved(settings), version, _seed(args, cfg)
 
-        settings = replace(settings, **overrides)
-    settings = _resolved(settings)
-    return template, settings, {
-        "material": template.surface.material.name, "scene": scene_hash,
-        "n_subcarriers": subcarrier_count(settings.band, settings.n_subcarriers),
-        "tx_power_dbm": settings.tx_power_dbm, "snr_db": settings.snr_db,
-        "grid": settings.grid,
-    }, version
+
+def _shipped_settings(shipped) -> LinkSettings:
+    """Default link settings with the coupling constants of the parsed
+    presets and the whole shipped rate table, for runs over several bands."""
+    return LinkSettings(params=ChannelParams(coupling=shipped.coupling),
+                        mcs_table=presets.load_mcs_table())
 
 
 # --- subcommand bodies ----------------------------------------------------------
+#
+# Each body resolves its inputs once into the exact arguments it passes to the
+# library, runs it, and returns (inputs, rows, preset version, seed); main
+# writes the rows with provenance whose config_hash is the hash of those inputs.
 
 
-def _cmd_channel(args) -> int:
+def _cmd_channel(args) -> tuple:
     cfg = _load_scene_config(args.scene)
     settings = cfg.settings()
-    from .channel import csi
-
-    matrices = csi(cfg.scene, cfg.band, settings.n_subcarriers, settings.grid,
-                   settings.params)
-    rs = rio.channel_result_set(matrices, _scene_metadata(cfg, "channel", args.seed))
-    return _emit(rs, args, "channel")
+    inputs = {"scene": cfg.scene, "band": cfg.band, "n_subcarriers": settings.n_subcarriers,
+              "grid": settings.grid, "params": settings.params}
+    return inputs, rio.channel_result_set(csi(**inputs)), cfg.preset_version, _seed(args, cfg)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple:
     cfg = _load_scene_config(args.scene)
     settings = cfg.settings()
     if args.snr_db is not None:
-        from dataclasses import replace
-
         settings = replace(settings, snr_db=args.snr_db)
-    from .channel import csi
-
-    matrices = csi(cfg.scene, cfg.band, settings.n_subcarriers, settings.grid,
+    settings = _resolved(settings)
+    inputs = {"scene": cfg.scene, "settings": settings}
+    matrices = csi(cfg.scene, settings.band, settings.n_subcarriers, settings.grid,
                    settings.params)
     result = analyze_link(matrices, settings)
     print(
@@ -184,38 +144,34 @@ def _cmd_analyze(args) -> int:
         f"condition {result.condition_number:.3g}, "
         f"phy rate {result.phy_rate_bps / 1e6:.1f} Mbps"
     )
-    rs = rio.analyze_result_set(matrices, settings.snr_linear(),
-                                _scene_metadata(cfg, "analyze", args.seed))
-    return _emit(rs, args, "analyze")
+    rs = rio.analyze_result_set(matrices, settings.snr_linear())
+    return inputs, rs, cfg.preset_version, _seed(args, cfg)
 
 
-def _cmd_sweep(args) -> int:
-    template, settings, hashed, version = _sweep_settings(args)
-    distances = [d * FOOT_M for d in _parse_float_list(args.distances_ft, "--distances-ft")]
-    modes = list(SWEEP_MODES) if args.mode == "all" else [args.mode]
-    rows_by_mode = multi_mode_sweep(template, distances, modes, settings)
-    meta = _param_metadata("sweep", args.seed, {
-        **hashed, "distances_ft": args.distances_ft, "modes": modes,
-    }, version)
-    rs = rio.sweep_result_set(rows_by_mode, settings.mac_efficiency, meta)
-    return _emit(rs, args, "sweep")
+def _modes(args) -> tuple:
+    return SWEEP_MODES if args.mode == "all" else (args.mode,)
 
 
-def _cmd_separation(args) -> int:
-    template, settings, hashed, version = _sweep_settings(args)
-    seps = [s / 100.0 for s in _parse_float_list(args.separations_cm, "--separations-cm")]
-    modes = list(SWEEP_MODES) if args.mode == "all" else [args.mode]
-    rows_by_mode = {
-        mode: separation_sweep(template, seps, mode, settings) for mode in modes
-    }
-    meta = _param_metadata("separation", args.seed, {
-        **hashed, "separations_cm": args.separations_cm, "modes": modes,
-    }, version)
-    rs = rio.separation_result_set(rows_by_mode, settings.mac_efficiency, meta)
-    return _emit(rs, args, "separation")
+def _cmd_sweep(args) -> tuple:
+    template, settings, version, seed = _sweep_settings(args)
+    feet = _parse_float_list(args.distances_ft, "--distances-ft")
+    inputs = {"template": template, "distances_m": tuple(d * FOOT_M for d in feet),
+              "modes": _modes(args), "settings": settings}
+    rs = rio.sweep_result_set(multi_mode_sweep(**inputs), settings.mac_efficiency)
+    return inputs, rs, version, seed
 
 
-def _cmd_pulse(args) -> int:
+def _cmd_separation(args) -> tuple:
+    template, settings, version, seed = _sweep_settings(args)
+    cm = _parse_float_list(args.separations_cm, "--separations-cm")
+    inputs = {"template": template, "separations_m": tuple(s / 100.0 for s in cm),
+              "modes": _modes(args), "settings": settings}
+    rs = rio.separation_result_set(multi_mode_separation_sweep(**inputs),
+                                   settings.mac_efficiency)
+    return inputs, rs, version, seed
+
+
+def _cmd_pulse(args) -> tuple:
     cfg = _load_scene_config(args.scene)
     tx = cfg.scene.transmitters()[0]
     rx = cfg.scene.receivers()[0]
@@ -227,60 +183,46 @@ def _cmd_pulse(args) -> int:
             f"port index out of range: tx has {len(tx.ports)}, rx has {len(rx.ports)}"
         ]) from exc
     settings = cfg.settings()
-    profile = pulse_profile(
-        cfg.scene, tx_port, rx_port, band=cfg.band,
-        sample_rate_hz=args.sample_rate_ghz * 1e9,
-        duration_s=None if args.duration_ns is None else args.duration_ns * 1e-9,
-        grid=settings.grid, params=settings.params,
-    )
-    meta = _scene_metadata(cfg, "pulse", args.seed)
-    rs = rio.pulse_result_set(profile, meta)
-    return _emit(rs, args, "pulse")
+    inputs = {
+        "scene": cfg.scene, "tx_port": tx_port, "rx_port": rx_port, "band": cfg.band,
+        "sample_rate_hz": args.sample_rate_ghz * 1e9,
+        "duration_s": None if args.duration_ns is None else args.duration_ns * 1e-9,
+        "grid": settings.grid, "params": settings.params,
+    }
+    rs = rio.pulse_result_set(pulse_profile(**inputs))
+    return inputs, rs, cfg.preset_version, _seed(args, cfg)
 
 
-def _cmd_aggregate(args) -> int:
-    plan = aggregation_plan(no_dfs=args.no_dfs)
-    distances = [d * FOOT_M for d in _parse_float_list(args.distances_ft, "--distances-ft")]
-    settings = LinkSettings()
+def _cmd_aggregate(args) -> tuple:
+    shipped = presets.load_presets()
+    settings = _shipped_settings(shipped)
     if args.tx_power_dbm is not None:
-        from dataclasses import replace
-
         settings = replace(settings, tx_power_dbm=args.tx_power_dbm)
-    template = None
-    if args.material != "spraypaint":
-        from .experiments import aggregate_template
-
-        template = aggregate_template(args.material)
-    rows = aggregate_sweep(plan, distances, template, settings)
-    meta = _param_metadata("aggregate", args.seed, {
-        "plan": plan.name, "material": args.material,
-        "distances_ft": args.distances_ft, "tx_power_dbm": settings.tx_power_dbm,
-    })
-    meta["plan"] = plan.name
-    meta["total_bandwidth_mhz"] = repr(plan.total_bandwidth_hz / 1e6)
-    rs = rio.aggregate_result_set(rows, plan, meta)
-    return _emit(rs, args, "aggregate")
+    feet = _parse_float_list(args.distances_ft, "--distances-ft")
+    inputs = {"plan": aggregation_plan(no_dfs=args.no_dfs),
+              "distances_m": tuple(d * FOOT_M for d in feet),
+              "template": aggregate_template(shipped.material(args.material)),
+              "settings": settings}
+    rs = rio.aggregate_result_set(aggregate_sweep(**inputs), inputs["plan"])
+    return inputs, rs, shipped.version, _seed(args)
 
 
-def _cmd_radiation(args) -> int:
-    profile = RadiationProfile(args.front_db, args.back_db)
-    samples = radiation_benchmark(profile, tx_power_dbm=args.tx_power_dbm)
-    meta = _param_metadata("radiation", args.seed, {
-        "front_db": args.front_db, "back_db": args.back_db,
-        "tx_power_dbm": args.tx_power_dbm,
-    })
-    rs = rio.radiation_result_set(samples, meta)
-    return _emit(rs, args, "radiation")
+def _cmd_radiation(args) -> tuple:
+    inputs = {"profile": RadiationProfile(args.front_db, args.back_db),
+              "tx_power_dbm": args.tx_power_dbm}
+    rs = rio.radiation_result_set(radiation_benchmark(**inputs))
+    return inputs, rs, presets.preset_version(), _seed(args)
 
 
-def _cmd_share(args) -> int:
+def _cmd_share(args) -> tuple:
     channels = [int(c) for c in _parse_float_list(args.channels, "--channels")]
     solo = None
     if args.solo_rate_mbps:
         solo = _parse_float_list(args.solo_rate_mbps, "--solo-rate-mbps")
         if len(solo) != len(channels):
             raise ConfigError(["--solo-rate-mbps needs one value per channel"])
-    template = share_template(args.material)
+    shipped = presets.load_presets()
+    template = share_template(shipped.material(args.material))
     surface = template.surface
     n = len(channels)
     pairs = []
@@ -290,15 +232,11 @@ def _cmd_share(args) -> int:
             client=(0.3, y), ap=(surface.width_m - 0.3, y), channel=ch,
             solo_rate_bps=None if solo is None else solo[i] * 1e6,
         ))
-    config = SharingConfig(tuple(pairs), ambient_busy_fraction=args.busy)
-    results = share_sim(config, args.slots, template, seed=args.seed)
-    meta = _param_metadata("share", args.seed, {
-        "channels": channels, "busy": args.busy, "slots": args.slots,
-        "material": args.material,
-        "solo_rate_mbps": None if solo is None else solo,
-    })
-    rs = rio.share_result_set(results, meta)
-    return _emit(rs, args, "share")
+    seed = _seed(args)
+    inputs = {"config": SharingConfig(tuple(pairs), ambient_busy_fraction=args.busy),
+              "n_slots": args.slots, "template": template,
+              "settings": _shipped_settings(shipped), "seed": seed}
+    return inputs, rio.share_result_set(share_sim(**inputs)), shipped.version, seed
 
 
 # --- parser -----------------------------------------------------------------------
@@ -307,8 +245,10 @@ def _cmd_share(args) -> int:
 def _add_common(sp, scene_default=None):
     sp.add_argument("--scene", default=scene_default,
                     help="scenario config path or shipped scene preset name")
-    sp.add_argument("--seed", type=int, default=rio.DEFAULT_SEED,
-                    help="random seed recorded in output metadata")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of share's contention draws, recorded in output "
+                         "metadata (default: the scene config's seed, else "
+                         f"{rio.DEFAULT_SEED})")
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.add_argument("--plot-script", default=None,
                     help="also emit a matplotlib script rendering the CSV")
@@ -400,7 +340,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        from . import __version__
+
+        inputs, rs, preset_version, seed = args.func(args)
+        rs = replace(rs, metadata={
+            **rs.metadata, "tool_version": __version__, "preset_version": preset_version,
+            "config_hash": rio.config_hash({"command": args.command, **inputs}),
+            "seed": seed, "command": args.command,
+        })
+        rio.write_results(rs, args.out)
+        print(f"wrote {args.out} ({len(rs.rows)} rows)")
+        if args.plot_script:
+            rio.write_plot_script(args.command, args.out, args.plot_script)
+            print(f"wrote {args.plot_script}")
+        return EXIT_OK
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

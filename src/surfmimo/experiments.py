@@ -19,7 +19,8 @@ and analyzes each distance's ``(F, n_rx, n_tx)`` slice of that array; no
 per-subcarrier matrix objects are built.  A sweep over several modes
 (``multi_mode_sweep``) synthesizes only the modes whose ports no other
 mode of the sweep holds and reads the rest as index slices of those
-stacks: ``--mode all`` is two engine passes, surface-3x3 and air-mimo.
+stacks: ``--mode all`` is two engine passes, surface-3x3 and air-mimo, and
+two per separation in ``multi_mode_separation_sweep``.
 """
 
 from __future__ import annotations
@@ -127,6 +128,16 @@ class SceneTemplate:
         return self.tx_x_m, y
 
 
+def _strip(length_ft: float, material) -> SceneTemplate:
+    """A length_ft x 2 ft surface of a material, given as its parameters or
+    by preset name or path."""
+    if isinstance(material, str):
+        from . import presets
+
+        material = presets.load_material(material)
+    return SceneTemplate(SurfaceSpec(length_ft * FOOT_M, 2.0 * FOOT_M, material))
+
+
 def default_template(material="spraypaint") -> SceneTemplate:
     """A 17.5 ft x 2 ft surface of a material, given as its parameters or by
     preset name or path.
@@ -136,11 +147,7 @@ def default_template(material="spraypaint") -> SceneTemplate:
     to decorrelate across a 40 MHz band, which is what makes frequency
     diversity keep growing out to the last sweep point.
     """
-    if isinstance(material, str):
-        from . import presets
-
-        material = presets.load_material(material)
-    return SceneTemplate(SurfaceSpec(17.5 * FOOT_M, 2.0 * FOOT_M, material))
+    return _strip(17.5, material)
 
 
 def build_link_scene(template: SceneTemplate, distance_m: float, mode: str,
@@ -276,15 +283,17 @@ def _resolved(settings: LinkSettings) -> LinkSettings:
                    mcs_table=settings.rate_table())
 
 
-def _tables_by_bandwidth(bandwidths_hz) -> dict:
-    """Rows of the shipped MCS table for each bandwidth, from one parse."""
-    from . import presets
-
+def _tables_by_bandwidth(bandwidths_hz, table: McsTable | None = None) -> dict:
+    """Rows of the rate table for each bandwidth: of table when it is set,
+    else of one parse of the shipped MCS table."""
     bandwidths_hz = set(bandwidths_hz)
     if not bandwidths_hz:
         return {}
-    full = presets.load_mcs_table()
-    return {bw: full.for_bandwidth(bw / 1e6) for bw in bandwidths_hz}
+    if table is None:
+        from . import presets
+
+        table = presets.load_mcs_table()
+    return {bw: table.for_bandwidth(bw / 1e6) for bw in bandwidths_hz}
 
 
 def throughput_sweep(template: SceneTemplate | None = None, distances_m=None,
@@ -354,29 +363,47 @@ def separation_sweep(template: SceneTemplate | None = None,
     condition number, mean pooled stream SNR.  Returns
     [(separation_m, LinkResult), ...].
     """
+    return multi_mode_separation_sweep(template, separations_m, (mode,), settings,
+                                       distances_m)[mode]
+
+
+def multi_mode_separation_sweep(template: SceneTemplate | None = None,
+                                separations_m=(0.01, 0.03, 0.06), modes=(MODE_2X2,),
+                                settings: LinkSettings | None = None,
+                                distances_m=None) -> dict:
+    """separation_sweep of several modes: {mode: [(separation_m, LinkResult),
+    ...]} in the order of modes.
+
+    At each separation, the modes whose separation is the antenna height
+    (siso and the surface modes) are one multi_mode_sweep, and air-mimo,
+    whose separation is its element spacing, is another, so all four modes
+    take two engine passes per separation."""
     settings = _resolved(settings or LinkSettings())
-    out = []
+    groups = {"antenna_height_m": tuple(m for m in modes if m != MODE_AIR_MIMO),
+              "air_antenna_spacing_m": tuple(m for m in modes if m == MODE_AIR_MIMO)}
+    out = {mode: [] for mode in modes}
     for sep in separations_m:
-        if mode == MODE_AIR_MIMO:
-            s = replace(settings, air_antenna_spacing_m=float(sep))
-        else:
-            s = replace(settings, antenna_height_m=float(sep))
-        rows = throughput_sweep(template, distances_m, mode, s)
-        rates = [r.phy_rate_bps for _, r in rows]
-        caps = [r.capacity_bps for _, r in rows]
-        conds = [r.condition_number for _, r in rows]
-        snr_means = [float(np.mean(r.stream_snrs_db)) for _, r in rows]
-        out.append((
-            float(sep),
-            LinkResult(
-                capacity_bps=float(np.mean(caps)),
-                condition_number=float(np.max(conds)),
-                stream_snrs_db=(float(np.mean(snr_means)),),
-                phy_rate_bps=float(np.mean(rates)),
-                mode=rows[0][1].mode,
-            ),
-        ))
+        rows = {}
+        for knob, group in groups.items():
+            if group:
+                rows.update(multi_mode_sweep(template, distances_m, group,
+                                             replace(settings, **{knob: float(sep)})))
+        for mode in out:
+            out[mode].append((float(sep), _sweep_summary(rows[mode])))
     return out
+
+
+def _sweep_summary(rows) -> LinkResult:
+    """One distance sweep's rows as one LinkResult: mean rate and capacity,
+    worst condition number, mean of each distance's mean stream SNR."""
+    return LinkResult(
+        capacity_bps=float(np.mean([r.capacity_bps for _, r in rows])),
+        condition_number=float(np.max([r.condition_number for _, r in rows])),
+        stream_snrs_db=(float(np.mean([float(np.mean(r.stream_snrs_db))
+                                       for _, r in rows])),),
+        phy_rate_bps=float(np.mean([r.phy_rate_bps for _, r in rows])),
+        mode=rows[0][1].mode,
+    )
 
 
 # --- pulse profiling -----------------------------------------------------------
@@ -512,12 +539,10 @@ class ChainResult:
     phy_rate_bps: float
 
 
-def aggregate_template(material_name: str = "spraypaint") -> SceneTemplate:
-    """A 10 ft x 2 ft strip for the aggregation experiments."""
-    from . import presets
-
-    material = presets.load_material(material_name)
-    return SceneTemplate(SurfaceSpec(10.0 * FOOT_M, 2.0 * FOOT_M, material))
+def aggregate_template(material="spraypaint") -> SceneTemplate:
+    """A 10 ft x 2 ft strip for the aggregation experiments, of a material
+    given as its parameters or by preset name or path."""
+    return _strip(10.0, material)
 
 
 def aggregate_capacity(plan: AggregationPlan, distance_m: float,
@@ -561,15 +586,17 @@ def aggregate_sweep(plan: AggregationPlan, distances_m=None,
                     settings: LinkSettings | None = None):
     """aggregate_capacity across distances (default 1-9 ft on the 10 ft strip).
 
-    The template, the coupling constants and one shipped MCS table per chain
-    bandwidth are resolved once for the whole sweep, and each chain takes
-    one channel-engine pass over all distances."""
+    The template, the coupling constants and each chain bandwidth's rows of
+    the rate table (settings.mcs_table when set, else the shipped table) are
+    resolved once for the whole sweep, and each chain takes one
+    channel-engine pass over all distances."""
     if distances_m is None:
         distances_m = tuple(i * FOOT_M for i in range(1, 10))
     template = template or aggregate_template()
     settings = settings or LinkSettings()
     settings = replace(settings, params=settings.channel_params())
-    tables = _tables_by_bandwidth(c.band.bandwidth_hz for c in plan.chains)
+    tables = _tables_by_bandwidth((c.band.bandwidth_hz for c in plan.chains),
+                                  settings.mcs_table)
     scenes = []
     for d in distances_m:
         scene = build_link_scene(template, d, MODE_2X2, settings)
@@ -693,11 +720,9 @@ class ShareResult:
     throughput_bps: float
 
 
-def share_template(material_name: str = "spraypaint") -> SceneTemplate:
-    from . import presets
-
-    material = presets.load_material(material_name)
-    return SceneTemplate(SurfaceSpec(4.0 * FOOT_M, 2.0 * FOOT_M, material))
+def share_template(material="spraypaint") -> SceneTemplate:
+    """A 4 ft x 2 ft surface shared by client/AP pairs."""
+    return _strip(4.0, material)
 
 
 def _solo_rate(pair: SharingPair, template: SceneTemplate,
@@ -726,16 +751,19 @@ def share_sim(config: SharingConfig, n_slots: int,
     backoffs make ties a measure-zero event, so two symmetric contenders
     split airtime exactly in half in expectation.  Each channel consumes its
     own seeded generator, so activity on one channel never perturbs another.
-    Returns [ShareResult, ...] in pair order.
+    A pair with no solo rate takes its bandwidth's rows of settings.mcs_table
+    when that is set, else of the shipped table.  Returns [ShareResult, ...]
+    in pair order.
     """
     if n_slots <= 0:
         raise DomainError(f"n_slots must be positive, got {n_slots}")
     template = template or share_template()
     settings = settings or LinkSettings()
     unknown = [p for p in config.pairs if p.solo_rate_bps is None]
-    if unknown:  # coupling and rate tables parsed once, only when needed
+    if unknown:  # coupling parsed once, only when needed
         settings = replace(settings, params=settings.channel_params())
-    tables = _tables_by_bandwidth(p.band.bandwidth_hz for p in unknown)
+    tables = _tables_by_bandwidth((p.band.bandwidth_hz for p in unknown),
+                                  settings.mcs_table)
     solo = [_solo_rate(p, template, settings, tables) for p in config.pairs]
 
     by_channel: dict = {}

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -282,28 +282,9 @@ def parse_config(text) -> "ScenarioConfig":
     if col.problems:
         raise ConfigError(col.problems)
 
-    normalized = {
-        "name": name,
-        "surface": {"material": material_ref, "width_m": surface.width_m,
-                    "height_m": surface.height_m},
-        "band": {"center_hz": band.center_hz, "bandwidth_hz": band.bandwidth_hz,
-                 "band_id": band.band_id},
-        "nodes": [
-            {"id": n.id, "role": n.role, "contacts": [list(c) for c in n.contacts],
-             "antennas": [list(a) for a in n.antennas]}
-            for n in nodes
-        ],
-        "obstacles": [
-            {"x_min": o.x_min, "y_min": o.y_min, "x_max": o.x_max, "y_max": o.y_max,
-             "kind": o.kind, "perturbation_db": o.perturbation_db}
-            for o in obstacles
-        ],
-        "analysis": analysis,
-        "seed": seed,
-    }
     return ScenarioConfig(name=name, scene=scene, band=band, seed=seed,
-                          analysis=analysis, normalized=normalized,
-                          coupling=shipped.coupling, preset_version=shipped.version)
+                          analysis=analysis, coupling=shipped.coupling,
+                          preset_version=shipped.version)
 
 
 def load_config(path) -> "ScenarioConfig":
@@ -329,7 +310,6 @@ class ScenarioConfig:
     band: FrequencyBand
     seed: int
     analysis: dict
-    normalized: dict
     coupling: CouplingConstants
     preset_version: str
 
@@ -373,31 +353,39 @@ class ScenarioConfig:
         return SceneTemplate(self.scene.surface, tx_x_m=pos[0], link_y_m=pos[1])
 
 
-def config_hash(config: ScenarioConfig) -> str:
-    """Hash of everything that shapes the output: the normalized config, the
-    preset files it pulls in, and the tool version."""
+def config_hash(value) -> str:
+    """16 hex digits of SHA-256 over a canonical JSON of value, then the tool
+    version.  A command hashes ``{"command": name, **inputs}``, where inputs
+    are the exact arguments it passed to the library.  A ScenarioConfig
+    hashes as the dataclass it is: its resolved scene, band, coupling and
+    analysis knobs, where an MCS table is named by its path (a command that
+    reads the table hashes the parsed rows in its settings).
+
+    Dataclasses go in as their type name and fields, dicts (str keys) with
+    their keys sorted, tuples and lists as arrays, floats by repr.  Any
+    other type raises TypeError, so no hash can depend on an object's
+    identity or on iteration order."""
     from . import __version__
 
-    h = hashlib.sha256()
-    h.update(json.dumps(config.normalized, sort_keys=True,
-                        separators=(",", ":")).encode())
-    h.update(presets.materials_bytes(config.normalized["surface"]["material"]))
-    h.update(presets.mcs_bytes(config.analysis.get("mcs_table")))
-    h.update(__version__.encode())
-    return h.hexdigest()[:16]
+    text = json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256((text + __version__).encode()).hexdigest()[:16]
 
 
-def parameter_hash(params: dict) -> str:
-    """config_hash equivalent for runs driven by flags instead of a config file."""
-    from . import __version__
-
-    h = hashlib.sha256()
-    h.update(json.dumps(params, sort_keys=True, separators=(",", ":"),
-                        default=str).encode())
-    h.update(presets.materials_bytes(None))
-    h.update(presets.mcs_bytes(None))
-    h.update(__version__.encode())
-    return h.hexdigest()[:16]
+def _canonical(v):
+    """v as JSON data; only dataclasses and dicts become JSON objects, each
+    tagged with its own key, so the two can never read alike."""
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v  # json writes a float by its repr (NaN and Infinity included)
+    if isinstance(v, (tuple, list)):
+        return [_canonical(x) for x in v]
+    if isinstance(v, dict):
+        if not all(isinstance(k, str) for k in v):
+            raise TypeError(f"config_hash: dict keys must be str, got {list(v)!r}")
+        return {"dict": {k: _canonical(x) for k, x in v.items()}}
+    if is_dataclass(v) and not isinstance(v, type):
+        return {"dataclass": type(v).__name__,
+                "fields": {f.name: _canonical(getattr(v, f.name)) for f in fields(v)}}
+    raise TypeError(f"config_hash cannot hash a {type(v).__name__}")
 
 
 # --- result sets ------------------------------------------------------------------
@@ -601,7 +589,8 @@ def separation_result_set(rows_by_mode: dict, mac_efficiency: float,
 
 
 def aggregate_result_set(sweep_rows, plan, metadata=None) -> ResultSet:
-    """sweep_rows: [(distance_m, total_bps, [ChainResult, ...]), ...]."""
+    """sweep_rows: [(distance_m, total_bps, [ChainResult, ...]), ...]; the
+    metadata gains the plan name and its total bandwidth."""
     columns = ("distance_m", "label", "center_hz", "bandwidth_hz", "dfs",
                "conversion_loss_db", "esnr_db", "phy_rate_mbps")
     rows = []
@@ -611,7 +600,10 @@ def aggregate_result_set(sweep_rows, plan, metadata=None) -> ResultSet:
                          c.conversion_loss_db, c.esnr_db, c.phy_rate_bps / 1e6))
         rows.append((d, "total", None, plan.total_bandwidth_hz, False, 0.0,
                      None, total / 1e6))
-    return ResultSet(columns, rows, metadata or {})
+    meta = dict(metadata or {})
+    meta.setdefault("plan", plan.name)
+    meta.setdefault("total_bandwidth_mhz", repr(plan.total_bandwidth_hz / 1e6))
+    return ResultSet(columns, rows, meta)
 
 
 def radiation_result_set(samples, metadata=None) -> ResultSet:

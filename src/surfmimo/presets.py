@@ -179,21 +179,3 @@ def scene_path(name: str):
                            if f.name.endswith(".yaml"))
         raise PresetError(f"unknown scene preset {name!r}; available: {available}")
     return p
-
-
-def materials_bytes(ref=None) -> bytes:
-    """Raw bytes of the material preset source backing a material reference
-    (a custom file path, or the shipped file for preset names); used for
-    config hashing."""
-    if ref:
-        p = Path(str(ref))
-        if p.suffix in (".yaml", ".yml") and p.exists():
-            return p.read_bytes()
-    return (data_dir() / "materials.yaml").read_bytes()
-
-
-def mcs_bytes(path=None) -> bytes:
-    """Raw bytes of the MCS table file (shipped one by default); for hashing."""
-    if path:
-        return Path(str(path)).read_bytes()
-    return (data_dir() / "mcs_80211.csv").read_bytes()

@@ -127,10 +127,7 @@ def test_scene_commands_parse_each_yaml_file_once(tmp_path, monkeypatch, command
     assert parsed == [scene.read_text(), materials]
 
 
-@pytest.mark.parametrize("command", [
-    ["sweep", "--distances-ft", "1,2"], ["separation", "--separations-cm", "1,6"],
-])
-def test_sweep_commands_parse_presets_once_for_all_modes(tmp_path, monkeypatch, command):
+def _count_preset_parses(monkeypatch) -> dict:
     from surfmimo import presets
 
     calls = {"load_yaml": 0, "load_mcs_table": 0}
@@ -145,10 +142,32 @@ def test_sweep_commands_parse_presets_once_for_all_modes(tmp_path, monkeypatch, 
 
     for name in calls:
         monkeypatch.setattr(presets, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--distances-ft", "1,2"], ["separation", "--separations-cm", "1,6"],
+])
+def test_sweep_commands_parse_presets_once_for_all_modes(tmp_path, monkeypatch, command):
+    calls = _count_preset_parses(monkeypatch)
     code = main(command + ["--mode", "all", *FAST_SWEEP, "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_OK
     # materials.yaml once for the template, the coupling constants and the
     # preset version; the rate table once for all four modes
+    assert calls == {"load_yaml": 1, "load_mcs_table": 1}
+
+
+@pytest.mark.parametrize("command", [
+    ["aggregate", "--distances-ft", "1"],
+    ["aggregate", "--no-dfs", "--material", "cloth", "--distances-ft", "1"],
+    ["share", "--channels", "6,11", "--slots", "100"],
+    ["share", "--channels", "6,6", "--solo-rate-mbps", "100,100", "--slots", "100"],
+])
+def test_band_commands_parse_presets_once(tmp_path, monkeypatch, command):
+    calls = _count_preset_parses(monkeypatch)
+    assert main(command + ["--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    # materials.yaml once for the template, the coupling constants and the
+    # preset version; the whole rate table once for every chain or pair
     assert calls == {"load_yaml": 1, "load_mcs_table": 1}
 
 

@@ -31,7 +31,6 @@ from surfmimo.io import (
     channel_result_set,
     config_hash,
     load_config,
-    parameter_hash,
     parse_config,
     pulse_result_set,
     read_results,
@@ -292,11 +291,34 @@ def test_config_hash_stable_and_sensitive():
     assert len(a) == 16
 
 
-def test_parameter_hash_order_insensitive():
-    a = parameter_hash({"x": 1, "y": 2.0})
-    b = parameter_hash({"y": 2.0, "x": 1})
-    c = parameter_hash({"x": 1, "y": 2.5})
+def test_config_hash_of_dict_is_order_insensitive():
+    a = config_hash({"x": 1, "y": 2.0})
+    b = config_hash({"y": 2.0, "x": 1})
+    c = config_hash({"x": 1, "y": 2.5})
     assert a == b != c
+
+
+def test_config_hash_refuses_types_without_a_canonical_form():
+    for value in ({"x": object()}, {"x": {1, 2}}, {"x": np.float32(1.0)}, {1: "x"},
+                  {"x": np.array([1.0])}):
+        with pytest.raises(TypeError):
+            config_hash(value)
+
+
+def test_config_hash_tells_close_and_lookalike_values_apart():
+    from surfmimo.channel import CouplingConstants
+
+    one = config_hash({"x": 0.1})
+    assert one != config_hash({"x": math.nextafter(0.1, 1.0)})  # floats by repr
+    assert config_hash({"x": 1}) != config_hash({"x": 1.0}) != config_hash({"x": "1.0"})
+    assert config_hash({"x": True}) != config_hash({"x": 1})
+    assert config_hash({"x": None}) != config_hash({"x": "None"})
+    # a dataclass is its type name and fields, never the dict of its fields
+    c = CouplingConstants()
+    fields = {"c1": c.c1, "c2": c.c2, "c3": c.c3,
+              "near_field_coupling": c.near_field_coupling}
+    assert config_hash(c) != config_hash(fields)
+    assert config_hash(c) == config_hash(CouplingConstants())
 
 
 # --- result sets ---------------------------------------------------------------

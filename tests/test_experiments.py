@@ -1,6 +1,7 @@
 """Scenario runners: sweeps, pulses, aggregation, radiation, sharing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from surfmimo.experiments import (
     throughput_sweep,
 )
 from surfmimo.geometry import Node, Scene, SurfaceSpec
+from surfmimo.mimo import McsTable
 from surfmimo.propagation import FrequencyBand, air_gain, received_power_dbm
 
 FAST = LinkSettings(grid=8, n_subcarriers=2)
@@ -242,6 +244,29 @@ def test_aggregate_sweep_shape_and_decay():
     assert d0 == FOOT_M and len(chains0) == 7
     assert total1 <= total0
     assert total1 > 0
+
+
+def _doubled_rates(table):
+    return McsTable(tuple(replace(r, phy_rate_bps=2 * r.phy_rate_bps) for r in table.rows))
+
+
+def test_aggregate_and_share_take_rates_from_a_given_table():
+    shipped = presets.load_mcs_table()
+    doubled = _doubled_rates(shipped)
+    plan = scenario1_plan()
+    (_, total, rows), = aggregate_sweep(plan, (FOOT_M,))
+    (_, total2, rows2), = aggregate_sweep(plan, (FOOT_M,),
+                                          settings=LinkSettings(mcs_table=doubled))
+    assert total2 == 2 * total
+    assert [r.phy_rate_bps for r in rows2] == [2 * r.phy_rate_bps for r in rows]
+    assert aggregate_sweep(plan, (FOOT_M,), settings=LinkSettings(mcs_table=shipped)) == \
+        [(FOOT_M, total, rows)]
+
+    config = SharingConfig((SharingPair(client=(0.3, 0.3), ap=(0.9, 0.3), channel=6),))
+    solo = share_sim(config, 100)[0].solo_rate_bps
+    assert solo > 0
+    assert share_sim(config, 100, settings=LinkSettings(mcs_table=doubled))[0].solo_rate_bps \
+        == 2 * solo
 
 
 # --- radiation offsets ----------------------------------------------------------

@@ -6,7 +6,8 @@ contact rows through the FFT.  Each distance must agree with the same
 distance synthesized alone (the per-distance engine) to 1e-12 relative, and
 its link analysis must pick the same rate, stream count and columns.  A
 multi-mode sweep reads a mode whose ports another mode holds as slices of
-that mode's stack; each mode must match the same mode swept alone.
+that mode's stack; each mode must match the same mode swept alone, and
+so must each mode of a multi-mode separation sweep.
 """
 
 import math
@@ -23,14 +24,17 @@ from surfmimo.experiments import (
     FOOT_M,
     MODE_2X2,
     MODE_3X3,
+    MODE_AIR_MIMO,
     SWEEP_MODES,
     LinkSettings,
     _resolved,
     build_link_scene,
     default_distances_m,
     default_template,
+    multi_mode_separation_sweep,
     multi_mode_sweep,
     run_link,
+    separation_sweep,
     throughput_sweep,
 )
 from surfmimo.geometry import Node, Scene
@@ -77,9 +81,14 @@ def test_stacked_sweep_matches_random_distance_sets(mode, feet, grid, tones):
 
 def _check_modes_against_each_alone(distances, st_):
     together = multi_mode_sweep(default_template(), distances, SWEEP_MODES, st_)
-    assert list(together) == list(SWEEP_MODES)
-    for mode in SWEEP_MODES:
-        alone = throughput_sweep(default_template(), distances, mode, st_)
+    _assert_rows_match(together, {
+        mode: throughput_sweep(default_template(), distances, mode, st_)
+        for mode in SWEEP_MODES})
+
+
+def _assert_rows_match(together, alone_by_mode):
+    assert list(together) == list(alone_by_mode)
+    for mode, alone in alone_by_mode.items():
         assert [d for d, _ in together[mode]] == [d for d, _ in alone]
         for (_, got), (_, want) in zip(together[mode], alone):
             assert got.phy_rate_bps == want.phy_rate_bps
@@ -119,6 +128,33 @@ def test_modes_held_by_another_mode_are_not_synthesized(monkeypatch):
     calls.clear()
     assert multi_mode_sweep(distances_m=(), settings=FAST) == {m: [] for m in SWEEP_MODES}
     assert calls == []
+
+
+def test_separation_all_modes_match_each_mode_alone():
+    seps, distances = (0.01, 0.0625), (FOOT_M, 3 * FOOT_M, 7 * FOOT_M)
+    st_ = LinkSettings(grid=12, n_subcarriers=4)
+    together = multi_mode_separation_sweep(default_template(), seps, SWEEP_MODES, st_,
+                                           distances)
+    _assert_rows_match(together, {
+        mode: separation_sweep(default_template(), seps, mode, st_, distances)
+        for mode in SWEEP_MODES})
+    # the air baseline's separation is its element spacing, not the height
+    air = together[MODE_AIR_MIMO]
+    assert air[0][1].condition_number != air[1][1].condition_number
+
+
+def test_separation_sweep_shares_ports_at_each_separation(monkeypatch):
+    calls = []
+    synthesize = channel._synthesize
+    monkeypatch.setattr(channel, "_synthesize",
+                        lambda *args: calls.append(len(args[4])) or synthesize(*args))
+    distances = (FOOT_M, 2 * FOOT_M)
+    rows = multi_mode_separation_sweep(separations_m=(0.01, 0.03, 0.06), modes=SWEEP_MODES,
+                                       settings=FAST, distances_m=distances)
+    assert list(rows) == list(SWEEP_MODES)
+    assert [len(r) for r in rows.values()] == [3, 3, 3, 3]
+    # per separation: surface-3x3 (holding siso and surface-2x2), then air-mimo
+    assert calls == [2 * 3, 2 * 2] * 3
 
 
 def test_sweep_synthesizes_once_per_mode(monkeypatch):
