@@ -12,16 +12,19 @@ Every (TX port, RX port) pair maps to one of four channel kinds:
   surface<->air transformations are modeled at most once per path), with an
   optional scatterer-ring multipath model, off by default.
 
-One engine synthesizes every port pair over a whole frequency vector: the
+Every gain evaluates the propagation laws defined once in
+``propagation.py``: the surface law ``_surface_field``, the air law
+``_air_field`` and the wavenumber (``_wavenumber``, ``_propagation``).  One
+engine synthesizes every port pair over a whole frequency vector: the
 material constants are interpolated once per vector, the surface paths
 (direct path, images, obstacle factors, and their amplitudes over the
 vector) are evaluated once per distinct (source, target) point pair, and
 the surface integrals are batched over frequency and ports.  The near-field
 hop runs its surface leg to the foot under the antenna; when that foot is a
 contact of the scene (an antenna mounted above its node's contact), the leg
-is the contact pair's paths, evaluated once for both entries.  ``csi``
-is one call into it, and so is a whole sweep of distances; ``build_mimo``
-and ``h_ss``/``h_sa``/``h_as``/``h_aa`` are single-frequency calls.
+is the contact pair's paths, evaluated once for both entries.  ``csi`` is
+one call into it, and so is a whole sweep of distances; ``build_mimo`` and
+``h_ss``/``h_sa``/``h_as``/``h_aa`` are single-frequency calls.
 
 Composite integrals are midpoint-rule Riemann sums over the N cell centers
 of a regular grid.  The air kernel between two cells depends only on their
@@ -54,7 +57,8 @@ every distance against the shared transmit ports, and the transmit rows take
 the FFT once for the whole sweep.
 
 Results are deterministic: equal inputs give bitwise-equal outputs, each
-``csi`` matrix is bitwise equal to ``build_mimo`` at its subcarrier, and the
+``csi`` matrix is bitwise equal to ``build_mimo`` at its subcarrier, a
+one-path entry is bitwise equal to ``surface_gain`` or ``air_gain``, and the
 block size does not change a bit of the output.  A sweep row agrees with the
 same distance synthesized alone to rounding (checked to 1e-12 relative), not
 bitwise: the FFT side can differ, and BLAS picks its matmul kernel by row
@@ -79,7 +83,11 @@ from .propagation import (
     SPEED_OF_LIGHT,
     FrequencyBand,
     _air_amplitude,
+    _air_field,
     _center_hz,
+    _propagation,
+    _surface_field,
+    _wavenumber,
     phase_velocity,
 )
 
@@ -229,8 +237,7 @@ class _Grid:
     length-N field reshapes to (n, ny)).  The air kernel is sampled on the
     (2n, 2ny) circulant lattice of cell offsets: index i holds offset i below
     n and i - 2n above (index n is never read).  ``lattice_d`` is the clamped
-    distance max(hypot(ix*dx, iy*dy), air_ref_m), ``lattice_amp`` the air
-    amplitude law there."""
+    distance max(hypot(ix*dx, iy*dy), air_ref_m)."""
 
     def __init__(self, surface, n: int, params: ChannelParams):
         if n < 2:
@@ -248,7 +255,6 @@ class _Grid:
         ix = np.concatenate([np.arange(n), np.arange(-n, 0)]) * dx
         iy = np.concatenate([np.arange(ny), np.arange(-ny, 0)]) * dy
         self.lattice_d = np.maximum(np.hypot(ix[:, None], iy[None, :]), params.air_ref_m)
-        self.lattice_amp = _air_amplitude(params.air_ref_m / self.lattice_d, params.air_exponent)
 
     def surface_distance(self, contact, d0: float):
         """Clamped in-plane distance from a contact to every grid point."""
@@ -262,7 +268,7 @@ class _Grid:
     def air_kernel(self, k):
         """The clamped air gain on the offset lattice at wavenumber k, or at
         each of a vector of wavenumbers: shape k.shape + (2n, 2ny)."""
-        return _air_field(self.lattice_d, k, self.params)
+        return _air_field(self.lattice_d, k, self.params.air_ref_m, self.params.air_exponent)
 
     def correlate(self, kernel, left, right):
         """sum_p sum_q left[t, p] K(p - q) right[r, q] for every row pair, as a
@@ -283,21 +289,6 @@ class _Grid:
                 kernel[..., ox, oy, None, None, None]
                 * field[..., max(-ox, 0):n + min(-ox, 0), max(-oy, 0):ny + min(-oy, 0)])
         return left @ np.swapaxes(conv.reshape(right.shape), -1, -2)
-
-
-def _surface_field(d, gamma, m):
-    """Surface gain exp(-gamma d) d0/d at clamped distances d, with the
-    propagation constant gamma = alpha + j beta, or a vector of them (one
-    leading axis per entry): shape gamma.shape + d.shape."""
-    return np.exp(np.multiply.outer(-gamma, d)) * (m.d0_m / d)
-
-
-def _air_field(d, k, params: ChannelParams):
-    """Air gain (air_ref/d)^p exp(-j k d) at clamped distances d, at
-    wavenumber k or a vector of them (one leading axis per entry): shape
-    k.shape + d.shape."""
-    amp = _air_amplitude(params.air_ref_m / d, params.air_exponent)
-    return amp * np.exp(np.multiply.outer(-1j * k, d))
 
 
 def _composite(grid: _Grid, k, a_tx, a_rx, params: ChannelParams):
@@ -324,11 +315,12 @@ def _obstacle_factor(p0, p1, scene: Scene) -> float:
 
 
 def _surface_paths(tx, rx, scene: Scene, params: ChannelParams):
-    """(clamped lengths, amplitude weights) of the direct surface path (index
-    0) and the boundary images of the receiver (straight segments to the
+    """(clamped lengths, loss factors) of the direct surface path (index 0)
+    and the boundary images of the receiver (straight segments to the
     mirrored point, the standard image-method approximation, also used for
-    obstacle shadowing).  Weights carry refl_coeff per bounce, obstacle
-    losses and the d0/d spreading law; they do not depend on frequency."""
+    obstacle shadowing).  A loss factor is refl_coeff per bounce times the
+    obstacle losses; a path's amplitude is its factor times the surface law
+    ``_surface_field`` at its length."""
     m = scene.surface.material
     order = params.max_image_order if m.refl_coeff > 0 else 0
     lengths = [math.hypot(tx[0] - rx[0], tx[1] - rx[1])]
@@ -348,13 +340,7 @@ def _surface_paths(tx, rx, scene: Scene, params: ChannelParams):
             RuntimeWarning,
             stacklevel=4,
         )
-    clamped = np.maximum(lengths, m.d0_m)
-    return clamped, m.refl_coeff ** np.array(counts) * np.array(factors) * (m.d0_m / clamped)
-
-
-def _path_amps(lengths, weights, gamma):
-    """Complex path amplitudes, one row per propagation constant: (F, P)."""
-    return weights * np.exp(-np.multiply.outer(gamma, lengths))
+    return np.maximum(lengths, m.d0_m), m.refl_coeff ** np.array(counts) * np.array(factors)
 
 
 def _near_field(antenna, scene: Scene, params: ChannelParams):
@@ -373,7 +359,8 @@ def _near_field(antenna, scene: Scene, params: ChannelParams):
 def _hop_amps(amps, hop_c, k, params: ChannelParams):
     """Near-field amplitudes (F, P): the surface path amplitudes contact ->
     foot times the coupling and the air gain of the hop."""
-    return params.coupling.near_field_coupling * amps * _air_field(hop_c, k, params)[:, None]
+    hop = _air_field(hop_c, k, params.air_ref_m, params.air_exponent)
+    return params.coupling.near_field_coupling * amps * hop[:, None]
 
 
 def _scatterers(tx, rx, model: AirMultipathModel):
@@ -398,30 +385,20 @@ def _air_link(tx, rx, k, params: ChannelParams):
     optional scatterer ring."""
     d = math.dist(tx, rx)
     if d < params.air_ref_m:
-        raise NearFieldError(
-            f"antenna separation {d:.4g} m is below the air reference distance "
-            f"{params.air_ref_m} m"
-        )
+        raise NearFieldError(f"antenna separation {d:.4g} m is below the air reference "
+                             f"distance {params.air_ref_m} m")
     amp = _air_amplitude(params.air_ref_m / d, params.air_exponent)
-    los = _air_field(d, k, params)
+    los = _air_field(d, k, params.air_ref_m, params.air_exponent)
     mp = params.air_multipath
     if mp is None:
         return los
     pos, phases = _scatterers(tx, rx, mp)
-    d1 = np.sqrt(np.sum((pos - np.asarray(tx)) ** 2, axis=1))
-    d2 = np.sqrt(np.sum((pos - np.asarray(rx)) ** 2, axis=1))
+    d1, d2 = (np.sqrt(np.sum((pos - np.asarray(p)) ** 2, axis=1)) for p in (tx, rx))
     scale = amp * 10.0 ** (mp.relative_gain_db / 20.0) / math.sqrt(mp.n_scatterers)
     return los + np.sum(scale * np.exp(1j * (phases - np.multiply.outer(k, d1 + d2))), axis=-1)
 
 
 # --- the channel engine -----------------------------------------------------------
-
-
-def _propagation(m, freqs):
-    """Surface propagation constants alpha + j beta and air wavenumbers at the
-    frequencies (one table interpolation for the whole vector)."""
-    freqs = np.asarray(freqs, dtype=float)
-    return m.alpha_at(freqs) + 1j * m.beta_at(freqs), 2.0 * math.pi * freqs / SPEED_OF_LIGHT
 
 
 def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
@@ -449,7 +426,8 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
                     foot, hop_c = near
                     uses.setdefault((tuple(contact), foot), []).append((i, j, hop_c))
     for (source, target), entries in uses.items():
-        amps = _path_amps(*_surface_paths(source, target, scene, params), gamma)
+        lengths, loss = _surface_paths(source, target, scene, params)
+        amps = loss * _surface_field(lengths, gamma, m)
         for i, j, hop_c in entries:
             h[:, i, j] = np.sum(amps if hop_c is None else _hop_amps(amps, hop_c, k, params),
                                 axis=-1)
@@ -484,7 +462,8 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
     for lo in range(0, len(freqs), tones):
         f = slice(lo, lo + tones)
         s_rx, s_tx = _surface_field(d_rx_c, gamma[f], m), _surface_field(d_tx_c, gamma[f], m)
-        a_rx, a_tx = _air_field(d_rx_a, k[f], params), _air_field(d_tx_a, k[f], params)
+        a_rx, a_tx = (_air_field(d, k[f], params.air_ref_m, params.air_exponent)
+                      for d in (d_rx_a, d_tx_a))
         if use_c1 and swap:
             h[f, rx_c, tx_c] += _composite(g, k[f], s_rx, s_tx, params)
         elif use_c1:
@@ -530,8 +509,7 @@ def h_as(tx_antenna, rx_contact, scene: Scene, f, grid: int = 32,
 def h_aa(tx_antenna, rx_antenna, f, params: ChannelParams | None = None) -> complex:
     """Antenna-to-antenna gain: direct air path (plus optional scatterer ring)."""
     params = params or ChannelParams()
-    k = 2.0 * math.pi * _center_hz(f) / SPEED_OF_LIGHT
-    return complex(_air_link(tx_antenna, rx_antenna, np.array([k]), params)[0])
+    return complex(_air_link(tx_antenna, rx_antenna, _wavenumber([_center_hz(f)]), params)[0])
 
 
 # --- matrix assembly ----------------------------------------------------------
@@ -663,8 +641,7 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
     at the band center.
     """
     params = params or default_params()
-    tk, tp = tx_port
-    rk, rp = rx_port
+    (tk, tp), (rk, rp) = tx_port, rx_port
     if tk == ANTENNA and rk == ANTENNA:
         d = math.dist(tp, rp)
         return ImpulseResponse(((d / SPEED_OF_LIGHT, h_aa(tp, rp, band, params)),),
@@ -676,20 +653,18 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
     g = _Grid(scene.surface, grid, params)
     taps = []
     if tk == CONTACT and rk == CONTACT:
-        lengths, weights = _surface_paths(tp, rp, scene, params)
-        taps.extend(zip(lengths / v, _path_amps(lengths, weights, gamma)[0]))
+        lengths, loss = _surface_paths(tp, rp, scene, params)
+        taps.extend(zip(lengths / v, (loss * _surface_field(lengths, gamma, m))[0]))
         if params.coupling.c1 > 0:
             # sum w tau over point pairs, w = |A_S(tx,p1)| |A_air(p1,p2)| |A_S(p2,rx)|
             # and v tau = d1(p1) + d2(p1-p2) + d3(p2): three Toeplitz forms
-            d1 = g.surface_distance(tp, m.d0_m)
-            d3 = g.surface_distance(rp, m.d0_m)
-            a_tx = _surface_field(d1, gamma[0], m)
-            a_rx = _surface_field(d3, gamma[0], m)
+            d1, d3 = (g.surface_distance(p, m.d0_m) for p in (tp, rp))
+            a_tx, a_rx = _surface_field(np.stack([d1, d3]), gamma[0], m)
             amp = _composite(g, k[0], a_tx[None], a_rx[None], params)[0, 0]
-            w_tx, w_rx = np.abs(a_tx), np.abs(a_rx)
-            forms = g.correlate(g.lattice_amp, np.stack([w_tx, w_tx * d1]),
+            w_tx, w_rx, w_air = np.abs(a_tx), np.abs(a_rx), np.abs(g.air_kernel(k[0]))
+            forms = g.correlate(w_air, np.stack([w_tx, w_tx * d1]),
                                 np.stack([w_rx, w_rx * d3])).real
-            air = g.correlate(g.lattice_amp * g.lattice_d, w_tx[None], w_rx[None]).real[0, 0]
+            air = g.correlate(w_air * g.lattice_d, w_tx[None], w_rx[None]).real[0, 0]
             taps.append((float((forms[1, 0] + forms[0, 1] + air) / (v * forms[0, 0])), amp))
     else:
         contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
@@ -697,13 +672,14 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
         near = _near_field(antenna, scene, params)
         if near is not None:
             foot, hop_c = near
-            lengths, weights = _surface_paths(contact, foot, scene, params)
-            amps = _hop_amps(_path_amps(lengths, weights, gamma), hop_c, k, params)
+            lengths, loss = _surface_paths(contact, foot, scene, params)
+            amps = _hop_amps(loss * _surface_field(lengths, gamma, m), hop_c, k, params)
             taps.extend(zip(lengths / v + hop_c / SPEED_OF_LIGHT, amps[0]))
         if c_scalar > 0:
             d_s = g.surface_distance(contact, m.d0_m)
             d_a = g.air_distance(antenna, params.air_ref_m)
-            field = _surface_field(d_s, gamma[0], m) * _air_field(d_a, k[0], params)
+            field = (_surface_field(d_s, gamma[0], m)
+                     * _air_field(d_a, k[0], params.air_ref_m, params.air_exponent))
             w = np.abs(field)
             taps.append((float(np.sum(w * (d_s + d_a)) / (v * np.sum(w))),
                          c_scalar * g.da * np.sum(field)))

@@ -123,9 +123,9 @@ def _shipped_settings(shipped) -> LinkSettings:
 
 def _cmd_channel(args) -> tuple:
     cfg = _load_scene_config(args.scene)
-    settings = cfg.settings()
-    inputs = {"scene": cfg.scene, "band": cfg.band, "n_subcarriers": settings.n_subcarriers,
-              "grid": settings.grid, "params": settings.params}
+    inputs = {"scene": cfg.scene, "band": cfg.band,
+              "n_subcarriers": cfg.analysis["subcarriers"], "grid": cfg.analysis["grid"],
+              "params": cfg.channel_params()}
     return inputs, rio.channel_result_set(csi(**inputs)), cfg.preset_version, _seed(args, cfg)
 
 
@@ -182,12 +182,11 @@ def _cmd_pulse(args) -> tuple:
         raise ConfigError([
             f"port index out of range: tx has {len(tx.ports)}, rx has {len(rx.ports)}"
         ]) from exc
-    settings = cfg.settings()
     inputs = {
         "scene": cfg.scene, "tx_port": tx_port, "rx_port": rx_port, "band": cfg.band,
         "sample_rate_hz": args.sample_rate_ghz * 1e9,
         "duration_s": None if args.duration_ns is None else args.duration_ns * 1e-9,
-        "grid": settings.grid, "params": settings.params,
+        "grid": cfg.analysis["grid"], "params": cfg.channel_params(),
     }
     rs = rio.pulse_result_set(pulse_profile(**inputs))
     return inputs, rs, cfg.preset_version, _seed(args, cfg)
@@ -242,13 +241,15 @@ def _cmd_share(args) -> tuple:
 # --- parser -----------------------------------------------------------------------
 
 
-def _add_common(sp, scene_default=None):
-    sp.add_argument("--scene", default=scene_default,
-                    help="scenario config path or shipped scene preset name")
+def _add_common(sp, scene=True, scene_default=None):
+    seed_default = str(rio.DEFAULT_SEED)
+    if scene:
+        sp.add_argument("--scene", default=scene_default,
+                        help="scenario config path or shipped scene preset name")
+        seed_default = f"the scene config's seed, else {seed_default}"
     sp.add_argument("--seed", type=int, default=None,
                     help="seed of share's contention draws, recorded in output "
-                         "metadata (default: the scene config's seed, else "
-                         f"{rio.DEFAULT_SEED})")
+                         f"metadata (default: {seed_default})")
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.add_argument("--plot-script", default=None,
                     help="also emit a matplotlib script rendering the CSV")
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_pulse)
 
     sp = sub.add_parser("aggregate", help="multi-band aggregated rate vs distance")
-    _add_common(sp)
+    _add_common(sp, scene=False)
     sp.add_argument("--no-dfs", action="store_true",
                     help="use the DFS-free channel plan")
     sp.add_argument("--material", default="spraypaint")
@@ -315,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_aggregate)
 
     sp = sub.add_parser("radiation", help="surface-fed vs antenna emission offsets")
-    _add_common(sp)
+    _add_common(sp, scene=False)
     sp.add_argument("--front-db", type=float, default=13.0)
     sp.add_argument("--back-db", type=float, default=25.0)
     sp.add_argument("--tx-power-dbm", type=float, default=0.0)
     sp.set_defaults(func=_cmd_radiation)
 
     sp = sub.add_parser("share", help="carrier-sense sharing of one surface")
-    _add_common(sp)
+    _add_common(sp, scene=False)
     sp.add_argument("--channels", default="6,6",
                     help="comma list: one channel id per client/AP pair")
     sp.add_argument("--busy", type=float, default=0.0,

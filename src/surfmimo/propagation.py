@@ -6,6 +6,11 @@ with material constants ``alpha`` (Np/m) and ``beta`` (rad/m).  Air paths
 use ``exp(-1j*w*d/c) * (d0/d)**p`` with a configurable amplitude exponent
 ``p`` (2 by default, 1 for a Friis-style amplitude law).
 
+Each law has one array definition, ``_surface_field``, ``_air_field`` and
+``_wavenumber`` (with ``_propagation``, alpha + j*beta over a frequency
+vector).  ``surface_gain`` and ``air_gain`` are checked 0-d calls of them, and
+the channel engine (``channel.py``) calls them and keeps no copy.
+
 Also provides calibration of ``alpha`` and ``d0`` from received-power
 samples, and an optional good-conductor constructor that derives the
 material constants from conductivity and permeability.
@@ -143,6 +148,41 @@ def _center_hz(f) -> float:
     return f.center_hz if isinstance(f, FrequencyBand) else float(f)
 
 
+def _wavenumber(f):
+    """Air wavenumber 2 pi f / c (rad/m) at a frequency or an array of them."""
+    return 2.0 * math.pi * np.asarray(f, dtype=float) / SPEED_OF_LIGHT
+
+
+def _propagation(m: MaterialParams, f):
+    """Surface propagation constants alpha + j beta and air wavenumbers at a
+    frequency or an array of them (one table interpolation for the array)."""
+    return m.alpha_at(f) + 1j * m.beta_at(f), _wavenumber(f)
+
+
+def _surface_field(d, gamma, m: MaterialParams):
+    """Surface gain exp(-gamma d) d0/d at distances d (not below d0), with the
+    propagation constant gamma = alpha + j beta, or an array of them (one
+    leading axis per entry): shape gamma.shape + d.shape."""
+    return np.exp(np.multiply.outer(-gamma, d)) * (m.d0_m / d)
+
+
+def _air_amplitude(ratio, p: float):
+    # Integer exponents use plain multiplication so the doubling-distance
+    # ratio identities hold exactly in floating point.
+    if p == 1:
+        return ratio
+    if p == 2:
+        return ratio * ratio
+    return ratio**p
+
+
+def _air_field(d, k, air_ref: float, p: float):
+    """Air gain (air_ref/d)^p exp(-j k d) at distances d (not below air_ref),
+    at wavenumber k or an array of them (one leading axis per entry): shape
+    k.shape + d.shape."""
+    return _air_amplitude(air_ref / d, p) * np.exp(np.multiply.outer(-1j * k, d))
+
+
 def surface_gain(d: float, f, m: MaterialParams) -> complex:
     """Complex gain of a single surface path of length d (meters).
 
@@ -153,22 +193,8 @@ def surface_gain(d: float, f, m: MaterialParams) -> complex:
         raise DomainError(f"distance must be positive, got {d}")
     if d < m.d0_m:
         raise NearFieldError(f"d = {d} m is below the reference distance d0 = {m.d0_m} m")
-    fc = _center_hz(f)
-    alpha = m.alpha_at(fc)
-    beta = m.beta_at(fc)
-    return complex(math.exp(-alpha * d) * (m.d0_m / d)) * complex(
-        math.cos(beta * d), -math.sin(beta * d)
-    )
-
-
-def _air_amplitude(ratio: float, p: float) -> float:
-    # Integer exponents use plain multiplication so the doubling-distance
-    # ratio identities hold exactly in floating point.
-    if p == 1:
-        return ratio
-    if p == 2:
-        return ratio * ratio
-    return ratio**p
+    gamma, _ = _propagation(m, _center_hz(f))
+    return complex(_surface_field(d, gamma, m))
 
 
 def air_gain(d: float, f, d0_air: float = 0.1, p: float = 2.0) -> complex:
@@ -181,13 +207,7 @@ def air_gain(d: float, f, d0_air: float = 0.1, p: float = 2.0) -> complex:
         raise DomainError(f"distance must be positive, got {d}")
     if d < d0_air:
         raise NearFieldError(f"d = {d} m is below the air reference distance {d0_air} m")
-    omega = 2.0 * math.pi * _center_hz(f)
-    phase = -omega * d / SPEED_OF_LIGHT
-    u = complex(math.cos(phase), math.sin(phase))
-    # Pin the phasor to the unit circle (cos^2+sin^2 can round one ulp off 1)
-    # so the gain magnitude is the amplitude law itself, not amplitude*(1+eps).
-    u /= abs(u)
-    return _air_amplitude(d0_air / d, p) * u
+    return complex(_air_field(d, _wavenumber(_center_hz(f)), d0_air, p))
 
 
 def phase_velocity(f, m: MaterialParams) -> float:

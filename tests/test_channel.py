@@ -1,9 +1,12 @@
 """Channel synthesis: composite matrices, CSI, impulse responses."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import j0
 
 from surfmimo.channel import (
@@ -43,6 +46,11 @@ SPRAY = presets.load_material("spraypaint")
 
 NO_COUPLING = ChannelParams(coupling=CouplingConstants(0.0, 0.0, 0.0, 0.0))
 
+# spray paint without boundary reflections: one surface path per contact pair
+SPRAY_NO_IMAGES = dataclasses.replace(SPRAY, refl_coeff=0.0)
+# frequencies inside the preset coverage
+PRESET_FREQS = st.floats(SPRAY.freqs_hz[0], SPRAY.freqs_hz[-1])
+
 
 def _flat_material(refl=0.0, alpha=0.35, beta=90.0):
     """Constant alpha/beta across the band; refl = 0 kills boundary images."""
@@ -56,11 +64,24 @@ def _two_contact_scene(material, d=1.0, width=3.0, height=1.0):
     ))
 
 
-def test_h_ss_single_path_reduces_to_surface_gain():
-    m = _flat_material()
-    scene = _two_contact_scene(m, d=1.0)
-    h = h_ss((0.5, 0.5), (1.5, 0.5), scene, BAND, params=NO_COUPLING)
-    assert h == pytest.approx(surface_gain(1.0, BAND, m), rel=1e-12)
+def _one_path_scene(dx, dy):
+    """A contact pair dx, dy apart on a surface without reflections; the
+    path length is taken from the contact coordinates."""
+    tx, rx = (0.5, 0.5), (0.5 + dx, 0.5 + dy)
+    scene = Scene(SurfaceSpec(6.0, 1.0, SPRAY_NO_IMAGES), (
+        Node("tx", "transmitter", contacts=(tx,)),
+        Node("rx", "receiver", contacts=(rx,)),
+    ))
+    return scene, tx, rx, math.hypot(rx[0] - tx[0], rx[1] - tx[1])
+
+
+# the engine and the scalar law evaluate one definition of the surface law
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.11, 5.0), st.floats(0.0, 0.4), PRESET_FREQS)
+@example(1.0, 0.0, BAND.center_hz)
+def test_h_ss_single_path_reduces_to_surface_gain(dx, dy, f):
+    scene, tx, rx, d = _one_path_scene(dx, dy)
+    assert h_ss(tx, rx, scene, f, params=NO_COUPLING) == surface_gain(d, f, SPRAY_NO_IMAGES)
 
 
 def test_h_ss_images_strengthen_multipath():
@@ -197,10 +218,20 @@ def test_cross_terms_mirror_each_other():
         h_as(antenna, contact, scene, BAND, params=p), rel=1e-12)
 
 
-def test_h_aa_line_of_sight():
+# the engine and the scalar law evaluate one definition of the air law
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.11, 5.0), st.floats(0.0, 0.4), st.floats(0.0, 0.1), PRESET_FREQS,
+       st.sampled_from([1.0, 2.0, 1.5]))
+@example(1.0, 0.0, 0.0, BAND.center_hz, 2.0)
+def test_h_aa_line_of_sight(dx, dy, dz, f, exponent):
+    p = ChannelParams(air_exponent=exponent)
+    tx, rx = (0.0, 0.0, 0.02), (dx, dy, 0.02 + dz)
+    g = h_aa(tx, rx, f, p)
+    assert g == air_gain(math.dist(tx, rx), f, p.air_ref_m, p.air_exponent)
+
+
+def test_h_aa_below_the_air_reference_distance_raises():
     p = ChannelParams()
-    g = h_aa((0.0, 0.0, 0.02), (1.0, 0.0, 0.02), BAND, p)
-    assert g == pytest.approx(air_gain(1.0, BAND, p.air_ref_m, p.air_exponent), rel=1e-9)
     with pytest.raises(NearFieldError):
         h_aa((0.0, 0.0, 0.02), (0.05, 0.0, 0.02), BAND, p)
 
@@ -323,15 +354,16 @@ def test_grid_convergence_is_cauchy():
 # --- impulse responses -------------------------------------------------------
 
 
-def test_impulse_single_surface_path():
-    m = _flat_material(refl=0.0)
-    scene = _two_contact_scene(m, d=1.0)
-    tx = scene.transmitters()[0].ports[0]
-    rx = scene.receivers()[0].ports[0]
-    resp = impulse_response(tx, rx, scene, BAND, params=NO_COUPLING)
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.11, 5.0), st.floats(0.0, 0.4), PRESET_FREQS)
+@example(1.0, 0.0, BAND.center_hz)
+def test_impulse_single_surface_path(dx, dy, f):
+    scene, tx, rx, d = _one_path_scene(dx, dy)
+    band = FrequencyBand(f, 40e6)
+    resp = impulse_response((CONTACT, tx), (CONTACT, rx), scene, band, params=NO_COUPLING)
     assert len(resp.taps) == 1
-    assert resp.taps[0][0] == 1.0 / phase_velocity(BAND, m)
-    assert resp.taps[0][1] == pytest.approx(surface_gain(1.0, BAND, m), rel=1e-12)
+    assert resp.taps[0][0] == d / phase_velocity(band, SPRAY_NO_IMAGES)
+    assert resp.taps[0][1] == surface_gain(d, band, SPRAY_NO_IMAGES)
 
 
 def test_impulse_first_arrival_is_exactly_d_over_v():

@@ -157,6 +157,20 @@ def test_sweep_commands_parse_presets_once_for_all_modes(tmp_path, monkeypatch, 
     assert calls == {"load_yaml": 1, "load_mcs_table": 1}
 
 
+@pytest.mark.parametrize("command, table_parses", [
+    (["channel"], 0), (["pulse", "--duration-ns", "50"], 0), (["analyze"], 1),
+])
+def test_only_analyze_parses_the_scene_rate_table(tmp_path, monkeypatch, command,
+                                                   table_parses):
+    from surfmimo import presets
+
+    scene = _tiny_scene(tmp_path, mcs_table=presets.data_dir() / "mcs_80211.csv")
+    calls = _count_preset_parses(monkeypatch)
+    code = main(command + ["--scene", str(scene), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_OK
+    assert calls["load_mcs_table"] == table_parses
+
+
 @pytest.mark.parametrize("command", [
     ["aggregate", "--distances-ft", "1"],
     ["aggregate", "--no-dfs", "--material", "cloth", "--distances-ft", "1"],
@@ -169,6 +183,15 @@ def test_band_commands_parse_presets_once(tmp_path, monkeypatch, command):
     # materials.yaml once for the template, the coupling constants and the
     # preset version; the whole rate table once for every chain or pair
     assert calls == {"load_yaml": 1, "load_mcs_table": 1}
+
+
+@pytest.mark.parametrize("command", ["aggregate", "radiation", "share"])
+def test_commands_without_a_scene_reject_scene(tmp_path, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scene", "default_2x2", "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --scene" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):

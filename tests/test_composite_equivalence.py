@@ -15,10 +15,12 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfmimo import channel, presets
+from surfmimo.io import load_config
 from surfmimo.channel import ChannelParams, CouplingConstants, h_as, h_sa, h_ss, impulse_response
 from surfmimo.geometry import ANTENNA, CONTACT, Node, Scene, SurfaceSpec
 from surfmimo.propagation import SPEED_OF_LIGHT, FrequencyBand, MaterialParams, phase_velocity
@@ -249,13 +251,17 @@ def test_csi_is_bitwise_independent_of_the_block_size(monkeypatch):
     surface_field, air_field, composite = (
         channel._surface_field, channel._air_field, channel._composite)
 
-    def antenna_rows(d, k, p):
-        if np.shape(d) == (1, cells):  # not the kernel or a line-of-sight path
-            blocks["antenna"].append(len(k))
-        return air_field(d, k, p)
+    def contact_rows(d, gamma, m):
+        if np.shape(d) == (2, cells):  # not a discrete surface path
+            blocks["surface"].append(len(gamma))
+        return surface_field(d, gamma, m)
 
-    monkeypatch.setattr(channel, "_surface_field", lambda d, gamma, m: (
-        blocks["surface"].append(len(gamma)) or surface_field(d, gamma, m)))
+    def antenna_rows(d, k, air_ref, p):
+        if np.shape(d) == (1, cells):  # not the kernel, a hop or a line-of-sight path
+            blocks["antenna"].append(len(k))
+        return air_field(d, k, air_ref, p)
+
+    monkeypatch.setattr(channel, "_surface_field", contact_rows)
     monkeypatch.setattr(channel, "_air_field", antenna_rows)
     monkeypatch.setattr(channel, "_composite", lambda g, k, a, b, p: (
         blocks["composite"].append(len(k)) or composite(g, k, a, b, p)))
@@ -278,3 +284,27 @@ def test_csi_is_bitwise_independent_of_the_block_size(monkeypatch):
     freqs = channel.subcarrier_frequencies(band, tones)
     for f_sc, h in zip(freqs[::10], split[::10]):
         assert np.array_equal(channel.build_mimo(scene, f_sc, n, params).entries, h)
+
+
+def _scene_case(name):
+    """(scene, band, channel parameters, grid) of a shipped scene or of the
+    coupled 3x3 desk above."""
+    if name == "coupled_3x3":
+        scene, params = _coupled_3x3()
+        return scene, FrequencyBand(2.437e9, 40e6), params, 12
+    cfg = load_config(presets.scene_path(name))
+    return cfg.scene, cfg.band, cfg.channel_params(), cfg.analysis["grid"]
+
+
+@pytest.mark.parametrize("name", ["default_3x3", "cloth_10ft", "coupled_3x3"])
+def test_impulse_taps_sum_to_the_engine_entry(name):
+    # every path class between them: direct paths, images, the near-field
+    # hop, C1, C2, C3 and the line of sight
+    scene, band, params, grid = _scene_case(name)
+    h = channel.build_mimo(scene, band, grid, params).entries
+    rx_ports = [port for node in scene.receivers() for port in node.ports]
+    tx_ports = [port for node in scene.transmitters() for port in node.ports]
+    for i, rx in enumerate(rx_ports):
+        for j, tx in enumerate(tx_ports):
+            taps = impulse_response(tx, rx, scene, band, grid, params).amplitudes()
+            assert _close(np.sum(taps), h[i, j])

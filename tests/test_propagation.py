@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfmimo.errors import (
     DegenerateMaterialError,
@@ -75,6 +77,14 @@ def test_air_gain_exponent_exact():
     for d in rng.uniform(0.11, 8.0, 200):
         r = abs(air_gain(2 * d, F0, p=2.0)) / abs(air_gain(float(d), F0, p=2.0))
         assert abs(r - 0.25) < 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.11, 4.0), st.floats(0.9e9, 6e9), st.sampled_from([1.0, 2.0]))
+def test_air_gain_doubling_ratio_at_any_frequency(d, f, p):
+    # the amplitude law is exact; |exp(-jkd)| is 1 to within an ulp
+    r = abs(air_gain(2 * d, f, p=p)) / abs(air_gain(d, f, p=p))
+    assert abs(r - 0.5**p) < 1e-15
 
 
 def test_air_gain_phase_is_minus_omega_d_over_c():
