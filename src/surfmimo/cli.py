@@ -110,8 +110,7 @@ def _sweep_settings(args) -> tuple:
 def _shipped_settings(shipped) -> LinkSettings:
     """Default link settings with the coupling constants of the parsed
     presets and the whole shipped rate table, for runs over several bands."""
-    return LinkSettings(params=ChannelParams(coupling=shipped.coupling),
-                        mcs_table=presets.load_mcs_table())
+    return _resolved(LinkSettings(params=ChannelParams(coupling=shipped.coupling)))
 
 
 # --- subcommand bodies ----------------------------------------------------------

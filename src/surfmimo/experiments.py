@@ -8,9 +8,9 @@ transmit-column subset, compress them with an effective-SNR mapping, look
 the result up in the rate table, and keep the best (rate, stream-count)
 choice.  Reported rates are PHY rates; MAC overhead is a separate scalar
 applied only when results are written out.  A link takes one thin SVD of
-its whole stack, for the condition number and the all-column ZF SNRs;
-one-column subsets use the closed form rho * sum |h|^2, and only the other
-subsets take an SVD of their own.
+its whole stack, for the capacity, the condition number and the all-column
+ZF SNRs; one-column subsets use the closed form rho * sum |h|^2, and only
+the other subsets take an SVD of their own.
 
 In a distance sweep (``throughput_sweep``, and ``aggregate_sweep`` per
 chain) only the receiver moves.  The runner builds and validates each
@@ -45,9 +45,8 @@ from .mimo import (
     LinkResult,
     McsTable,
     StreamSeparationError,
-    capacity,
-    condition_and_zf,
     effective_snr,
+    link_metrics,
     map_rate,
     zf_stream_snrs,
 )
@@ -75,7 +74,9 @@ class LinkSettings:
 
     snr_db, when set, bypasses the transmit-power/noise link budget.  The
     MAC-efficiency scalar never touches phy_rate_bps; writers multiply it in
-    when producing throughput columns.
+    when producing throughput columns.  mcs_table may hold the rows of any
+    bandwidths (default: the shipped table); rate_table() takes the rows of
+    the band's bandwidth from it, so one table serves links of every band.
     """
 
     band: FrequencyBand = FrequencyBand(2.437e9, 40e6)
@@ -108,11 +109,11 @@ class LinkSettings:
         return 10.0 ** ((self.tx_power_dbm - noise_dbm) / 10.0)
 
     def rate_table(self) -> McsTable:
-        if self.mcs_table is not None:
-            return self.mcs_table
+        """The band's rows of mcs_table, or of the shipped table when unset."""
         from . import presets
 
-        return presets.load_mcs_table(bandwidth_mhz=self.band.bandwidth_hz / 1e6)
+        table = presets.load_mcs_table() if self.mcs_table is None else self.mcs_table
+        return table.for_bandwidth(self.band.bandwidth_hz / 1e6)
 
 
 @dataclass(frozen=True)
@@ -223,11 +224,12 @@ def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
     transmit-column subsets.
 
     The matrices are stacked once to (F, n_rx, n_tx).  One thin SVD of the
-    whole stack gives the condition number and the zero-forcing SNRs of the
-    all-column subset; a one-column subset takes the closed form of
-    zf_stream_snrs, and each other subset one stacked zero-forcing call.  A
-    subset that is singular at any subcarrier is skipped.  The first subset
-    (fewest streams, then lowest column indices) with the highest rate wins.
+    whole stack gives the capacity, the condition number and the
+    zero-forcing SNRs of the all-column subset; a one-column subset takes
+    the closed form of zf_stream_snrs, and each other subset one stacked
+    zero-forcing call.  A subset that is singular at any subcarrier is
+    skipped.  The first subset (fewest streams, then lowest column indices)
+    with the highest rate wins.
     """
     return _analyze(np.stack([m.entries for m in matrices]), settings or LinkSettings())
 
@@ -238,7 +240,7 @@ def _analyze(h, settings: LinkSettings) -> LinkResult:
     beta = settings.esm_beta
     n_tx = h.shape[-1]
     table = settings.rate_table()
-    kappa, all_columns = condition_and_zf(h, rho)
+    caps, kappa, all_columns = link_metrics(h, rho)
     best_rate = -1.0
     best_snrs: tuple = (float("-inf"),)
     best_columns: tuple = ()
@@ -263,7 +265,7 @@ def _analyze(h, settings: LinkSettings) -> LinkResult:
         best_rate = 0.0
 
     return LinkResult(
-        capacity_bps=settings.band.bandwidth_hz * float(np.mean(capacity(h, rho))),
+        capacity_bps=settings.band.bandwidth_hz * float(np.mean(caps)),
         condition_number=float(np.max(kappa)),
         stream_snrs_db=best_snrs,
         phy_rate_bps=best_rate,
@@ -277,23 +279,12 @@ def _esnr_db(snrs_linear, beta: float) -> float:
 
 
 def _resolved(settings: LinkSettings) -> LinkSettings:
-    """settings with the coupling constants and the rate table parsed from
-    the presets once, so the links of one run do not re-read them."""
-    return replace(settings, params=settings.channel_params(),
-                   mcs_table=settings.rate_table())
+    """settings with the coupling constants and the whole rate table parsed
+    once, so the links of one run, whatever their band, do not re-read them."""
+    from . import presets
 
-
-def _tables_by_bandwidth(bandwidths_hz, table: McsTable | None = None) -> dict:
-    """Rows of the rate table for each bandwidth: of table when it is set,
-    else of one parse of the shipped MCS table."""
-    bandwidths_hz = set(bandwidths_hz)
-    if not bandwidths_hz:
-        return {}
-    if table is None:
-        from . import presets
-
-        table = presets.load_mcs_table()
-    return {bw: table.for_bandwidth(bw / 1e6) for bw in bandwidths_hz}
+    table = presets.load_mcs_table() if settings.mcs_table is None else settings.mcs_table
+    return replace(settings, params=settings.channel_params(), mcs_table=table)
 
 
 def throughput_sweep(template: SceneTemplate | None = None, distances_m=None,
@@ -559,10 +550,10 @@ def aggregate_capacity(plan: AggregationPlan, distance_m: float,
     return aggregate_sweep(plan, (distance_m,), template, settings)[0][1:]
 
 
-def _chain_results(chain: Chain, scenes, settings: LinkSettings, tables: dict) -> list:
+def _chain_results(chain: Chain, scenes, settings: LinkSettings) -> list:
     """One chain's ChainResult at every scene, from one channel-engine pass.
     The chain's conversion loss comes straight off its SNR."""
-    s = replace(settings, band=chain.band, mcs_table=tables[chain.band.bandwidth_hz])
+    s = replace(settings, band=chain.band)
     if s.snr_db is not None:
         s = replace(s, snr_db=s.snr_db - chain.conversion_loss_db)
     else:
@@ -586,24 +577,21 @@ def aggregate_sweep(plan: AggregationPlan, distances_m=None,
                     settings: LinkSettings | None = None):
     """aggregate_capacity across distances (default 1-9 ft on the 10 ft strip).
 
-    The template, the coupling constants and each chain bandwidth's rows of
-    the rate table (settings.mcs_table when set, else the shipped table) are
-    resolved once for the whole sweep, and each chain takes one
-    channel-engine pass over all distances."""
+    The template, the coupling constants and the rate table
+    (settings.mcs_table when set, else the shipped table) are resolved once
+    for the whole sweep; each chain reads its bandwidth's rows from that
+    table and takes one channel-engine pass over all distances."""
     if distances_m is None:
         distances_m = tuple(i * FOOT_M for i in range(1, 10))
     template = template or aggregate_template()
-    settings = settings or LinkSettings()
-    settings = replace(settings, params=settings.channel_params())
-    tables = _tables_by_bandwidth((c.band.bandwidth_hz for c in plan.chains),
-                                  settings.mcs_table)
+    settings = _resolved(settings or LinkSettings())
     scenes = []
     for d in distances_m:
         scene = build_link_scene(template, d, MODE_2X2, settings)
         # contact-to-contact only: strip the antennas, keep the contacts
         scenes.append(Scene(scene.surface, nodes=tuple(
             Node(n.id, n.role, contacts=n.contacts, antennas=()) for n in scene.nodes)))
-    by_chain = [_chain_results(chain, scenes, settings, tables) for chain in plan.chains]
+    by_chain = [_chain_results(chain, scenes, settings) for chain in plan.chains]
     out = []
     for d, rows in zip(distances_m, zip(*by_chain)):
         total = 0.0
@@ -725,8 +713,7 @@ def share_template(material="spraypaint") -> SceneTemplate:
     return _strip(4.0, material)
 
 
-def _solo_rate(pair: SharingPair, template: SceneTemplate,
-               settings: LinkSettings, tables: dict) -> float:
+def _solo_rate(pair: SharingPair, template: SceneTemplate, settings: LinkSettings) -> float:
     if pair.solo_rate_bps is not None:
         return float(pair.solo_rate_bps)
     scene = Scene(
@@ -736,8 +723,7 @@ def _solo_rate(pair: SharingPair, template: SceneTemplate,
             Node("ap", "receiver", contacts=(pair.ap,)),
         ),
     )
-    s = replace(settings, band=pair.band, mcs_table=tables[pair.band.bandwidth_hz])
-    return run_link(scene, s).phy_rate_bps
+    return run_link(scene, replace(settings, band=pair.band)).phy_rate_bps
 
 
 def share_sim(config: SharingConfig, n_slots: int,
@@ -759,12 +745,9 @@ def share_sim(config: SharingConfig, n_slots: int,
         raise DomainError(f"n_slots must be positive, got {n_slots}")
     template = template or share_template()
     settings = settings or LinkSettings()
-    unknown = [p for p in config.pairs if p.solo_rate_bps is None]
-    if unknown:  # coupling parsed once, only when needed
-        settings = replace(settings, params=settings.channel_params())
-    tables = _tables_by_bandwidth((p.band.bandwidth_hz for p in unknown),
-                                  settings.mcs_table)
-    solo = [_solo_rate(p, template, settings, tables) for p in config.pairs]
+    if any(p.solo_rate_bps is None for p in config.pairs):  # parsed once, only when needed
+        settings = _resolved(settings)
+    solo = [_solo_rate(p, template, settings) for p in config.pairs]
 
     by_channel: dict = {}
     for i, p in enumerate(config.pairs):

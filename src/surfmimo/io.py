@@ -325,11 +325,7 @@ class ScenarioConfig:
 
     def settings(self) -> LinkSettings:
         a = self.analysis
-        table = None
-        if a["mcs_table"]:
-            table = presets.load_mcs_table(
-                a["mcs_table"], bandwidth_mhz=self.band.bandwidth_hz / 1e6
-            )
+        table = presets.load_mcs_table(a["mcs_table"]) if a["mcs_table"] else None
         return LinkSettings(
             band=self.band,
             grid=int(a["grid"]),
@@ -535,13 +531,11 @@ def channel_result_set(matrices, metadata=None) -> ResultSet:
 
 
 def analyze_result_set(matrices, snr_linear, metadata=None) -> ResultSet:
-    from .mimo import capacity, condition_number
+    from .mimo import link_metrics
 
     columns = ("subcarrier_index", "frequency_hz", "capacity_bps_hz",
                "condition_number")
-    h = np.stack([m.entries for m in matrices])
-    caps = capacity(h, snr_linear)
-    conds = condition_number(h)
+    caps, conds, _ = link_metrics(np.stack([m.entries for m in matrices]), snr_linear)
     rows = [
         (s, m.frequency.center_hz, float(caps[s]), float(conds[s]))
         for s, m in enumerate(matrices)

@@ -6,7 +6,8 @@ n_tx)``), and answers a stack with one LAPACK call instead of a Python loop
 over its matrices.  One matrix gives the scalar / 1-D result; a stack gives
 the same result per matrix along the leading axes.
 
-* Capacity is the equal-power log-det form, from a batched ``slogdet``.
+* Capacity is the equal-power log-det form, log2 det(I + snr/N_tx H H†),
+  taken as ``sum_i log2(1 + snr/N_tx s_i^2)`` over the singular values.
 * The condition number is sigma_max / sigma_min from a batched singular-value
   decomposition (+inf where a matrix is numerically singular).
 * Stream separation uses a zero-forcing receiver.  Its noise amplification
@@ -15,9 +16,9 @@ the same result per matrix along the leading axes.
   would square the condition number before the inverse is taken, so
   near-singular links would lose twice as many digits; the SVD form loses
   only what the channel itself costs, and the same singular values decide
-  whether the streams are separable at all.  ``condition_and_zf`` reads the
-  condition number and the all-column ZF SNRs off one SVD, so a link
-  analysis decomposes its full stack once.
+  whether the streams are separable at all.  ``link_metrics`` reads the
+  capacity, the condition number and the all-column ZF SNRs off one SVD, so
+  a link analysis decomposes its full stack once.
 * A single stream needs no decomposition: ``[(h†h)^-1] = 1 / sum |h_i|^2``,
   so its ZF SNR is the maximal-ratio-combined ``snr * sum |h_i|^2``.  Its one
   singular value is ``|h|``, which ``_singular`` flags exactly when the
@@ -63,6 +64,11 @@ def _check_snr(snr_linear: float) -> None:
         raise DomainError(f"snr_linear must be positive, got {snr_linear}")
 
 
+def _capacity(s: np.ndarray, snr_linear: float, n_tx: int):
+    """sum_i log2(1 + (snr/N_tx) s_i^2) over the singular values s (..., n)."""
+    return _scalar_or_stack(np.log1p((snr_linear / n_tx) * s**2).sum(-1) / math.log(2.0))
+
+
 def capacity(h, snr_linear: float):
     """Shannon capacity log2 det(I + (snr/N_tx) H H†), in bits/s/Hz; a float
     for one matrix, an array over the leading axes of a stack.
@@ -71,12 +77,7 @@ def capacity(h, snr_linear: float):
     """
     _check_snr(snr_linear)
     m = _as_matrix(h)
-    n_rx, n_tx = m.shape[-2:]
-    gram = np.eye(n_rx, dtype=complex) + (snr_linear / n_tx) * (m @ m.conj().swapaxes(-1, -2))
-    sign, logdet = np.linalg.slogdet(gram)
-    if np.any(sign.real <= 0):
-        raise DomainError("capacity determinant is not positive")
-    return _scalar_or_stack(logdet / math.log(2.0))
+    return _capacity(np.linalg.svd(m, compute_uv=False), snr_linear, m.shape[-1])
 
 
 def _nonzero(m: np.ndarray) -> np.ndarray:
@@ -107,17 +108,19 @@ def condition_number(h):
     return _kappa(np.linalg.svd(m, compute_uv=False), m.shape)
 
 
-def condition_and_zf(h, snr_linear: float):
-    """(condition_number(h), zf_stream_snrs(h, snr_linear)) from one thin SVD
-    of h.  The ZF SNRs are None where zf_stream_snrs would raise
-    StreamSeparationError, and for one column agree with its closed form to
-    rounding; a zero matrix raises as in condition_number."""
+def link_metrics(h, snr_linear: float):
+    """(capacity(h, snr_linear), condition_number(h), zf_stream_snrs(h,
+    snr_linear)) from one thin SVD of h.  The ZF SNRs are None where
+    zf_stream_snrs would raise StreamSeparationError, and for one column agree
+    with its closed form to rounding; a zero matrix raises as in
+    condition_number."""
     m = _nonzero(_as_matrix(h))
     _check_snr(snr_linear)
     _, s, vh = np.linalg.svd(m, full_matrices=False)
     n_rx, n_tx = m.shape[-2:]
     separable = n_rx >= n_tx and not np.any(_singular(s, m.shape))
-    return _kappa(s, m.shape), (_zf_snrs(s, vh, snr_linear) if separable else None)
+    return (_capacity(s, snr_linear, n_tx), _kappa(s, m.shape),
+            _zf_snrs(s, vh, snr_linear) if separable else None)
 
 
 def mrc_combine(h, snr_linear: float = 1.0) -> float:
@@ -191,7 +194,7 @@ class McsRow:
 
 @dataclass(frozen=True)
 class McsTable:
-    """Ordered MCS rows for one bandwidth class."""
+    """MCS rows of one or more bandwidths; map_rate reads one for_bandwidth."""
 
     rows: tuple
 
@@ -224,9 +227,11 @@ class McsTable:
 def map_rate(esnr_db: float, table: McsTable, n_streams: int = 1) -> float:
     """PHY rate for an effective SNR: highest MCS whose threshold is met,
     scaled linearly by the stream count.  Below the lowest threshold the
-    link is down (0 bps)."""
+    link is down (0 bps).  The table must hold one bandwidth's rows."""
     if n_streams < 1:
         raise DomainError(f"n_streams must be >= 1, got {n_streams}")
+    if len({r.bandwidth_mhz for r in table.rows}) > 1:
+        raise DomainError("map_rate needs the rows of one bandwidth (for_bandwidth)")
     best = 0.0
     for row in table.rows:
         if row.min_snr_db <= esnr_db and row.phy_rate_bps > best:

@@ -143,8 +143,9 @@ def load_presets(path=None) -> MaterialPresets:
     return MaterialPresets(_materials(doc), _coupling(doc), _version(doc))
 
 
-def load_mcs_table(path=None, bandwidth_mhz: float | None = None) -> McsTable:
-    """MCS table from a CSV file (default: the shipped 802.11 table)."""
+def load_mcs_table(path=None) -> McsTable:
+    """MCS table from a CSV file (default: the shipped 802.11 table), with the
+    rows of every bandwidth it holds; McsTable.for_bandwidth selects one."""
     src = path if path is not None else data_dir() / "mcs_80211.csv"
     rows = []
     try:
@@ -165,10 +166,7 @@ def load_mcs_table(path=None, bandwidth_mhz: float | None = None) -> McsTable:
         raise PresetError(f"malformed MCS table {src}: {exc}") from exc
     if not rows:
         raise PresetError(f"MCS table {src} is empty")
-    table = McsTable(tuple(rows))
-    if bandwidth_mhz is not None:
-        table = table.for_bandwidth(bandwidth_mhz)
-    return table
+    return McsTable(tuple(rows))
 
 
 def scene_path(name: str):

@@ -153,7 +153,7 @@ def test_criterion_07_aggregation_range():
     peak_d, peak_total, peak_chains = rows[0]
     assert peak_total == 1286.7e6
     for c in peak_chains:
-        top = presets.load_mcs_table(bandwidth_mhz=c.bandwidth_hz / 1e6).max_rate_bps
+        top = presets.load_mcs_table().for_bandwidth(c.bandwidth_hz / 1e6).max_rate_bps
         assert c.phy_rate_bps == top
     assert all(0.74e9 <= t <= 1.33e9 for t in totals)
     print(f"PASS criterion 7: peak {peak_total / 1e6:.1f} Mbps at "

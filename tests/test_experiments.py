@@ -29,6 +29,7 @@ from surfmimo.experiments import (
     default_distances_m,
     default_radiation_positions,
     default_template,
+    multi_mode_sweep,
     pulse_profile,
     radiation_benchmark,
     run_link,
@@ -66,6 +67,24 @@ def test_link_settings_validation_and_budget():
     assert 10 * math.log10(s.snr_linear()) == pytest.approx(expected_db, abs=1e-12)
     assert LinkSettings().rate_table().max_rate_bps == 200e6
     assert LinkSettings(band=FrequencyBand(2.437e9, 20e6)).rate_table().max_rate_bps == 86.7e6
+
+
+def test_a_whole_rate_table_gives_each_link_its_own_bandwidth_rows():
+    # a 20 MHz link given the table of every bandwidth must rate itself on
+    # the 20 MHz rows, exactly as with the default (shipped) table
+    band20 = FrequencyBand(2.437e9, 20e6)
+    whole = presets.load_mcs_table()
+    scene = build_link_scene(default_template(), 0.3, MODE_2X2)
+    given = run_link(scene, LinkSettings(band=band20, mcs_table=whole, grid=8,
+                                         n_subcarriers=8))
+    default = run_link(scene, LinkSettings(band=band20, grid=8, n_subcarriers=8))
+    assert given == default
+    assert given.phy_rate_bps == 173.4e6
+
+    fast20 = replace(FAST, band=band20)
+    distances = (FOOT_M, 4 * FOOT_M)
+    assert (multi_mode_sweep(distances_m=distances, settings=replace(fast20, mcs_table=whole))
+            == multi_mode_sweep(distances_m=distances, settings=fast20))
 
 
 def test_build_link_scene_layouts():
@@ -231,7 +250,7 @@ def test_aggregate_peak_hits_every_top_mcs():
     assert total == 1286.7e6
     assert total == sum(r.phy_rate_bps for r in rows)
     for r in rows:
-        top = presets.load_mcs_table(bandwidth_mhz=r.bandwidth_hz / 1e6).max_rate_bps
+        top = presets.load_mcs_table().for_bandwidth(r.bandwidth_hz / 1e6).max_rate_bps
         assert r.phy_rate_bps == top
 
 

@@ -22,21 +22,42 @@ from surfmimo.mimo import (
 from surfmimo import presets
 
 
-def _random_matrices(rng, n, size):
-    return rng.standard_normal((n, size, size)) + 1j * rng.standard_normal((n, size, size))
+def _random_stack(rng, n, n_rx, n_tx):
+    shape = (n, n_rx, n_tx)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _logdet_capacity(h, rho):
+    """The capacity oracle: log2 det(I + rho/Nt H H+) by a batched slogdet of
+    the receive-side Gram matrix, independent of the SVD form under test."""
+    n_rx, n_tx = h.shape[-2:]
+    gram = np.eye(n_rx) + (rho / n_tx) * (h @ h.conj().swapaxes(-1, -2))
+    sign, logdet = np.linalg.slogdet(gram)
+    assert np.all(sign.real > 0)
+    return logdet / math.log(2.0)
 
 
 def test_capacity_equals_svd_eigen_sum():
-    # log2 det(I + rho/Nt H H+) must equal sum_i log2(1 + rho/Nt s_i^2).
+    # sum_i log2(1 + rho/Nt s_i^2) must equal log2 det(I + rho/Nt H H+), for
+    # square and non-square, full-rank and rank-one stacks, from far below
+    # 0 dB to 20 dB.  The oracle forms H H+, so its own rounding grows like
+    # rho * s_max^2 * eps: at rho = 1e4 a rank-one stack puts it 2e-11 off
+    # (the SVD form stays within 4e-15 of a 50-digit determinant there).
     rng = np.random.default_rng(1905)
     t0 = time.time()
-    for size in (2, 3):
-        for h in _random_matrices(rng, 1000, size):
-            rho = 100.0
-            c = capacity(h, rho)
-            s = np.linalg.svd(h, compute_uv=False)
-            oracle = float(np.sum(np.log2(1.0 + (rho / size) * s**2)))
-            assert abs(c - oracle) <= 1e-9 * max(1.0, abs(oracle))
+    for n_rx, n_tx in ((2, 2), (3, 3), (1, 3), (3, 1), (2, 4), (4, 2)):
+        full = _random_stack(rng, 300, n_rx, n_tx)
+        rank_one = _random_stack(rng, 300, n_rx, 1) @ _random_stack(rng, 300, 1, n_tx)
+        for h in (full, rank_one):
+            for rho in (1e-6, 1e-2, 1.0, 100.0):
+                got = capacity(h, rho)
+                oracle = _logdet_capacity(h, rho)
+                assert got.shape == (300,)
+                assert np.all(np.abs(got - oracle) <= 1e-12 + 1e-12 * np.abs(oracle))
+                for m, o in zip(h[:5], oracle):
+                    c = capacity(m, rho)
+                    assert isinstance(c, float)
+                    assert abs(c - o) <= 1e-12 + 1e-12 * abs(o)
     assert time.time() - t0 < 5.0
 
 
@@ -152,6 +173,14 @@ def test_map_rate_thresholds():
         map_rate(10.0, t, n_streams=0)
 
 
+def test_map_rate_refuses_rows_of_several_bandwidths():
+    full = presets.load_mcs_table()
+    with pytest.raises(DomainError):
+        map_rate(30.0, full)
+    assert map_rate(30.0, full.for_bandwidth(20.0)) == 86.7e6
+    assert map_rate(30.0, full.for_bandwidth(40.0)) == 180e6
+
+
 def test_mcs_table_validation_and_filtering():
     with pytest.raises(DomainError):
         McsTable(())
@@ -169,8 +198,9 @@ def test_mcs_table_validation_and_filtering():
 
 def test_preset_mcs_rates():
     # top single-stream rates that anchor the aggregation arithmetic
-    assert presets.load_mcs_table(bandwidth_mhz=40).max_rate_bps == 200e6
-    assert presets.load_mcs_table(bandwidth_mhz=20).max_rate_bps == 86.7e6
+    shipped = presets.load_mcs_table()
+    assert shipped.for_bandwidth(40).max_rate_bps == 200e6
+    assert shipped.for_bandwidth(20).max_rate_bps == 86.7e6
 
 
 def test_link_result_validation():

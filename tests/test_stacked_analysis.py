@@ -32,9 +32,9 @@ from surfmimo.io import sweep_result_set
 from surfmimo.mimo import (
     LinkResult,
     capacity,
-    condition_and_zf,
     condition_number,
     effective_snr,
+    link_metrics,
     map_rate,
     zf_stream_snrs,
 )
@@ -185,14 +185,15 @@ def test_stack_with_one_singular_matrix_is_not_separable():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 4),
        n_tx=st.integers(1, 4), f=st.integers(1, 5), rank_deficient=st.booleans())
-def test_condition_and_zf_from_one_svd_match_the_separate_calls(seed, n_rx, n_tx, f,
-                                                                rank_deficient):
+def test_link_metrics_from_one_svd_match_the_separate_calls(seed, n_rx, n_tx, f,
+                                                            rank_deficient):
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((f, n_rx, n_tx)) + 1j * rng.standard_normal((f, n_rx, n_tx))
     if rank_deficient and n_tx > 1:
         stack[f // 2, :, 1] = stack[f // 2, :, 0]
-    kappa, snrs = condition_and_zf(stack, 50.0)
+    caps, kappa, snrs = link_metrics(stack, 50.0)
     # with and without singular vectors LAPACK takes different paths
+    np.testing.assert_allclose(caps, capacity(stack, 50.0), rtol=1e-12)
     np.testing.assert_allclose(kappa, condition_number(stack), rtol=1e-12)
     try:
         want = zf_stream_snrs(stack, 50.0)
