@@ -7,16 +7,16 @@ subcarriers, derive zero-forcing stream SNRs for every candidate
 transmit-column subset, compress them with an effective-SNR mapping, look
 the result up in the rate table, and keep the best (rate, stream-count)
 choice.  Reported rates are PHY rates; MAC overhead is a separate scalar
-applied only when results are written out.  A link takes one thin SVD of
-its whole stack, for the capacity, the condition number and the all-column
-ZF SNRs; one-column subsets use the closed form rho * sum |h|^2, and only
-the other subsets take an SVD of their own.
+applied only when results are written out.
 
 In a distance sweep (``throughput_sweep``, and ``aggregate_sweep`` per
 chain) only the receiver moves.  The runner builds and validates each
-distance's scene, then synthesizes all of them in one channel-engine pass
-and analyzes each distance's ``(F, n_rx, n_tx)`` slice of that array; no
-per-subcarrier matrix objects are built.  A sweep over several modes
+distance's scene, then synthesizes all of them in one channel-engine pass,
+an ``(F, D, n_rx, n_tx)`` array, and analyzes that array in one pass:
+each column subset is decomposed once for every distance (closed forms up
+to two columns, one batched SVD for three; see ``mimo``), and the
+effective SNRs and rate lookups of all distances are taken together.  A
+single link is the one-distance case.  A sweep over several modes
 (``multi_mode_sweep``) synthesizes only the modes whose ports no other
 mode of the sweep holds and reads the rest as index slices of those
 stacks: ``--mode all`` is two engine passes, surface-3x3 and air-mimo, and
@@ -44,11 +44,14 @@ from .geometry import Node, Scene, SurfaceSpec
 from .mimo import (
     LinkResult,
     McsTable,
-    StreamSeparationError,
-    effective_snr,
-    link_metrics,
-    map_rate,
-    zf_stream_snrs,
+    _capacity,
+    _decompose,
+    _esm,
+    _kappa,
+    _lookup_rates,
+    _nonzero,
+    _rate_steps,
+    _singular,
 )
 from .propagation import FrequencyBand, band_for_frequency
 
@@ -210,12 +213,13 @@ def run_link(scene: Scene, settings: LinkSettings | None = None) -> LinkResult:
 
 def _run_links(scenes, settings: LinkSettings) -> list:
     """run_link for scenes that differ only in their receive ports (the
-    distances of a sweep), from one channel-engine pass for all of them."""
+    distances of a sweep), from one channel-engine pass and one analysis
+    pass for all of them."""
     if not scenes:
         return []
     _, h, _, _ = _channel_stack(scenes, settings.band, settings.n_subcarriers, settings.grid,
                                 settings.channel_params())
-    return [_analyze(h[:, d], settings) for d in range(len(scenes))]
+    return _analyze(h, settings)
 
 
 def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
@@ -223,59 +227,56 @@ def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
     conditioning, stream SNRs, and the best achievable table rate over all
     transmit-column subsets.
 
-    The matrices are stacked once to (F, n_rx, n_tx).  One thin SVD of the
-    whole stack gives the capacity, the condition number and the
-    zero-forcing SNRs of the all-column subset; a one-column subset takes
-    the closed form of zf_stream_snrs, and each other subset one stacked
-    zero-forcing call.  A subset that is singular at any subcarrier is
-    skipped.  The first subset (fewest streams, then lowest column indices)
-    with the highest rate wins.
+    The matrices are stacked once to (F, n_rx, n_tx); the capacity, the
+    condition number and the zero-forcing SNRs of every subset come from
+    one decomposition of each subset's stack.  A subset that is singular at
+    any subcarrier is skipped.  The first subset (fewest streams, then
+    lowest column indices) with the highest rate wins.
     """
-    return _analyze(np.stack([m.entries for m in matrices]), settings or LinkSettings())
+    h = np.stack([m.entries for m in matrices])
+    return _analyze(h[:, None], settings or LinkSettings())[0]
 
 
-def _analyze(h, settings: LinkSettings) -> LinkResult:
-    """analyze_link of a channel stacked over subcarriers, (F, n_rx, n_tx)."""
+def _analyze(h, settings: LinkSettings) -> list:
+    """analyze_link of every distance of a channel stacked as (F, D, n_rx,
+    n_tx): one LinkResult per distance, from one pass over the column
+    subsets.  A subset is skipped at the distances where it is singular at
+    some subcarrier; an all-zero matrix raises UndefinedConditionError."""
     rho = settings.snr_linear()
     beta = settings.esm_beta
-    n_tx = h.shape[-1]
-    table = settings.rate_table()
-    caps, kappa, all_columns = link_metrics(h, rho)
-    best_rate = -1.0
-    best_snrs: tuple = (float("-inf"),)
-    best_columns: tuple = ()
-    for k in range(1, n_tx + 1):
+    steps = _rate_steps(settings.rate_table())
+    h = np.moveaxis(h, 1, 0)  # (D, F, n_rx, n_tx)
+    n_d, _, n_rx, n_tx = h.shape
+    s_all, g_all = _decompose(_nonzero(h), zf=True)
+    caps = _capacity(s_all, rho, n_tx).mean(axis=-1)
+    kappa = _kappa(s_all, h.shape).max(axis=-1)
+    best_rate = np.full(n_d, -1.0)
+    best = [((float("-inf"),), ())] * n_d  # (stream ESNRs in dB, columns)
+    for k in range(1, min(n_rx, n_tx) + 1):
         for subset in itertools.combinations(range(n_tx), k):
-            if k == n_tx > 1:
-                snrs = all_columns
-            else:
-                try:
-                    snrs = zf_stream_snrs(h[:, :, subset], rho)
-                except StreamSeparationError:
-                    snrs = None
-            if snrs is None:
+            s, g = (s_all, g_all) if k == n_tx else _decompose(h[..., subset], zf=True)
+            live = np.flatnonzero(~np.any(_singular(s, (n_rx, k)), axis=-1))
+            if not live.size:
                 continue
-            snrs = snrs.T  # (k, F)
-            rate = map_rate(_esnr_db(snrs, beta), table, n_streams=k)
-            if rate > best_rate:
-                best_rate = rate
-                best_snrs = tuple(_esnr_db(s, beta) for s in snrs)
-                best_columns = subset
-    if best_rate < 0:  # every subset was singular; report a dead link
-        best_rate = 0.0
+            snrs = np.swapaxes(rho / (k * g[live]), -1, -2)  # (live, k, F)
+            rate = _lookup_rates(_esnr_db(snrs.reshape(len(live), -1), beta), steps) * k
+            better = rate > best_rate[live]
+            won = live[better]
+            best_rate[won] = rate[better]
+            for d, db in zip(won, _esnr_db(snrs[better], beta)):
+                best[d] = (tuple(db.tolist()), subset)
 
-    return LinkResult(
-        capacity_bps=settings.band.bandwidth_hz * float(np.mean(caps)),
-        condition_number=float(np.max(kappa)),
-        stream_snrs_db=best_snrs,
-        phy_rate_bps=best_rate,
-        mode=_MODE_LABELS.get(n_tx, f"MIMO-{n_tx}x{n_tx}"),
-        tx_columns=best_columns,
-    )
+    mode = _MODE_LABELS.get(n_tx, f"MIMO-{n_tx}x{n_tx}")
+    # a distance where every subset is singular reports a dead link
+    return [LinkResult(capacity_bps=settings.band.bandwidth_hz * float(c),
+                       condition_number=float(kap), stream_snrs_db=snrs_db,
+                       phy_rate_bps=max(float(rate), 0.0), mode=mode, tx_columns=columns)
+            for c, kap, rate, (snrs_db, columns) in zip(caps, kappa, best_rate, best)]
 
 
-def _esnr_db(snrs_linear, beta: float) -> float:
-    return 10.0 * math.log10(max(effective_snr(snrs_linear, beta), 1e-300))
+def _esnr_db(snrs_linear, beta: float):
+    """Effective SNR in dB along the last axis of linear SNRs."""
+    return 10.0 * np.log10(np.maximum(_esm(snrs_linear, beta), 1e-300))
 
 
 def _resolved(settings: LinkSettings) -> LinkSettings:
@@ -313,20 +314,22 @@ def multi_mode_sweep(template: SceneTemplate | None = None, distances_m=None,
     if not distances_m:
         return {mode: [] for mode in scenes}
     ports = {mode: _stack_ports(s) for mode, s in scenes.items()}
-    stacks, reads = {}, {}
-    # largest first, so a mode meets every mode that could hold it as a host
+    stacks, results = {}, {}
+    # largest first, so a mode meets every mode that could hold it as a host;
+    # each mode is analyzed as soon as it is read, before the next mode's
+    # stack is made, which keeps the peak memory of the analysis down
     for mode in sorted(ports, key=lambda m: -(len(ports[m][0][0]) + len(ports[m][2]))):
         for host in stacks:
             index = _port_index(ports[mode], ports[host])
             if index is not None:
-                reads[mode] = stacks[host][(slice(None),) + index]
+                h = stacks[host][(slice(None),) + index]
                 break
         else:
-            stacks[mode] = reads[mode] = _channel_stack(
+            h = stacks[mode] = _channel_stack(
                 scenes[mode], settings.band, settings.n_subcarriers, settings.grid,
                 settings.params)[1]
-    return {mode: [(float(d), _analyze(reads[mode][:, i], settings))
-                   for i, d in enumerate(distances_m)] for mode in scenes}
+        results[mode] = _analyze(h, settings)
+    return {mode: list(zip(map(float, distances_m), results[mode])) for mode in scenes}
 
 
 def _port_index(ports, host):

@@ -2,33 +2,49 @@
 
 Every matrix function takes either one matrix ``(n_rx, n_tx)`` or a stack
 ``(..., n_rx, n_tx)`` (for example all subcarriers of a link, ``(F, n_rx,
-n_tx)``), and answers a stack with one LAPACK call instead of a Python loop
-over its matrices.  One matrix gives the scalar / 1-D result; a stack gives
-the same result per matrix along the leading axes.
+n_tx)``, or every distance of a sweep, ``(D, F, n_rx, n_tx)``), and answers
+a stack without a Python loop over its matrices.  One matrix gives the
+scalar / 1-D result; a stack gives the same result per matrix along the
+leading axes.
+
+Every result is read off two per-matrix quantities, the singular values
+s_i and the zero-forcing diagonal ``[(H†H)^-1]_kk``:
 
 * Capacity is the equal-power log-det form, log2 det(I + snr/N_tx H H†),
-  taken as ``sum_i log2(1 + snr/N_tx s_i^2)`` over the singular values.
-* The condition number is sigma_max / sigma_min from a batched singular-value
-  decomposition (+inf where a matrix is numerically singular).
-* Stream separation uses a zero-forcing receiver.  Its noise amplification
-  ``[(H†H)^-1]_kk`` is read off the thin SVD ``H = U S V†`` as
-  ``sum_i |V_ki|^2 / s_i^2``.  Forming and inverting the Gram matrix ``H†H``
-  would square the condition number before the inverse is taken, so
-  near-singular links would lose twice as many digits; the SVD form loses
-  only what the channel itself costs, and the same singular values decide
-  whether the streams are separable at all.  ``link_metrics`` reads the
-  capacity, the condition number and the all-column ZF SNRs off one SVD, so
-  a link analysis decomposes its full stack once.
-* A single stream needs no decomposition: ``[(h†h)^-1] = 1 / sum |h_i|^2``,
-  so its ZF SNR is the maximal-ratio-combined ``snr * sum |h_i|^2``.  Its one
-  singular value is ``|h|``, which ``_singular`` flags exactly when the
-  column is all zero, so that is when it is not separable.
-* Per-subcarrier SNRs are compressed to a single effective SNR which an MCS
-  table maps to a PHY rate.
+  taken as ``sum_i log2(1 + snr/N_tx s_i^2)``.
+* The condition number is s_max / s_min (+inf where a matrix is
+  numerically singular: s_min <= s_max * max(n_rx, n_tx) * eps).
+* A zero-forcing receiver gives stream k the SNR snr / (N_tx *
+  ``[(H†H)^-1]_kk``).
+
+Channels of one or two columns, which are all but the 3x3 links, take
+closed forms.  With a, c the squared column norms and b = h_1† h_2:
+
+* s_max^2 = (a + c)/2 + sqrt(((a - c)/2)^2 + |b|^2), a sum of non-negative
+  terms, so nothing cancels under the root;
+* det(H†H) = sum over the 2x2 minors of H of |minor|^2 (the Lagrange
+  identity), so s_min^2 = det / s_max^2, and the ZF diagonal is (c, a) / det.
+
+The determinant is taken from the minors of H itself, never as a c - |b|^2
+from the Gram matrix: each minor is rounded relative to the entries it is
+made of, so s_min is accurate to about eps * s_max, as from a
+backward-stable SVD, and the ZF diagonal loses about log10 of the
+condition number in digits, not twice that as an inverse of H†H would.
+Exactly parallel columns give minors of at most one rounding per product,
+so s_min <= eps * s_max / (2 sqrt 2), well inside the singular rule.  Each
+matrix is first scaled by an exact power of two to a largest part in
+[1/2, 1), so no square underflows or overflows, and the results are scaled
+back exactly.  Three or more columns take one batched LAPACK SVD, with
+the ZF diagonal read off the thin SVD ``H = U S V†`` as
+``sum_i |V_ki|^2 / s_i^2``.
+
+Per-subcarrier SNRs are compressed to a single effective SNR which an MCS
+table maps to a PHY rate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +64,46 @@ def _as_matrix(h) -> np.ndarray:
     if not np.isfinite(m).all():
         raise DomainError("channel matrix contains non-finite entries")
     return m
+
+
+def _decompose(m: np.ndarray, zf: bool = False):
+    """(s, g) for a stack m (..., n_rx, n_tx): the singular values s (...,
+    min(n_rx, n_tx)), descending, and with zf and n_rx >= n_tx the ZF
+    diagonal g = [(H†H)^-1]_kk (..., n_tx), else None.  g is inf or nan
+    where a matrix is singular.  Closed forms up to two columns, one
+    batched SVD above (see the module docstring)."""
+    n_rx, n_tx = m.shape[-2:]
+    zf = zf and n_rx >= n_tx
+    if n_tx > 2:
+        if not zf:
+            return np.linalg.svd(m, compute_uv=False), None
+        s, vh = np.linalg.svd(m, full_matrices=False)[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return s, np.sum((np.abs(vh) / s[..., :, None]) ** 2, axis=-2)
+    # scale each matrix by 2^-e to a largest real or imaginary part in [1/2, 1)
+    parts = np.ascontiguousarray(m).view(float)
+    largest = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
+    e = np.frexp(largest)[1][..., None]
+    m = np.ldexp(parts, -e[..., None]).view(complex)
+    norms = np.sum(m.real ** 2 + m.imag ** 2, axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n_tx == 1:
+            s2, g = norms, 1.0 / norms
+        else:
+            a, c = norms[..., 0], norms[..., 1]
+            x, y = m[..., 0], m[..., 1]
+            b = np.sum(x.conj() * y, axis=-1)
+            hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + (b.real ** 2 + b.imag ** 2))
+            det = np.zeros_like(a)
+            for i, j in itertools.combinations(range(n_rx), 2):
+                minor = x[..., i] * y[..., j] - x[..., j] * y[..., i]
+                det += minor.real ** 2 + minor.imag ** 2
+            # s_min^2 = det / s_max^2: 0 for a zero matrix, and never above
+            # s_max^2, as rounding could put it for equal orthogonal columns
+            lo = np.minimum(det / np.where(hi > 0, hi, 1.0), hi)
+            s2 = np.stack([hi, lo], axis=-1)[..., :n_rx]
+            g = np.stack([c, a], axis=-1) / det[..., None]
+        return np.ldexp(np.sqrt(s2), e), (np.ldexp(g, -2 * e) if zf else None)
 
 
 def _singular(s: np.ndarray, shape) -> np.ndarray:
@@ -77,7 +133,7 @@ def capacity(h, snr_linear: float):
     """
     _check_snr(snr_linear)
     m = _as_matrix(h)
-    return _capacity(np.linalg.svd(m, compute_uv=False), snr_linear, m.shape[-1])
+    return _capacity(_decompose(m)[0], snr_linear, m.shape[-1])
 
 
 def _nonzero(m: np.ndarray) -> np.ndarray:
@@ -94,33 +150,25 @@ def _kappa(s: np.ndarray, shape):
         return _scalar_or_stack(np.where(_singular(s, shape), math.inf, s[..., 0] / s[..., -1]))
 
 
-def _zf_snrs(s: np.ndarray, vh: np.ndarray, snr_linear: float) -> np.ndarray:
-    """ZF stream SNRs snr / (N_tx * [(H†H)^-1]_kk) from the thin SVD of H:
-    singular values s (..., n) and right singular vectors vh (..., n, n_tx)."""
-    inv_diag = np.sum(np.abs(vh) ** 2 / s[..., :, None] ** 2, axis=-2)
-    return snr_linear / (vh.shape[-1] * inv_diag)
-
-
 def condition_number(h):
     """sigma_max / sigma_min of each matrix; +inf for (numerically) singular
     input.  A float for one matrix, an array over the leading axes of a stack."""
     m = _nonzero(_as_matrix(h))
-    return _kappa(np.linalg.svd(m, compute_uv=False), m.shape)
+    return _kappa(_decompose(m)[0], m.shape)
 
 
 def link_metrics(h, snr_linear: float):
     """(capacity(h, snr_linear), condition_number(h), zf_stream_snrs(h,
-    snr_linear)) from one thin SVD of h.  The ZF SNRs are None where
-    zf_stream_snrs would raise StreamSeparationError, and for one column agree
-    with its closed form to rounding; a zero matrix raises as in
-    condition_number."""
+    snr_linear)) from one decomposition of h.  The ZF SNRs are None where
+    zf_stream_snrs would raise StreamSeparationError; a zero matrix raises
+    as in condition_number."""
     m = _nonzero(_as_matrix(h))
     _check_snr(snr_linear)
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
-    n_rx, n_tx = m.shape[-2:]
-    separable = n_rx >= n_tx and not np.any(_singular(s, m.shape))
+    s, g = _decompose(m, zf=True)
+    n_tx = m.shape[-1]
+    separable = g is not None and not np.any(_singular(s, m.shape))
     return (_capacity(s, snr_linear, n_tx), _kappa(s, m.shape),
-            _zf_snrs(s, vh, snr_linear) if separable else None)
+            snr_linear / (n_tx * g) if separable else None)
 
 
 def mrc_combine(h, snr_linear: float = 1.0) -> float:
@@ -138,9 +186,8 @@ def mrc_combine(h, snr_linear: float = 1.0) -> float:
 
 def zf_stream_snrs(h, snr_linear: float) -> np.ndarray:
     """Post-zero-forcing SNR per spatial stream: snr / (N_tx * [(H†H)^-1]_kk),
-    with the inverse's diagonal taken from the thin SVD of H, or for one
-    column the closed form snr * sum |h_i|^2.  Shape (n_tx,) for one matrix,
-    (..., n_tx) for a stack.
+    for one column the maximal-ratio-combined snr * sum |h_i|^2.  Shape
+    (n_tx,) for one matrix, (..., n_tx) for a stack.
 
     Raises StreamSeparationError when any matrix is singular (for one column:
     all zero), so callers can fall back to fewer streams.
@@ -152,14 +199,19 @@ def zf_stream_snrs(h, snr_linear: float) -> np.ndarray:
         raise StreamSeparationError(
             f"cannot separate {n_tx} streams with {n_rx} receive ports"
         )
-    if n_tx == 1:
-        if not np.all(np.any(m, axis=-2)):
-            raise StreamSeparationError("channel column is zero; the stream is not separable")
-        return snr_linear * np.sum(np.abs(m) ** 2, axis=-2)
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    s, g = _decompose(m, zf=True)
     if np.any(_singular(s, m.shape)):
         raise StreamSeparationError("channel matrix is singular; streams are not separable")
-    return _zf_snrs(s, vh, snr_linear)
+    return snr_linear / (n_tx * g)
+
+
+def _esm(snrs_linear: np.ndarray, beta: float) -> np.ndarray:
+    """effective_snr along the last axis of an array of linear SNRs."""
+    # a log-mean-exp shifted by the max keeps exp(-snr/beta) from
+    # underflowing at high SNR
+    x = -snrs_linear / beta
+    top = x.max(axis=-1)
+    return -beta * (top + np.log(np.mean(np.exp(x - top[..., None]), axis=-1)))
 
 
 def effective_snr(snrs_linear, beta: float = 1.0) -> float:
@@ -174,11 +226,7 @@ def effective_snr(snrs_linear, beta: float = 1.0) -> float:
         raise DomainError("effective_snr needs at least one subcarrier")
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
-    # a log-mean-exp shifted by the max keeps exp(-snr/beta) from
-    # underflowing at high SNR
-    x = -s / beta
-    top = x.max()
-    return float(-beta * (top + math.log(np.mean(np.exp(x - top)))))
+    return float(_esm(s, beta))
 
 
 @dataclass(frozen=True)
@@ -224,19 +272,41 @@ class McsTable:
         return max(r.phy_rate_bps for r in self.rows)
 
 
+def _one_bandwidth(table: McsTable) -> None:
+    if len({r.bandwidth_mhz for r in table.rows}) > 1:
+        raise DomainError("map_rate needs the rows of one bandwidth (for_bandwidth)")
+
+
 def map_rate(esnr_db: float, table: McsTable, n_streams: int = 1) -> float:
     """PHY rate for an effective SNR: highest MCS whose threshold is met,
     scaled linearly by the stream count.  Below the lowest threshold the
     link is down (0 bps).  The table must hold one bandwidth's rows."""
     if n_streams < 1:
         raise DomainError(f"n_streams must be >= 1, got {n_streams}")
-    if len({r.bandwidth_mhz for r in table.rows}) > 1:
-        raise DomainError("map_rate needs the rows of one bandwidth (for_bandwidth)")
+    _one_bandwidth(table)
     best = 0.0
     for row in table.rows:
         if row.min_snr_db <= esnr_db and row.phy_rate_bps > best:
             best = row.phy_rate_bps
     return best * n_streams
+
+
+def _rate_steps(table: McsTable):
+    """One bandwidth's rows as (thresholds_db, rates_bps) for _lookup_rates:
+    the thresholds ascending, and the rates with the link-down 0 ahead."""
+    _one_bandwidth(table)
+    rows = sorted(table.rows, key=lambda r: r.min_snr_db)
+    return (np.array([r.min_snr_db for r in rows]),
+            np.array([0.0] + [r.phy_rate_bps for r in rows]))
+
+
+def _lookup_rates(esnr_db, steps) -> np.ndarray:
+    """map_rate (one stream) of every effective SNR of an array, from the
+    _rate_steps of its table.  McsTable makes the rates rise with the
+    thresholds, so the highest rate met is indexed by the count of
+    thresholds met: 0 is the link down, and a NaN meets none."""
+    thresholds, rates = steps
+    return rates[np.sum(np.asarray(esnr_db)[..., None] >= thresholds, axis=-1)]
 
 
 @dataclass(frozen=True)

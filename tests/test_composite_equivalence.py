@@ -5,7 +5,10 @@ and air kernel and sum the midpoint-rule integrals term by term, the way the
 model defines them.  The engine must agree with them to 1e-12 relative on
 random scenes, grids and air exponents, one tone at a time or a stack of
 tones in one call, with either side's contacts through the FFT, and with
-several contacts and antennas on each side.  The engine takes the C1, C2 and
+several contacts and antennas on each side.  The C1 integral, whose terms
+can cancel by three orders, is checked in two parts: its FFT arithmetic
+against a long-double dense sum of the engine's own fields and kernel
+samples, and those inputs against the dense formulas to a few ulps.  The engine takes the C1, C2 and
 C3 integrals over blocks of subcarriers; the block size must not change a bit
 of the output.
 """
@@ -53,24 +56,18 @@ def _dense_air(d, f, params):
     return d, (params.air_ref_m / d) ** params.air_exponent * np.exp(-1j * k * d)
 
 
-def dense_composites(scene, txs, rxs, f, n, params):
-    """C1 * a_tx^T K a_rx dA^2 and its magnitude-weighted mean delay for every
-    (transmit, receive) contact pair, as two (T, R) arrays."""
+def dense_composite_delay(scene, tx, rx, f, n, params):
+    """The magnitude-weighted mean delay of C1 * a_tx^T K a_rx dA^2 for one
+    (transmit, receive) contact pair."""
     m = scene.surface.material
-    pts, da = _dense_grid(scene.surface, n)
+    pts, _ = _dense_grid(scene.surface, n)
     diff = pts[:, None, :] - pts[None, :, :]
     d2, kern = _dense_air(np.sqrt(np.sum(diff * diff, axis=2)), f, params)
-    amps = np.zeros((len(txs), len(rxs)), dtype=complex)
-    delays = np.zeros((len(txs), len(rxs)))
-    for t, tx in enumerate(txs):
-        d1, a_tx = _dense_surface(pts, tx, f, m)
-        for r, rx in enumerate(rxs):
-            d3, a_rx = _dense_surface(pts, rx, f, m)
-            amps[t, r] = params.coupling.c1 * da * da * (a_tx @ (kern @ a_rx))
-            w = np.abs(a_tx)[:, None] * np.abs(kern) * np.abs(a_rx)[None, :]
-            tau = (d1[:, None] + d3[None, :] + d2) / phase_velocity(f, m)
-            delays[t, r] = np.sum(w * tau) / np.sum(w)
-    return amps, delays
+    d1, a_tx = _dense_surface(pts, tx, f, m)
+    d3, a_rx = _dense_surface(pts, rx, f, m)
+    w = np.abs(a_tx)[:, None] * np.abs(kern) * np.abs(a_rx)[None, :]
+    tau = (d1[:, None] + d3[None, :] + d2) / phase_velocity(f, m)
+    return np.sum(w * tau) / np.sum(w)
 
 
 def dense_cross(scene, contact, antenna, f, n, c_scalar, params):
@@ -117,43 +114,89 @@ FAR_PAIRS = (SurfaceSpec(2.25, 34.875, MATERIAL), 2,
              ChannelParams(coupling=CouplingConstants(0.0625, 0.0625, 0.0625, 0.0)),
              2.0e9, (0.0, 0.0), (0.0, 20.0), (0.0, 0.0, 0.0))
 
+# an entry whose terms cancel 2,900-fold: at 2.350787435 GHz the engine is
+# 7e-15 from the long-double sum of its own inputs, while a float64 dense sum
+# of point-pair distances misses it by 1.1e-12
+CANCELLING = (SurfaceSpec(2.654296875, 7.6974609375, MATERIAL), 10,
+              ChannelParams(coupling=CouplingConstants(0.0625, 0.0625, 0.0625, 0.0),
+                            air_exponent=1.0),
+              2.0e9, (1.3828125, 5.0546875), (0.0, 6.060546875), (0.40625, 0.0, 0.0))
 
+# a float64 entry cannot be held to 1e-12 against independently rounded
+# inputs: an ulp of each field and kernel sample, times the cancellation of
+# an entry's terms, is already more.  So the FFT arithmetic is checked
+# against a long-double dense sum of the engine's own inputs, and those
+# inputs, element by element, against the formulas written out here.
+LONG_DOUBLE = float(np.finfo(np.longdouble).eps) < 1e-18
+INPUT_ULPS = 4
+
+
+def _long_double_correlation(grid, kernel, left, right):
+    """sum_p sum_q left[t, p] K(p - q) right[r, q], the correlation that
+    grid.correlate takes through the FFT, as a dense double sum in
+    np.longdouble.  Each point pair reads its kernel sample off the offset
+    lattice, where index i holds offset i below n and i - 2n above."""
+    n, ny = grid.shape
+    ix, iy = np.divmod(np.arange(n * ny), ny)
+    kernel, left, right = (np.asarray(a, dtype=np.clongdouble) for a in (kernel, left, right))
+    out = np.zeros((len(left), len(right)), dtype=np.clongdouble)
+    for lo in range(0, n * ny, 256):
+        p = slice(lo, lo + 256)
+        pairs = kernel[(ix[p, None] - ix) % (2 * n), (iy[p, None] - iy) % (2 * ny)]
+        out += left[:, p] @ (pairs @ right.T)
+    return out
+
+
+def _ports(case):
+    surface, _, _, _, tx, rx, antenna = case
+    # the engine correlates all receive contacts at once
+    return [tx, rx], [rx, tx, (min(max(antenna[0], 0.0), surface.width_m), rx[1])]
+
+
+def _within(got, want, rtol):
+    return np.all(np.abs(got - want) <= rtol * np.abs(want))
+
+
+@pytest.mark.skipif(not LONG_DOUBLE, reason="np.longdouble is not wider than float64 "
+                    "here, so it cannot serve as the exact reference of a float64 sum")
 @settings(max_examples=30, deadline=None)
 @given(cases(), st.lists(st.floats(2.0e9, 2.6e9), max_size=2))
 @example(FAR_PAIRS, [])
+@example(CANCELLING, [2.350787435e9])
 def test_fft_composite_matches_dense_double_sum(case, more_freqs):
-    surface, n, params, f, tx, rx, antenna = case
+    surface, n, params, f, tx, rx, _ = case
     scene = Scene(surface)
     band = FrequencyBand(f)
-    # the engine correlates all receive contacts at once
-    txs, rxs = [tx, rx], [rx, tx, (min(max(antenna[0], 0.0), surface.width_m), rx[1])]
-    amps, delays = dense_composites(scene, txs, rxs, f, n, params)
+    txs, rxs = _ports(case)
     m = surface.material
     grid = channel._Grid(surface, n, params)
     d_tx, d_rx = (np.array([grid.surface_distance(p, m.d0_m) for p in ps]) for ps in (txs, rxs))
-    gamma = m.alpha_at(f) + 1j * m.beta_at(f)
-    got = channel._composite(grid, 2.0 * math.pi * f / SPEED_OF_LIGHT,
-                             channel._surface_field(d_tx, gamma, m),
-                             channel._surface_field(d_rx, gamma, m), params)
-    assert np.all(np.abs(got - amps) <= RTOL * np.abs(amps))
-
-    # a stack of tones in one call: (B, T, R), each tone its own dense sum
+    # one tone, then a stack of tones in one call: (B, T, R), each tone
+    # against the dense sum of the fields and kernel samples it correlates
     freqs = np.array([f, *more_freqs])
     gammas, ks = channel._propagation(m, freqs)
+    c1 = params.coupling.c1 * grid.da * grid.da
+    amps = [c1 * _long_double_correlation(grid, grid.air_kernel(k),
+                                          channel._surface_field(d_tx, gamma, m),
+                                          channel._surface_field(d_rx, gamma, m))
+            for gamma, k in zip(gammas, ks)]
+    got = channel._composite(grid, ks[0], channel._surface_field(d_tx, gammas[0], m),
+                             channel._surface_field(d_rx, gammas[0], m), params)
+    assert _within(got, amps[0], RTOL)
     stacked = channel._composite(grid, ks, channel._surface_field(d_tx, gammas, m),
                                  channel._surface_field(d_rx, gammas, m), params)
     assert stacked.shape == (len(freqs), len(txs), len(rxs))
-    for fb, got_b in zip(freqs, stacked):
-        want = amps if fb == f else dense_composites(scene, txs, rxs, fb, n, params)[0]
-        assert np.all(np.abs(got_b - want) <= RTOL * np.abs(want))
+    for got_b, want in zip(stacked, amps):
+        assert _within(got_b, want, RTOL)
 
+    amp = amps[0].astype(complex)
     without = ChannelParams(coupling=CouplingConstants(0.0, 0.0, 0.0, 0.0),
                             air_exponent=params.air_exponent)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # contacts closer than d0
         # inside the engine, next to the direct paths: more receive rows (R > T)
         # send the transmit rows through the FFT, fewer (R < T) the receive rows
-        for rx_pts, tx_pts, want in ((rxs, txs, amps.T), (txs, rxs, amps)):
+        for rx_pts, tx_pts, want in ((rxs, txs, amp.T), (txs, rxs, amp)):
             rx_ports, tx_ports = ([(CONTACT, p) for p in pts] for pts in (rx_pts, tx_pts))
             with mock.patch.object(channel, "_composite", wraps=channel._composite) as spy:
                 h = channel._synthesize(scene, [f], n, params, rx_ports, tx_ports)[0]
@@ -165,11 +208,49 @@ def test_fft_composite_matches_dense_double_sum(case, more_freqs):
             (CONTACT, tx), (CONTACT, rx), scene, band, n, params).taps
         total = h_ss(tx, rx, scene, band, n, params)
         paths = h_ss(tx, rx, scene, band, n, without)
-    assert _close(composite[1], amps[0, 0])
-    assert _close(composite[0], delays[0, 0])
+    assert _close(composite[1], amp[0, 0])
     # the same integral inside h_ss, next to the direct path
     assert paths == direct
-    assert abs(total - paths - amps[0, 0]) <= RTOL * (abs(paths) + abs(amps[0, 0]))
+    assert abs(total - paths - amp[0, 0]) <= RTOL * (abs(paths) + abs(amp[0, 0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases(), st.lists(st.floats(2.0e9, 2.6e9), max_size=2))
+@example(FAR_PAIRS, [])
+@example(CANCELLING, [2.350787435e9])
+def test_composite_inputs_match_the_model_formulas(case, more_freqs):
+    # what the C1 correlation sums, element by element: each contact's
+    # surface field on the grid and the air kernel at every lattice offset,
+    # against the dense formulas above; no sum, so a few ulps
+    surface, n, params, f, tx, rx, _ = case
+    scene = Scene(surface)
+    txs, rxs = _ports(case)
+    m = surface.material
+    grid = channel._Grid(surface, n, params)
+    pts, da = _dense_grid(surface, n)
+    assert grid.shape[0] * grid.shape[1] == len(pts)
+    eps = INPUT_ULPS * np.finfo(float).eps
+    assert _within(np.column_stack([grid.x, grid.y]), pts, eps) and _within(grid.da, da, eps)
+    nx, ny = grid.shape
+    ox, oy = (np.concatenate([np.arange(c), np.arange(-c, 0)]) for c in (nx, ny))
+    lattice = np.hypot(ox[:, None] * (surface.width_m / nx), oy[None, :] * (surface.height_m / ny))
+    freqs = np.array([f, *more_freqs])
+    gammas, ks = channel._propagation(m, freqs)
+    for fb, gamma, k in zip(freqs, gammas, ks):
+        assert _within(gamma, m.alpha_at(fb) + 1j * m.beta_at(fb), eps)
+        assert _within(k, 2.0 * math.pi * fb / SPEED_OF_LIGHT, eps)
+        assert _within(grid.air_kernel(k), _dense_air(lattice, fb, params)[1], eps)
+        for contact in txs + rxs:
+            row = channel._surface_field(grid.surface_distance(contact, m.d0_m), gamma, m)
+            assert _within(row, _dense_surface(pts, contact, fb, m)[1], eps)
+
+    # the composite tap's delay, a mean with positive weights, against the
+    # float64 dense sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # contacts closer than d0
+        composite = impulse_response((CONTACT, tx), (CONTACT, rx), scene, FrequencyBand(f),
+                                     n, params).taps[-1]
+    assert _close(composite[0], dense_composite_delay(scene, tx, rx, f, n, params))
 
 
 @settings(max_examples=30, deadline=None)

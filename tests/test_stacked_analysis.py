@@ -1,6 +1,9 @@
 """Stacked link analysis: the (..., n, k) forms of capacity, condition number
-and zero-forcing SNRs against per-matrix references kept here, analyze_link
-against a per-subcarrier reference loop, and preset parsing per run."""
+and zero-forcing SNRs against per-matrix references kept here, the closed
+forms of one- and two-column channels against LAPACK and exact arithmetic,
+the rate lookup against map_rate, analyze_link against a per-subcarrier
+reference loop, the analysis of a stack of distances against each distance
+alone, and preset parsing per run."""
 
 import itertools
 import math
@@ -8,21 +11,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surfmimo import presets
+from surfmimo import experiments, mimo, presets
 from surfmimo.channel import ChannelMatrix
-from surfmimo.errors import StreamSeparationError, UndefinedConditionError
+from surfmimo.errors import DomainError, StreamSeparationError, UndefinedConditionError
 from surfmimo.experiments import (
     FOOT_M,
     MODE_2X2,
+    SWEEP_MODES,
     LinkSettings,
     SharingConfig,
     SharingPair,
     aggregate_sweep,
     analyze_link,
     default_distances_m,
+    multi_mode_sweep,
     scenario2_plan,
     share_sim,
     throughput_sweep,
@@ -31,6 +36,8 @@ from surfmimo.geometry import CONTACT
 from surfmimo.io import sweep_result_set
 from surfmimo.mimo import (
     LinkResult,
+    McsRow,
+    McsTable,
     capacity,
     condition_number,
     effective_snr,
@@ -318,3 +325,176 @@ def test_aggregate_and_share_parse_presets_once(monkeypatch):
              SharingPair((0.2, 0.5), (0.5, 0.5), 6))
     share_sim(SharingConfig(pairs), 50, settings=fast)
     assert calls == {"load_coupling": 1, "load_mcs_table": 1}
+
+
+# --- closed forms of one- and two-column channels ---------------------------------
+
+
+def _column_case(rng, n_rx, n_tx, kappa):
+    """An n_rx x n_tx matrix of condition number kappa when n_tx <= n_rx, else
+    a random one."""
+    if n_tx <= n_rx:
+        return _conditioned(rng, n_rx, n_tx, kappa)
+    return rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 4), n_tx=st.integers(1, 2),
+       f=st.integers(1, 4), log_kappa=st.floats(0.0, 6.0))
+def test_closed_forms_match_lapack_and_exact_zf(seed, n_rx, n_tx, f, log_kappa):
+    # Both sides are backward stable: singular values agree to rounding of
+    # s_max, so s_min, kappa and the ZF diagonal (led by 1/s_min^2) agree to
+    # rounding times kappa; the ZF diagonal also matches exact arithmetic.
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_column_case(rng, n_rx, n_tx, 10.0 ** log_kappa) for _ in range(f)])
+    s, g = mimo._decompose(stack, zf=True)
+    _, s_ref, vh = np.linalg.svd(stack, full_matrices=False)
+    assert s.shape == s_ref.shape == (f, min(n_rx, n_tx))
+    assert np.all(np.diff(s, axis=-1) <= 0)
+    kappa_ref = s_ref[:, 0] / s_ref[:, -1]
+    assert np.all(np.abs(s - s_ref) <= 1e-13 * s_ref[:, :1])
+    assert np.all(np.abs(s[:, 0] / s[:, -1] / kappa_ref - 1) <= 1e-13 * kappa_ref)
+    if n_tx > n_rx:
+        assert g is None
+        return
+    g_ref = np.sum(np.abs(vh) ** 2 / s_ref[..., :, None] ** 2, axis=-2)
+    assert np.all(np.abs(g / g_ref - 1) <= 1e-13 * kappa_ref[:, None])
+    for m, g_m in zip(stack, g):
+        np.testing.assert_allclose(g_m, _gram_inverse_diag_exact(m), rtol=1e-9, atol=0)
+    np.testing.assert_array_equal(zf_stream_snrs(stack, 7.0), 7.0 / (n_tx * g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 4), n_tx=st.integers(1, 2),
+       log_kappa=st.floats(0.0, 6.0))
+def test_closed_forms_are_exactly_scale_invariant(seed, n_rx, n_tx, log_kappa):
+    # each matrix is rescaled by an exact power of two before anything is
+    # squared, so a power-of-two scale moves every result by exactly its power
+    rng = np.random.default_rng(seed)
+    m = np.stack([_column_case(rng, n_rx, n_tx, 10.0 ** log_kappa) for _ in range(3)])
+    s, _ = mimo._decompose(m)
+    for p in (600, -600):
+        scaled, _ = mimo._decompose(np.ldexp(1.0, p) * m)
+        np.testing.assert_array_equal(scaled, np.ldexp(s, p))
+        np.testing.assert_array_equal(condition_number(np.ldexp(1.0, p) * m),
+                                      condition_number(m))
+    if n_tx <= n_rx:
+        # the ZF SNRs scale by the square of the power, inside the float range
+        snrs = zf_stream_snrs(m, 3.0)
+        for p in (250, -250):
+            np.testing.assert_array_equal(zf_stream_snrs(np.ldexp(1.0, p) * m, 3.0),
+                                          np.ldexp(snrs, 2 * p))
+    # 1e-200, whose squares underflow unscaled, is no power of two: rounding
+    # the scaled entries moves s by rounding of s_max and kappa by rounding
+    # times kappa
+    tiny, kappa = 1e-200 * m, condition_number(m)
+    assert np.all(np.abs(mimo._decompose(tiny)[0] - 1e-200 * s) <= 1e-13 * 1e-200 * s[:, :1])
+    assert np.all(np.abs(condition_number(tiny) / kappa - 1) <= 1e-14 * kappa)
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0, 0.5, -1.0, 1j, -2j])
+@pytest.mark.parametrize("n_rx", [2, 3, 4])
+def test_parallel_or_doubled_columns_are_singular(factor, n_rx):
+    # with c h exact, each 2x2 minor of [h, c h] is zero up to one rounding
+    # per product (a fused multiply-add need not round h_i h_j and h_j h_i
+    # alike), so s_min <= eps s_max / (2 sqrt 2), well inside the singular
+    # rule's max(n_rx, n_tx) eps s_max
+    rng = np.random.default_rng(n_rx)
+    h = rng.standard_normal((5, n_rx)) + 1j * rng.standard_normal((5, n_rx))
+    stack = np.stack([h, factor * h], axis=-1)
+    s, _ = mimo._decompose(stack, zf=True)
+    assert np.all(s[:, 1] <= s[:, 0] * np.finfo(float).eps / 2)
+    assert np.all(np.isinf(condition_number(stack)))
+    with pytest.raises(StreamSeparationError):
+        zf_stream_snrs(stack, 10.0)
+    assert link_metrics(stack, 10.0)[2] is None
+
+
+# --- rate lookup ------------------------------------------------------------------
+
+
+@st.composite
+def rate_tables(draw):
+    n = draw(st.integers(1, 8))
+    thresholds = sorted(draw(st.lists(st.floats(-10.0, 40.0), min_size=n, max_size=n,
+                                      unique=True)))
+    rates = sorted(draw(st.lists(st.floats(1e6, 1e9), min_size=n, max_size=n, unique=True)))
+    rows = [McsRow(i, "qam", "1/2", 20.0, 800.0, r, t)
+            for i, (t, r) in enumerate(zip(thresholds, rates))]
+    return McsTable(tuple(draw(st.permutations(rows))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=rate_tables(), data=st.data(), n_streams=st.integers(1, 3))
+@example(table=presets.load_mcs_table().for_bandwidth(40.0), data=None, n_streams=2)
+def test_rate_lookup_equals_map_rate(table, data, n_streams):
+    thresholds = [r.min_snr_db for r in table.rows]
+    # every threshold exactly, one ulp either side, and the ends of the range
+    esnrs = [x for t in thresholds for x in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf))]
+    esnrs += [-np.inf, np.inf, np.nan, -1e300, 1e300]
+    if data is not None:
+        esnrs += data.draw(st.lists(st.floats(-20.0, 50.0), max_size=20))
+    got = mimo._lookup_rates(np.array(esnrs), mimo._rate_steps(table)) * n_streams
+    assert got.tolist() == [map_rate(e, table, n_streams) for e in esnrs]
+
+
+def test_rate_lookup_needs_one_bandwidth():
+    with pytest.raises(DomainError):
+        mimo._rate_steps(presets.load_mcs_table())
+
+
+# --- one analysis pass over a stack of distances -----------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 3), n_tx=st.integers(1, 3),
+       f=st.integers(1, 6), n_d=st.integers(1, 5), singular=st.lists(st.booleans(),
+                                                                  min_size=5, max_size=5),
+       snr_db=st.floats(-10.0, 60.0))
+def test_stacked_analysis_equals_one_distance_at_a_time(seed, n_rx, n_tx, f, n_d, singular,
+                                                        snr_db):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((f, n_d, n_rx, n_tx)) + 1j * rng.standard_normal((f, n_d, n_rx, n_tx))
+    h *= 10.0 ** rng.uniform(-3.0, 0.0, size=(1, n_d, 1, 1))
+    for d in range(n_d):
+        if singular[d] and n_tx > 1:  # columns 0 and 1 parallel at one tone of d
+            h[f // 2, d, :, 1] = 2.0 * h[f // 2, d, :, 0]
+    st_ = experiments._resolved(LinkSettings(snr_db=snr_db))
+    together = experiments._analyze(h, st_)
+    assert len(together) == n_d
+    for d, got in enumerate(together):
+        (alone,) = experiments._analyze(h[:, [d]], st_)
+        assert got.phy_rate_bps == alone.phy_rate_bps
+        assert got.tx_columns == alone.tx_columns
+        assert got.mode == alone.mode
+        np.testing.assert_allclose(got.stream_snrs_db, alone.stream_snrs_db, rtol=1e-12)
+        assert got.capacity_bps == pytest.approx(alone.capacity_bps, rel=1e-12)
+        assert got.condition_number == pytest.approx(alone.condition_number, rel=1e-12)
+        if singular[d] and 1 < n_tx <= n_rx:
+            assert math.isinf(got.condition_number)
+            assert got.tx_columns[:2] != (0, 1)
+
+
+def test_four_mode_sweep_takes_one_lapack_svd(monkeypatch):
+    # one- and two-column subsets take the closed forms; only the all-column
+    # stack of surface-3x3, every distance at once, goes to LAPACK
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    distances = default_distances_m()[:3]
+    rows = multi_mode_sweep(distances_m=distances,
+                            settings=LinkSettings(grid=8, n_subcarriers=4))
+    assert list(rows) == list(SWEEP_MODES)
+    assert calls == [(len(distances), 4, 3, 3)]
+
+
+def test_an_all_zero_matrix_at_any_distance_raises():
+    h = np.ones((3, 2, 2, 2), dtype=complex)
+    h[1, 1] = 0.0
+    with pytest.raises(UndefinedConditionError):
+        experiments._analyze(h, LinkSettings(snr_db=20.0))
