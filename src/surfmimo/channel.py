@@ -15,16 +15,17 @@ Every (TX port, RX port) pair maps to one of four channel kinds:
 Every gain evaluates the propagation laws defined once in
 ``propagation.py``: the surface law ``_surface_field``, the air law
 ``_air_field`` and the wavenumber (``_wavenumber``, ``_propagation``).  One
-engine synthesizes every port pair over a whole frequency vector: the
-material constants are interpolated once per vector, the surface paths
-(direct path, images, obstacle factors, and their amplitudes over the
-vector) are evaluated once per distinct (source, target) point pair, and
-the surface integrals are batched over frequency and ports.  The near-field
-hop runs its surface leg to the foot under the antenna; when that foot is a
+engine synthesizes every port pair over a whole frequency vector from two
+evaluators, the only code that evaluates a gain: ``_paths`` streams each
+entry's discrete paths (legs and amplitudes over the vector), evaluated
+once per distinct (source, target) point pair, and ``_integrals`` takes the
+surface integrals, batched over frequency and ports.  The near-field hop
+runs its surface leg to the foot under the antenna; when that foot is a
 contact of the scene (an antenna mounted above its node's contact), the leg
 is the contact pair's paths, evaluated once for both entries.  ``csi`` is
-one call into it, and so is a whole sweep of distances; ``build_mimo`` and
-``h_ss``/``h_sa``/``h_as``/``h_aa`` are single-frequency calls.
+one call into the engine, and so is a whole sweep of distances;
+``build_mimo`` and ``h_ss``/``h_sa``/``h_as``/``h_aa`` are single-frequency
+calls; ``impulse_response`` reads both evaluators at the band center.
 
 Composite integrals are midpoint-rule Riemann sums over the N cell centers
 of a regular grid.  The air kernel between two cells depends only on their
@@ -72,6 +73,7 @@ emit a RuntimeWarning instead of extrapolating.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -334,11 +336,15 @@ def _surface_paths(tx, rx, scene: Scene, params: ChannelParams):
             counts.append(float(count))
             factors.append(_obstacle_factor(tx, pos, scene))
     if lengths[0] < m.d0_m:
+        # the warning names the first caller outside this package
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_globals.get("__package__") == __package__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"direct surface path of {lengths[0]:.4g} m is below the reference "
             f"distance {m.d0_m:.4g} m; clamping to the reference distance",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=level,
         )
     return np.maximum(lengths, m.d0_m), m.refl_coeff ** np.array(counts) * np.array(factors)
 
@@ -354,13 +360,6 @@ def _near_field(antenna, scene: Scene, params: ChannelParams):
     if params.coupling.near_field_coupling <= 0 or hop > params.near_field_radius_m:
         return None
     return foot, max(hop, params.air_ref_m)
-
-
-def _hop_amps(amps, hop_c, k, params: ChannelParams):
-    """Near-field amplitudes (F, P): the surface path amplitudes contact ->
-    foot times the coupling and the air gain of the hop."""
-    hop = _air_field(hop_c, k, params.air_ref_m, params.air_exponent)
-    return params.coupling.near_field_coupling * amps * hop[:, None]
 
 
 def _scatterers(tx, rx, model: AirMultipathModel):
@@ -401,15 +400,15 @@ def _air_link(tx, rx, k, params: ChannelParams):
 # --- the channel engine -----------------------------------------------------------
 
 
-def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
-                rx_ports, tx_ports):
-    """Gains of every (RX port, TX port) pair at every frequency, as an
-    (F, R, T) array; ports are (kind, position) pairs."""
+def _paths(scene: Scene, gamma, k, params: ChannelParams, rx_ports, tx_ports):
+    """The discrete paths of each (RX port, TX port) entry at the surface
+    constants gamma and air wavenumbers k, streamed one entry at a time as
+    (i, j, surface-leg lengths (P,), air-leg length, amplitudes (F, P)):
+    a contact pair's direct path and images (no air leg); a contact ->
+    foot path set followed by the near-field hop; an antenna pair's line of
+    sight with the scatterer ring, one column with no surface leg (gamma is
+    not read).  Each distinct surface path set is evaluated once."""
     m = scene.surface.material
-    gamma, k = _propagation(m, freqs)
-    coupling = params.coupling
-    g = _Grid(scene.surface, grid, params)
-    h = np.zeros((len(freqs), len(rx_ports), len(tx_ports)), dtype=complex)
     # the entries on each distinct surface path set (source, target), with
     # the near-field hop length or None for a contact -> contact entry
     uses = {}
@@ -418,7 +417,7 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
             if tk == CONTACT and rk == CONTACT:
                 uses.setdefault((tuple(tp), tuple(rp)), []).append((i, j, None))
             elif tk == ANTENNA and rk == ANTENNA:
-                h[:, i, j] = _air_link(tp, rp, k, params)
+                yield i, j, np.zeros(1), math.dist(tp, rp), _air_link(tp, rp, k, params)[:, None]
             else:
                 contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
                 near = _near_field(antenna, scene, params)
@@ -429,12 +428,21 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
         lengths, loss = _surface_paths(source, target, scene, params)
         amps = loss * _surface_field(lengths, gamma, m)
         for i, j, hop_c in entries:
-            h[:, i, j] = np.sum(amps if hop_c is None else _hop_amps(amps, hop_c, k, params),
-                                axis=-1)
+            if hop_c is None:
+                yield i, j, lengths, 0.0, amps
+            else:
+                hop = _air_field(hop_c, k, params.air_ref_m, params.air_exponent)
+                yield i, j, lengths, hop_c, params.coupling.near_field_coupling * amps * hop[:, None]
 
-    # the integrals C1 (contact -> contact), C2 (contact -> antenna) and C3
-    # (antenna -> contact) from the fields of the ports they use: surface
-    # fields of contacts, air fields of antennas, each once per block of tones
+
+def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports):
+    """The integrals C1 (contact -> contact), C2 (contact -> antenna) and C3
+    (antenna -> contact) of every (RX port, TX port) pair on the grid g of a
+    surface of material m, as an (F, R, T) array, 0 where a pair has none."""
+    coupling = params.coupling
+    h = np.zeros((len(k), len(rx_ports), len(tx_ports)), dtype=complex)
+    # each integral from the fields of the ports it uses: surface fields of
+    # contacts, air fields of antennas, each once per block of tones
     rx_c, rx_a, tx_c, tx_a = ([i for i, (kind, _) in enumerate(ports) if kind == want]
                               for ports in (rx_ports, tx_ports) for want in (CONTACT, ANTENNA))
     use_c1 = coupling.c1 > 0 and bool(rx_c and tx_c)
@@ -459,7 +467,7 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
         per_tone += g.lattice_d.size * (1 + min(len(rx_c), len(tx_c)))
     tones = max(1, _BLOCK_ELEMENTS // per_tone)
     rx_c, rx_a = np.array(rx_c, int)[:, None], np.array(rx_a, int)[:, None]
-    for lo in range(0, len(freqs), tones):
+    for lo in range(0, len(k), tones):
         f = slice(lo, lo + tones)
         s_rx, s_tx = _surface_field(d_rx_c, gamma[f], m), _surface_field(d_tx_c, gamma[f], m)
         a_rx, a_tx = (_air_field(d, k[f], params.air_ref_m, params.air_exponent)
@@ -472,6 +480,19 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
             h[f, rx_a, tx_c] += coupling.c2 * g.da * (a_rx @ np.swapaxes(s_tx, -1, -2))
         if use_c3:
             h[f, rx_c, tx_a] += coupling.c3 * g.da * (s_rx @ np.swapaxes(a_tx, -1, -2))
+    return h
+
+
+def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
+                rx_ports, tx_ports):
+    """Gains of every (RX port, TX port) pair at every frequency, as an
+    (F, R, T) array: each entry is its integral plus the sum of its discrete
+    paths; ports are (kind, position) pairs."""
+    m = scene.surface.material
+    gamma, k = _propagation(m, freqs)
+    h = _integrals(_Grid(scene.surface, grid, params), m, gamma, k, params, rx_ports, tx_ports)
+    for i, j, _, _, amps in _paths(scene, gamma, k, params, rx_ports, tx_ports):
+        h[:, i, j] += np.sum(amps, axis=-1)
     return h
 
 
@@ -632,56 +653,44 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
                      grid: int = 32, params: ChannelParams | None = None) -> ImpulseResponse:
     """Time-domain taps for one port pair.
 
-    Discrete paths (direct, boundary images) travel their surface legs at the
-    material phase velocity and free air legs at c.  Each composite integral
-    collapses to one aggregate tap at its magnitude-weighted mean delay;
-    composite routes are treated as surface-guided diffuse energy, so the
-    whole route uses the surface velocity — they never precede the direct
-    surface arrival.  The tap amplitudes are the channel engine's integrals
-    at the band center.
+    The taps are the channel engine's own discrete paths and integral at the
+    band center.  A discrete path (direct, boundary image, near-field hop,
+    antenna line of sight) travels its surface legs at the material phase
+    velocity and its air leg at c.  The composite integral collapses to one
+    aggregate tap at its magnitude-weighted mean delay; composite routes are
+    treated as surface-guided diffuse energy, so the whole route uses the
+    surface velocity — they never precede the direct surface arrival.
     """
     params = params or default_params()
     (tk, tp), (rk, rp) = tx_port, rx_port
+    m, f = scene.surface.material, [band.center_hz]
     if tk == ANTENNA and rk == ANTENNA:
-        d = math.dist(tp, rp)
-        return ImpulseResponse(((d / SPEED_OF_LIGHT, h_aa(tp, rp, band, params)),),
-                               band.bandwidth_hz)
-
-    m = scene.surface.material
-    v = phase_velocity(band, m)
-    gamma, k = _propagation(m, [band.center_hz])
-    g = _Grid(scene.surface, grid, params)
-    taps = []
-    if tk == CONTACT and rk == CONTACT:
-        lengths, loss = _surface_paths(tp, rp, scene, params)
-        taps.extend(zip(lengths / v, (loss * _surface_field(lengths, gamma, m))[0]))
-        if params.coupling.c1 > 0:
-            # sum w tau over point pairs, w = |A_S(tx,p1)| |A_air(p1,p2)| |A_S(p2,rx)|
-            # and v tau = d1(p1) + d2(p1-p2) + d3(p2): three Toeplitz forms
-            d1, d3 = (g.surface_distance(p, m.d0_m) for p in (tp, rp))
-            a_tx, a_rx = _surface_field(np.stack([d1, d3]), gamma[0], m)
-            amp = _composite(g, k[0], a_tx[None], a_rx[None], params)[0, 0]
-            w_tx, w_rx, w_air = np.abs(a_tx), np.abs(a_rx), np.abs(g.air_kernel(k[0]))
-            forms = g.correlate(w_air, np.stack([w_tx, w_tx * d1]),
-                                np.stack([w_rx, w_rx * d3])).real
-            air = g.correlate(w_air * g.lattice_d, w_tx[None], w_rx[None]).real[0, 0]
-            taps.append((float((forms[1, 0] + forms[0, 1] + air) / (v * forms[0, 0])), amp))
+        # no surface leg and no integral: neither the material nor a grid is read
+        v, gamma, k, amp = math.inf, None, _wavenumber(f), 0
     else:
-        contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
-        c_scalar = params.coupling.c2 if tk == CONTACT else params.coupling.c3
-        near = _near_field(antenna, scene, params)
-        if near is not None:
-            foot, hop_c = near
-            lengths, loss = _surface_paths(contact, foot, scene, params)
-            amps = _hop_amps(loss * _surface_field(lengths, gamma, m), hop_c, k, params)
-            taps.extend(zip(lengths / v + hop_c / SPEED_OF_LIGHT, amps[0]))
-        if c_scalar > 0:
-            d_s = g.surface_distance(contact, m.d0_m)
-            d_a = g.air_distance(antenna, params.air_ref_m)
-            field = (_surface_field(d_s, gamma[0], m)
-                     * _air_field(d_a, k[0], params.air_ref_m, params.air_exponent))
-            w = np.abs(field)
-            taps.append((float(np.sum(w * (d_s + d_a)) / (v * np.sum(w))),
-                         c_scalar * g.da * np.sum(field)))
+        v = phase_velocity(band, m)
+        gamma, k = _propagation(m, f)
+        g = _Grid(scene.surface, grid, params)
+        amp = _integrals(g, m, gamma, k, params, [rx_port], [tx_port])[0, 0, 0]
+    taps = [tap for _, _, legs, air, amps in _paths(scene, gamma, k, params, [rx_port], [tx_port])
+            for tap in zip(legs / v + air / SPEED_OF_LIGHT, amps[0])]
 
+    # the composite tap, where the pair has an integral
+    if amp != 0 and tk == CONTACT and rk == CONTACT:
+        # sum w tau over point pairs, w = |A_S(tx,p1)| |A_air(p1,p2)| |A_S(p2,rx)|
+        # and v tau = d1(p1) + d2(p1-p2) + d3(p2): three Toeplitz forms
+        d1, d3 = (g.surface_distance(p, m.d0_m) for p in (tp, rp))
+        a_tx, a_rx = _surface_field(np.stack([d1, d3]), gamma[0], m)
+        w_tx, w_rx, w_air = np.abs(a_tx), np.abs(a_rx), np.abs(g.air_kernel(k[0]))
+        forms = g.correlate(w_air, np.stack([w_tx, w_tx * d1]),
+                            np.stack([w_rx, w_rx * d3])).real
+        air = g.correlate(w_air * g.lattice_d, w_tx[None], w_rx[None]).real[0, 0]
+        taps.append((float((forms[1, 0] + forms[0, 1] + air) / (v * forms[0, 0])), amp))
+    elif amp != 0:
+        contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
+        d_s = g.surface_distance(contact, m.d0_m)
+        d_a = g.air_distance(antenna, params.air_ref_m)
+        w = np.abs(_surface_field(d_s, gamma[0], m)
+                   * _air_field(d_a, k[0], params.air_ref_m, params.air_exponent))
+        taps.append((float(np.sum(w * (d_s + d_a)) / (v * np.sum(w))), amp))
     return ImpulseResponse(_merge_taps(taps), band.bandwidth_hz)

@@ -531,11 +531,12 @@ def channel_result_set(matrices, metadata=None) -> ResultSet:
 
 
 def analyze_result_set(matrices, snr_linear, metadata=None) -> ResultSet:
-    from .mimo import link_metrics
+    from .mimo import capacity, condition_number
 
     columns = ("subcarrier_index", "frequency_hz", "capacity_bps_hz",
                "condition_number")
-    caps, conds, _ = link_metrics(np.stack([m.entries for m in matrices]), snr_linear)
+    h = np.stack([m.entries for m in matrices])
+    caps, conds = capacity(h, snr_linear), condition_number(h)
     rows = [
         (s, m.frequency.center_hz, float(caps[s]), float(conds[s]))
         for s, m in enumerate(matrices)

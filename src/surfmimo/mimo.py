@@ -157,20 +157,6 @@ def condition_number(h):
     return _kappa(_decompose(m)[0], m.shape)
 
 
-def link_metrics(h, snr_linear: float):
-    """(capacity(h, snr_linear), condition_number(h), zf_stream_snrs(h,
-    snr_linear)) from one decomposition of h.  The ZF SNRs are None where
-    zf_stream_snrs would raise StreamSeparationError; a zero matrix raises
-    as in condition_number."""
-    m = _nonzero(_as_matrix(h))
-    _check_snr(snr_linear)
-    s, g = _decompose(m, zf=True)
-    n_tx = m.shape[-1]
-    separable = g is not None and not np.any(_singular(s, m.shape))
-    return (_capacity(s, snr_linear, n_tx), _kappa(s, m.shape),
-            snr_linear / (n_tx * g) if separable else None)
-
-
 def mrc_combine(h, snr_linear: float = 1.0) -> float:
     """Maximal-ratio-combined SNR over receive branches with gains h.
 

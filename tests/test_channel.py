@@ -104,6 +104,39 @@ def test_h_ss_sub_reference_distance_warns_and_clamps():
     assert h == pytest.approx(surface_gain(m.d0_m, BAND, m), rel=1e-12)
 
 
+def test_clamp_warning_names_the_calling_line():
+    # the warning is raised deep inside the engine, whichever entry point
+    # was called; it names the caller's line, here this file
+    scene = Scene(SurfaceSpec(3.0, 1.0, SPRAY), (
+        Node("tx", "transmitter", contacts=((0.5, 0.5),)),
+        Node("rx", "receiver", contacts=((0.55, 0.5),)),
+    ))
+    tx, rx = scene.transmitters()[0].ports[0], scene.receivers()[0].ports[0]
+    for call in (
+        lambda: build_mimo(scene, BAND, grid=4),
+        lambda: h_ss(tx[1], rx[1], scene, BAND, grid=4),
+        lambda: csi(scene, BAND, 2, grid=4),
+        lambda: ex.run_link(scene, ex.LinkSettings(grid=4, n_subcarriers=2)),
+        lambda: impulse_response(tx, rx, scene, BAND, grid=4),
+    ):
+        with pytest.warns(RuntimeWarning, match="below the reference distance") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
+
+def test_antenna_pair_impulse_reads_neither_material_nor_grid():
+    # phase velocity 2 pi f / beta above c: no surface path may be timed, but
+    # an antenna pair has none, nor an integral to take on a grid
+    degenerate = _flat_material(beta=10.0)
+    scene = Scene(SurfaceSpec(3.0, 1.0, degenerate), (
+        Node("tx", "transmitter", antennas=((0.5, 0.5, 0.02),)),
+        Node("rx", "receiver", antennas=((1.5, 0.5, 0.02),)),
+    ))
+    at, ar = (0.5, 0.5, 0.02), (1.5, 0.5, 0.02)
+    resp = impulse_response((ANTENNA, at), (ANTENNA, ar), scene, BAND, grid=1)
+    assert resp.taps == ((1.0 / SPEED_OF_LIGHT, h_aa(at, ar, BAND, default_params())),)
+
+
 def test_reciprocity_exact_when_cross_couplings_match():
     st = ex.LinkSettings()
     scene = ex.build_link_scene(ex.default_template(), 0.6, ex.MODE_2X2, st)

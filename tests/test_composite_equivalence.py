@@ -269,6 +269,8 @@ def test_cross_terms_match_dense_sums(case, data):
         assert _close(h, amp)
         (tap,) = impulse_response(tx, rx, scene, band, n, params).taps
         assert _close(tap[1], amp)
+        # the engine's own integral, not a second evaluation of it
+        assert tap[1] == h
         assert _close(tap[0], delay)
 
     # several contacts and antennas on each side in any order, in one call:
