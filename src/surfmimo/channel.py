@@ -52,6 +52,19 @@ FFT'd row on the padded lattice plus every field row on the grid.  Sizing by
 elements rather than by tones keeps the working set bounded at any grid,
 tone count and row count.  No N x N matrix is formed and nothing is cached.
 
+Each law is evaluated once per distinct distance and gathered
+(``_distinct``, ``_on_distinct``): a complex exponential costs far more than
+a gather, and distances repeat.  The kernel lattice is even in both offsets,
+a node's contacts mirror each other's image paths, and field rows share
+grid distances.  The distinct values of the kernel lattice are found when
+the grid is built, those of the field rows once per call before the
+tone-block loop, and the discrete paths group consecutive path sets up to
+the block budget of distinct lengths.  The result is bitwise the law on
+every distance, since each element depends only on its own (tone,
+distance).  The gather is ``np.take`` along the last axis, which keeps the
+array C-contiguous; a fancy-indexed view would change how FFTs and BLAS
+round.
+
 An entry depends only on its two ports, so a distance sweep, where only the
 receiver moves, is one pass: ``_channel_stack`` stacks the receive ports of
 every distance against the shared transmit ports, and the transmit rows take
@@ -230,6 +243,26 @@ def default_params() -> ChannelParams:
     return ChannelParams(coupling=presets.load_coupling())
 
 
+# --- one law evaluation per distinct distance --------------------------------------
+
+
+def _distinct(d):
+    """(the distinct values of the distance array d, the index of each
+    element of d into them, shaped like d)."""
+    values, at = np.unique(d, return_inverse=True)
+    return values, at.reshape(np.shape(d))
+
+
+def _on_distinct(law, distinct, *args):
+    """law(d, *args) for the distances d of distinct = _distinct(d), with the
+    law evaluated once per distinct value and gathered: the same bits, since
+    each element depends only on its own distance.  np.take keeps the result
+    C-contiguous, so FFTs and matmuls of it round as they do on
+    law(d, *args)."""
+    values, at = distinct
+    return np.take(law(values, *args), at, axis=-1)
+
+
 # --- integration grid -----------------------------------------------------------
 
 
@@ -239,7 +272,8 @@ class _Grid:
     length-N field reshapes to (n, ny)).  The air kernel is sampled on the
     (2n, 2ny) circulant lattice of cell offsets: index i holds offset i below
     n and i - 2n above (index n is never read).  ``lattice_d`` is the clamped
-    distance max(hypot(ix*dx, iy*dy), air_ref_m)."""
+    distance max(hypot(ix*dx, iy*dy), air_ref_m); the kernel's law is
+    evaluated on its distinct values."""
 
     def __init__(self, surface, n: int, params: ChannelParams):
         if n < 2:
@@ -257,6 +291,7 @@ class _Grid:
         ix = np.concatenate([np.arange(n), np.arange(-n, 0)]) * dx
         iy = np.concatenate([np.arange(ny), np.arange(-ny, 0)]) * dy
         self.lattice_d = np.maximum(np.hypot(ix[:, None], iy[None, :]), params.air_ref_m)
+        self._lattice_distinct = _distinct(self.lattice_d)
 
     def surface_distance(self, contact, d0: float):
         """Clamped in-plane distance from a contact to every grid point."""
@@ -270,7 +305,8 @@ class _Grid:
     def air_kernel(self, k):
         """The clamped air gain on the offset lattice at wavenumber k, or at
         each of a vector of wavenumbers: shape k.shape + (2n, 2ny)."""
-        return _air_field(self.lattice_d, k, self.params.air_ref_m, self.params.air_exponent)
+        return _on_distinct(_air_field, self._lattice_distinct, k, self.params.air_ref_m,
+                            self.params.air_exponent)
 
     def correlate(self, kernel, left, right):
         """sum_p sum_q left[t, p] K(p - q) right[r, q] for every row pair, as a
@@ -407,8 +443,8 @@ def _paths(scene: Scene, gamma, k, params: ChannelParams, rx_ports, tx_ports):
     a contact pair's direct path and images (no air leg); a contact ->
     foot path set followed by the near-field hop; an antenna pair's line of
     sight with the scatterer ring, one column with no surface leg (gamma is
-    not read).  Each distinct surface path set is evaluated once."""
-    m = scene.surface.material
+    not read).  Each distinct surface path set is evaluated once, in
+    groups of consecutive sets (``_path_sets``)."""
     # the entries on each distinct surface path set (source, target), with
     # the near-field hop length or None for a contact -> contact entry
     uses = {}
@@ -424,15 +460,37 @@ def _paths(scene: Scene, gamma, k, params: ChannelParams, rx_ports, tx_ports):
                 if near is not None:
                     foot, hop_c = near
                     uses.setdefault((tuple(contact), foot), []).append((i, j, hop_c))
-    for (source, target), entries in uses.items():
-        lengths, loss = _surface_paths(source, target, scene, params)
-        amps = loss * _surface_field(lengths, gamma, m)
+    for lengths, amps, entries in _path_sets(uses, scene, gamma, len(k), params):
         for i, j, hop_c in entries:
             if hop_c is None:
                 yield i, j, lengths, 0.0, amps
             else:
                 hop = _air_field(hop_c, k, params.air_ref_m, params.air_exponent)
                 yield i, j, lengths, hop_c, params.coupling.near_field_coupling * amps * hop[:, None]
+
+
+def _path_sets(uses, scene: Scene, gamma, tones: int, params: ChannelParams):
+    """(lengths, amplitudes (F, P), entries) of each surface path set
+    (source, target) -> entries of uses.  Consecutive sets form groups of at
+    most _BLOCK_ELEMENTS // F distinct lengths (at least one set), and the
+    surface law is evaluated once per distinct length of a group."""
+    m = scene.surface.material
+    cap = max(1, _BLOCK_ELEMENTS // tones)
+    groups, seen = [], set()
+    for (source, target), entries in uses.items():
+        lengths, loss = _surface_paths(source, target, scene, params)
+        new = set(lengths.tolist())
+        seen |= new
+        if not groups or len(seen) > cap:
+            groups.append([])
+            seen = new
+        groups[-1].append((lengths, loss, entries))
+    for group in groups:
+        values, at = _distinct(np.concatenate([lengths for lengths, _, _ in group]))
+        field, stop = _surface_field(values, gamma, m), 0
+        for lengths, loss, entries in group:
+            start, stop = stop, stop + lengths.size
+            yield lengths, loss * np.take(field, at[start:stop], axis=-1), entries
 
 
 def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports):
@@ -454,9 +512,11 @@ def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports)
     # only the rows some integral uses
     rx_c, tx_c = (rx_c if use_c1 or use_c3 else []), (tx_c if use_c1 or use_c2 else [])
     rx_a, tx_a = (rx_a if use_c2 else []), (tx_a if use_c3 else [])
-    d_rx_c, d_tx_c = (np.array([g.surface_distance(ports[i][1], m.d0_m) for i in rows])
+    d_rx_c, d_tx_c = (_distinct(np.array([g.surface_distance(ports[i][1], m.d0_m)
+                                          for i in rows]))
                       for ports, rows in ((rx_ports, rx_c), (tx_ports, tx_c)))
-    d_rx_a, d_tx_a = (np.array([g.air_distance(ports[i][1], params.air_ref_m) for i in rows])
+    d_rx_a, d_tx_a = (_distinct(np.array([g.air_distance(ports[i][1], params.air_ref_m)
+                                          for i in rows]))
                       for ports, rows in ((rx_ports, rx_a), (tx_ports, tx_a)))
     # the side with fewer contact rows goes through the FFT (receive rows on a
     # tie); a block counts the kernel and the FFT'd rows on the padded lattice
@@ -469,8 +529,8 @@ def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports)
     rx_c, rx_a = np.array(rx_c, int)[:, None], np.array(rx_a, int)[:, None]
     for lo in range(0, len(k), tones):
         f = slice(lo, lo + tones)
-        s_rx, s_tx = _surface_field(d_rx_c, gamma[f], m), _surface_field(d_tx_c, gamma[f], m)
-        a_rx, a_tx = (_air_field(d, k[f], params.air_ref_m, params.air_exponent)
+        s_rx, s_tx = (_on_distinct(_surface_field, d, gamma[f], m) for d in (d_rx_c, d_tx_c))
+        a_rx, a_tx = (_on_distinct(_air_field, d, k[f], params.air_ref_m, params.air_exponent)
                       for d in (d_rx_a, d_tx_a))
         if use_c1 and swap:
             h[f, rx_c, tx_c] += _composite(g, k[f], s_rx, s_tx, params)

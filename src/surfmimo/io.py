@@ -415,6 +415,20 @@ _FORMATTERS = {
 }
 
 
+# Rows per chunk that write_results formats before writing them.
+_WRITE_ROWS = 128
+
+
+def _format_column(cells) -> list:
+    """The CSV text of one column's cells: one formatter for a column of one
+    cell type, one per cell otherwise."""
+    types = set(map(type, cells))
+    if len(types) == 1:
+        return list(map(_FORMATTERS.get(types.pop(), _format_value), cells))
+    formatter = _FORMATTERS.get
+    return [formatter(type(v), _format_value)(v) for v in cells]
+
+
 def _parse_value(s: str):
     if s == "":
         return None
@@ -466,9 +480,11 @@ def write_results(rs: ResultSet, path) -> None:
                 fh.write(f"# {key}: {rs.metadata[key]}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(rs.columns)
-            formatter = _FORMATTERS.get
-            for row in rs.rows:
-                writer.writerow([formatter(type(v), _format_value)(v) for v in row])
+            # formatted a column at a time, a bounded chunk of rows at a time
+            for lo in range(0, len(rs.rows), _WRITE_ROWS):
+                chunk = rs.rows[lo:lo + _WRITE_ROWS]
+                columns = [_format_column(cells) for cells in zip(*chunk)]
+                writer.writerows(zip(*columns) if columns else chunk)
     except OSError as exc:
         raise ResultIOError(f"cannot write results to {path}: {exc}") from exc
 
@@ -626,10 +642,10 @@ def share_result_set(results, metadata=None) -> ResultSet:
 
 def pulse_result_set(profile, metadata=None) -> ResultSet:
     columns = ("time_ns", "re", "im", "magnitude")
-    rows = [
-        (float(t * 1e9), float(y.real), float(y.imag), float(abs(y)))
-        for t, y in zip(profile.time_s, profile.samples)
-    ]
+    y = profile.samples
+    # the builtin abs of each sample: np.abs rounds some magnitudes differently
+    rows = list(zip((profile.time_s * 1e9).tolist(), y.real.tolist(), y.imag.tolist(),
+                    map(abs, y.tolist())))
     meta = dict(metadata or {})
     meta.setdefault("sample_rate_hz", repr(profile.sample_rate_hz))
     meta.setdefault("rms_delay_spread_s", repr(profile.response.rms_delay_spread()))

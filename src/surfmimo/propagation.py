@@ -163,7 +163,10 @@ def _surface_field(d, gamma, m: MaterialParams):
     """Surface gain exp(-gamma d) d0/d at distances d (not below d0), with the
     propagation constant gamma = alpha + j beta, or an array of them (one
     leading axis per entry): shape gamma.shape + d.shape."""
-    return np.exp(np.multiply.outer(-gamma, d)) * (m.d0_m / d)
+    e = np.asarray(np.multiply.outer(-gamma, d))
+    np.exp(e, out=e)
+    e *= m.d0_m / d
+    return e
 
 
 def _air_amplitude(ratio, p: float):
@@ -180,7 +183,10 @@ def _air_field(d, k, air_ref: float, p: float):
     """Air gain (air_ref/d)^p exp(-j k d) at distances d (not below air_ref),
     at wavenumber k or an array of them (one leading axis per entry): shape
     k.shape + d.shape."""
-    return _air_amplitude(air_ref / d, p) * np.exp(np.multiply.outer(-1j * k, d))
+    e = np.asarray(np.multiply.outer(-1j * k, d))
+    np.exp(e, out=e)
+    e *= _air_amplitude(air_ref / d, p)
+    return e
 
 
 def surface_gain(d: float, f, m: MaterialParams) -> complex:

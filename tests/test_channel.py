@@ -569,3 +569,25 @@ def test_air_multipath_defaults_off_and_validation():
 def test_noise_model_budget():
     assert NoiseModel().noise_power_dbm(40e6) == pytest.approx(-91.98, abs=0.01)
     assert NoiseModel().noise_power_dbm(20e6) == pytest.approx(-94.99, abs=0.01)
+
+
+@settings(max_examples=80, deadline=None)
+@given(freqs=st.lists(st.floats(0.9e9, 6e9), min_size=1, max_size=6),
+       pool=st.lists(st.floats(0.1, 20.0), min_size=1, max_size=5),
+       picks=st.lists(st.integers(0, 4), min_size=1, max_size=24),
+       rows=st.integers(1, 3), exponent=st.sampled_from([1.0, 2.0, 1.5]))
+def test_a_law_on_distinct_distances_is_bitwise_the_law(freqs, pool, picks, rows, exponent):
+    # each element of a law depends only on its own (tone, distance), so the
+    # law on the distinct distances, gathered, is the law on every distance
+    d = np.array([[pool[(i + r) % len(pool)] for i in picks] for r in range(rows)])
+    m = SPRAY
+    gamma, k = channel._propagation(m, freqs)
+    distinct = channel._distinct(d)
+    values, at = distinct
+    assert np.all(np.diff(values) > 0) and np.array_equal(values[at], d)
+    for law, args in ((channel._surface_field, (gamma, m)),
+                      (channel._air_field, (k, 0.1, exponent))):
+        full, got = law(d, *args), channel._on_distinct(law, distinct, *args)
+        assert got.shape == full.shape == (len(freqs),) + d.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == full.tobytes()

@@ -334,13 +334,23 @@ def test_csi_is_bitwise_independent_of_the_block_size(monkeypatch):
     surface_field, air_field, composite = (
         channel._surface_field, channel._air_field, channel._composite)
 
+    # each side's field rows are evaluated on their distinct distances
+    rx, _, tx, _ = channel._scene_ports(scene)
+    d0, air_ref = scene.surface.material.d0_m, params.air_ref_m
+    rows = {kind: [np.unique([distance(p) for k, p in ports if k == kind]) for ports in (rx, tx)]
+            for kind, distance in ((CONTACT, lambda p: grid.surface_distance(p, d0)),
+                                   (ANTENNA, lambda p: grid.air_distance(p, air_ref)))}
+
+    def field_rows(kind, d):
+        return any(np.array_equal(d, side) for side in rows[kind])
+
     def contact_rows(d, gamma, m):
-        if np.shape(d) == (2, cells):  # not a discrete surface path
+        if field_rows(CONTACT, d):  # not a discrete surface path
             blocks["surface"].append(len(gamma))
         return surface_field(d, gamma, m)
 
     def antenna_rows(d, k, air_ref, p):
-        if np.shape(d) == (1, cells):  # not the kernel, a hop or a line-of-sight path
+        if field_rows(ANTENNA, d):  # not the kernel, a hop or a line-of-sight path
             blocks["antenna"].append(len(k))
         return air_field(d, k, air_ref, p)
 

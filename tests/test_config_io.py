@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,17 +391,20 @@ def test_written_cells_match_reference_formatting(rows):
         for v in row:
             assert rio._FORMATTERS.get(type(v), rio._format_value)(v) == _reference_format(v)
     columns = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 1))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "r.csv")
-        write_results(ResultSet(columns, rows, {"k": "v"}), path)
-        got = open(path, "rb").read()
     want = io.StringIO()
     want.write("# surfmimo-results v1\n# k: v\n")
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_reference_format(v) for v in row])
-    assert got == want.getvalue().encode("utf-8")
+    # the default chunk of rows, and chunks of two rows whose columns can
+    # hold one cell type in one chunk and several in the next
+    for chunk in (rio._WRITE_ROWS, 2):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(rio, "_WRITE_ROWS", chunk):
+            path = os.path.join(tmp, "r.csv")
+            write_results(ResultSet(columns, rows, {"k": "v"}), path)
+            got = open(path, "rb").read()
+        assert got == want.getvalue().encode("utf-8")
 
 
 def test_result_set_validation_and_read_errors(tmp_path):

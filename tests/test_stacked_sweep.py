@@ -207,3 +207,17 @@ def test_stacked_scenes_must_share_the_transmit_side():
     for bad in (moved, other_mode):
         with pytest.raises(DomainError, match="stacked scenes"):
             channel._channel_stack([a, bad], FAST.band, 2, 8, None)
+
+
+def test_the_surface_law_runs_once_per_distinct_distance(monkeypatch):
+    calls = []
+    surface_field = channel._surface_field
+    monkeypatch.setattr(channel, "_surface_field", lambda d, gamma, m: (
+        calls.append((len(gamma), np.asarray(d))) or surface_field(d, gamma, m)))
+    throughput_sweep(distances_m=(FOOT_M, 2 * FOOT_M), mode=MODE_3X3, settings=FAST)
+    # three tones, one block and one group of path sets: each side's contact
+    # field rows on their 34 and 19 distinct grid distances, and the 12 path
+    # sets (588 lengths) on their 151 distinct lengths
+    assert [(tones, d.shape) for tones, d in calls] == [(3, (34,)), (3, (19,)), (3, (151,))]
+    assert all(np.unique(d).size == d.size for _, d in calls)
+    assert sum(tones * d.size for tones, d in calls) == 612
