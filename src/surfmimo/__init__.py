@@ -66,6 +66,7 @@ from .mimo import (
     capacity,
     condition_number,
     effective_snr,
+    link_results,
     map_rate,
     mrc_combine,
     zf_stream_snrs,

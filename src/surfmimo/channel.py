@@ -185,6 +185,10 @@ class ChannelParams:
     max_image_order: int = 3
     air_multipath: AirMultipathModel | None = None
 
+    def __post_init__(self):
+        if self.max_image_order < 0:
+            raise ConfigError(f"max_image_order must be >= 0, got {self.max_image_order}")
+
 
 @dataclass(frozen=True)
 class ChannelMatrix:

@@ -63,15 +63,19 @@ class _VersionAction(argparse.Action):
 
 
 def _parse_float_list(text: str, flag: str):
-    """Comma list ('1,2,3') or inclusive integer range ('1:16')."""
+    """Comma list ('1,2,3') or inclusive integer range ('1:16'), not empty."""
     text = text.strip()
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return [float(v) for v in range(int(lo), int(hi) + 1)]
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+            values = [float(v) for v in range(int(lo), int(hi) + 1)]
+        else:
+            values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError([f"{flag}: cannot parse {text!r} ({exc})"]) from exc
+    if not values:
+        raise ConfigError([f"{flag}: {text!r} gives no values"])
+    return values
 
 
 def _load_scene_config(ref: str) -> rio.ScenarioConfig:

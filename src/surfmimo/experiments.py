@@ -12,20 +12,19 @@ applied only when results are written out.
 In a distance sweep (``throughput_sweep``, and ``aggregate_sweep`` per
 chain) only the receiver moves.  The runner builds and validates each
 distance's scene, then synthesizes all of them in one channel-engine pass,
-an ``(F, D, n_rx, n_tx)`` array, and analyzes that array in one pass:
-each column subset is decomposed once for every distance (closed forms up
-to two columns, one batched SVD for three; see ``mimo``), and the
-effective SNRs and rate lookups of all distances are taken together.  A
-single link is the one-distance case.  A sweep over several modes
-(``multi_mode_sweep``) synthesizes only the modes whose ports no other
-mode of the sweep holds and reads the rest as index slices of those
-stacks: ``--mode all`` is two engine passes, surface-3x3 and air-mimo, and
-two per separation in ``multi_mode_separation_sweep``.
+an ``(F, D, n_rx, n_tx)`` array, and analyzes that array in one pass of
+``mimo.link_results``, which owns the subset search: each column subset is
+decomposed once for every distance, and the effective SNRs and rate
+lookups of all distances are taken together.  A single link is the
+one-distance case.  A sweep over several modes (``multi_mode_sweep``)
+synthesizes only the modes whose ports no other mode of the sweep holds
+and reads the rest as index slices of those stacks: ``--mode all`` is two
+engine passes, surface-3x3 and air-mimo, and two per separation in
+``multi_mode_separation_sweep``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -41,18 +40,7 @@ from .channel import (
 )
 from .errors import ConfigError, DomainError
 from .geometry import Node, Scene, SurfaceSpec
-from .mimo import (
-    LinkResult,
-    McsTable,
-    _capacity,
-    _decompose,
-    _esm,
-    _kappa,
-    _lookup_rates,
-    _nonzero,
-    _rate_steps,
-    _singular,
-)
+from .mimo import LinkResult, McsTable, link_results
 from .propagation import FrequencyBand, band_for_frequency
 
 FOOT_M = 0.3048
@@ -62,8 +50,6 @@ MODE_AIR_MIMO = "air-mimo"
 MODE_2X2 = "surface-2x2"
 MODE_3X3 = "surface-3x3"
 SWEEP_MODES = (MODE_SISO, MODE_AIR_MIMO, MODE_2X2, MODE_3X3)
-
-_MODE_LABELS = {1: "SISO", 2: "MIMO-2x2", 3: "MIMO-3x3"}
 
 
 def default_distances_m():
@@ -99,6 +85,8 @@ class LinkSettings:
     def __post_init__(self):
         if not 0.0 < self.mac_efficiency <= 1.0:
             raise ConfigError(f"mac_efficiency must be in (0, 1], got {self.mac_efficiency}")
+        if self.esm_beta <= 0:
+            raise ConfigError(f"esm_beta must be positive, got {self.esm_beta}")
         if self.antenna_height_m < 0:
             raise ConfigError("antenna_height_m must be >= 0")
 
@@ -225,58 +213,17 @@ def _run_links(scenes, settings: LinkSettings) -> list:
 def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
     """Link analysis of per-subcarrier channel matrices: capacity,
     conditioning, stream SNRs, and the best achievable table rate over all
-    transmit-column subsets.
-
-    The matrices are stacked once to (F, n_rx, n_tx); the capacity, the
-    condition number and the zero-forcing SNRs of every subset come from
-    one decomposition of each subset's stack.  A subset that is singular at
-    any subcarrier is skipped.  The first subset (fewest streams, then
-    lowest column indices) with the highest rate wins.
-    """
+    transmit-column subsets: mimo.link_results of the matrices stacked as
+    one distance."""
     h = np.stack([m.entries for m in matrices])
     return _analyze(h[:, None], settings or LinkSettings())[0]
 
 
 def _analyze(h, settings: LinkSettings) -> list:
-    """analyze_link of every distance of a channel stacked as (F, D, n_rx,
-    n_tx): one LinkResult per distance, from one pass over the column
-    subsets.  A subset is skipped at the distances where it is singular at
-    some subcarrier; an all-zero matrix raises UndefinedConditionError."""
-    rho = settings.snr_linear()
-    beta = settings.esm_beta
-    steps = _rate_steps(settings.rate_table())
-    h = np.moveaxis(h, 1, 0)  # (D, F, n_rx, n_tx)
-    n_d, _, n_rx, n_tx = h.shape
-    s_all, g_all = _decompose(_nonzero(h), zf=True)
-    caps = _capacity(s_all, rho, n_tx).mean(axis=-1)
-    kappa = _kappa(s_all, h.shape).max(axis=-1)
-    best_rate = np.full(n_d, -1.0)
-    best = [((float("-inf"),), ())] * n_d  # (stream ESNRs in dB, columns)
-    for k in range(1, min(n_rx, n_tx) + 1):
-        for subset in itertools.combinations(range(n_tx), k):
-            s, g = (s_all, g_all) if k == n_tx else _decompose(h[..., subset], zf=True)
-            live = np.flatnonzero(~np.any(_singular(s, (n_rx, k)), axis=-1))
-            if not live.size:
-                continue
-            snrs = np.swapaxes(rho / (k * g[live]), -1, -2)  # (live, k, F)
-            rate = _lookup_rates(_esnr_db(snrs.reshape(len(live), -1), beta), steps) * k
-            better = rate > best_rate[live]
-            won = live[better]
-            best_rate[won] = rate[better]
-            for d, db in zip(won, _esnr_db(snrs[better], beta)):
-                best[d] = (tuple(db.tolist()), subset)
-
-    mode = _MODE_LABELS.get(n_tx, f"MIMO-{n_tx}x{n_tx}")
-    # a distance where every subset is singular reports a dead link
-    return [LinkResult(capacity_bps=settings.band.bandwidth_hz * float(c),
-                       condition_number=float(kap), stream_snrs_db=snrs_db,
-                       phy_rate_bps=max(float(rate), 0.0), mode=mode, tx_columns=columns)
-            for c, kap, rate, (snrs_db, columns) in zip(caps, kappa, best_rate, best)]
-
-
-def _esnr_db(snrs_linear, beta: float):
-    """Effective SNR in dB along the last axis of linear SNRs."""
-    return 10.0 * np.log10(np.maximum(_esm(snrs_linear, beta), 1e-300))
+    """mimo.link_results of a channel stacked as (F, D, n_rx, n_tx), at the
+    SNR, ESM beta, rate table and bandwidth of settings."""
+    return link_results(h, settings.snr_linear(), settings.esm_beta, settings.rate_table(),
+                        settings.band.bandwidth_hz)
 
 
 def _resolved(settings: LinkSettings) -> LinkSettings:

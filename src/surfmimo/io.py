@@ -528,7 +528,7 @@ def _port_labels(kinds) -> list:
     return labels
 
 
-def channel_result_set(matrices, metadata=None) -> ResultSet:
+def channel_result_set(matrices) -> ResultSet:
     """Per-subcarrier complex channel entries."""
     columns = ("subcarrier_index", "rx_port", "tx_port", "re", "im",
                "mag_db", "phase_rad")
@@ -543,10 +543,10 @@ def channel_result_set(matrices, metadata=None) -> ResultSet:
                 mag_db = 20.0 * math.log10(mag) if mag > 0 else float("-inf")
                 rows.append((s, rx[i], tx[j], h.real, h.imag, mag_db,
                              float(np.angle(h))))
-    return ResultSet(columns, rows, metadata or {})
+    return ResultSet(columns, rows, {})
 
 
-def analyze_result_set(matrices, snr_linear, metadata=None) -> ResultSet:
+def analyze_result_set(matrices, snr_linear) -> ResultSet:
     from .mimo import capacity, condition_number
 
     columns = ("subcarrier_index", "frequency_hz", "capacity_bps_hz",
@@ -557,11 +557,10 @@ def analyze_result_set(matrices, snr_linear, metadata=None) -> ResultSet:
         (s, m.frequency.center_hz, float(caps[s]), float(conds[s]))
         for s, m in enumerate(matrices)
     ]
-    return ResultSet(columns, rows, metadata or {})
+    return ResultSet(columns, rows, {})
 
 
-def sweep_result_set(rows_by_mode: dict, mac_efficiency: float,
-                     metadata=None) -> ResultSet:
+def sweep_result_set(rows_by_mode: dict, mac_efficiency: float) -> ResultSet:
     """rows_by_mode: {mode_name: [(distance_m, LinkResult), ...]}.
 
     n_streams and tx_columns name the winning transmit-column subset (0 and
@@ -580,11 +579,10 @@ def sweep_result_set(rows_by_mode: dict, mac_efficiency: float,
                 len(r.tx_columns),
                 ";".join(str(c) for c in r.tx_columns) or "none",
             ))
-    return ResultSet(columns, rows, metadata or {})
+    return ResultSet(columns, rows, {})
 
 
-def separation_result_set(rows_by_mode: dict, mac_efficiency: float,
-                          metadata=None) -> ResultSet:
+def separation_result_set(rows_by_mode: dict, mac_efficiency: float) -> ResultSet:
     columns = ("mode", "separation_m", "separation_cm", "mean_capacity_mbps",
                "max_condition_number", "mean_snr_db", "mean_phy_rate_mbps",
                "mean_throughput_mbps")
@@ -596,12 +594,12 @@ def separation_result_set(rows_by_mode: dict, mac_efficiency: float,
                 float(r.stream_snrs_db[0]), r.phy_rate_bps / 1e6,
                 r.phy_rate_bps * mac_efficiency / 1e6,
             ))
-    return ResultSet(columns, rows, metadata or {})
+    return ResultSet(columns, rows, {})
 
 
-def aggregate_result_set(sweep_rows, plan, metadata=None) -> ResultSet:
+def aggregate_result_set(sweep_rows, plan) -> ResultSet:
     """sweep_rows: [(distance_m, total_bps, [ChainResult, ...]), ...]; the
-    metadata gains the plan name and its total bandwidth."""
+    metadata holds the plan name and its total bandwidth."""
     columns = ("distance_m", "label", "center_hz", "bandwidth_hz", "dfs",
                "conversion_loss_db", "esnr_db", "phy_rate_mbps")
     rows = []
@@ -611,13 +609,11 @@ def aggregate_result_set(sweep_rows, plan, metadata=None) -> ResultSet:
                          c.conversion_loss_db, c.esnr_db, c.phy_rate_bps / 1e6))
         rows.append((d, "total", None, plan.total_bandwidth_hz, False, 0.0,
                      None, total / 1e6))
-    meta = dict(metadata or {})
-    meta.setdefault("plan", plan.name)
-    meta.setdefault("total_bandwidth_mhz", repr(plan.total_bandwidth_hz / 1e6))
-    return ResultSet(columns, rows, meta)
+    return ResultSet(columns, rows, {
+        "plan": plan.name, "total_bandwidth_mhz": repr(plan.total_bandwidth_hz / 1e6)})
 
 
-def radiation_result_set(samples, metadata=None) -> ResultSet:
+def radiation_result_set(samples) -> ResultSet:
     columns = ("x_m", "y_m", "z_m", "hemisphere", "reference_dbm",
                "surface_fed_dbm", "offset_db")
     rows = [
@@ -626,10 +622,10 @@ def radiation_result_set(samples, metadata=None) -> ResultSet:
          s.reference_dbm, s.surface_fed_dbm, s.offset_db)
         for s in samples
     ]
-    return ResultSet(columns, rows, metadata or {})
+    return ResultSet(columns, rows, {})
 
 
-def share_result_set(results, metadata=None) -> ResultSet:
+def share_result_set(results) -> ResultSet:
     columns = ("pair_index", "channel", "solo_rate_mbps", "win_fraction",
                "throughput_mbps")
     rows = [
@@ -637,19 +633,18 @@ def share_result_set(results, metadata=None) -> ResultSet:
          r.throughput_bps / 1e6)
         for r in results
     ]
-    return ResultSet(columns, rows, metadata or {})
+    return ResultSet(columns, rows, {})
 
 
-def pulse_result_set(profile, metadata=None) -> ResultSet:
+def pulse_result_set(profile) -> ResultSet:
     columns = ("time_ns", "re", "im", "magnitude")
     y = profile.samples
     # the builtin abs of each sample: np.abs rounds some magnitudes differently
     rows = list(zip((profile.time_s * 1e9).tolist(), y.real.tolist(), y.imag.tolist(),
                     map(abs, y.tolist())))
-    meta = dict(metadata or {})
-    meta.setdefault("sample_rate_hz", repr(profile.sample_rate_hz))
-    meta.setdefault("rms_delay_spread_s", repr(profile.response.rms_delay_spread()))
-    return ResultSet(columns, rows, meta)
+    return ResultSet(columns, rows, {
+        "sample_rate_hz": repr(profile.sample_rate_hz),
+        "rms_delay_spread_s": repr(profile.response.rms_delay_spread())})
 
 
 # --- plot script emission ---------------------------------------------------------

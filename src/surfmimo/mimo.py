@@ -3,9 +3,10 @@
 Every matrix function takes either one matrix ``(n_rx, n_tx)`` or a stack
 ``(..., n_rx, n_tx)`` (for example all subcarriers of a link, ``(F, n_rx,
 n_tx)``, or every distance of a sweep, ``(D, F, n_rx, n_tx)``), and answers
-a stack without a Python loop over its matrices.  One matrix gives the
-scalar / 1-D result; a stack gives the same result per matrix along the
-leading axes.
+a stack without a Python loop over its matrices.  One matrix is a stack of
+one: it takes the arithmetic of a stack and gives the scalar / 1-D result,
+bitwise equal to its slice of any stack, which gives the result per matrix
+along the leading axes.
 
 Every result is read off two per-matrix quantities, the singular values
 s_i and the zero-forcing diagonal ``[(H†H)^-1]_kk``:
@@ -39,7 +40,9 @@ the ZF diagonal read off the thin SVD ``H = U S V†`` as
 ``sum_i |V_ki|^2 / s_i^2``.
 
 Per-subcarrier SNRs are compressed to a single effective SNR which an MCS
-table maps to a PHY rate.
+table maps to a PHY rate.  ``link_results`` is the one link analysis of the
+runners: the search over transmit-column subsets for the best rate, for
+every distance of a sweep at once.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ import numpy as np
 from .errors import DomainError, StreamSeparationError, UndefinedConditionError
 
 
-def _as_matrix(h) -> np.ndarray:
-    """One matrix or a stack of them as a complex array; a vector is one
-    column."""
+def _as_matrix(h):
+    """(stack, one): h as a complex stack (..., n_rx, n_tx), where one matrix
+    (a vector is one column) is a stack of one, and whether it was one."""
     m = np.asarray(getattr(h, "entries", h), dtype=complex)
     if m.ndim == 1:
         m = m[:, None]
@@ -63,7 +66,7 @@ def _as_matrix(h) -> np.ndarray:
         raise DomainError(f"expected a matrix, got array of shape {m.shape}")
     if not np.isfinite(m).all():
         raise DomainError("channel matrix contains non-finite entries")
-    return m
+    return (m[None], True) if m.ndim == 2 else (m, False)
 
 
 def _decompose(m: np.ndarray, zf: bool = False):
@@ -111,10 +114,6 @@ def _singular(s: np.ndarray, shape) -> np.ndarray:
     return s[..., -1] <= s[..., 0] * max(shape[-2:]) * np.finfo(float).eps
 
 
-def _scalar_or_stack(x: np.ndarray):
-    return float(x) if x.ndim == 0 else x
-
-
 def _check_snr(snr_linear: float) -> None:
     if snr_linear <= 0:
         raise DomainError(f"snr_linear must be positive, got {snr_linear}")
@@ -122,7 +121,7 @@ def _check_snr(snr_linear: float) -> None:
 
 def _capacity(s: np.ndarray, snr_linear: float, n_tx: int):
     """sum_i log2(1 + (snr/N_tx) s_i^2) over the singular values s (..., n)."""
-    return _scalar_or_stack(np.log1p((snr_linear / n_tx) * s**2).sum(-1) / math.log(2.0))
+    return np.log1p((snr_linear / n_tx) * s**2).sum(-1) / math.log(2.0)
 
 
 def capacity(h, snr_linear: float):
@@ -132,8 +131,9 @@ def capacity(h, snr_linear: float):
     Transmit power is split equally over the N_tx columns (no waterfilling).
     """
     _check_snr(snr_linear)
-    m = _as_matrix(h)
-    return _capacity(_decompose(m)[0], snr_linear, m.shape[-1])
+    m, one = _as_matrix(h)
+    c = _capacity(_decompose(m)[0], snr_linear, m.shape[-1])
+    return float(c[0]) if one else c
 
 
 def _nonzero(m: np.ndarray) -> np.ndarray:
@@ -147,14 +147,15 @@ def _kappa(s: np.ndarray, shape):
     """sigma_max / sigma_min from singular values sorted descending; +inf
     where the matrix is singular."""
     with np.errstate(divide="ignore"):
-        return _scalar_or_stack(np.where(_singular(s, shape), math.inf, s[..., 0] / s[..., -1]))
+        return np.where(_singular(s, shape), math.inf, s[..., 0] / s[..., -1])
 
 
 def condition_number(h):
     """sigma_max / sigma_min of each matrix; +inf for (numerically) singular
     input.  A float for one matrix, an array over the leading axes of a stack."""
-    m = _nonzero(_as_matrix(h))
-    return _kappa(_decompose(m)[0], m.shape)
+    m, one = _as_matrix(h)
+    kappa = _kappa(_decompose(_nonzero(m))[0], m.shape)
+    return float(kappa[0]) if one else kappa
 
 
 def mrc_combine(h, snr_linear: float = 1.0) -> float:
@@ -178,7 +179,7 @@ def zf_stream_snrs(h, snr_linear: float) -> np.ndarray:
     Raises StreamSeparationError when any matrix is singular (for one column:
     all zero), so callers can fall back to fewer streams.
     """
-    m = _as_matrix(h)
+    m, one = _as_matrix(h)
     _check_snr(snr_linear)
     n_rx, n_tx = m.shape[-2:]
     if n_rx < n_tx:
@@ -188,7 +189,8 @@ def zf_stream_snrs(h, snr_linear: float) -> np.ndarray:
     s, g = _decompose(m, zf=True)
     if np.any(_singular(s, m.shape)):
         raise StreamSeparationError("channel matrix is singular; streams are not separable")
-    return snr_linear / (n_tx * g)
+    snrs = snr_linear / (n_tx * g)
+    return snrs[0] if one else snrs
 
 
 def _esm(snrs_linear: np.ndarray, beta: float) -> np.ndarray:
@@ -198,6 +200,11 @@ def _esm(snrs_linear: np.ndarray, beta: float) -> np.ndarray:
     x = -snrs_linear / beta
     top = x.max(axis=-1)
     return -beta * (top + np.log(np.mean(np.exp(x - top[..., None]), axis=-1)))
+
+
+def _esnr_db(snrs_linear, beta: float):
+    """Effective SNR in dB along the last axis of linear SNRs."""
+    return 10.0 * np.log10(np.maximum(_esm(snrs_linear, beta), 1e-300))
 
 
 def effective_snr(snrs_linear, beta: float = 1.0) -> float:
@@ -313,3 +320,43 @@ class LinkResult:
             raise DomainError("capacity_bps must be >= 0")
         if self.condition_number < 1:
             raise DomainError("condition_number must be >= 1")
+
+
+def link_results(h, snr_linear: float, beta: float, table: McsTable,
+                 bandwidth_hz: float) -> list:
+    """Link analysis of a channel stacked as (F, D, n_rx, n_tx): one
+    LinkResult per distance.  Capacity (over bandwidth_hz) is the mean and
+    the condition number the largest over subcarriers.  Each transmit-column
+    subset's ZF SNRs are pooled by effective_snr with beta and looked up in
+    table (one bandwidth's rows); the first subset (fewest streams, then
+    lowest columns) with the highest rate wins, a subset being skipped where
+    it is singular at some subcarrier.  An all-zero matrix raises
+    UndefinedConditionError."""
+    steps = _rate_steps(table)
+    h = np.moveaxis(h, 1, 0)  # (D, F, n_rx, n_tx)
+    n_d, _, n_rx, n_tx = h.shape
+    s_all, g_all = _decompose(_nonzero(h), zf=True)
+    caps = _capacity(s_all, snr_linear, n_tx).mean(axis=-1)
+    kappa = _kappa(s_all, h.shape).max(axis=-1)
+    best_rate = np.full(n_d, -1.0)
+    best = [((float("-inf"),), ())] * n_d  # (stream ESNRs in dB, columns)
+    for k in range(1, min(n_rx, n_tx) + 1):
+        for subset in itertools.combinations(range(n_tx), k):
+            s, g = (s_all, g_all) if k == n_tx else _decompose(h[..., subset], zf=True)
+            live = np.flatnonzero(~np.any(_singular(s, (n_rx, k)), axis=-1))
+            if not live.size:
+                continue
+            snrs = np.swapaxes(snr_linear / (k * g[live]), -1, -2)  # (live, k, F)
+            rate = _lookup_rates(_esnr_db(snrs.reshape(len(live), -1), beta), steps) * k
+            better = rate > best_rate[live]
+            won = live[better]
+            best_rate[won] = rate[better]
+            for d, db in zip(won, _esnr_db(snrs[better], beta)):
+                best[d] = (tuple(db.tolist()), subset)
+
+    mode = "SISO" if n_tx == 1 else f"MIMO-{n_tx}x{n_tx}"
+    # a distance where every subset is singular reports a dead link
+    return [LinkResult(capacity_bps=bandwidth_hz * float(c),
+                       condition_number=float(kap), stream_snrs_db=snrs_db,
+                       phy_rate_bps=max(float(rate), 0.0), mode=mode, tx_columns=columns)
+            for c, kap, rate, (snrs_db, columns) in zip(caps, kappa, best_rate, best)]

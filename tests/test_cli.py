@@ -317,6 +317,28 @@ def test_bad_scene_inputs_exit_2(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("analysis", [{"esm_beta": 0}, {"esm_beta": -2},
+                                      {"max_image_order": -1}])
+def test_analysis_values_outside_the_model_exit_2(tmp_path, capsys, analysis):
+    out = tmp_path / "o.csv"
+    scene = str(_tiny_scene(tmp_path, **analysis))
+    assert main(["analyze", "--scene", scene, "--out", str(out)]) == EXIT_CONFIG
+    (key,) = analysis
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--distances-ft", "16:1"], ["sweep", "--distances-ft", ","],
+    ["aggregate", "--distances-ft", "9:1"], ["separation", "--separations-cm", "6:1"],
+])
+def test_reversed_or_empty_lists_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "o.csv"
+    assert main([*command, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {command[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_4(tmp_path):
     dest = tmp_path / "missing-dir" / "out.csv"
     assert main(["radiation", "--out", str(dest)]) == EXIT_IO

@@ -60,6 +60,11 @@ def test_link_settings_validation_and_budget():
         LinkSettings(mac_efficiency=1.2)
     with pytest.raises(ConfigError):
         LinkSettings(antenna_height_m=-0.01)
+    for beta in (0.0, -2.0):
+        with pytest.raises(ConfigError, match="esm_beta"):
+            LinkSettings(esm_beta=beta)
+    with pytest.raises(ConfigError, match="max_image_order"):
+        ChannelParams(max_image_order=-1)
     assert LinkSettings(snr_db=20.0).snr_linear() == 100.0
     # budget path: tx power over the thermal floor for the active bandwidth
     s = LinkSettings(tx_power_dbm=-10.0)

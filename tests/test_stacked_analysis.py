@@ -1,9 +1,10 @@
 """Stacked link analysis: the (..., n, k) forms of capacity, condition number
-and zero-forcing SNRs against per-matrix references kept here, the closed
-forms of one- and two-column channels against LAPACK and exact arithmetic,
-the rate lookup against map_rate, analyze_link against a per-subcarrier
-reference loop, the analysis of a stack of distances against each distance
-alone, and preset parsing per run."""
+and zero-forcing SNRs against per-matrix references kept here and, bitwise,
+against each matrix alone, the closed forms of one- and two-column channels
+against LAPACK and exact arithmetic, the rate lookup against map_rate,
+analyze_link against a per-subcarrier reference loop, the analysis of a
+stack of distances against each distance alone, and preset parsing per
+run."""
 
 import itertools
 import math
@@ -99,6 +100,7 @@ def _conditioned(rng, n_rx, k, kappa):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 4),
        k=st.integers(1, 4), f=st.integers(1, 5), log_kappa=st.floats(0.0, 4.0))
+@example(seed=137216, n_rx=4, k=2, f=4, log_kappa=2.865173475406666)
 def test_stacked_zf_matches_exact_gram_inverse(seed, n_rx, k, f, log_kappa):
     k = min(k, n_rx)
     rng = np.random.default_rng(seed)
@@ -169,6 +171,30 @@ def test_stacked_capacity_and_condition_equal_per_matrix_loop(seed, n_rx, n_tx, 
         assert math.isinf(conds[f // 2])
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 4), n_tx=st.integers(1, 3),
+       lead=st.sampled_from([(1,), (5,), (2, 3)]), log_kappa=st.floats(0.0, 6.0))
+@example(seed=4152712436, n_rx=3, n_tx=2, lead=(5,), log_kappa=3.4916468562521508)
+@example(seed=1778620364, n_rx=2, n_tx=2, lead=(5,), log_kappa=2.2097156619089304)
+def test_one_matrix_equals_its_slice_of_a_stack_bitwise(seed, n_rx, n_tx, lead, log_kappa):
+    # one matrix is a stack of one, so it takes the arithmetic of a stack:
+    # the closed forms up to two columns, LAPACK for three
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((*lead, n_rx, n_tx)) + 1j * rng.standard_normal((*lead, n_rx, n_tx))
+    # the last column leans toward the first by up to 10^-log_kappa
+    lean = 10.0 ** -rng.uniform(0.0, log_kappa, size=(*lead, 1))
+    stack[..., -1] = stack[..., 0] + lean * stack[..., -1]
+    stack *= 10.0 ** rng.uniform(-4.0, 2.0, size=(*lead, 1, 1))
+    rho = 10.0 ** rng.uniform(-1.0, 4.0)
+    caps, conds = capacity(stack, rho), condition_number(stack)
+    snrs = zf_stream_snrs(stack, rho) if n_tx <= n_rx else None
+    for i in np.ndindex(lead):
+        assert capacity(stack[i], rho) == caps[i]
+        assert condition_number(stack[i]) == conds[i]
+        if snrs is not None:
+            np.testing.assert_array_equal(zf_stream_snrs(stack[i], rho), snrs[i])
+
+
 def test_stack_with_one_singular_matrix_is_not_separable():
     rng = np.random.default_rng(3)
     stack = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
@@ -197,7 +223,7 @@ def test_link_metrics_from_one_svd_match_the_separate_calls(seed, n_rx, n_tx, f,
     stack = rng.standard_normal((f, n_rx, n_tx)) + 1j * rng.standard_normal((f, n_rx, n_tx))
     if rank_deficient and n_tx > 1:
         stack[f // 2, :, 1] = stack[f // 2, :, 0]
-    # the decomposition with singular vectors, which _analyze reads the
+    # the decomposition with singular vectors, which link_results reads the
     # capacity, the condition number and the ZF SNRs from
     s, g = mimo._decompose(stack, zf=True)
     # with and without singular vectors LAPACK takes different paths
