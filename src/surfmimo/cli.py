@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from . import io as rio
 from . import presets
-from .channel import ChannelParams, csi
+from .channel import csi
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import (
     FOOT_M,
@@ -25,7 +25,6 @@ from .experiments import (
     RadiationProfile,
     SharingConfig,
     SharingPair,
-    _resolved,
     aggregate_sweep,
     aggregate_template,
     aggregation_plan,
@@ -94,28 +93,19 @@ def _seed(args, cfg=None) -> int:
 
 def _sweep_settings(args) -> tuple:
     """(template, settings, preset version, seed) from --scene or the
-    sweep-style flags, with materials.yaml parsed once.  The settings carry
-    the parsed coupling constants and rate table, so the sweeps of every
-    mode share them."""
+    sweep-style flags."""
     cfg = None
     if args.scene:
         cfg = _load_scene_config(args.scene)
-        template, settings, version = cfg.template(), cfg.settings(), cfg.preset_version
+        template, settings, version = cfg.template(), cfg.settings, cfg.preset_version
     else:
         shipped = presets.load_presets()
         template = default_template(shipped.material(args.material))
-        settings = LinkSettings(params=ChannelParams(coupling=shipped.coupling))
-        version = shipped.version
+        settings, version = LinkSettings(), shipped.version
     overrides = {"tx_power_dbm": args.tx_power_dbm, "snr_db": args.snr_db,
                  "grid": args.grid, "n_subcarriers": args.subcarriers}
     settings = replace(settings, **{k: v for k, v in overrides.items() if v is not None})
-    return template, _resolved(settings), version, _seed(args, cfg)
-
-
-def _shipped_settings(shipped) -> LinkSettings:
-    """Default link settings with the coupling constants of the parsed
-    presets and the whole shipped rate table, for runs over several bands."""
-    return _resolved(LinkSettings(params=ChannelParams(coupling=shipped.coupling)))
+    return template, settings, version, _seed(args, cfg)
 
 
 # --- subcommand bodies ----------------------------------------------------------
@@ -127,18 +117,17 @@ def _shipped_settings(shipped) -> LinkSettings:
 
 def _cmd_channel(args) -> tuple:
     cfg = _load_scene_config(args.scene)
-    inputs = {"scene": cfg.scene, "band": cfg.band,
-              "n_subcarriers": cfg.analysis["subcarriers"], "grid": cfg.analysis["grid"],
-              "params": cfg.channel_params()}
+    s = cfg.settings
+    inputs = {"scene": cfg.scene, "band": s.band, "n_subcarriers": s.n_subcarriers,
+              "grid": s.grid, "params": s.params}
     return inputs, rio.channel_result_set(csi(**inputs)), cfg.preset_version, _seed(args, cfg)
 
 
 def _cmd_analyze(args) -> tuple:
     cfg = _load_scene_config(args.scene)
-    settings = cfg.settings()
+    settings = cfg.settings
     if args.snr_db is not None:
         settings = replace(settings, snr_db=args.snr_db)
-    settings = _resolved(settings)
     inputs = {"scene": cfg.scene, "settings": settings}
     matrices = csi(cfg.scene, settings.band, settings.n_subcarriers, settings.grid,
                    settings.params)
@@ -179,18 +168,16 @@ def _cmd_pulse(args) -> tuple:
     cfg = _load_scene_config(args.scene)
     tx = cfg.scene.transmitters()[0]
     rx = cfg.scene.receivers()[0]
-    try:
-        tx_port = tx.ports[args.tx_port]
-        rx_port = rx.ports[args.rx_port]
-    except IndexError as exc:
+    if not (0 <= args.tx_port < len(tx.ports) and 0 <= args.rx_port < len(rx.ports)):
         raise ConfigError([
             f"port index out of range: tx has {len(tx.ports)}, rx has {len(rx.ports)}"
-        ]) from exc
+        ])
     inputs = {
-        "scene": cfg.scene, "tx_port": tx_port, "rx_port": rx_port, "band": cfg.band,
+        "scene": cfg.scene, "tx_port": tx.ports[args.tx_port],
+        "rx_port": rx.ports[args.rx_port], "band": cfg.settings.band,
         "sample_rate_hz": args.sample_rate_ghz * 1e9,
         "duration_s": None if args.duration_ns is None else args.duration_ns * 1e-9,
-        "grid": cfg.analysis["grid"], "params": cfg.channel_params(),
+        "grid": cfg.settings.grid, "params": cfg.settings.params,
     }
     rs = rio.pulse_result_set(pulse_profile(**inputs))
     return inputs, rs, cfg.preset_version, _seed(args, cfg)
@@ -198,7 +185,7 @@ def _cmd_pulse(args) -> tuple:
 
 def _cmd_aggregate(args) -> tuple:
     shipped = presets.load_presets()
-    settings = _shipped_settings(shipped)
+    settings = LinkSettings()
     if args.tx_power_dbm is not None:
         settings = replace(settings, tx_power_dbm=args.tx_power_dbm)
     feet = _parse_float_list(args.distances_ft, "--distances-ft")
@@ -218,7 +205,7 @@ def _cmd_radiation(args) -> tuple:
 
 
 def _cmd_share(args) -> tuple:
-    channels = [int(c) for c in _parse_float_list(args.channels, "--channels")]
+    channels = _parse_float_list(args.channels, "--channels")
     solo = None
     if args.solo_rate_mbps:
         solo = _parse_float_list(args.solo_rate_mbps, "--solo-rate-mbps")
@@ -238,7 +225,7 @@ def _cmd_share(args) -> tuple:
     seed = _seed(args)
     inputs = {"config": SharingConfig(tuple(pairs), ambient_busy_fraction=args.busy),
               "n_slots": args.slots, "template": template,
-              "settings": _shipped_settings(shipped), "seed": seed}
+              "settings": LinkSettings(), "seed": seed}
     return inputs, rio.share_result_set(share_sim(**inputs)), shipped.version, seed
 
 

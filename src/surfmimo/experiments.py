@@ -63,9 +63,12 @@ class LinkSettings:
 
     snr_db, when set, bypasses the transmit-power/noise link budget.  The
     MAC-efficiency scalar never touches phy_rate_bps; writers multiply it in
-    when producing throughput columns.  mcs_table may hold the rows of any
-    bandwidths (default: the shipped table); rate_table() takes the rows of
-    the band's bandwidth from it, so one table serves links of every band.
+    when producing throughput columns.  params=None is resolved to
+    default_params() and mcs_table=None to the shipped table when the
+    settings are built, so every LinkSettings holds both.  mcs_table may hold
+    the rows of any bandwidths; rate_table() takes the rows of the band's
+    bandwidth from it, so one table serves links of every band.  Every value
+    out of range is named in one ConfigError.
     """
 
     band: FrequencyBand = FrequencyBand(2.437e9, 40e6)
@@ -83,15 +86,21 @@ class LinkSettings:
     mcs_table: McsTable | None = None
 
     def __post_init__(self):
+        problems = []
         if not 0.0 < self.mac_efficiency <= 1.0:
-            raise ConfigError(f"mac_efficiency must be in (0, 1], got {self.mac_efficiency}")
-        if self.esm_beta <= 0:
-            raise ConfigError(f"esm_beta must be positive, got {self.esm_beta}")
-        if self.antenna_height_m < 0:
-            raise ConfigError("antenna_height_m must be >= 0")
+            problems.append(f"mac_efficiency must be in (0, 1], got {self.mac_efficiency}")
+        if not self.esm_beta > 0:
+            problems.append(f"esm_beta must be positive, got {self.esm_beta}")
+        if not self.antenna_height_m >= 0:
+            problems.append(f"antenna_height_m must be >= 0, got {self.antenna_height_m}")
+        if problems:
+            raise ConfigError(problems)
+        if self.params is None:
+            object.__setattr__(self, "params", default_params())
+        if self.mcs_table is None:
+            from . import presets
 
-    def channel_params(self) -> ChannelParams:
-        return self.params if self.params is not None else default_params()
+            object.__setattr__(self, "mcs_table", presets.load_mcs_table())
 
     def snr_linear(self) -> float:
         if self.snr_db is not None:
@@ -100,11 +109,8 @@ class LinkSettings:
         return 10.0 ** ((self.tx_power_dbm - noise_dbm) / 10.0)
 
     def rate_table(self) -> McsTable:
-        """The band's rows of mcs_table, or of the shipped table when unset."""
-        from . import presets
-
-        table = presets.load_mcs_table() if self.mcs_table is None else self.mcs_table
-        return table.for_bandwidth(self.band.bandwidth_hz / 1e6)
+        """The band's rows of mcs_table."""
+        return self.mcs_table.for_bandwidth(self.band.bandwidth_hz / 1e6)
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ def _run_links(scenes, settings: LinkSettings) -> list:
     if not scenes:
         return []
     _, h, _, _ = _channel_stack(scenes, settings.band, settings.n_subcarriers, settings.grid,
-                                settings.channel_params())
+                                settings.params)
     return _analyze(h, settings)
 
 
@@ -224,15 +230,6 @@ def _analyze(h, settings: LinkSettings) -> list:
     SNR, ESM beta, rate table and bandwidth of settings."""
     return link_results(h, settings.snr_linear(), settings.esm_beta, settings.rate_table(),
                         settings.band.bandwidth_hz)
-
-
-def _resolved(settings: LinkSettings) -> LinkSettings:
-    """settings with the coupling constants and the whole rate table parsed
-    once, so the links of one run, whatever their band, do not re-read them."""
-    from . import presets
-
-    table = presets.load_mcs_table() if settings.mcs_table is None else settings.mcs_table
-    return replace(settings, params=settings.channel_params(), mcs_table=table)
 
 
 def throughput_sweep(template: SceneTemplate | None = None, distances_m=None,
@@ -254,7 +251,7 @@ def multi_mode_sweep(template: SceneTemplate | None = None, distances_m=None,
     positions coincide across modes, so siso and surface-2x2 come out of
     surface-3x3, and the four modes take two engine passes."""
     template = template or default_template()
-    settings = _resolved(settings or LinkSettings())
+    settings = settings or LinkSettings()
     distances_m = default_distances_m() if distances_m is None else tuple(distances_m)
     scenes = {mode: [build_link_scene(template, d, mode, settings) for d in distances_m]
               for mode in modes}
@@ -319,7 +316,7 @@ def multi_mode_separation_sweep(template: SceneTemplate | None = None,
     (siso and the surface modes) are one multi_mode_sweep, and air-mimo,
     whose separation is its element spacing, is another, so all four modes
     take two engine passes per separation."""
-    settings = _resolved(settings or LinkSettings())
+    settings = settings or LinkSettings()
     groups = {"antenna_height_m": tuple(m for m in modes if m != MODE_AIR_MIMO),
               "air_antenna_spacing_m": tuple(m for m in modes if m == MODE_AIR_MIMO)}
     out = {mode: [] for mode in modes}
@@ -382,8 +379,10 @@ def pulse_profile(scene: Scene, tx_port, rx_port,
     horizon extends well past the last tap so late-time residuals can be read
     directly off the waveform.
     """
-    if sample_rate_hz < 1e9:
-        raise ConfigError(f"sample rate must be >= 1 GHz, got {sample_rate_hz:.3g}")
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz >= 1e9):
+        raise ConfigError(f"sample rate must be finite and >= 1 GHz, got {sample_rate_hz:.3g}")
+    if duration_s is not None and not (math.isfinite(duration_s) and duration_s > 0):
+        raise ConfigError(f"duration must be positive and finite, got {duration_s:.3g} s")
     band = band or FrequencyBand(2.437e9, 40e6)
     resp = impulse_response(tx_port, rx_port, scene, band, grid, params)
     delays = resp.delays()
@@ -527,14 +526,12 @@ def aggregate_sweep(plan: AggregationPlan, distances_m=None,
                     settings: LinkSettings | None = None):
     """aggregate_capacity across distances (default 1-9 ft on the 10 ft strip).
 
-    The template, the coupling constants and the rate table
-    (settings.mcs_table when set, else the shipped table) are resolved once
-    for the whole sweep; each chain reads its bandwidth's rows from that
-    table and takes one channel-engine pass over all distances."""
+    Each chain reads its bandwidth's rows from settings.mcs_table and takes
+    one channel-engine pass over all distances."""
     if distances_m is None:
         distances_m = tuple(i * FOOT_M for i in range(1, 10))
     template = template or aggregate_template()
-    settings = _resolved(settings or LinkSettings())
+    settings = settings or LinkSettings()
     scenes = []
     for d in distances_m:
         scene = build_link_scene(template, d, MODE_2X2, settings)
@@ -625,13 +622,14 @@ class SharingPair:
 
     client: tuple
     ap: tuple
-    channel: int
+    channel: int  # a whole float such as 6.0 is taken as the int 6
     band: FrequencyBand = FrequencyBand(2.437e9, 20e6)
     solo_rate_bps: float | None = None  # skip channel synthesis when given
 
     def __post_init__(self):
-        if int(self.channel) != self.channel or self.channel < 0:
+        if not float(self.channel).is_integer() or self.channel < 0:
             raise ConfigError(f"channel id must be a non-negative integer, got {self.channel}")
+        object.__setattr__(self, "channel", int(self.channel))
 
 
 @dataclass(frozen=True)
@@ -687,16 +685,13 @@ def share_sim(config: SharingConfig, n_slots: int,
     backoffs make ties a measure-zero event, so two symmetric contenders
     split airtime exactly in half in expectation.  Each channel consumes its
     own seeded generator, so activity on one channel never perturbs another.
-    A pair with no solo rate takes its bandwidth's rows of settings.mcs_table
-    when that is set, else of the shipped table.  Returns [ShareResult, ...]
-    in pair order.
+    A pair with no solo rate takes its bandwidth's rows of
+    settings.mcs_table.  Returns [ShareResult, ...] in pair order.
     """
     if n_slots <= 0:
         raise DomainError(f"n_slots must be positive, got {n_slots}")
     template = template or share_template()
     settings = settings or LinkSettings()
-    if any(p.solo_rate_bps is None for p in config.pairs):  # parsed once, only when needed
-        settings = _resolved(settings)
     solo = [_solo_rate(p, template, settings) for p in config.pairs]
 
     by_channel: dict = {}

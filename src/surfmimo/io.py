@@ -2,8 +2,10 @@
 
 Configs are YAML with a fixed schema (surface, band, nodes, obstacles,
 analysis, seed).  Parsing collects *all* problems — unknown keys, bad types,
-scene violations — with line positions before raising, so a config can be
-fixed in one pass.  Results are CSV with a sorted metadata comment block;
+scene violations, out-of-range analysis values — with line positions before
+raising, so a config can be fixed in one pass.  The band and analysis
+sections become the one LinkSettings every scene command reads, with the
+defaults and range checks of the settings dataclasses.  Results are CSV with a sorted metadata comment block;
 formatting round-trips floats exactly (repr) and is deterministic, so equal
 inputs produce byte-identical files.
 """
@@ -21,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import presets
-from .channel import ChannelParams, CouplingConstants, NoiseModel
+from .channel import ChannelParams, NoiseModel
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import FOOT_M, LinkSettings, SceneTemplate
 from .geometry import CONTACT, Node, Obstacle, Scene, SurfaceSpec, validate_scene
@@ -35,23 +37,14 @@ _BAND_KEYS = {"center_hz", "center_ghz", "bandwidth_hz", "bandwidth_mhz", "band_
 _NODE_KEYS = {"id", "role", "contacts", "antennas"}
 _OBSTACLE_KEYS = {"x_min", "y_min", "x_max", "y_max", "kind", "perturbation_db"}
 
-ANALYSIS_DEFAULTS = {
-    "grid": 32,
-    "subcarriers": None,
-    "snr_db": None,
-    "tx_power_dbm": -10.0,
-    "noise_figure_db": 6.0,
-    "noise_floor_dbm_per_hz": -174.0,
-    "mac_efficiency": 0.65,
-    "esm_beta": 1.0,
-    "max_image_order": 3,
-    "air_exponent": 2.0,
-    "near_field_radius_m": 0.1,
-    "air_ref_m": 0.1,
-    "antenna_height_m": 0.02,
-    "contact_spacing_m": 0.025,
-    "air_antenna_spacing_m": 0.0625,
-    "mcs_table": None,
+# analysis key -> (the dataclass that owns it, its field there); each
+# dataclass gives the key's default and range check
+_ANALYSIS_KEYS = {
+    **{f.name: (NoiseModel, f) for f in fields(NoiseModel)},
+    **{f.name: (ChannelParams, f) for f in fields(ChannelParams)
+       if f.name not in ("coupling", "air_multipath")},
+    **{("subcarriers" if f.name == "n_subcarriers" else f.name): (LinkSettings, f)
+       for f in fields(LinkSettings) if f.name not in ("band", "noise", "params")},
 }
 
 
@@ -152,10 +145,9 @@ def parse_config(text) -> "ScenarioConfig":
         name = ""
 
     # surface -------------------------------------------------------------
+    shipped = presets.load_presets()
     surface = None
-    shipped = None
     raw_surface = data.get("surface")
-    material_ref = ""
     if not isinstance(raw_surface, dict):
         col.add(("surface",), "missing or invalid 'surface' section")
     else:
@@ -167,7 +159,6 @@ def parse_config(text) -> "ScenarioConfig":
             col.add(("surface", "material"), "surface needs a material preset name or path")
         elif width is not None and height is not None:
             try:
-                shipped = presets.load_presets()
                 surface = SurfaceSpec(width, height, shipped.material(material_ref))
             except SurfMimoError as exc:
                 col.add(("surface", "material"), str(exc))
@@ -246,27 +237,12 @@ def parse_config(text) -> "ScenarioConfig":
         ))
 
     # analysis ---------------------------------------------------------------
-    analysis = dict(ANALYSIS_DEFAULTS)
     raw_analysis = data.get("analysis") or {}
     if not isinstance(raw_analysis, dict):
         col.add(("analysis",), "'analysis' must be a mapping")
         raw_analysis = {}
-    col.unknown_keys(raw_analysis, set(ANALYSIS_DEFAULTS), ("analysis",))
-    for key in raw_analysis:
-        if key not in ANALYSIS_DEFAULTS:
-            continue
-        if key == "mcs_table":
-            value = raw_analysis[key]
-            if value is not None and not isinstance(value, str):
-                col.add(("analysis", key), "mcs_table must be a file path")
-                value = None
-        elif key in ("grid", "subcarriers", "max_image_order"):
-            value = col.number(raw_analysis, ("analysis", key), integer=True,
-                               default=ANALYSIS_DEFAULTS[key])
-        else:
-            value = col.number(raw_analysis, ("analysis", key),
-                               default=ANALYSIS_DEFAULTS[key])
-        analysis[key] = value
+    col.unknown_keys(raw_analysis, _ANALYSIS_KEYS, ("analysis",))
+    settings = _analysis_settings(raw_analysis, band, shipped.coupling, col)
 
     seed = col.number(data, ("seed",), default=DEFAULT_SEED, integer=True)
     if seed is None or seed < 0:
@@ -282,9 +258,51 @@ def parse_config(text) -> "ScenarioConfig":
     if col.problems:
         raise ConfigError(col.problems)
 
-    return ScenarioConfig(name=name, scene=scene, band=band, seed=seed,
-                          analysis=analysis, coupling=shipped.coupling,
+    return ScenarioConfig(name=name, scene=scene, seed=seed, settings=settings,
                           preset_version=shipped.version)
+
+
+def _analysis_settings(raw: dict, band, coupling, col: _Collector):
+    """The LinkSettings an analysis section sets.  Each key given is typed
+    here; defaults and range checks are those of LinkSettings, NoiseModel and
+    ChannelParams, whose problems are reported at the line of the section.
+    None when a range check fails."""
+    given = {NoiseModel: {}, ChannelParams: {}, LinkSettings: {}}
+    for key, value in raw.items():
+        if key not in _ANALYSIS_KEYS or value is None:
+            continue
+        cls, f = _ANALYSIS_KEYS[key]
+        path = ("analysis", key)
+        if f.name == "mcs_table":
+            value = _rate_table(value, path, col)
+        else:
+            value = col.number(raw, path, integer=f.type.startswith("int"))
+        if value is not None:
+            given[cls][f.name] = value
+
+    def build(cls, **resolved):
+        try:
+            return cls(**resolved, **given[cls])
+        except ConfigError as exc:
+            for problem in exc.problems:
+                col.add(("analysis",), problem)
+            return None
+
+    # a failed ChannelParams still lets LinkSettings report its own problems
+    params = build(ChannelParams, coupling=coupling) or ChannelParams(coupling=coupling)
+    return build(LinkSettings, band=band, noise=build(NoiseModel), params=params)
+
+
+def _rate_table(value, path, col: _Collector):
+    """The MCS table at the path an analysis section names, or None."""
+    if not isinstance(value, str):
+        col.add(path, "mcs_table must be a file path")
+        return None
+    try:
+        return presets.load_mcs_table(value)
+    except (SurfMimoError, OSError) as exc:
+        col.add(path, str(exc))
+        return None
 
 
 def load_config(path) -> "ScenarioConfig":
@@ -301,46 +319,15 @@ def load_config(path) -> "ScenarioConfig":
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated scenario: scene, band, analysis knobs, seed, and the
-    coupling constants and version of the shipped material presets, taken
-    from the one parse of that file that resolved the material name."""
+    """A fully validated scenario: scene, seed, the link settings of its band
+    and analysis section (coupling constants and rate table resolved), and
+    the version of the shipped material presets."""
 
     name: str
     scene: Scene
-    band: FrequencyBand
     seed: int
-    analysis: dict
-    coupling: CouplingConstants
+    settings: LinkSettings
     preset_version: str
-
-    def channel_params(self) -> ChannelParams:
-        a = self.analysis
-        return ChannelParams(
-            coupling=self.coupling,
-            air_ref_m=a["air_ref_m"],
-            air_exponent=a["air_exponent"],
-            near_field_radius_m=a["near_field_radius_m"],
-            max_image_order=int(a["max_image_order"]),
-        )
-
-    def settings(self) -> LinkSettings:
-        a = self.analysis
-        table = presets.load_mcs_table(a["mcs_table"]) if a["mcs_table"] else None
-        return LinkSettings(
-            band=self.band,
-            grid=int(a["grid"]),
-            n_subcarriers=None if a["subcarriers"] is None else int(a["subcarriers"]),
-            tx_power_dbm=a["tx_power_dbm"],
-            noise=NoiseModel(a["noise_floor_dbm_per_hz"], a["noise_figure_db"]),
-            snr_db=a["snr_db"],
-            esm_beta=a["esm_beta"],
-            mac_efficiency=a["mac_efficiency"],
-            antenna_height_m=a["antenna_height_m"],
-            contact_spacing_m=a["contact_spacing_m"],
-            air_antenna_spacing_m=a["air_antenna_spacing_m"],
-            params=self.channel_params(),
-            mcs_table=table,
-        )
 
     def template(self) -> SceneTemplate:
         """Sweep template anchored at the first transmitter port."""
@@ -353,9 +340,7 @@ def config_hash(value) -> str:
     """16 hex digits of SHA-256 over a canonical JSON of value, then the tool
     version.  A command hashes ``{"command": name, **inputs}``, where inputs
     are the exact arguments it passed to the library.  A ScenarioConfig
-    hashes as the dataclass it is: its resolved scene, band, coupling and
-    analysis knobs, where an MCS table is named by its path (a command that
-    reads the table hashes the parsed rows in its settings).
+    hashes as the dataclass it is: its resolved scene and settings.
 
     Dataclasses go in as their type name and fields, dicts (str keys) with
     their keys sorted, tuples and lists as arrays, floats by repr.  Any

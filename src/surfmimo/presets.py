@@ -1,11 +1,20 @@
-"""Loading of shipped preset files: materials, coupling constants, MCS tables."""
+"""Loading of preset files: materials, coupling constants, MCS tables.
+
+The shipped files (``materials.yaml`` and ``mcs_80211.csv``) are parsed on
+first use and kept for the life of the process as one immutable value,
+``shipped()``; every loader called without a path reads that value.  A file
+given by path is parsed on every call.
+"""
 
 from __future__ import annotations
 
 import csv
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import yaml
 
@@ -20,8 +29,6 @@ def data_dir():
 
 
 def _read_text(path) -> str:
-    if path is None:
-        raise PresetError("no preset path given")
     return Path(path).read_text() if not hasattr(path, "read_text") else path.read_text()
 
 
@@ -39,21 +46,6 @@ def load_yaml(text):
         return (None if root is None else loader.construct_document(root)), root
     finally:
         loader.dispose()
-
-
-def _load_materials_doc(path=None) -> dict:
-    src = path if path is not None else data_dir() / "materials.yaml"
-    try:
-        doc, _ = load_yaml(_read_text(src))
-    except yaml.YAMLError as exc:
-        raise PresetError(f"cannot parse material preset file {src}: {exc}") from exc
-    if not isinstance(doc, dict) or "materials" not in doc:
-        raise PresetError(f"material preset file {src} has no 'materials' section")
-    return doc
-
-
-def _version(doc: dict) -> str:
-    return str(doc.get("version", "unversioned"))
 
 
 def _materials(doc: dict) -> dict:
@@ -106,12 +98,12 @@ def _pick_material(materials: dict, name_or_path: str) -> MaterialParams:
 
 
 def preset_version(path=None) -> str:
-    return _version(_load_materials_doc(path))
+    return load_presets(path).version
 
 
 def load_materials(path=None) -> dict:
     """All material presets from a file (default: the shipped presets)."""
-    return _materials(_load_materials_doc(path))
+    return dict(load_presets(path).materials)
 
 
 def load_material(name_or_path: str, path=None) -> MaterialParams:
@@ -120,16 +112,20 @@ def load_material(name_or_path: str, path=None) -> MaterialParams:
 
 
 def load_coupling(path=None) -> CouplingConstants:
-    return _coupling(_load_materials_doc(path))
+    return load_presets(path).coupling
 
 
 @dataclass(frozen=True)
 class MaterialPresets:
-    """Everything a material preset file holds, from one parse of it."""
+    """Everything a material preset file holds, from one parse of it; the
+    materials are a read-only mapping."""
 
-    materials: dict
+    materials: Mapping
     coupling: CouplingConstants
     version: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "materials", MappingProxyType(dict(self.materials)))
 
     def material(self, name_or_path: str) -> MaterialParams:
         """Like load_material, without parsing this file again."""
@@ -137,19 +133,28 @@ class MaterialPresets:
 
 
 def load_presets(path=None) -> MaterialPresets:
-    """Materials, coupling constants and version of one preset file
-    (default: the shipped presets), parsed once."""
-    doc = _load_materials_doc(path)
-    return MaterialPresets(_materials(doc), _coupling(doc), _version(doc))
+    """Materials, coupling constants and version of one preset file, from
+    one parse of it (default: the shipped presets)."""
+    if path is None:
+        return shipped().presets
+    try:
+        doc, _ = load_yaml(_read_text(path))
+    except yaml.YAMLError as exc:
+        raise PresetError(f"cannot parse material preset file {path}: {exc}") from exc
+    if not isinstance(doc, dict) or "materials" not in doc:
+        raise PresetError(f"material preset file {path} has no 'materials' section")
+    return MaterialPresets(_materials(doc), _coupling(doc),
+                           str(doc.get("version", "unversioned")))
 
 
 def load_mcs_table(path=None) -> McsTable:
     """MCS table from a CSV file (default: the shipped 802.11 table), with the
     rows of every bandwidth it holds; McsTable.for_bandwidth selects one."""
-    src = path if path is not None else data_dir() / "mcs_80211.csv"
+    if path is None:
+        return shipped().mcs_table
     rows = []
     try:
-        reader = csv.DictReader(_read_text(src).splitlines())
+        reader = csv.DictReader(_read_text(path).splitlines())
         for rec in reader:
             rows.append(
                 McsRow(
@@ -163,10 +168,27 @@ def load_mcs_table(path=None) -> McsTable:
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
-        raise PresetError(f"malformed MCS table {src}: {exc}") from exc
+        raise PresetError(f"malformed MCS table {path}: {exc}") from exc
     if not rows:
-        raise PresetError(f"MCS table {src} is empty")
+        raise PresetError(f"MCS table {path} is empty")
     return McsTable(tuple(rows))
+
+
+@dataclass(frozen=True)
+class ShippedPresets:
+    """The shipped material presets and MCS table."""
+
+    presets: MaterialPresets
+    mcs_table: McsTable
+
+
+@functools.cache
+def shipped() -> ShippedPresets:
+    """The shipped preset files, parsed on the first call and shared by every
+    later one; ``shipped.cache_clear()`` makes the next call parse them again.
+    The value is immutable, so no caller can change what another reads."""
+    return ShippedPresets(load_presets(data_dir() / "materials.yaml"),
+                          load_mcs_table(data_dir() / "mcs_80211.csv"))
 
 
 def scene_path(name: str):

@@ -85,8 +85,8 @@ def test_criterion_02_path_loss_laws():
 
 def test_criterion_03_multiplexing_asymptote():
     cfg = _scene("default_2x2")
-    h = build_mimo(cfg.scene, cfg.band, grid=cfg.analysis["grid"],
-                   params=cfg.channel_params()).entries
+    h = build_mimo(cfg.scene, cfg.settings.band, grid=cfg.settings.grid,
+                   params=cfg.settings.params).entries
 
     def ratio(snr_db):
         rho = 10.0 ** (snr_db / 10.0)
@@ -111,7 +111,7 @@ def test_criterion_04_conditioning():
         for ft in range(1, 17):
             scene = build_link_scene(tpl, ft * FOOT_M, mode, st)
             for m in csi(scene, st.band, st.n_subcarriers, st.grid,
-                         st.channel_params()):
+                         st.params):
                 c = condition_number(m)
                 assert np.isfinite(c)
                 assert c < 1e6  # sigma_min > 1e-6 * sigma_max
@@ -194,10 +194,10 @@ def test_criterion_10_pulse_physics():
     tx = cfg.scene.transmitters()[0].ports[0]
     rx = cfg.scene.receivers()[0].ports[0]
     d = math.dist(tx[1], rx[1])
-    v = phase_velocity(cfg.band, material)
-    resp = impulse_response(tx, rx, cfg.scene, cfg.band,
-                            grid=cfg.analysis["grid"],
-                            params=cfg.channel_params())
+    v = phase_velocity(cfg.settings.band, material)
+    resp = impulse_response(tx, rx, cfg.scene, cfg.settings.band,
+                            grid=cfg.settings.grid,
+                            params=cfg.settings.params)
     assert resp.delays()[0] == d / v
 
     # the same span through the air arrives earlier
@@ -206,8 +206,8 @@ def test_criterion_10_pulse_physics():
 
     spread = resp.rms_delay_spread()
     assert spread > 0.0
-    prof = pulse_profile(cfg.scene, tx, rx, band=cfg.band,
-                         grid=cfg.analysis["grid"], params=cfg.channel_params())
+    prof = pulse_profile(cfg.scene, tx, rx, band=cfg.settings.band,
+                         grid=cfg.settings.grid, params=cfg.settings.params)
     residual = prof.residual_after(300e-9)
     assert residual < 0.05
     print(f"PASS criterion 10: first arrival d/v = {d / v * 1e9:.3f} ns exact, "
@@ -225,11 +225,11 @@ def test_criterion_11_determinism_and_convergence(tmp_path):
     worst = 0.0
     for name in ("default_2x2", "default_3x3", "cloth_10ft", "sweep_spraypaint"):
         cfg = _scene(name)
-        g0 = cfg.analysis["grid"]
-        coarse = build_mimo(cfg.scene, cfg.band, grid=g0,
-                            params=cfg.channel_params()).entries
-        fine = build_mimo(cfg.scene, cfg.band, grid=2 * g0,
-                          params=cfg.channel_params()).entries
+        g0 = cfg.settings.grid
+        coarse = build_mimo(cfg.scene, cfg.settings.band, grid=g0,
+                            params=cfg.settings.params).entries
+        fine = build_mimo(cfg.scene, cfg.settings.band, grid=2 * g0,
+                          params=cfg.settings.params).entries
         rel = np.abs(fine - coarse) / np.abs(coarse)
         assert np.all(rel < 0.02)
         worst = max(worst, float(np.max(rel)))

@@ -360,7 +360,7 @@ def test_csi_variance_grows_with_distance():
     out = []
     for ft in (1.0, 8.0, 16.0):
         scene = ex.build_link_scene(tpl, ft * ex.FOOT_M, ex.MODE_2X2, st)
-        mats = csi(scene, st.band, n_subcarriers=64, grid=12, params=st.channel_params())
+        mats = csi(scene, st.band, n_subcarriers=64, grid=12, params=st.params)
         mags = np.array([np.abs(mm.entries) for mm in mats])
         v = np.var(mags, axis=0) / np.mean(mags, axis=0) ** 2
         out.append(float(np.mean([v[0, 0], v[1, 0], v[0, 1]])))
@@ -405,9 +405,9 @@ def test_impulse_first_arrival_is_exactly_d_over_v():
     cfg = load_config(presets.scene_path("cloth_10ft"))
     tx = cfg.scene.transmitters()[0].ports[0]
     rx = cfg.scene.receivers()[0].ports[0]
-    resp = impulse_response(tx, rx, cfg.scene, cfg.band)
+    resp = impulse_response(tx, rx, cfg.scene, cfg.settings.band)
     d = math.dist(tx[1], rx[1])
-    v = phase_velocity(cfg.band, cfg.scene.surface.material)
+    v = phase_velocity(cfg.settings.band, cfg.scene.surface.material)
     assert resp.delays()[0] == d / v
     assert len(resp.taps) > 1  # boundary images and the composite cluster
     assert np.all(np.diff(resp.delays()) > 0)
@@ -439,7 +439,7 @@ def test_cloth_delay_spread_in_band():
     cfg = load_config(presets.scene_path("cloth_10ft"))
     tx = cfg.scene.transmitters()[0].ports[0]
     rx = cfg.scene.receivers()[0].ports[0]
-    spread = impulse_response(tx, rx, cfg.scene, cfg.band).rms_delay_spread()
+    spread = impulse_response(tx, rx, cfg.scene, cfg.settings.band).rms_delay_spread()
     assert 0.0 < spread <= 300e-9
 
 
@@ -591,3 +591,62 @@ def test_a_law_on_distinct_distances_is_bitwise_the_law(freqs, pool, picks, rows
         assert got.shape == full.shape == (len(freqs),) + d.shape
         assert got.flags.c_contiguous
         assert got.tobytes() == full.tobytes()
+
+
+def test_library_calls_without_params_parse_the_shipped_presets_once(file_reads):
+    from surfmimo.io import load_config
+
+    scene = load_config(presets.scene_path("default_2x2")).scene
+    tx, rx = scene.transmitters()[0], scene.receivers()[0]
+    for _ in range(3):
+        h_ss(tx.contacts[0], rx.contacts[0], scene, BAND.center_hz, grid=8)
+        csi(scene, BAND, n_subcarriers=2, grid=8)
+        impulse_response(tx.ports[0], rx.ports[1], scene, BAND, grid=8)
+        assert ex.LinkSettings().params == default_params()
+    assert file_reads == {"materials.yaml": 1, "mcs_80211.csv": 1}
+
+
+# an obstacle per shipped scene, off every port and off the link line
+MIRROR_OBSTACLES = {
+    "default_2x2": Obstacle(0.45, 0.08, 0.7, 0.22),
+    "default_3x3": Obstacle(0.45, 0.08, 0.7, 0.22, kind="wood"),
+    "cloth_10ft": Obstacle(1.0, 0.35, 1.4, 0.5, perturbation_db=6.0),
+}
+
+
+def _mirrored(scene, about_x, about_y):
+    """scene with its contacts, antennas and obstacles mirrored about the
+    surface's centre line across x (about_x) and/or across y (about_y)."""
+    w, h = scene.surface.width_m, scene.surface.height_m
+
+    def fx(x):
+        return w - x if about_x else x
+
+    def fy(y):
+        return h - y if about_y else y
+
+    nodes = tuple(Node(n.id, n.role,
+                       contacts=tuple((fx(x), fy(y)) for x, y in n.contacts),
+                       antennas=tuple((fx(x), fy(y), z) for x, y, z in n.antennas))
+                  for n in scene.nodes)
+    obstacles = tuple(dataclasses.replace(
+        o, x_min=min(fx(o.x_min), fx(o.x_max)), x_max=max(fx(o.x_min), fx(o.x_max)),
+        y_min=min(fy(o.y_min), fy(o.y_max)), y_max=max(fy(o.y_min), fy(o.y_max)))
+        for o in scene.obstacles)
+    return Scene(scene.surface, nodes=nodes, obstacles=obstacles)
+
+
+@settings(max_examples=24, deadline=None)
+@given(name=st.sampled_from(sorted(MIRROR_OBSTACLES)),
+       axes=st.sampled_from([(True, False), (False, True), (True, True)]),
+       grid=st.integers(6, 16), with_obstacle=st.booleans())
+def test_csi_is_invariant_under_mirroring_the_scene(name, axes, grid, with_obstacle):
+    from surfmimo.io import load_config
+
+    scene = load_config(presets.scene_path(name)).scene
+    if with_obstacle:
+        scene = dataclasses.replace(scene, obstacles=(MIRROR_OBSTACLES[name],))
+    mirror = _mirrored(scene, *axes)
+    got = np.array([m.entries for m in csi(mirror, BAND, 3, grid)])
+    want = np.array([m.entries for m in csi(scene, BAND, 3, grid)])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))

@@ -117,6 +117,7 @@ def test_sweep_all_modes_synthesizes_twice(tmp_path, monkeypatch):
 def test_scene_commands_parse_each_yaml_file_once(tmp_path, monkeypatch, command):
     from surfmimo import presets
 
+    presets.shipped.cache_clear()
     parsed = []
     real = presets.load_yaml
     monkeypatch.setattr(presets, "load_yaml", lambda text: parsed.append(text) or real(text))
@@ -127,48 +128,66 @@ def test_scene_commands_parse_each_yaml_file_once(tmp_path, monkeypatch, command
     assert parsed == [scene.read_text(), materials]
 
 
-def _count_preset_parses(monkeypatch) -> dict:
-    from surfmimo import presets
-
-    calls = {"load_yaml": 0, "load_mcs_table": 0}
-
-    def counting(name):
-        real = getattr(presets, name)
-
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(presets, name, counting(name))
-    return calls
+SHIPPED_ONCE = {"materials.yaml": 1, "mcs_80211.csv": 1}
 
 
 @pytest.mark.parametrize("command", [
     ["sweep", "--distances-ft", "1,2"], ["separation", "--separations-cm", "1,6"],
 ])
-def test_sweep_commands_parse_presets_once_for_all_modes(tmp_path, monkeypatch, command):
-    calls = _count_preset_parses(monkeypatch)
+def test_sweep_commands_parse_presets_once_for_all_modes(tmp_path, file_reads, command):
     code = main(command + ["--mode", "all", *FAST_SWEEP, "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_OK
-    # materials.yaml once for the template, the coupling constants and the
-    # preset version; the rate table once for all four modes
-    assert calls == {"load_yaml": 1, "load_mcs_table": 1}
+    assert file_reads == SHIPPED_ONCE
 
 
-@pytest.mark.parametrize("command, table_parses", [
-    (["channel"], 0), (["pulse", "--duration-ns", "50"], 0), (["analyze"], 1),
+@pytest.mark.parametrize("command", [
+    ["channel"], ["pulse", "--duration-ns", "50"], ["analyze"],
+    ["sweep", "--mode", "all", "--distances-ft", "1,2"],
 ])
-def test_only_analyze_parses_the_scene_rate_table(tmp_path, monkeypatch, command,
-                                                   table_parses):
+def test_every_scene_command_parses_the_scene_rate_table(tmp_path, file_reads, command):
     from surfmimo import presets
 
-    scene = _tiny_scene(tmp_path, mcs_table=presets.data_dir() / "mcs_80211.csv")
-    calls = _count_preset_parses(monkeypatch)
+    table = tmp_path / "table.csv"
+    table.write_text((presets.data_dir() / "mcs_80211.csv").read_text())
+    scene = _tiny_scene(tmp_path, mcs_table=table)
     code = main(command + ["--scene", str(scene), "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_OK
-    assert calls["load_mcs_table"] == table_parses
+    assert file_reads == {**SHIPPED_ONCE, "table.csv": 1}
+
+
+def test_scene_rate_table_problems_exit_2(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text("mcs_index,modulation\n0,BPSK\n")
+    for ref in (table, tmp_path / "missing.csv"):
+        scene = _tiny_scene(tmp_path, mcs_table=ref)
+        assert main(["channel", "--scene", str(scene), "--out",
+                     str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        assert "line 6: " in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["channel"], ["pulse", "--duration-ns", "50"], ["analyze"],
+    ["sweep", "--mode", "siso", "--distances-ft", "1,2"],
+])
+@pytest.mark.parametrize("bad", [{"esm_beta": 0}, {"mac_efficiency": 0}])
+def test_scene_commands_reject_analysis_values_alike(tmp_path, capsys, command, bad):
+    scene = _tiny_scene(tmp_path, **bad)
+    out = tmp_path / "o.csv"
+    assert main(command + ["--scene", str(scene), "--out", str(out)]) == EXIT_CONFIG
+    (key,) = bad
+    assert f"line 6: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_bad_analysis_value_is_listed(tmp_path, capsys):
+    scene = _tiny_scene(tmp_path, esm_beta=0, mac_efficiency=1.5, antenna_height_m=-1,
+                        max_image_order=-1)
+    assert main(["channel", "--scene", str(scene), "--out",
+                 str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    for key in ("esm_beta", "mac_efficiency", "antenna_height_m", "max_image_order"):
+        assert sum(f"line 6: {key} must be" in line for line in err) == 1
 
 
 @pytest.mark.parametrize("command", [
@@ -176,13 +195,19 @@ def test_only_analyze_parses_the_scene_rate_table(tmp_path, monkeypatch, command
     ["aggregate", "--no-dfs", "--material", "cloth", "--distances-ft", "1"],
     ["share", "--channels", "6,11", "--slots", "100"],
     ["share", "--channels", "6,6", "--solo-rate-mbps", "100,100", "--slots", "100"],
+    ["radiation"],
 ])
-def test_band_commands_parse_presets_once(tmp_path, monkeypatch, command):
-    calls = _count_preset_parses(monkeypatch)
+def test_band_commands_parse_presets_once(tmp_path, file_reads, command):
     assert main(command + ["--out", str(tmp_path / "o.csv")]) == EXIT_OK
-    # materials.yaml once for the template, the coupling constants and the
-    # preset version; the whole rate table once for every chain or pair
-    assert calls == {"load_yaml": 1, "load_mcs_table": 1}
+    assert file_reads == SHIPPED_ONCE
+
+
+def test_shipped_presets_are_parsed_once_per_process(tmp_path, file_reads):
+    for command in (["radiation"], ["aggregate", "--distances-ft", "1"],
+                    ["channel", "--scene", "default_2x2"],
+                    ["sweep", "--mode", "siso", "--distances-ft", "1", *FAST_SWEEP]):
+        assert main(command + ["--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert file_reads == SHIPPED_ONCE
 
 
 @pytest.mark.parametrize("command", ["aggregate", "radiation", "share"])
@@ -265,8 +290,26 @@ def test_pulse_command_and_port_validation(tmp_path, capsys):
 
     assert main(["pulse", "--tx-port", "9", "--out", str(out)]) == EXIT_CONFIG
     assert "port index out of range" in capsys.readouterr().err
-    assert main(["pulse", "--sample-rate-ghz", "0.5",
+    for rate in ("0.5", "nan", "inf"):
+        assert main(["pulse", "--sample-rate-ghz", rate, "--out", str(out)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("duration_ns", ["0", "-5", "inf"])
+def test_pulse_rejects_a_duration_that_is_not_positive(tmp_path, capsys, duration_ns):
+    out = tmp_path / "p.csv"
+    assert main(["pulse", "--scene", "default_2x2", f"--duration-ns={duration_ns}",
                  "--out", str(out)]) == EXIT_CONFIG
+    assert "duration must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ports", [["--tx-port", "-1"], ["--rx-port", "-2"],
+                                   ["--tx-port", "-1", "--rx-port", "-2"]])
+def test_pulse_rejects_negative_port_indices(tmp_path, capsys, ports):
+    out = tmp_path / "p.csv"
+    assert main(["pulse", "--scene", "default_3x3", *ports, "--out", str(out)]) == EXIT_CONFIG
+    assert "port index out of range: tx has 3, rx has 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_aggregate_command(tmp_path):
@@ -303,6 +346,11 @@ def test_share_command(tmp_path):
     assert len(rs.rows) == 2
     assert rs.rows[0][3] + rs.rows[1][3] == 1.0
     assert main(["share", "--channels", "6,six", "--out", str(out)]) == EXIT_CONFIG
+    assert main(["share", "--channels", "6.7,6", "--solo-rate-mbps", "100,100",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert main(["share", "--channels", "6.0,11", "--slots", "2000",
+                 "--solo-rate-mbps", "100,100", "--out", str(out)]) == EXIT_OK
+    assert [r[1] for r in read_results(out).rows] == [6, 11]
     assert main(["share", "--channels", "6,6", "--solo-rate-mbps", "100",
                  "--out", str(out)]) == EXIT_CONFIG
 
@@ -342,3 +390,14 @@ def test_reversed_or_empty_lists_exit_2(tmp_path, capsys, command):
 def test_unwritable_output_exits_4(tmp_path):
     dest = tmp_path / "missing-dir" / "out.csv"
     assert main(["radiation", "--out", str(dest)]) == EXIT_IO
+
+
+def test_help_reads_no_preset_file(tmp_path, monkeypatch, capsys):
+    from surfmimo import presets
+
+    presets.shipped.cache_clear()
+    monkeypatch.setattr(presets, "data_dir", lambda: tmp_path)  # holds no presets
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: surfmimo" in capsys.readouterr().out

@@ -386,7 +386,7 @@ def _scene_case(name):
         scene, params = _coupled_3x3()
         return scene, FrequencyBand(2.437e9, 40e6), params, 12
     cfg = load_config(presets.scene_path(name))
-    return cfg.scene, cfg.band, cfg.channel_params(), cfg.analysis["grid"]
+    return cfg.scene, cfg.settings.band, cfg.settings.params, cfg.settings.grid
 
 
 @pytest.mark.parametrize("name", ["default_3x3", "cloth_10ft", "coupled_3x3"])

@@ -19,6 +19,7 @@ from surfmimo.channel import build_mimo
 from surfmimo.errors import ConfigError, ResultIOError
 from surfmimo.experiments import (
     LinkResult,
+    LinkSettings,
     RadiationSample,
     ShareResult,
     scenario2_plan,
@@ -62,12 +63,12 @@ GOOD = textwrap.dedent("""\
 def test_parse_minimal_config_defaults():
     cfg = parse_config(GOOD)
     assert cfg.name == "unit"
-    assert cfg.band.center_hz == 2.437e9
-    assert cfg.band.bandwidth_hz == 40e6
-    assert cfg.band.band_id == "2.4GHz"
+    assert cfg.settings.band.center_hz == 2.437e9
+    assert cfg.settings.band.bandwidth_hz == 40e6
+    assert cfg.settings.band.band_id == "2.4GHz"
     assert cfg.seed == DEFAULT_SEED == 1905
-    assert cfg.analysis["grid"] == 32
-    assert cfg.analysis["mac_efficiency"] == 0.65
+    assert cfg.settings.grid == 32
+    assert cfg.settings.mac_efficiency == 0.65
     assert cfg.scene.surface.material.name == "spraypaint"
     assert len(cfg.scene.nodes) == 2
     # template anchors the sweep at the first transmitter port
@@ -85,14 +86,14 @@ def test_parse_config_units_and_overrides():
           snr_db: 25
         seed: 7
     """))
-    assert cfg.band.center_hz == 5.19e9
-    assert cfg.band.band_id == "5GHz"
-    assert cfg.band.bandwidth_hz == 20e6
+    assert cfg.settings.band.center_hz == 5.19e9
+    assert cfg.settings.band.band_id == "5GHz"
+    assert cfg.settings.band.bandwidth_hz == 20e6
     assert cfg.seed == 7
-    s = cfg.settings()
+    s = cfg.settings
     assert s.grid == 16 and s.snr_db == 25.0
     assert s.band.bandwidth_hz == 20e6
-    assert cfg.channel_params().coupling.near_field_coupling == 0.95
+    assert s.params.coupling.near_field_coupling == 0.95
 
 
 BAD = textwrap.dedent("""\
@@ -179,7 +180,7 @@ def test_load_config_prefixes_path(tmp_path):
 
 def test_config_consumers_agree_with_direct_calls():
     cfg = parse_config(GOOD + "analysis: {grid: 8, subcarriers: 2}\n")
-    m = build_mimo(cfg.scene, cfg.band, grid=8, params=cfg.channel_params())
+    m = build_mimo(cfg.scene, cfg.settings.band, grid=8, params=cfg.settings.params)
     assert m.entries.shape == (1, 1)
     assert m.rx_port_kinds == (CONTACT,)
 
@@ -213,6 +214,7 @@ def test_load_yaml_uses_libyaml_when_present(monkeypatch):
             super().__init__(stream)
 
     monkeypatch.setattr(yaml, "CSafeLoader", Counted)
+    presets.shipped.cache_clear()
     parse_config(GOOD)
     assert made[0] == GOOD
     assert len(made) == 2  # the config, then the shipped material presets
@@ -224,23 +226,59 @@ def test_shipped_scenes_parse_equal_under_both_loaders(monkeypatch):
     assert len(names) >= 4
 
     def parse_all():
+        presets.shipped.cache_clear()  # parse the materials under this loader too
         return [load_config(presets.scene_path(n)) for n in names]
 
     default, pure = _under_both_loaders(monkeypatch, parse_all)
     assert default == pure
 
 
-def test_presets_equal_under_both_loaders(monkeypatch):
+def test_presets_equal_under_both_loaders(monkeypatch, file_reads):
     def load_all():
+        presets.shipped.cache_clear()  # parse the shipped file under this loader
         return (presets.load_materials(), presets.load_coupling(),
-                presets.preset_version(), presets.load_presets())
+                presets.preset_version(), presets.load_presets(),
+                presets.load_presets(presets.data_dir() / "materials.yaml"))
 
     default, pure = _under_both_loaders(monkeypatch, load_all)
+    # under each loader: once for the shipped value, once by path
+    assert file_reads["materials.yaml"] == 4
     assert default == pure
-    materials, coupling, version, shipped = default
+    materials, coupling, version, shipped, by_path = default
+    assert shipped == by_path
     assert shipped.materials == materials
     assert shipped.coupling == coupling
     assert shipped.version == version
+
+
+def test_shipped_presets_cannot_be_changed_by_a_caller():
+    materials = presets.load_materials()
+    materials.pop("spraypaint")
+    assert "spraypaint" in presets.load_materials()
+    with pytest.raises(TypeError):
+        presets.load_presets().materials["spraypaint"] = None
+    assert presets.load_presets() is presets.load_presets()
+
+
+def test_analysis_section_is_checked_by_the_settings_dataclasses():
+    problems = _problems(GOOD + "analysis: {esm_beta: 0, mac_efficiency: 0,"
+                                " antenna_height_m: -1, max_image_order: -1, grid: 2.5}\n")
+    assert problems == [
+        "line 13: 'grid' must be an integer, got 2.5",
+        "line 13: max_image_order must be >= 0, got -1",
+        "line 13: mac_efficiency must be in (0, 1], got 0.0",
+        "line 13: esm_beta must be positive, got 0.0",
+        "line 13: antenna_height_m must be >= 0, got -1.0",
+    ]
+    with pytest.raises(ConfigError) as err:
+        LinkSettings(esm_beta=0.0, mac_efficiency=0.0)
+    assert len(err.value.problems) == 2
+
+
+def test_analysis_keys_default_to_the_dataclass_defaults():
+    cfg = parse_config(GOOD)
+    assert cfg.settings == LinkSettings()
+    assert parse_config(GOOD + "analysis: {grid: 32, snr_db: null}\n") == cfg
 
 
 def test_invalid_config_problems_equal_under_both_loaders(monkeypatch):
@@ -503,7 +541,7 @@ def test_pulse_result_set_carries_spread_metadata():
     cfg = load_config(presets.scene_path("cloth_10ft"))
     tx = cfg.scene.transmitters()[0].ports[0]
     rx = cfg.scene.receivers()[0].ports[0]
-    prof = pulse_profile(cfg.scene, tx, rx, band=cfg.band, grid=8)
+    prof = pulse_profile(cfg.scene, tx, rx, band=cfg.settings.band, grid=8)
     rs = pulse_result_set(prof)
     assert rs.columns == ("time_ns", "re", "im", "magnitude")
     assert set(rs.metadata) == {"rms_delay_spread_s", "sample_rate_hz"}

@@ -223,7 +223,7 @@ def test_pulse_default_horizon_covers_late_taps():
     cfg = load_config(presets.scene_path("cloth_10ft"))
     tx = cfg.scene.transmitters()[0].ports[0]
     rx = cfg.scene.receivers()[0].ports[0]
-    prof = pulse_profile(cfg.scene, tx, rx, band=cfg.band)
+    prof = pulse_profile(cfg.scene, tx, rx, band=cfg.settings.band)
     assert prof.time_s[-1] >= prof.response.delays()[-1] + 49e-9
     assert prof.time_s[-1] >= prof.response.delays()[0] + 399e-9
 

@@ -317,41 +317,26 @@ def test_dead_link_has_no_columns_in_sweep_csv():
     assert [row[-2:] for row in rs.rows] == [(2, "0;2"), (0, "none")]
 
 
-def _count_parses(monkeypatch) -> dict:
-    calls = {"load_coupling": 0, "load_mcs_table": 0}
-    for name in calls:
-        real = getattr(presets, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(presets, name, counted)
-    return calls
+SHIPPED_ONCE = {"materials.yaml": 1, "mcs_80211.csv": 1}
 
 
-def test_throughput_sweep_parses_presets_once(monkeypatch):
-    calls = _count_parses(monkeypatch)
+def test_throughput_sweep_parses_presets_once(file_reads):
     rows = throughput_sweep(distances_m=default_distances_m(), mode=MODE_2X2,
                             settings=LinkSettings(grid=8, n_subcarriers=2))
     assert len(rows) == 16
-    assert calls["load_coupling"] <= 1
-    assert calls["load_mcs_table"] <= 1
+    assert file_reads == SHIPPED_ONCE
 
 
-def test_aggregate_and_share_parse_presets_once(monkeypatch):
-    calls = _count_parses(monkeypatch)
+def test_aggregate_and_share_parse_presets_once(file_reads):
     fast = LinkSettings(grid=8, n_subcarriers=2)
     rows = aggregate_sweep(scenario2_plan(), (FOOT_M, 2 * FOOT_M), settings=fast)
     assert len(rows) == 2
-    assert calls == {"load_coupling": 1, "load_mcs_table": 1}
-
-    calls.update(load_coupling=0, load_mcs_table=0)
     pairs = (SharingPair((0.2, 0.3), (0.5, 0.3), 1),
              SharingPair((0.2, 0.1), (0.5, 0.1), 1, band=FrequencyBand(2.437e9, 40e6)),
              SharingPair((0.2, 0.5), (0.5, 0.5), 6))
     share_sim(SharingConfig(pairs), 50, settings=fast)
-    assert calls == {"load_coupling": 1, "load_mcs_table": 1}
+    share_sim(SharingConfig(pairs), 50)
+    assert file_reads == SHIPPED_ONCE
 
 
 # --- closed forms of one- and two-column channels ---------------------------------
@@ -485,7 +470,7 @@ def test_stacked_analysis_equals_one_distance_at_a_time(seed, n_rx, n_tx, f, n_d
     for d in range(n_d):
         if singular[d] and n_tx > 1:  # columns 0 and 1 parallel at one tone of d
             h[f // 2, d, :, 1] = 2.0 * h[f // 2, d, :, 0]
-    st_ = experiments._resolved(LinkSettings(snr_db=snr_db))
+    st_ = LinkSettings(snr_db=snr_db)
     together = experiments._analyze(h, st_)
     assert len(together) == n_d
     for d, got in enumerate(together):

@@ -27,7 +27,6 @@ from surfmimo.experiments import (
     MODE_AIR_MIMO,
     SWEEP_MODES,
     LinkSettings,
-    _resolved,
     build_link_scene,
     default_distances_m,
     default_template,
@@ -45,7 +44,6 @@ FAST = LinkSettings(grid=8, n_subcarriers=3)
 
 def _check_against_single_distances(mode, distances, st_):
     template = default_template()
-    st_ = _resolved(st_)
     scenes = [build_link_scene(template, d, mode, st_) for d in distances]
     _, stacked, _, _ = channel._channel_stack(scenes, st_.band, st_.n_subcarriers,
                                               st_.grid, st_.params)
