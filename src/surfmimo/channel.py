@@ -118,12 +118,13 @@ _NEAR_X, _NEAR_Y = (np.array(c) for c in zip(*_NEAR_OFFSETS))
 
 @dataclass(frozen=True)
 class CouplingConstants:
-    """Calibration scalars for the composite channel terms."""
+    """Calibration scalars for the composite channel terms; the calibrated
+    values are written only in the material preset file."""
 
-    c1: float = 0.02
-    c2: float = 0.02
-    c3: float = 0.02
-    near_field_coupling: float = 0.7
+    c1: float
+    c2: float
+    c3: float
+    near_field_coupling: float
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "near_field_coupling"):
@@ -135,6 +136,13 @@ class CouplingConstants:
 class NoiseModel:
     noise_floor_dbm_per_hz: float = -174.0
     noise_figure_db: float = 6.0
+
+    def __post_init__(self):
+        problems = [f"{name} must be finite, got {getattr(self, name)}"
+                    for name in ("noise_floor_dbm_per_hz", "noise_figure_db")
+                    if not math.isfinite(getattr(self, name))]
+        if problems:
+            raise ConfigError(problems)
 
     def noise_power_dbm(self, bandwidth_hz: float) -> float:
         return (
@@ -176,9 +184,11 @@ class AirMultipathModel:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Everything besides the scene that shapes channel synthesis."""
+    """Everything besides the scene that shapes channel synthesis.
+    coupling=None is resolved to the shipped calibration when the parameters
+    are built, so every ChannelParams holds its coupling constants."""
 
-    coupling: CouplingConstants = CouplingConstants()
+    coupling: CouplingConstants | None = None
     air_ref_m: float = 0.1
     air_exponent: float = 2.0
     near_field_radius_m: float = 0.1
@@ -188,6 +198,10 @@ class ChannelParams:
     def __post_init__(self):
         if self.max_image_order < 0:
             raise ConfigError(f"max_image_order must be >= 0, got {self.max_image_order}")
+        if self.coupling is None:
+            from . import presets
+
+            object.__setattr__(self, "coupling", presets.load_coupling())
 
 
 @dataclass(frozen=True)
@@ -238,13 +252,6 @@ class ImpulseResponse:
         p = np.abs(self.amplitudes()) ** 2
         mean = np.sum(p * tau) / np.sum(p)
         return float(np.sqrt(np.sum(p * (tau - mean) ** 2) / np.sum(p)))
-
-
-def default_params() -> ChannelParams:
-    """Channel parameters with the preset coupling constants."""
-    from . import presets
-
-    return ChannelParams(coupling=presets.load_coupling())
 
 
 # --- one law evaluation per distinct distance --------------------------------------
@@ -561,7 +568,7 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
 
 
 def _one(scene, f, grid, params, rx_port, tx_port) -> complex:
-    params = params or default_params()
+    params = params or ChannelParams()
     h = _synthesize(scene, [_center_hz(f)], grid, params, [rx_port], [tx_port])
     return complex(h[0, 0, 0])
 
@@ -616,7 +623,7 @@ def build_mimo(scene: Scene, f, grid: int = 32,
     Port order within each node is contacts first, then antennas; the entry
     dispatches on the (RX kind, TX kind) pair.
     """
-    params = params or default_params()
+    params = params or ChannelParams()
     band = f if isinstance(f, FrequencyBand) else FrequencyBand(float(f))
     rx, rx_kinds, tx, tx_kinds = _scene_ports(scene)
     h = _synthesize(scene, [band.center_hz], grid, params, rx, tx)
@@ -680,7 +687,7 @@ def _channel_stack(scenes, band: FrequencyBand, n_subcarriers: int | None, grid:
     frequencies freqs.  Every scene's receive ports are stacked against the
     shared transmit ports in one (F, D * n_rx, n_tx) synthesis; an entry
     depends only on its two ports."""
-    params = params or default_params()
+    params = params or ChannelParams()
     freqs = subcarrier_frequencies(band, subcarrier_count(band, n_subcarriers))
     first = scenes[0]
     m = first.surface.material
@@ -725,7 +732,7 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
     treated as surface-guided diffuse energy, so the whole route uses the
     surface velocity — they never precede the direct surface arrival.
     """
-    params = params or default_params()
+    params = params or ChannelParams()
     (tk, tp), (rk, rp) = tx_port, rx_port
     m, f = scene.surface.material, [band.center_hz]
     if tk == ANTENNA and rk == ANTENNA:

@@ -92,27 +92,24 @@ def _seed(args, cfg=None) -> int:
 
 
 def _sweep_settings(args) -> tuple:
-    """(template, settings, preset version, seed) from --scene or the
-    sweep-style flags."""
+    """(template, settings, seed) from --scene or the sweep-style flags."""
     cfg = None
     if args.scene:
         cfg = _load_scene_config(args.scene)
-        template, settings, version = cfg.template(), cfg.settings, cfg.preset_version
+        template, settings = cfg.template(), cfg.settings
     else:
-        shipped = presets.load_presets()
-        template = default_template(shipped.material(args.material))
-        settings, version = LinkSettings(), shipped.version
+        template, settings = default_template(args.material), LinkSettings()
     overrides = {"tx_power_dbm": args.tx_power_dbm, "snr_db": args.snr_db,
                  "grid": args.grid, "n_subcarriers": args.subcarriers}
     settings = replace(settings, **{k: v for k, v in overrides.items() if v is not None})
-    return template, settings, version, _seed(args, cfg)
+    return template, settings, _seed(args, cfg)
 
 
 # --- subcommand bodies ----------------------------------------------------------
 #
 # Each body resolves its inputs once into the exact arguments it passes to the
-# library, runs it, and returns (inputs, rows, preset version, seed); main
-# writes the rows with provenance whose config_hash is the hash of those inputs.
+# library, runs it, and returns (inputs, rows, seed); main writes the rows with
+# provenance whose config_hash is the hash of those inputs.
 
 
 def _cmd_channel(args) -> tuple:
@@ -120,7 +117,7 @@ def _cmd_channel(args) -> tuple:
     s = cfg.settings
     inputs = {"scene": cfg.scene, "band": s.band, "n_subcarriers": s.n_subcarriers,
               "grid": s.grid, "params": s.params}
-    return inputs, rio.channel_result_set(csi(**inputs)), cfg.preset_version, _seed(args, cfg)
+    return inputs, rio.channel_result_set(csi(**inputs)), _seed(args, cfg)
 
 
 def _cmd_analyze(args) -> tuple:
@@ -138,7 +135,7 @@ def _cmd_analyze(args) -> tuple:
         f"phy rate {result.phy_rate_bps / 1e6:.1f} Mbps"
     )
     rs = rio.analyze_result_set(matrices, settings.snr_linear())
-    return inputs, rs, cfg.preset_version, _seed(args, cfg)
+    return inputs, rs, _seed(args, cfg)
 
 
 def _modes(args) -> tuple:
@@ -146,22 +143,22 @@ def _modes(args) -> tuple:
 
 
 def _cmd_sweep(args) -> tuple:
-    template, settings, version, seed = _sweep_settings(args)
+    template, settings, seed = _sweep_settings(args)
     feet = _parse_float_list(args.distances_ft, "--distances-ft")
     inputs = {"template": template, "distances_m": tuple(d * FOOT_M for d in feet),
               "modes": _modes(args), "settings": settings}
     rs = rio.sweep_result_set(multi_mode_sweep(**inputs), settings.mac_efficiency)
-    return inputs, rs, version, seed
+    return inputs, rs, seed
 
 
 def _cmd_separation(args) -> tuple:
-    template, settings, version, seed = _sweep_settings(args)
+    template, settings, seed = _sweep_settings(args)
     cm = _parse_float_list(args.separations_cm, "--separations-cm")
     inputs = {"template": template, "separations_m": tuple(s / 100.0 for s in cm),
               "modes": _modes(args), "settings": settings}
     rs = rio.separation_result_set(multi_mode_separation_sweep(**inputs),
                                    settings.mac_efficiency)
-    return inputs, rs, version, seed
+    return inputs, rs, seed
 
 
 def _cmd_pulse(args) -> tuple:
@@ -180,28 +177,27 @@ def _cmd_pulse(args) -> tuple:
         "grid": cfg.settings.grid, "params": cfg.settings.params,
     }
     rs = rio.pulse_result_set(pulse_profile(**inputs))
-    return inputs, rs, cfg.preset_version, _seed(args, cfg)
+    return inputs, rs, _seed(args, cfg)
 
 
 def _cmd_aggregate(args) -> tuple:
-    shipped = presets.load_presets()
     settings = LinkSettings()
     if args.tx_power_dbm is not None:
         settings = replace(settings, tx_power_dbm=args.tx_power_dbm)
     feet = _parse_float_list(args.distances_ft, "--distances-ft")
     inputs = {"plan": aggregation_plan(no_dfs=args.no_dfs),
               "distances_m": tuple(d * FOOT_M for d in feet),
-              "template": aggregate_template(shipped.material(args.material)),
+              "template": aggregate_template(args.material),
               "settings": settings}
     rs = rio.aggregate_result_set(aggregate_sweep(**inputs), inputs["plan"])
-    return inputs, rs, shipped.version, _seed(args)
+    return inputs, rs, _seed(args)
 
 
 def _cmd_radiation(args) -> tuple:
     inputs = {"profile": RadiationProfile(args.front_db, args.back_db),
               "tx_power_dbm": args.tx_power_dbm}
     rs = rio.radiation_result_set(radiation_benchmark(**inputs))
-    return inputs, rs, presets.preset_version(), _seed(args)
+    return inputs, rs, _seed(args)
 
 
 def _cmd_share(args) -> tuple:
@@ -211,8 +207,7 @@ def _cmd_share(args) -> tuple:
         solo = _parse_float_list(args.solo_rate_mbps, "--solo-rate-mbps")
         if len(solo) != len(channels):
             raise ConfigError(["--solo-rate-mbps needs one value per channel"])
-    shipped = presets.load_presets()
-    template = share_template(shipped.material(args.material))
+    template = share_template(args.material)
     surface = template.surface
     n = len(channels)
     pairs = []
@@ -226,7 +221,7 @@ def _cmd_share(args) -> tuple:
     inputs = {"config": SharingConfig(tuple(pairs), ambient_busy_fraction=args.busy),
               "n_slots": args.slots, "template": template,
               "settings": LinkSettings(), "seed": seed}
-    return inputs, rio.share_result_set(share_sim(**inputs)), shipped.version, seed
+    return inputs, rio.share_result_set(share_sim(**inputs)), seed
 
 
 # --- parser -----------------------------------------------------------------------
@@ -339,9 +334,10 @@ def main(argv=None) -> int:
     try:
         from . import __version__
 
-        inputs, rs, preset_version, seed = args.func(args)
+        inputs, rs, seed = args.func(args)
         rs = replace(rs, metadata={
-            **rs.metadata, "tool_version": __version__, "preset_version": preset_version,
+            **rs.metadata, "tool_version": __version__,
+            "preset_version": presets.preset_version(),
             "config_hash": rio.config_hash({"command": args.command, **inputs}),
             "seed": seed, "command": args.command,
         })

@@ -35,13 +35,12 @@ from .channel import (
     NoiseModel,
     _channel_stack,
     _stack_ports,
-    default_params,
     impulse_response,
 )
 from .errors import ConfigError, DomainError
 from .geometry import Node, Scene, SurfaceSpec
 from .mimo import LinkResult, McsTable, link_results
-from .propagation import FrequencyBand, band_for_frequency
+from .propagation import FrequencyBand
 
 FOOT_M = 0.3048
 
@@ -64,7 +63,7 @@ class LinkSettings:
     snr_db, when set, bypasses the transmit-power/noise link budget.  The
     MAC-efficiency scalar never touches phy_rate_bps; writers multiply it in
     when producing throughput columns.  params=None is resolved to
-    default_params() and mcs_table=None to the shipped table when the
+    ChannelParams() and mcs_table=None to the shipped table when the
     settings are built, so every LinkSettings holds both.  mcs_table may hold
     the rows of any bandwidths; rate_table() takes the rows of the band's
     bandwidth from it, so one table serves links of every band.  Every value
@@ -93,10 +92,14 @@ class LinkSettings:
             problems.append(f"esm_beta must be positive, got {self.esm_beta}")
         if not self.antenna_height_m >= 0:
             problems.append(f"antenna_height_m must be >= 0, got {self.antenna_height_m}")
+        for name in ("tx_power_dbm", "snr_db"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                problems.append(f"{name} must be finite, got {value}")
         if problems:
             raise ConfigError(problems)
         if self.params is None:
-            object.__setattr__(self, "params", default_params())
+            object.__setattr__(self, "params", ChannelParams())
         if self.mcs_table is None:
             from . import presets
 
@@ -441,7 +444,7 @@ def scenario1_plan() -> AggregationPlan:
     """Six 40 MHz channels at 5 GHz (four of them DFS) plus one 20 MHz channel
     at 2.437 GHz: 260 MHz total."""
     chains = [
-        Chain(band_for_frequency(_ch5(ch), 40e6), dfs=dfs, label=f"5ghz-ch{ch}")
+        Chain(FrequencyBand(_ch5(ch), 40e6), dfs=dfs, label=f"5ghz-ch{ch}")
         for ch, dfs in ((38, False), (46, False), (54, True), (62, True),
                        (102, True), (110, True))
     ]
@@ -454,12 +457,12 @@ def scenario2_plan() -> AggregationPlan:
     and a 20 MHz channel at 2.4 GHz, and a 20 MHz chain at 915 MHz behind a
     6 dB converter: 240 MHz total."""
     chains = [
-        Chain(band_for_frequency(_ch5(ch), 40e6), label=f"5ghz-ch{ch}")
+        Chain(FrequencyBand(_ch5(ch), 40e6), label=f"5ghz-ch{ch}")
         for ch in (38, 46, 151, 159)
     ]
     chains.append(Chain(FrequencyBand(2.422e9, 40e6), label="2.4ghz-ch3"))
     chains.append(Chain(FrequencyBand(2.462e9, 20e6), label="2.4ghz-ch11"))
-    chains.append(Chain(band_for_frequency(915e6, 20e6), conversion_loss_db=6.0,
+    chains.append(Chain(FrequencyBand(915e6, 20e6), conversion_loss_db=6.0,
                         label="900mhz-915"))
     return AggregationPlan(tuple(chains), name="scenario2")
 
@@ -560,7 +563,7 @@ class RadiationProfile:
     back_offset_db: float = 25.0
 
     def __post_init__(self):
-        if self.front_offset_db < 0 or self.back_offset_db < 0:
+        if not (self.front_offset_db >= 0 and self.back_offset_db >= 0):
             raise DomainError("radiation offsets must be >= 0")
 
     def offset_db(self, z: float) -> float:
@@ -599,6 +602,8 @@ def radiation_benchmark(profile: RadiationProfile | None = None, positions=None,
     """
     from .propagation import air_gain, received_power_dbm
 
+    if not math.isfinite(tx_power_dbm):
+        raise DomainError(f"tx_power_dbm must be finite, got {tx_power_dbm}")
     profile = profile or RadiationProfile()
     params = params or ChannelParams()
     if positions is None:
@@ -629,6 +634,9 @@ class SharingPair:
     def __post_init__(self):
         if not float(self.channel).is_integer() or self.channel < 0:
             raise ConfigError(f"channel id must be a non-negative integer, got {self.channel}")
+        rate = self.solo_rate_bps
+        if rate is not None and not (math.isfinite(rate) and rate >= 0):
+            raise ConfigError(f"solo_rate_bps must be finite and >= 0, got {rate}")
         object.__setattr__(self, "channel", int(self.channel))
 
 

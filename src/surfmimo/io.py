@@ -27,7 +27,7 @@ from .channel import ChannelParams, NoiseModel
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import FOOT_M, LinkSettings, SceneTemplate
 from .geometry import CONTACT, Node, Obstacle, Scene, SurfaceSpec, validate_scene
-from .propagation import FrequencyBand, band_for_frequency
+from .propagation import FrequencyBand
 
 DEFAULT_SEED = 1905
 
@@ -145,7 +145,6 @@ def parse_config(text) -> "ScenarioConfig":
         name = ""
 
     # surface -------------------------------------------------------------
-    shipped = presets.load_presets()
     surface = None
     raw_surface = data.get("surface")
     if not isinstance(raw_surface, dict):
@@ -159,7 +158,7 @@ def parse_config(text) -> "ScenarioConfig":
             col.add(("surface", "material"), "surface needs a material preset name or path")
         elif width is not None and height is not None:
             try:
-                surface = SurfaceSpec(width, height, shipped.material(material_ref))
+                surface = SurfaceSpec(width, height, presets.load_material(material_ref))
             except SurfMimoError as exc:
                 col.add(("surface", "material"), str(exc))
             except OSError as exc:
@@ -186,8 +185,7 @@ def parse_config(text) -> "ScenarioConfig":
         bw = mhz * 1e6 if mhz is not None else 40e6
     band_id = raw_band.get("band_id")
     try:
-        band = (FrequencyBand(center, bw, band_id) if band_id
-                else band_for_frequency(center, bw))
+        band = FrequencyBand(center, bw, band_id or None)
     except SurfMimoError as exc:
         col.add(("band",), str(exc))
 
@@ -242,7 +240,7 @@ def parse_config(text) -> "ScenarioConfig":
         col.add(("analysis",), "'analysis' must be a mapping")
         raw_analysis = {}
     col.unknown_keys(raw_analysis, _ANALYSIS_KEYS, ("analysis",))
-    settings = _analysis_settings(raw_analysis, band, shipped.coupling, col)
+    settings = _analysis_settings(raw_analysis, band, col)
 
     seed = col.number(data, ("seed",), default=DEFAULT_SEED, integer=True)
     if seed is None or seed < 0:
@@ -258,11 +256,10 @@ def parse_config(text) -> "ScenarioConfig":
     if col.problems:
         raise ConfigError(col.problems)
 
-    return ScenarioConfig(name=name, scene=scene, seed=seed, settings=settings,
-                          preset_version=shipped.version)
+    return ScenarioConfig(name=name, scene=scene, seed=seed, settings=settings)
 
 
-def _analysis_settings(raw: dict, band, coupling, col: _Collector):
+def _analysis_settings(raw: dict, band, col: _Collector):
     """The LinkSettings an analysis section sets.  Each key given is typed
     here; defaults and range checks are those of LinkSettings, NoiseModel and
     ChannelParams, whose problems are reported at the line of the section.
@@ -289,7 +286,7 @@ def _analysis_settings(raw: dict, band, coupling, col: _Collector):
             return None
 
     # a failed ChannelParams still lets LinkSettings report its own problems
-    params = build(ChannelParams, coupling=coupling) or ChannelParams(coupling=coupling)
+    params = build(ChannelParams) or ChannelParams()
     return build(LinkSettings, band=band, noise=build(NoiseModel), params=params)
 
 
@@ -319,15 +316,13 @@ def load_config(path) -> "ScenarioConfig":
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated scenario: scene, seed, the link settings of its band
-    and analysis section (coupling constants and rate table resolved), and
-    the version of the shipped material presets."""
+    """A fully validated scenario: scene, seed, and the link settings of its
+    band and analysis section (coupling constants and rate table resolved)."""
 
     name: str
     scene: Scene
     seed: int
     settings: LinkSettings
-    preset_version: str
 
     def template(self) -> SceneTemplate:
         """Sweep template anchored at the first transmitter port."""

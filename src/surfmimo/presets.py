@@ -81,7 +81,9 @@ def _coupling(doc: dict) -> CouplingConstants:
         raise PresetError(f"malformed coupling section: {exc}") from exc
 
 
-def _pick_material(materials: dict, name_or_path: str) -> MaterialParams:
+def load_material(name_or_path: str, path=None) -> MaterialParams:
+    """A material by preset name, or every material from a custom file path."""
+    materials = load_presets(path).materials
     if name_or_path in materials:
         return materials[name_or_path]
     p = Path(name_or_path)
@@ -106,11 +108,6 @@ def load_materials(path=None) -> dict:
     return dict(load_presets(path).materials)
 
 
-def load_material(name_or_path: str, path=None) -> MaterialParams:
-    """A material by preset name, or every material from a custom file path."""
-    return _pick_material(load_materials(path), name_or_path)
-
-
 def load_coupling(path=None) -> CouplingConstants:
     return load_presets(path).coupling
 
@@ -126,10 +123,6 @@ class MaterialPresets:
 
     def __post_init__(self):
         object.__setattr__(self, "materials", MappingProxyType(dict(self.materials)))
-
-    def material(self, name_or_path: str) -> MaterialParams:
-        """Like load_material, without parsing this file again."""
-        return _pick_material(self.materials, name_or_path)
 
 
 def load_presets(path=None) -> MaterialPresets:

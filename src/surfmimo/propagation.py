@@ -41,15 +41,20 @@ BAND_IDS = ("900MHz", "2.4GHz", "5GHz")
 
 @dataclass(frozen=True)
 class FrequencyBand:
-    """A transmission band: center frequency, bandwidth and ISM band label."""
+    """A transmission band: center frequency, bandwidth and ISM band label.
+    band_id=None is derived from the center when the band is built."""
 
     center_hz: float
     bandwidth_hz: float = 40e6
-    band_id: str = "2.4GHz"
+    band_id: str | None = None
 
     def __post_init__(self):
-        if self.center_hz <= 0:
+        if not self.center_hz > 0:
             raise DomainError(f"center_hz must be positive, got {self.center_hz}")
+        if self.band_id is None:
+            band_id = ("900MHz" if self.center_hz < 1.5e9
+                       else "2.4GHz" if self.center_hz < 4e9 else "5GHz")
+            object.__setattr__(self, "band_id", band_id)
         if self.bandwidth_hz not in VALID_BANDWIDTHS_HZ:
             raise DomainError(
                 f"bandwidth_hz must be one of {VALID_BANDWIDTHS_HZ}, got {self.bandwidth_hz}"
@@ -65,13 +70,7 @@ class FrequencyBand:
 
 def band_for_frequency(center_hz: float, bandwidth_hz: float = 40e6) -> FrequencyBand:
     """Build a FrequencyBand, inferring the ISM band label from the center."""
-    if center_hz < 1.5e9:
-        band_id = "900MHz"
-    elif center_hz < 4e9:
-        band_id = "2.4GHz"
-    else:
-        band_id = "5GHz"
-    return FrequencyBand(center_hz, bandwidth_hz, band_id)
+    return FrequencyBand(center_hz, bandwidth_hz)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from surfmimo.channel import (
     _scatterers,
     build_mimo,
     csi,
-    default_params,
     h_aa,
     h_as,
     h_sa,
@@ -26,7 +25,7 @@ from surfmimo.channel import (
     impulse_response,
     subcarrier_frequencies,
 )
-from surfmimo.errors import DomainError, NearFieldError, PresetError
+from surfmimo.errors import ConfigError, DomainError, NearFieldError, PresetError
 from surfmimo.geometry import ANTENNA, CONTACT, Node, Obstacle, Scene, SurfaceSpec
 from surfmimo.mimo import capacity
 from surfmimo.propagation import (
@@ -134,7 +133,7 @@ def test_antenna_pair_impulse_reads_neither_material_nor_grid():
     ))
     at, ar = (0.5, 0.5, 0.02), (1.5, 0.5, 0.02)
     resp = impulse_response((ANTENNA, at), (ANTENNA, ar), scene, BAND, grid=1)
-    assert resp.taps == ((1.0 / SPEED_OF_LIGHT, h_aa(at, ar, BAND, default_params())),)
+    assert resp.taps == ((1.0 / SPEED_OF_LIGHT, h_aa(at, ar, BAND, ChannelParams())),)
 
 
 def test_reciprocity_exact_when_cross_couplings_match():
@@ -207,7 +206,7 @@ def test_near_field_term_dominates_close_to_the_surface():
     scene = ex.build_link_scene(ex.default_template(), 0.4, ex.MODE_2X2, st)
     contact = scene.transmitters()[0].contacts[0]
     antenna = (contact[0] + 0.15, contact[1], 0.01)
-    p = default_params()
+    p = ChannelParams()
     from dataclasses import replace
 
     integral_only = replace(p, coupling=replace(p.coupling, near_field_coupling=0.0))
@@ -246,7 +245,7 @@ def test_cross_terms_mirror_each_other():
     scene = ex.build_link_scene(ex.default_template(), 0.5, ex.MODE_2X2, st)
     contact = scene.transmitters()[0].contacts[0]
     antenna = scene.receivers()[0].antennas[0]
-    p = default_params()  # preset couplings have c2 == c3
+    p = ChannelParams()  # preset couplings have c2 == c3
     assert h_sa(contact, antenna, scene, BAND, params=p) == pytest.approx(
         h_as(antenna, contact, scene, BAND, params=p), rel=1e-12)
 
@@ -373,6 +372,12 @@ def test_build_mimo_deterministic_bitwise():
     a = build_mimo(scene, BAND, grid=16).entries
     b = build_mimo(scene, BAND, grid=16).entries
     assert np.array_equal(a, b)
+
+
+def test_build_mimo_at_a_frequency_labels_its_band():
+    scene = ex.build_link_scene(ex.default_template(), 0.6, ex.MODE_SISO, ex.LinkSettings())
+    assert build_mimo(scene, 5.19e9, grid=8).frequency.band_id == "5GHz"
+    assert build_mimo(scene, 2.437e9, grid=8).frequency.band_id == "2.4GHz"
 
 
 def test_grid_convergence_is_cauchy():
@@ -571,6 +576,35 @@ def test_noise_model_budget():
     assert NoiseModel().noise_power_dbm(20e6) == pytest.approx(-94.99, abs=0.01)
 
 
+@pytest.mark.parametrize("key", ["noise_floor_dbm_per_hz", "noise_figure_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_noise_model_rejects_a_non_finite_value(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        NoiseModel(**{key: value})
+
+
+def test_channel_params_hold_the_shipped_coupling():
+    shipped = presets.load_coupling()
+    assert ChannelParams().coupling == shipped
+    # setting any other parameter keeps the calibration
+    assert ChannelParams(air_exponent=1.0).coupling == shipped
+    assert ChannelParams(coupling=None) == ChannelParams()
+    with pytest.raises(TypeError):
+        CouplingConstants()  # the preset file is the only place a calibration is written
+
+
+@pytest.mark.parametrize("name", ["default_2x2", "default_3x3"])
+def test_csi_with_default_params_is_bitwise_csi_without(name):
+    from surfmimo.io import load_config
+
+    cfg = load_config(presets.scene_path(name))
+    band = cfg.settings.band
+    assert cfg.settings.params == ChannelParams()
+    want = csi(cfg.scene, band, 4, 32)
+    got = csi(cfg.scene, band, 4, 32, ChannelParams())
+    assert [m.entries.tobytes() for m in got] == [m.entries.tobytes() for m in want]
+
+
 @settings(max_examples=80, deadline=None)
 @given(freqs=st.lists(st.floats(0.9e9, 6e9), min_size=1, max_size=6),
        pool=st.lists(st.floats(0.1, 20.0), min_size=1, max_size=5),
@@ -602,7 +636,7 @@ def test_library_calls_without_params_parse_the_shipped_presets_once(file_reads)
         h_ss(tx.contacts[0], rx.contacts[0], scene, BAND.center_hz, grid=8)
         csi(scene, BAND, n_subcarriers=2, grid=8)
         impulse_response(tx.ports[0], rx.ports[1], scene, BAND, grid=8)
-        assert ex.LinkSettings().params == default_params()
+        assert ex.LinkSettings().params == ChannelParams()
     assert file_reads == {"materials.yaml": 1, "mcs_80211.csv": 1}
 
 

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from surfmimo.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from surfmimo.cli import EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK, main
 from surfmimo.io import read_results
 
 FAST_SWEEP = ["--snr-db", "25", "--grid", "8", "--subcarriers", "2"]
@@ -355,12 +355,63 @@ def test_share_command(tmp_path):
                  "--out", str(out)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, key", [
+    (["sweep", "--mode", "siso", "--distances-ft", "1", "--snr-db", "nan"], "snr_db"),
+    (["sweep", "--mode", "siso", "--distances-ft", "1", "--snr-db", "inf"], "snr_db"),
+    (["sweep", "--mode", "siso", "--distances-ft", "1", "--tx-power-dbm", "nan"],
+     "tx_power_dbm"),
+    (["separation", "--separations-cm", "1", "--snr-db=-inf"], "snr_db"),
+    (["analyze", "--snr-db", "nan"], "snr_db"),
+    (["aggregate", "--distances-ft", "1", "--tx-power-dbm", "nan"], "tx_power_dbm"),
+])
+def test_non_finite_link_budget_flags_exit_2(tmp_path, capsys, command, key):
+    out = tmp_path / "o.csv"
+    assert main(command + ["--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["snr_db", "tx_power_dbm", "noise_floor_dbm_per_hz",
+                                 "noise_figure_db"])
+def test_non_finite_link_budget_analysis_values_exit_2(tmp_path, capsys, key):
+    out = tmp_path / "o.csv"
+    scene = str(_tiny_scene(tmp_path, **{key: ".nan"}))
+    assert main(["analyze", "--scene", scene, "--out", str(out)]) == EXIT_CONFIG
+    assert f"line 6: {key} must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code, message", [
+    (["radiation", "--front-db", "nan"], EXIT_MODEL, "radiation offsets must be >= 0"),
+    (["radiation", "--back-db", "nan"], EXIT_MODEL, "radiation offsets must be >= 0"),
+    (["radiation", "--tx-power-dbm", "nan"], EXIT_MODEL, "tx_power_dbm must be finite"),
+    (["radiation", "--tx-power-dbm", "inf"], EXIT_MODEL, "tx_power_dbm must be finite"),
+    (["share", "--channels", "6,6", "--solo-rate-mbps", "nan,1"], EXIT_CONFIG,
+     "solo_rate_bps must be finite and >= 0"),
+    (["share", "--channels", "6,6", "--solo-rate-mbps", "inf,1"], EXIT_CONFIG,
+     "solo_rate_bps must be finite and >= 0"),
+    (["share", "--channels", "6,6", "--solo-rate-mbps=-1,1"], EXIT_CONFIG,
+     "solo_rate_bps must be finite and >= 0"),
+])
+def test_non_finite_radiation_and_share_values_are_refused(tmp_path, capsys, command,
+                                                           code, message):
+    out = tmp_path / "o.csv"
+    assert main(command + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_scene_inputs_exit_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     bad = tmp_path / "bad.yaml"
     bad.write_text("surface: {material: spraypaint}\n")
     assert main(["channel", "--scene", str(bad), "--out", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    nan_band = tmp_path / "nan_band.yaml"
+    nan_band.write_text(_tiny_scene(tmp_path).read_text() + "band: {center_hz: .nan}\n")
+    for command in ("channel", "pulse"):
+        assert main([command, "--scene", str(nan_band), "--out", str(out)]) == EXIT_CONFIG
+        assert "center_hz must be positive, got nan" in capsys.readouterr().err
     assert main(["channel", "--scene", "no_such_preset",
                  "--out", str(out)]) == EXIT_CONFIG
 

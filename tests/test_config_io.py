@@ -281,6 +281,25 @@ def test_analysis_keys_default_to_the_dataclass_defaults():
     assert parse_config(GOOD + "analysis: {grid: 32, snr_db: null}\n") == cfg
 
 
+def test_parsed_channel_params_are_channel_params():
+    from surfmimo.channel import ChannelParams
+
+    assert parse_config(GOOD).settings.params == ChannelParams()
+    friis = parse_config(GOOD + "analysis: {air_exponent: 1.0}\n")
+    assert friis.settings.params == ChannelParams(air_exponent=1.0)
+
+
+def test_analysis_link_budget_values_must_be_finite():
+    problems = _problems(GOOD + "analysis: {snr_db: .nan, tx_power_dbm: .inf,"
+                                " noise_floor_dbm_per_hz: -.inf, noise_figure_db: .nan}\n")
+    assert problems == [
+        "line 13: noise_floor_dbm_per_hz must be finite, got -inf",
+        "line 13: noise_figure_db must be finite, got nan",
+        "line 13: tx_power_dbm must be finite, got inf",
+        "line 13: snr_db must be finite, got nan",
+    ]
+
+
 def test_invalid_config_problems_equal_under_both_loaders(monkeypatch):
     default, pure = _under_both_loaders(monkeypatch, lambda: _problems(BAD))
     assert default == pure
@@ -353,11 +372,11 @@ def test_config_hash_tells_close_and_lookalike_values_apart():
     assert config_hash({"x": True}) != config_hash({"x": 1})
     assert config_hash({"x": None}) != config_hash({"x": "None"})
     # a dataclass is its type name and fields, never the dict of its fields
-    c = CouplingConstants()
+    c = CouplingConstants(0.02, 0.02, 0.02, 0.95)
     fields = {"c1": c.c1, "c2": c.c2, "c3": c.c3,
               "near_field_coupling": c.near_field_coupling}
     assert config_hash(c) != config_hash(fields)
-    assert config_hash(c) == config_hash(CouplingConstants())
+    assert config_hash(c) == config_hash(CouplingConstants(0.02, 0.02, 0.02, 0.95))
 
 
 # --- result sets ---------------------------------------------------------------

@@ -246,6 +246,7 @@ def test_chain_validation():
     with pytest.raises(ConfigError):
         Chain(FrequencyBand(2.437e9, 20e6), conversion_loss_db=3.0)
     Chain(FrequencyBand(915e6, 20e6, band_id="900MHz"), conversion_loss_db=6.0)
+    Chain(FrequencyBand(915e6, 20e6), conversion_loss_db=6.0)  # the label is derived
     with pytest.raises(ConfigError):
         AggregationPlan(())
 

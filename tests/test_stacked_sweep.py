@@ -170,7 +170,7 @@ def test_sweep_synthesizes_once_per_mode(monkeypatch):
 
 def test_kernel_is_exactly_even_on_the_sweep_grid():
     # the FFT side may be swapped only because K(o) == K(-o) bitwise
-    params = channel.default_params()
+    params = channel.ChannelParams()
     grid = channel._Grid(default_template().surface, 32, params)
     k = 2.0 * math.pi * channel.subcarrier_frequencies(FAST.band, 114) / channel.SPEED_OF_LIGHT
     kernel = grid.air_kernel(k)
