@@ -52,6 +52,19 @@ FFT'd row on the padded lattice plus every field row on the grid.  Sizing by
 elements rather than by tones keeps the working set bounded at any grid,
 tone count and row count.  No N x N matrix is formed and nothing is cached.
 
+The correlation buffers (the kernel and row spectra, the inverse and the
+output) belong to the grid, which lives for one pass: they are allocated by
+the first block, the largest, and every later block writes into leading-axis
+views of them with ``out=``, so a pass takes fresh pages once rather than
+once per block.  The steps are fft2's and ifft2's own one-axis passes, so
+the result is bitwise theirs: the row transform is two ``np.fft.fft`` passes
+(``fft2`` with ``s=`` takes no ``out=``), the spectrum product is taken in
+place, and the inverse is pruned to what is read, the last axis in place and
+then the other axis on the first ny columns only.  The kernel is not copied:
+its near offsets are read out, zeroed while its transform reads it, and put
+back.  ``impulse_response`` runs the same pass at one tone, a block of one,
+and weights its composite delay by the port fields that pass formed.
+
 Each law is evaluated once per distinct distance and gathered
 (``_distinct``, ``_on_distinct``): a complex exponential costs far more than
 a gather, and distances repeat.  The kernel lattice is even in both offsets,
@@ -128,8 +141,9 @@ class CouplingConstants:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "near_field_coupling"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"coupling constant {name} must be >= 0")
+            value = getattr(self, name)
+            if not value >= 0:
+                raise DomainError(f"coupling constant {name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +210,13 @@ class ChannelParams:
     air_multipath: AirMultipathModel | None = None
 
     def __post_init__(self):
+        problems = [f"{name} must be finite, got {getattr(self, name)}"
+                    for name in ("air_ref_m", "air_exponent", "near_field_radius_m")
+                    if not math.isfinite(getattr(self, name))]
         if self.max_image_order < 0:
-            raise ConfigError(f"max_image_order must be >= 0, got {self.max_image_order}")
+            problems.append(f"max_image_order must be >= 0, got {self.max_image_order}")
+        if problems:
+            raise ConfigError(problems)
         if self.coupling is None:
             from . import presets
 
@@ -284,7 +303,8 @@ class _Grid:
     (2n, 2ny) circulant lattice of cell offsets: index i holds offset i below
     n and i - 2n above (index n is never read).  ``lattice_d`` is the clamped
     distance max(hypot(ix*dx, iy*dy), air_ref_m); the kernel's law is
-    evaluated on its distinct values."""
+    evaluated on its distinct values.  A grid is built per pass, and it
+    holds that pass's correlation buffers (``_buffer``)."""
 
     def __init__(self, surface, n: int, params: ChannelParams):
         if n < 2:
@@ -303,6 +323,7 @@ class _Grid:
         iy = np.concatenate([np.arange(ny), np.arange(-ny, 0)]) * dy
         self.lattice_d = np.maximum(np.hypot(ix[:, None], iy[None, :]), params.air_ref_m)
         self._lattice_distinct = _distinct(self.lattice_d)
+        self._buffers = {}
 
     def surface_distance(self, contact, d0: float):
         """Clamped in-plane distance from a contact to every grid point."""
@@ -319,25 +340,65 @@ class _Grid:
         return _on_distinct(_air_field, self._lattice_distinct, k, self.params.air_ref_m,
                             self.params.air_exponent)
 
+    def _buffer(self, name, shape):
+        """A C-contiguous complex array of the given shape over the grid's
+        buffer ``name``, which grows to the largest shape asked of it: every
+        block of a pass after the first (the largest) reuses its memory."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=complex)
+        return buf[:size].reshape(shape)
+
     def correlate(self, kernel, left, right):
         """sum_p sum_q left[t, p] K(p - q) right[r, q] for every row pair, as a
         (..., T, R) array from a (..., 2n, 2ny) kernel sampled on the offset
-        lattice and (..., T, N) and (..., R, N) rows; leading axes (one per
-        subcarrier) broadcast.  All right rows of one kernel share one FFT
-        convolution with the kernel outside the nearest offsets; those are
-        summed directly, one shifted product per offset."""
+        lattice and (..., T, N) and (..., R, N) rows; the kernel and the right
+        rows share their leading axes (one per subcarrier), and those of the
+        left rows broadcast against them.  All right rows of one kernel share
+        one FFT convolution with the kernel outside the nearest offsets;
+        those are summed directly, one shifted product per offset.
+
+        The steps are fft2/ifft2's one-axis passes, written into the grid's
+        buffers: the result is bitwise that of
+        ``ifft2(fft2(right, s) * fft2(far))[..., :n, :ny]``, and it is a view
+        of a buffer, valid until the grid's next correlation.  No argument is
+        modified: the kernel's near offsets are zeroed only while its
+        transform reads it."""
         n, ny = self.shape
-        field = right.reshape(right.shape[:-1] + (n, ny))
-        far = kernel.copy()
-        far[..., _NEAR_X, _NEAR_Y] = 0
-        conv = np.fft.ifft2(np.fft.fft2(field, s=(2 * n, 2 * ny))
-                            * np.fft.fft2(far)[..., None, :, :])[..., :n, :ny]
-        for ox, oy in _NEAR_OFFSETS:
+        rows = right.shape[:-1]
+        field = right.reshape(rows + (n, ny))
+        near = kernel[..., _NEAR_X, _NEAR_Y]
+        spec_k = self._buffer("kernel", kernel.shape)
+        kernel[..., _NEAR_X, _NEAR_Y] = 0
+        try:
+            np.fft.fft(kernel, axis=-1, out=spec_k)
+        finally:
+            kernel[..., _NEAR_X, _NEAR_Y] = near
+        np.fft.fft(spec_k, axis=-2, out=spec_k)
+        # fft2 with s= takes no out=: the zero-padded row transform, one axis
+        # at a time as fft2 takes it (the last axis first)
+        padded = self._buffer("rows", rows + (n, 2 * ny))
+        spec = self._buffer("spec", rows + (2 * n, 2 * ny))
+        np.fft.fft(field, 2 * ny, axis=-1, out=padded)
+        np.fft.fft(padded, 2 * n, axis=-2, out=spec)
+        np.multiply(spec, spec_k[..., None, :, :], out=spec)
+        # the inverse over the last axis, then over the other axis on only
+        # the ny columns read: each column's transform is independent
+        np.fft.ifft(spec, axis=-1, out=spec)
+        conv = np.fft.ifft(spec[..., :ny], axis=-2,
+                           out=self._buffer("rows", rows + (2 * n, ny)))[..., :n, :]
+        scratch = self._buffer("spec", rows + (n, ny))  # the spectrum is spent
+        for i, (ox, oy) in enumerate(_NEAR_OFFSETS):
             # output cell p takes K(o) * right[p - o]
-            conv[..., max(ox, 0):n + min(ox, 0), max(oy, 0):ny + min(oy, 0)] += (
-                kernel[..., ox, oy, None, None, None]
-                * field[..., max(-ox, 0):n + min(-ox, 0), max(-oy, 0):ny + min(-oy, 0)])
-        return left @ np.swapaxes(conv.reshape(right.shape), -1, -2)
+            part = scratch[..., :n - abs(ox), :ny - abs(oy)]
+            np.multiply(near[..., i, None, None, None],
+                        field[..., max(-ox, 0):n + min(-ox, 0), max(-oy, 0):ny + min(-oy, 0)],
+                        out=part)
+            conv[..., max(ox, 0):n + min(ox, 0), max(oy, 0):ny + min(oy, 0)] += part
+        lead = np.broadcast_shapes(left.shape[:-2], rows[:-1])
+        return np.matmul(left, np.swapaxes(conv.reshape(right.shape), -1, -2),
+                         out=self._buffer("out", lead + (left.shape[-2], rows[-1])))
 
 
 def _composite(grid: _Grid, k, a_tx, a_rx, params: ChannelParams):
@@ -507,7 +568,11 @@ def _path_sets(uses, scene: Scene, gamma, tones: int, params: ChannelParams):
 def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports):
     """The integrals C1 (contact -> contact), C2 (contact -> antenna) and C3
     (antenna -> contact) of every (RX port, TX port) pair on the grid g of a
-    surface of material m, as an (F, R, T) array, 0 where a pair has none."""
+    surface of material m, as an (F, R, T) array, 0 where a pair has none,
+    and the port fields of the last tone block, (receive contacts, transmit
+    contacts, receive antennas, transmit antennas), each (B, rows, N) over
+    the ports some integral uses (None when no integral is taken): for a
+    one-tone call, those of every used port."""
     coupling = params.coupling
     h = np.zeros((len(k), len(rx_ports), len(tx_ports)), dtype=complex)
     # each integral from the fields of the ports it uses: surface fields of
@@ -518,7 +583,7 @@ def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports)
     use_c2 = coupling.c2 > 0 and bool(rx_a and tx_c)
     use_c3 = coupling.c3 > 0 and bool(rx_c and tx_a)
     if not (use_c1 or use_c2 or use_c3):
-        return h
+        return h, None
 
     # only the rows some integral uses
     rx_c, tx_c = (rx_c if use_c1 or use_c3 else []), (tx_c if use_c1 or use_c2 else [])
@@ -551,7 +616,7 @@ def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports)
             h[f, rx_a, tx_c] += coupling.c2 * g.da * (a_rx @ np.swapaxes(s_tx, -1, -2))
         if use_c3:
             h[f, rx_c, tx_a] += coupling.c3 * g.da * (s_rx @ np.swapaxes(a_tx, -1, -2))
-    return h
+    return h, (s_rx, s_tx, a_rx, a_tx)
 
 
 def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
@@ -561,7 +626,8 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
     paths; ports are (kind, position) pairs."""
     m = scene.surface.material
     gamma, k = _propagation(m, freqs)
-    h = _integrals(_Grid(scene.surface, grid, params), m, gamma, k, params, rx_ports, tx_ports)
+    h = _integrals(_Grid(scene.surface, grid, params), m, gamma, k, params,
+                   rx_ports, tx_ports)[0]
     for i, j, _, _, amps in _paths(scene, gamma, k, params, rx_ports, tx_ports):
         h[:, i, j] += np.sum(amps, axis=-1)
     return h
@@ -742,26 +808,31 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
         v = phase_velocity(band, m)
         gamma, k = _propagation(m, f)
         g = _Grid(scene.surface, grid, params)
-        amp = _integrals(g, m, gamma, k, params, [rx_port], [tx_port])[0, 0, 0]
+        h, fields = _integrals(g, m, gamma, k, params, [rx_port], [tx_port])
+        amp = h[0, 0, 0]
     taps = [tap for _, _, legs, air, amps in _paths(scene, gamma, k, params, [rx_port], [tx_port])
             for tap in zip(legs / v + air / SPEED_OF_LIGHT, amps[0])]
 
-    # the composite tap, where the pair has an integral
+    # the composite tap, where the pair has an integral, weighted by the
+    # magnitudes of the port fields that the integral's one-tone pass formed
     if amp != 0 and tk == CONTACT and rk == CONTACT:
         # sum w tau over point pairs, w = |A_S(tx,p1)| |A_air(p1,p2)| |A_S(p2,rx)|
         # and v tau = d1(p1) + d2(p1-p2) + d3(p2): three Toeplitz forms
+        s_rx, s_tx, _, _ = fields
         d1, d3 = (g.surface_distance(p, m.d0_m) for p in (tp, rp))
-        a_tx, a_rx = _surface_field(np.stack([d1, d3]), gamma[0], m)
-        w_tx, w_rx, w_air = np.abs(a_tx), np.abs(a_rx), np.abs(g.air_kernel(k[0]))
+        w_tx, w_rx, w_air = np.abs(s_tx[0, 0]), np.abs(s_rx[0, 0]), np.abs(g.air_kernel(k[0]))
         forms = g.correlate(w_air, np.stack([w_tx, w_tx * d1]),
                             np.stack([w_rx, w_rx * d3])).real
+        # read out before the next correlation reuses the grid's buffers
+        delay_sum, weight = forms[1, 0] + forms[0, 1], forms[0, 0]
         air = g.correlate(w_air * g.lattice_d, w_tx[None], w_rx[None]).real[0, 0]
-        taps.append((float((forms[1, 0] + forms[0, 1] + air) / (v * forms[0, 0])), amp))
+        taps.append((float((delay_sum + air) / (v * weight)), amp))
     elif amp != 0:
+        s_rx, s_tx, a_rx, a_tx = fields
         contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
+        s, a = (s_tx, a_rx) if tk == CONTACT else (s_rx, a_tx)
         d_s = g.surface_distance(contact, m.d0_m)
         d_a = g.air_distance(antenna, params.air_ref_m)
-        w = np.abs(_surface_field(d_s, gamma[0], m)
-                   * _air_field(d_a, k[0], params.air_ref_m, params.air_exponent))
+        w = np.abs(s[0, 0] * a[0, 0])
         taps.append((float(np.sum(w * (d_s + d_a)) / (v * np.sum(w))), amp))
     return ImpulseResponse(_merge_taps(taps), band.bandwidth_hz)

@@ -509,20 +509,23 @@ def _port_labels(kinds) -> list:
 
 
 def channel_result_set(matrices) -> ResultSet:
-    """Per-subcarrier complex channel entries."""
+    """Per-subcarrier complex channel entries of matrices that share their
+    port kinds, in subcarrier, receive port, transmit port order."""
     columns = ("subcarrier_index", "rx_port", "tx_port", "re", "im",
                "mag_db", "phase_rad")
-    rows = []
-    for s, m in enumerate(matrices):
-        rx = _port_labels(m.rx_port_kinds)
-        tx = _port_labels(m.tx_port_kinds)
-        for i in range(m.entries.shape[0]):
-            for j in range(m.entries.shape[1]):
-                h = m.entries[i, j]
-                mag = abs(h)
-                mag_db = 20.0 * math.log10(mag) if mag > 0 else float("-inf")
-                rows.append((s, rx[i], tx[j], h.real, h.imag, mag_db,
-                             float(np.angle(h))))
+    if not matrices:
+        return ResultSet(columns, [], {})
+    h = np.stack([m.entries for m in matrices])
+    rx = _port_labels(matrices[0].rx_port_kinds)
+    tx = _port_labels(matrices[0].tx_port_kinds)
+    # the magnitude stays a scalar abs per entry: np.abs over the array
+    # rounds some entries differently
+    rows = [
+        (s, rx[i], tx[j], h_ij.real, h_ij.imag,
+         20.0 * math.log10(abs(h_ij)) if h_ij else float("-inf"), phase)
+        for (s, i, j), h_ij, phase in zip(np.ndindex(h.shape), h.ravel().tolist(),
+                                          np.angle(h).ravel().tolist())
+    ]
     return ResultSet(columns, rows, {})
 
 

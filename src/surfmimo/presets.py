@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -68,15 +68,22 @@ def _materials(doc: dict) -> dict:
     return out
 
 
-def _coupling(doc: dict) -> CouplingConstants:
-    c = doc.get("coupling", {})
+_COUPLING_KEYS = tuple(f.name for f in fields(CouplingConstants))
+
+
+def _coupling(doc: dict) -> CouplingConstants | None:
+    """The constants of the file's coupling section, None when it has none; a
+    section must set every constant."""
+    if "coupling" not in doc:
+        return None
+    c = doc["coupling"] or {}
+    if not isinstance(c, dict):
+        raise PresetError("the coupling section must be a mapping")
+    missing = [key for key in _COUPLING_KEYS if key not in c]
+    if missing:
+        raise PresetError([f"coupling section has no {key!r}" for key in missing])
     try:
-        return CouplingConstants(
-            c1=float(c.get("c1", 0.0)),
-            c2=float(c.get("c2", 0.0)),
-            c3=float(c.get("c3", 0.0)),
-            near_field_coupling=float(c.get("near_field_coupling", 0.0)),
-        )
+        return CouplingConstants(**{key: float(c[key]) for key in _COUPLING_KEYS})
     except (TypeError, ValueError) as exc:
         raise PresetError(f"malformed coupling section: {exc}") from exc
 
@@ -109,7 +116,12 @@ def load_materials(path=None) -> dict:
 
 
 def load_coupling(path=None) -> CouplingConstants:
-    return load_presets(path).coupling
+    """The coupling constants of a preset file (default: the shipped
+    presets); PresetError when the file has no coupling section."""
+    coupling = load_presets(path).coupling
+    if coupling is None:
+        raise PresetError(f"material preset file {path} has no 'coupling' section")
+    return coupling
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,7 @@ class MaterialPresets:
     materials are a read-only mapping."""
 
     materials: Mapping
-    coupling: CouplingConstants
+    coupling: CouplingConstants | None
     version: str
 
     def __post_init__(self):

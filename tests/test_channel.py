@@ -583,6 +583,60 @@ def test_noise_model_rejects_a_non_finite_value(key, value):
         NoiseModel(**{key: value})
 
 
+@pytest.mark.parametrize("key", ["air_ref_m", "air_exponent", "near_field_radius_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_channel_params_reject_a_non_finite_value(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite, got {value}"):
+        ChannelParams(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["c1", "c2", "c3", "near_field_coupling"])
+@pytest.mark.parametrize("value", [math.nan, -0.5])
+def test_coupling_constants_reject_nan_and_negative_values(key, value):
+    values = {"c1": 0.02, "c2": 0.02, "c3": 0.02, "near_field_coupling": 0.9, key: value}
+    with pytest.raises(DomainError, match=f"coupling constant {key} must be >= 0, got {value}"):
+        CouplingConstants(**values)
+
+
+_PRESET_MATERIALS = """\
+materials:
+  plate:
+    d0_m: 0.1
+    refl_coeff: 0.5
+    bands:
+      - {frequency_hz: 1.0e9, alpha_np_per_m: 0.3, beta_rad_per_m: 40.0}
+      - {frequency_hz: 6.0e9, alpha_np_per_m: 0.6, beta_rad_per_m: 240.0}
+"""
+
+
+def test_a_preset_coupling_section_must_set_every_constant(tmp_path):
+    partial = tmp_path / "partial.yaml"
+    partial.write_text("coupling: {c1: 0.02, c3: 0.01}\n" + _PRESET_MATERIALS)
+    with pytest.raises(PresetError) as exc:
+        presets.load_coupling(partial)
+    assert exc.value.problems == ["coupling section has no 'c2'",
+                                  "coupling section has no 'near_field_coupling'"]
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("coupling:\n" + _PRESET_MATERIALS)
+    with pytest.raises(PresetError) as exc:
+        presets.load_presets(empty)
+    assert len(exc.value.problems) == 4
+    full = tmp_path / "full.yaml"
+    full.write_text("coupling: {c1: 0.1, c2: 0.2, c3: 0.3, near_field_coupling: 0.4}\n"
+                    + _PRESET_MATERIALS)
+    assert presets.load_coupling(full) == CouplingConstants(0.1, 0.2, 0.3, 0.4)
+
+
+def test_a_preset_file_without_coupling_gives_materials_but_no_coupling(tmp_path):
+    # a material-only file still serves its materials; reading its coupling
+    # is refused instead of reading as zero (the composite terms switched off)
+    path = tmp_path / "plate.yaml"
+    path.write_text(_PRESET_MATERIALS)
+    assert presets.load_material(str(path)).name == "plate"
+    with pytest.raises(PresetError, match="has no 'coupling' section"):
+        presets.load_coupling(path)
+
+
 def test_channel_params_hold_the_shipped_coupling():
     shipped = presets.load_coupling()
     assert ChannelParams().coupling == shipped

@@ -381,6 +381,20 @@ def test_non_finite_link_budget_analysis_values_exit_2(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["channel", "analyze", "pulse"])
+@pytest.mark.parametrize("key, value, shown", [("air_exponent", ".nan", "nan"),
+                                               ("air_ref_m", ".inf", "inf"),
+                                               ("near_field_radius_m", ".nan", "nan")])
+def test_non_finite_channel_params_exit_2_at_the_analysis_line(tmp_path, capsys, command,
+                                                               key, value, shown):
+    # refused where the scene is read, before any synthesis
+    out = tmp_path / "o.csv"
+    scene = str(_tiny_scene(tmp_path, **{key: value}))
+    assert main([command, "--scene", scene, "--out", str(out)]) == EXIT_CONFIG
+    assert f"line 6: {key} must be finite, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, code, message", [
     (["radiation", "--front-db", "nan"], EXIT_MODEL, "radiation offsets must be >= 0"),
     (["radiation", "--back-db", "nan"], EXIT_MODEL, "radiation offsets must be >= 0"),

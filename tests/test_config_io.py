@@ -300,6 +300,16 @@ def test_analysis_link_budget_values_must_be_finite():
     ]
 
 
+def test_analysis_channel_params_must_be_finite():
+    problems = _problems(GOOD + "analysis: {air_ref_m: .inf, air_exponent: .nan,"
+                                " near_field_radius_m: -.inf}\n")
+    assert problems == [
+        "line 13: air_ref_m must be finite, got inf",
+        "line 13: air_exponent must be finite, got nan",
+        "line 13: near_field_radius_m must be finite, got -inf",
+    ]
+
+
 def test_invalid_config_problems_equal_under_both_loaders(monkeypatch):
     default, pure = _under_both_loaders(monkeypatch, lambda: _problems(BAD))
     assert default == pure
@@ -501,6 +511,26 @@ def test_channel_result_set_labels_and_zero_magnitude():
                              ("antenna0", "contact0"), ("antenna0", "contact1")}
     assert by_ports[("contact0", "contact1")][5] == float("-inf")
     assert by_ports[("contact0", "contact0")][5] == pytest.approx(-60.0)
+
+
+def test_channel_result_set_cells_are_the_per_entry_scalar_forms():
+    # one pass over the stacked entries writes, to the last digit, what
+    # scalar arithmetic on each entry gives
+    from surfmimo.channel import csi
+    from surfmimo.io import _format_value
+
+    cfg = load_config(presets.scene_path("default_3x3"))
+    matrices = csi(cfg.scene, cfg.settings.band, 16, 8)
+    want = []
+    for s, m in enumerate(matrices):
+        for i, j in np.ndindex(m.entries.shape):
+            h = m.entries[i, j]
+            mag_db = 20.0 * math.log10(abs(h)) if abs(h) > 0 else float("-inf")
+            want.append((s, i, j, h.real, h.imag, mag_db, float(np.angle(h))))
+    rows = channel_result_set(matrices).rows
+    assert [r[0] for r in rows] == [w[0] for w in want]
+    assert [[_format_value(v) for v in r[3:]] for r in rows] == [
+        [_format_value(v) for v in w[3:]] for w in want]
 
 
 def test_analyze_result_set_columns():
