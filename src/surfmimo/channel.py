@@ -84,7 +84,7 @@ every distance against the shared transmit ports, and the transmit rows take
 the FFT once for the whole sweep.
 
 Results are deterministic: equal inputs give bitwise-equal outputs, each
-``csi`` matrix is bitwise equal to ``build_mimo`` at its subcarrier, a
+tone of ``csi`` is bitwise equal to ``build_mimo`` at its subcarrier, a
 one-path entry is bitwise equal to ``surface_gain`` or ``air_gain``, and the
 block size does not change a bit of the output.  A sweep row agrees with the
 same distance synthesized alone to rounding (checked to 1e-12 relative), not
@@ -225,7 +225,8 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Complex port-to-port gains at one frequency: entries[rx, tx]."""
+    """Complex port-to-port gains entries[rx, tx] at the band center, or
+    entries[f, rx, tx] at the F tones subcarrier_frequencies(frequency, F)."""
 
     entries: np.ndarray
     frequency: FrequencyBand
@@ -235,12 +236,17 @@ class ChannelMatrix:
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", e)
-        if e.ndim != 2 or e.shape[0] < 1 or e.shape[1] < 1:
-            raise DomainError(f"channel matrix must be 2-D and non-empty, got shape {e.shape}")
-        if e.shape != (len(self.rx_port_kinds), len(self.tx_port_kinds)):
+        if e.ndim not in (2, 3) or e.size == 0:
+            raise DomainError(f"channel matrix must be 2-D or 3-D and non-empty, got {e.shape}")
+        if e.shape[-2:] != (len(self.rx_port_kinds), len(self.tx_port_kinds)):
             raise DomainError("port label counts do not match matrix dimensions")
         if not np.isfinite(e).all():
             raise DomainError("channel matrix contains non-finite entries")
+
+    @property
+    def tones(self) -> np.ndarray:
+        """The entries as an (F, n_rx, n_tx) stack; F = 1 for a 2-D matrix."""
+        return self.entries.reshape((-1,) + self.entries.shape[-2:])
 
 
 @dataclass(frozen=True)
@@ -706,25 +712,22 @@ def subcarrier_frequencies(band: FrequencyBand, n_subcarriers: int) -> np.ndarra
 
 
 def csi(scene: Scene, band: FrequencyBand, n_subcarriers: int | None = None,
-        grid: int = 32, params: ChannelParams | None = None):
-    """Per-subcarrier channel matrices across the band, in one engine pass.
+        grid: int = 32, params: ChannelParams | None = None) -> ChannelMatrix:
+    """The channel at every subcarrier of the band in one engine pass: a
+    ChannelMatrix of F tones, each bitwise ``build_mimo`` at its subcarrier.
 
     Defaults to the 802.11 data+pilot tone counts (114 at 40 MHz, 56 at
     20 MHz).  Frequency diversity emerges from the multipath delay structure.
     """
-    freqs, h, rx_kinds, tx_kinds = _channel_stack([scene], band, n_subcarriers, grid, params)
-    return [
-        ChannelMatrix(h[i, 0], FrequencyBand(float(f_sc), band.bandwidth_hz, band.band_id),
-                      rx_kinds, tx_kinds)
-        for i, f_sc in enumerate(freqs)
-    ]
+    h = _channel_stack([scene], band, n_subcarriers, grid, params)
+    _, rx_kinds, _, tx_kinds = _scene_ports(scene)
+    return ChannelMatrix(h[:, 0], band, rx_kinds, tx_kinds)
 
 
 def subcarrier_count(band: FrequencyBand, n_subcarriers: int | None = None) -> int:
-    """n_subcarriers, or the 802.11 data+pilot tone count of the band's
-    bandwidth (64 for a bandwidth without one) when it is None."""
+    """n_subcarriers, or the 802.11 data+pilot tone count of the band if None."""
     if n_subcarriers is None:
-        return DEFAULT_SUBCARRIERS.get(band.bandwidth_hz, 64)
+        return DEFAULT_SUBCARRIERS[band.bandwidth_hz]
     return n_subcarriers
 
 
@@ -748,11 +751,10 @@ def _stack_ports(scenes):
 def _channel_stack(scenes, band: FrequencyBand, n_subcarriers: int | None, grid: int,
                    params: ChannelParams | None):
     """The csi channels of scenes that differ only in their receive ports, in
-    one engine pass: (freqs, h, rx_kinds, tx_kinds) with h of shape
-    (F, D, n_rx, n_tx), h[:, d] the channel of scenes[d] at the subcarrier
-    frequencies freqs.  Every scene's receive ports are stacked against the
-    shared transmit ports in one (F, D * n_rx, n_tx) synthesis; an entry
-    depends only on its two ports."""
+    one engine pass: h of shape (F, D, n_rx, n_tx), h[:, d] the channel of
+    scenes[d] at the subcarrier frequencies of the band.  Every scene's
+    receive ports are stacked against the shared transmit ports in one
+    (F, D * n_rx, n_tx) synthesis; an entry depends only on its two ports."""
     params = params or ChannelParams()
     freqs = subcarrier_frequencies(band, subcarrier_count(band, n_subcarriers))
     first = scenes[0]
@@ -768,8 +770,7 @@ def _channel_stack(scenes, band: FrequencyBand, n_subcarriers: int | None, grid:
     h = _synthesize(first, freqs, grid, params, [p for rx in rx_each for p in rx], tx)
     if not np.isfinite(h).all():
         raise DomainError("channel matrix contains non-finite entries")
-    h = h.reshape(len(freqs), len(scenes), len(rx_kinds), len(tx_kinds))
-    return freqs, h, rx_kinds, tx_kinds
+    return h.reshape(len(freqs), len(scenes), len(rx_kinds), len(tx_kinds))
 
 
 # --- impulse responses ---------------------------------------------------------

@@ -94,11 +94,14 @@ def _seed(args, cfg=None) -> int:
 def _sweep_settings(args) -> tuple:
     """(template, settings, seed) from --scene or the sweep-style flags."""
     cfg = None
+    if args.scene and args.material is not None:
+        raise ConfigError(["--material cannot be given with --scene: the scene sets the surface"])
     if args.scene:
         cfg = _load_scene_config(args.scene)
         template, settings = cfg.template(), cfg.settings
     else:
-        template, settings = default_template(args.material), LinkSettings()
+        template = default_template() if args.material is None else default_template(args.material)
+        settings = LinkSettings()
     overrides = {"tx_power_dbm": args.tx_power_dbm, "snr_db": args.snr_db,
                  "grid": args.grid, "n_subcarriers": args.subcarriers}
     settings = replace(settings, **{k: v for k, v in overrides.items() if v is not None})
@@ -126,15 +129,15 @@ def _cmd_analyze(args) -> tuple:
     if args.snr_db is not None:
         settings = replace(settings, snr_db=args.snr_db)
     inputs = {"scene": cfg.scene, "settings": settings}
-    matrices = csi(cfg.scene, settings.band, settings.n_subcarriers, settings.grid,
-                   settings.params)
-    result = analyze_link(matrices, settings)
+    matrix = csi(cfg.scene, settings.band, settings.n_subcarriers, settings.grid,
+                 settings.params)
+    result = analyze_link(matrix, settings)
     print(
         f"{result.mode}: capacity {result.capacity_bps / 1e6:.1f} Mbps, "
         f"condition {result.condition_number:.3g}, "
         f"phy rate {result.phy_rate_bps / 1e6:.1f} Mbps"
     )
-    rs = rio.analyze_result_set(matrices, settings.snr_linear())
+    rs = rio.analyze_result_set(matrix, settings.snr_linear())
     return inputs, rs, _seed(args, cfg)
 
 
@@ -242,8 +245,8 @@ def _add_common(sp, scene=True, scene_default=None):
 
 
 def _add_sweep_flags(sp):
-    sp.add_argument("--material", default="spraypaint",
-                    help="material preset for the default surface")
+    sp.add_argument("--material", default=None,
+                    help="material preset for the default surface (spraypaint); not with --scene")
     sp.add_argument("--tx-power-dbm", type=float, default=None)
     sp.add_argument("--snr-db", type=float, default=None,
                     help="fixed SNR override (skips the link budget)")

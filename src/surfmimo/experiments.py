@@ -92,7 +92,8 @@ class LinkSettings:
             problems.append(f"esm_beta must be positive, got {self.esm_beta}")
         if not self.antenna_height_m >= 0:
             problems.append(f"antenna_height_m must be >= 0, got {self.antenna_height_m}")
-        for name in ("tx_power_dbm", "snr_db"):
+        for name in ("tx_power_dbm", "snr_db", "esm_beta", "antenna_height_m",
+                     "contact_spacing_m", "air_antenna_spacing_m"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 problems.append(f"{name} must be finite, got {value}")
@@ -214,18 +215,15 @@ def _run_links(scenes, settings: LinkSettings) -> list:
     pass for all of them."""
     if not scenes:
         return []
-    _, h, _, _ = _channel_stack(scenes, settings.band, settings.n_subcarriers, settings.grid,
-                                settings.params)
-    return _analyze(h, settings)
+    return _analyze(_channel_stack(scenes, settings.band, settings.n_subcarriers,
+                                   settings.grid, settings.params), settings)
 
 
-def analyze_link(matrices, settings: LinkSettings | None = None) -> LinkResult:
-    """Link analysis of per-subcarrier channel matrices: capacity,
-    conditioning, stream SNRs, and the best achievable table rate over all
-    transmit-column subsets: mimo.link_results of the matrices stacked as
-    one distance."""
-    h = np.stack([m.entries for m in matrices])
-    return _analyze(h[:, None], settings or LinkSettings())[0]
+def analyze_link(matrix, settings: LinkSettings | None = None) -> LinkResult:
+    """Link analysis of a ChannelMatrix over its tones: capacity, conditioning,
+    stream SNRs, and the best achievable table rate over all transmit-column
+    subsets: mimo.link_results of the tones as one distance."""
+    return _analyze(matrix.tones[:, None], settings or LinkSettings())[0]
 
 
 def _analyze(h, settings: LinkSettings) -> list:
@@ -274,7 +272,7 @@ def multi_mode_sweep(template: SceneTemplate | None = None, distances_m=None,
         else:
             h = stacks[mode] = _channel_stack(
                 scenes[mode], settings.band, settings.n_subcarriers, settings.grid,
-                settings.params)[1]
+                settings.params)
         results[mode] = _analyze(h, settings)
     return {mode: list(zip(map(float, distances_m), results[mode])) for mode in scenes}
 

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import presets
-from .channel import ChannelParams, NoiseModel
+from .channel import ChannelParams, NoiseModel, subcarrier_frequencies
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import FOOT_M, LinkSettings, SceneTemplate
 from .geometry import CONTACT, Node, Obstacle, Scene, SurfaceSpec, validate_scene
@@ -508,16 +508,14 @@ def _port_labels(kinds) -> list:
     return labels
 
 
-def channel_result_set(matrices) -> ResultSet:
-    """Per-subcarrier complex channel entries of matrices that share their
-    port kinds, in subcarrier, receive port, transmit port order."""
+def channel_result_set(matrix) -> ResultSet:
+    """Per-subcarrier complex entries of a ChannelMatrix, in subcarrier,
+    receive port, transmit port order."""
     columns = ("subcarrier_index", "rx_port", "tx_port", "re", "im",
                "mag_db", "phase_rad")
-    if not matrices:
-        return ResultSet(columns, [], {})
-    h = np.stack([m.entries for m in matrices])
-    rx = _port_labels(matrices[0].rx_port_kinds)
-    tx = _port_labels(matrices[0].tx_port_kinds)
+    h = matrix.tones
+    rx = _port_labels(matrix.rx_port_kinds)
+    tx = _port_labels(matrix.tx_port_kinds)
     # the magnitude stays a scalar abs per entry: np.abs over the array
     # rounds some entries differently
     rows = [
@@ -529,18 +527,16 @@ def channel_result_set(matrices) -> ResultSet:
     return ResultSet(columns, rows, {})
 
 
-def analyze_result_set(matrices, snr_linear) -> ResultSet:
+def analyze_result_set(matrix, snr_linear) -> ResultSet:
+    """Capacity and condition number of a ChannelMatrix at each subcarrier."""
     from .mimo import capacity, condition_number
 
     columns = ("subcarrier_index", "frequency_hz", "capacity_bps_hz",
                "condition_number")
-    h = np.stack([m.entries for m in matrices])
-    caps, conds = capacity(h, snr_linear), condition_number(h)
-    rows = [
-        (s, m.frequency.center_hz, float(caps[s]), float(conds[s]))
-        for s, m in enumerate(matrices)
-    ]
-    return ResultSet(columns, rows, {})
+    h = matrix.tones
+    rows = zip(range(len(h)), subcarrier_frequencies(matrix.frequency, len(h)).tolist(),
+               capacity(h, snr_linear).tolist(), condition_number(h).tolist())
+    return ResultSet(columns, list(rows), {})
 
 
 def sweep_result_set(rows_by_mode: dict, mac_efficiency: float) -> ResultSet:

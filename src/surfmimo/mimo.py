@@ -217,8 +217,8 @@ def effective_snr(snrs_linear, beta: float = 1.0) -> float:
     s = np.asarray(snrs_linear, dtype=float).ravel()
     if s.size == 0:
         raise DomainError("effective_snr needs at least one subcarrier")
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
     return float(_esm(s, beta))
 
 

@@ -88,9 +88,9 @@ def _coupling(doc: dict) -> CouplingConstants | None:
         raise PresetError(f"malformed coupling section: {exc}") from exc
 
 
-def load_material(name_or_path: str, path=None) -> MaterialParams:
-    """A material by preset name, or every material from a custom file path."""
-    materials = load_presets(path).materials
+def load_material(name_or_path: str) -> MaterialParams:
+    """A shipped material by preset name, or the material of a custom file."""
+    materials = load_presets().materials
     if name_or_path in materials:
         return materials[name_or_path]
     p = Path(name_or_path)

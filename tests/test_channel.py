@@ -30,6 +30,7 @@ from surfmimo.geometry import ANTENNA, CONTACT, Node, Obstacle, Scene, SurfaceSp
 from surfmimo.mimo import capacity
 from surfmimo.propagation import (
     SPEED_OF_LIGHT,
+    VALID_BANDWIDTHS_HZ,
     FrequencyBand,
     MaterialParams,
     air_gain,
@@ -294,6 +295,25 @@ def test_channel_matrix_validation():
     with pytest.raises(DomainError):
         ChannelMatrix(np.array([[np.inf, 0], [0, 1]], dtype=complex), BAND,
                       (CONTACT, CONTACT), (CONTACT, CONTACT))
+    two = (CONTACT, ANTENNA)
+    tones = np.ones((3, 2, 2), dtype=complex)
+    tones[1, 0, 1] = np.nan
+    for entries, rx in [(np.ones(2), two), (np.ones((1, 3, 2, 2)), two),
+                        (np.ones((0, 2, 2)), two), (np.ones((3, 0, 2)), ()),
+                        (np.ones((3, 2, 2)), (CONTACT,)), (np.ones((3, 2, 2)), two * 2),
+                        (tones, two)]:
+        with pytest.raises(DomainError):
+            ChannelMatrix(entries, BAND, rx, two)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 2, 3), (5, 2, 3)])
+def test_a_channel_matrix_is_one_matrix_or_a_stack_of_tones(shape):
+    m = ChannelMatrix(np.arange(math.prod(shape)).reshape(shape), BAND,
+                      (CONTACT, ANTENNA), (CONTACT, CONTACT, ANTENNA))
+    assert m.entries.shape == shape and m.entries.dtype == complex
+    # a 2-D matrix is a stack of one tone, the band center
+    assert m.tones.shape == (1 if len(shape) == 2 else shape[0], 2, 3)
+    assert np.array_equal(m.tones.ravel(), m.entries.ravel())
 
 
 def test_subcarrier_frequencies():
@@ -310,10 +330,9 @@ def test_subcarrier_frequencies():
 def test_csi_single_subcarrier_equals_center_matrix():
     m = _flat_material(0.6)
     scene = _two_contact_scene(m)
-    mats = csi(scene, BAND, n_subcarriers=1, grid=8, params=NO_COUPLING)
-    assert len(mats) == 1
-    assert np.array_equal(mats[0].entries, build_mimo(scene, BAND, grid=8,
-                                                      params=NO_COUPLING).entries)
+    h = csi(scene, BAND, n_subcarriers=1, grid=8, params=NO_COUPLING).entries
+    assert h.shape == (1, 1, 1)
+    assert np.array_equal(h[0], build_mimo(scene, BAND, grid=8, params=NO_COUPLING).entries)
     # the batched pass and the single-frequency path agree bitwise at every
     # subcarrier of a coupled hybrid scene (all four channel kinds)
     st = ex.LinkSettings()
@@ -321,28 +340,28 @@ def test_csi_single_subcarrier_equals_center_matrix():
     hybrid = Scene(hybrid.surface, hybrid.nodes, (Obstacle(0.4, 0.0, 0.5, 0.4),))
     coupled = ChannelParams(coupling=CouplingConstants(0.05, 0.03, 0.04, 0.7),
                             air_multipath=AirMultipathModel(n_scatterers=8))
-    mats = csi(hybrid, BAND, n_subcarriers=7, grid=12, params=coupled)
-    assert len(mats) == 7
-    for mm in mats:
-        assert np.array_equal(mm.entries, build_mimo(hybrid, mm.frequency, grid=12,
-                                                     params=coupled).entries)
+    mat = csi(hybrid, BAND, n_subcarriers=7, grid=12, params=coupled)
+    assert mat.frequency == BAND and mat.entries.shape == (7, 3, 3)
+    stack = channel._channel_stack([hybrid], BAND, 7, 12, coupled)
+    assert mat.entries.tobytes() == stack[:, 0].tobytes()
+    for f_sc, h in zip(subcarrier_frequencies(BAND, 7), mat.entries):
+        assert np.array_equal(h, build_mimo(hybrid, f_sc, grid=12, params=coupled).entries)
 
 
 def test_csi_default_subcarrier_counts():
     m = _flat_material(0.0)
     scene = _two_contact_scene(m)
-    assert len(csi(scene, BAND, grid=4, params=NO_COUPLING)) == 114
+    assert len(csi(scene, BAND, grid=4, params=NO_COUPLING).entries) == 114
     band20 = FrequencyBand(2.437e9, 20e6)
-    assert len(csi(scene, band20, grid=4, params=NO_COUPLING)) == 56
+    assert len(csi(scene, band20, grid=4, params=NO_COUPLING).entries) == 56
 
 
 def test_csi_flat_without_multipath():
     # single path, constant material constants: every subcarrier magnitude equal
     m = _flat_material(refl=0.0)
     scene = _two_contact_scene(m)
-    mats = csi(scene, BAND, n_subcarriers=16, grid=4, params=NO_COUPLING)
-    mags = np.array([np.abs(mm.entries[0, 0]) for mm in mats])
-    assert np.ptp(mags) == 0.0
+    h = csi(scene, BAND, n_subcarriers=16, grid=4, params=NO_COUPLING).entries
+    assert np.ptp(np.array([abs(h_f) for h_f in h[:, 0, 0].tolist()])) == 0.0
 
 
 def test_csi_band_outside_preset_coverage():
@@ -359,8 +378,7 @@ def test_csi_variance_grows_with_distance():
     out = []
     for ft in (1.0, 8.0, 16.0):
         scene = ex.build_link_scene(tpl, ft * ex.FOOT_M, ex.MODE_2X2, st)
-        mats = csi(scene, st.band, n_subcarriers=64, grid=12, params=st.params)
-        mags = np.array([np.abs(mm.entries) for mm in mats])
+        mags = np.abs(csi(scene, st.band, n_subcarriers=64, grid=12, params=st.params).entries)
         v = np.var(mags, axis=0) / np.mean(mags, axis=0) ** 2
         out.append(float(np.mean([v[0, 0], v[1, 0], v[0, 1]])))
     assert out[0] < out[1] < out[2]
@@ -627,6 +645,17 @@ def test_a_preset_coupling_section_must_set_every_constant(tmp_path):
     assert presets.load_coupling(full) == CouplingConstants(0.1, 0.2, 0.3, 0.4)
 
 
+def test_materials_and_tone_counts_have_one_source_each(tmp_path):
+    # a material is a shipped preset or the one material of its own file, never
+    # a name looked up in another file; every bandwidth a band admits has its
+    # 802.11 tone count
+    path = tmp_path / "plate.yaml"
+    path.write_text(_PRESET_MATERIALS)
+    with pytest.raises(TypeError):
+        presets.load_material("plate", path)
+    assert set(channel.DEFAULT_SUBCARRIERS) == set(VALID_BANDWIDTHS_HZ)
+
+
 def test_a_preset_file_without_coupling_gives_materials_but_no_coupling(tmp_path):
     # a material-only file still serves its materials; reading its coupling
     # is refused instead of reading as zero (the composite terms switched off)
@@ -656,7 +685,7 @@ def test_csi_with_default_params_is_bitwise_csi_without(name):
     assert cfg.settings.params == ChannelParams()
     want = csi(cfg.scene, band, 4, 32)
     got = csi(cfg.scene, band, 4, 32, ChannelParams())
-    assert [m.entries.tobytes() for m in got] == [m.entries.tobytes() for m in want]
+    assert got.entries.tobytes() == want.entries.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -735,6 +764,6 @@ def test_csi_is_invariant_under_mirroring_the_scene(name, axes, grid, with_obsta
     if with_obstacle:
         scene = dataclasses.replace(scene, obstacles=(MIRROR_OBSTACLES[name],))
     mirror = _mirrored(scene, *axes)
-    got = np.array([m.entries for m in csi(mirror, BAND, 3, grid)])
-    want = np.array([m.entries for m in csi(scene, BAND, 3, grid)])
+    got = csi(mirror, BAND, 3, grid).entries
+    want = csi(scene, BAND, 3, grid).entries
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))

@@ -363,6 +363,9 @@ def test_share_command(tmp_path):
     (["separation", "--separations-cm", "1", "--snr-db=-inf"], "snr_db"),
     (["analyze", "--snr-db", "nan"], "snr_db"),
     (["aggregate", "--distances-ft", "1", "--tx-power-dbm", "nan"], "tx_power_dbm"),
+    (["separation", "--separations-cm", "inf", *FAST_SWEEP], "antenna_height_m"),
+    (["separation", "--mode", "air-mimo", "--separations-cm", "inf", *FAST_SWEEP],
+     "air_antenna_spacing_m"),
 ])
 def test_non_finite_link_budget_flags_exit_2(tmp_path, capsys, command, key):
     out = tmp_path / "o.csv"
@@ -379,6 +382,41 @@ def test_non_finite_link_budget_analysis_values_exit_2(tmp_path, capsys, key):
     assert main(["analyze", "--scene", scene, "--out", str(out)]) == EXIT_CONFIG
     assert f"line 6: {key} must be finite, got nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("esm_beta", ".inf", "inf"), ("esm_beta", ".nan", "nan"), ("antenna_height_m", ".inf", "inf"),
+    ("contact_spacing_m", ".nan", "nan"), ("air_antenna_spacing_m", ".nan", "nan"),
+    ("air_antenna_spacing_m", "-.inf", "-inf"),
+])
+def test_non_finite_link_settings_exit_2_at_the_analysis_line(tmp_path, capsys, key, value,
+                                                              shown):
+    # refused where the scene is read: an infinite beta used to pool every
+    # stream SNR to nan and a live link to 0 bps, and the geometry values to
+    # fail only after the synthesis
+    out = tmp_path / "o.csv"
+    scene = str(_tiny_scene(tmp_path, **{key: value}))
+    assert main(["sweep", "--scene", scene, "--mode", "all", "--distances-ft", "1",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert f"line 6: {key} must be finite, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["sweep", "--mode", "siso", "--distances-ft", "1"],
+                                     ["separation", "--separations-cm", "1"]])
+def test_material_is_refused_with_a_scene(tmp_path, capsys, command):
+    # the scene sets the surface, so a --material beside it would be ignored
+    out = tmp_path / "o.csv"
+    for material in ("nosuch", "spraypaint"):
+        assert main(command + ["--scene", "default_2x2", "--material", material,
+                               "--out", str(out)]) == EXIT_CONFIG
+        assert "--material cannot be given with --scene" in capsys.readouterr().err
+        assert not out.exists()
+    # without a scene the default surface is spraypaint, named or not
+    named = tmp_path / "named.csv"
+    assert main(command + [*FAST_SWEEP, "--out", str(out)]) == EXIT_OK
+    assert main(command + [*FAST_SWEEP, "--material", "spraypaint", "--out", str(named)]) == EXIT_OK
+    assert out.read_bytes() == named.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["channel", "analyze", "pulse"])

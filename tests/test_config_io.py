@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfmimo import presets
-from surfmimo.channel import build_mimo
+from surfmimo.channel import ChannelMatrix, build_mimo, csi, subcarrier_frequencies
 from surfmimo.errors import ConfigError, ResultIOError
 from surfmimo.experiments import (
     LinkResult,
@@ -495,7 +495,6 @@ def test_result_set_validation_and_read_errors(tmp_path):
 
 
 def _fake_matrix():
-    from surfmimo.channel import ChannelMatrix
     from surfmimo.propagation import FrequencyBand
 
     entries = np.array([[1e-3 + 0j, 0j], [1j * 1e-4, 2e-3 + 0j]])
@@ -504,7 +503,7 @@ def _fake_matrix():
 
 
 def test_channel_result_set_labels_and_zero_magnitude():
-    rs = channel_result_set([_fake_matrix()])
+    rs = channel_result_set(_fake_matrix())
     assert rs.columns[:3] == ("subcarrier_index", "rx_port", "tx_port")
     by_ports = {(r[1], r[2]): r for r in rs.rows}
     assert set(by_ports) == {("contact0", "contact0"), ("contact0", "contact1"),
@@ -516,28 +515,40 @@ def test_channel_result_set_labels_and_zero_magnitude():
 def test_channel_result_set_cells_are_the_per_entry_scalar_forms():
     # one pass over the stacked entries writes, to the last digit, what
     # scalar arithmetic on each entry gives
-    from surfmimo.channel import csi
     from surfmimo.io import _format_value
 
     cfg = load_config(presets.scene_path("default_3x3"))
-    matrices = csi(cfg.scene, cfg.settings.band, 16, 8)
+    matrix = csi(cfg.scene, cfg.settings.band, 16, 8)
     want = []
-    for s, m in enumerate(matrices):
-        for i, j in np.ndindex(m.entries.shape):
-            h = m.entries[i, j]
-            mag_db = 20.0 * math.log10(abs(h)) if abs(h) > 0 else float("-inf")
-            want.append((s, i, j, h.real, h.imag, mag_db, float(np.angle(h))))
-    rows = channel_result_set(matrices).rows
+    for s, i, j in np.ndindex(matrix.entries.shape):
+        h = matrix.entries[s, i, j]
+        mag_db = 20.0 * math.log10(abs(h)) if abs(h) > 0 else float("-inf")
+        want.append((s, i, j, h.real, h.imag, mag_db, float(np.angle(h))))
+    rows = channel_result_set(matrix).rows
     assert [r[0] for r in rows] == [w[0] for w in want]
     assert [[_format_value(v) for v in r[3:]] for r in rows] == [
         [_format_value(v) for v in w[3:]] for w in want]
 
 
 def test_analyze_result_set_columns():
-    rs = analyze_result_set([_fake_matrix()], snr_linear=1e4)
+    rs = analyze_result_set(_fake_matrix(), snr_linear=1e4)
     assert rs.columns == ("subcarrier_index", "frequency_hz", "capacity_bps_hz",
                           "condition_number")
     assert rs.rows[0][2] > 0
+
+
+def test_result_sets_read_one_matrix_as_a_stack_of_one_tone():
+    cfg = load_config(presets.scene_path("default_3x3"))
+    s = cfg.settings
+    m = build_mimo(cfg.scene, s.band, 8, s.params)
+    stack = ChannelMatrix(m.entries[None], m.frequency, m.rx_port_kinds, m.tx_port_kinds)
+    assert channel_result_set(m) == channel_result_set(stack)
+    assert analyze_result_set(m, 1e3) == analyze_result_set(stack, 1e3)
+    assert [r[1] for r in analyze_result_set(m, 1e3).rows] == [s.band.center_hz]
+    # the frequency column is the subcarriers csi synthesized at
+    tones = csi(cfg.scene, s.band, 5, 8, s.params)
+    assert ([r[1] for r in analyze_result_set(tones, 1e3).rows]
+            == subcarrier_frequencies(s.band, 5).tolist())
 
 
 def _link_result(rate=120e6):

@@ -102,7 +102,7 @@ def test_a_pass_leaves_no_state_for_the_next():
     desk, cloth = _scene("default_3x3"), _scene("cloth_10ft")
 
     def channel_bits(scene):
-        return _bits(np.array([m.entries for m in csi(scene, band, 7, 16)]))
+        return _bits(csi(scene, band, 7, 16).entries)
 
     first = channel_bits(desk)
     assert channel_bits(desk) == first

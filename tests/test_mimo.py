@@ -134,6 +134,9 @@ def test_effective_snr_pooling():
         effective_snr([])
     with pytest.raises(DomainError):
         effective_snr([1.0], beta=0.0)
+    for beta in (math.inf, math.nan):  # both once pooled to nan
+        with pytest.raises(DomainError, match="finite and positive"):
+            effective_snr([1.0], beta=beta)
 
 
 def _scipy_esm(snrs, beta=1.0):

@@ -238,22 +238,22 @@ def test_link_metrics_from_one_svd_match_the_separate_calls(seed, n_rx, n_tx, f,
         np.testing.assert_allclose(50.0 / (n_tx * g), want, rtol=0 if n_tx > 1 else 1e-14)
 
 
-def _reference_analyze(matrices, st_: LinkSettings):
+def _reference_analyze(stack, st_: LinkSettings):
     """The per-subcarrier analysis loop: capacity, condition number and
-    float-Gram-inverse ZF one matrix at a time."""
+    float-Gram-inverse ZF one matrix of the (F, n_rx, n_tx) stack at a time."""
     rho = st_.snr_linear()
     table = st_.rate_table()
-    n_tx = matrices[0].entries.shape[1]
-    caps = [capacity(m.entries, rho) for m in matrices]
-    conds = [condition_number(m.entries) for m in matrices]
+    n_tx = stack.shape[-1]
+    caps = [capacity(m, rho) for m in stack]
+    conds = [condition_number(m) for m in stack]
     best = (-1.0, (float("-inf"),), ())
     skipped = []
     for k in range(1, n_tx + 1):
         for subset in itertools.combinations(range(n_tx), k):
             per_stream = [[] for _ in subset]
             try:
-                for m in matrices:
-                    for i, s in enumerate(_zf_float_inv(m.entries[:, subset], rho)):
+                for m in stack:
+                    for i, s in enumerate(_zf_float_inv(m[:, subset], rho)):
                         per_stream[i].append(s)
             except StreamSeparationError:
                 skipped.append(subset)
@@ -281,12 +281,11 @@ def test_analyze_link_matches_per_subcarrier_loop(parallel):
         entries = np.stack([_conditioned(rng, 3, 3, 10.0 ** rng.uniform(0.5, 2.0))
                             for _ in range(12)])
     ports = (CONTACT,) * 3
-    matrices = [ChannelMatrix(e, band, ports, ports) for e in entries]
     st_ = LinkSettings(band=band, snr_db=22.0 if parallel else 60.0)
 
-    cap, cond, (rate, snrs, columns), skipped = _reference_analyze(matrices, st_)
+    cap, cond, (rate, snrs, columns), skipped = _reference_analyze(entries, st_)
     assert skipped == ([(0, 1), (0, 1, 2)] if parallel else [])
-    got = analyze_link(matrices, st_)
+    got = analyze_link(ChannelMatrix(entries, band, ports, ports), st_)
     assert rate > 0
     assert got.phy_rate_bps == rate
     assert got.tx_columns == columns
@@ -304,11 +303,11 @@ def test_dead_link_has_no_columns_in_sweep_csv():
     ports = (CONTACT,) * 2
     # each column vanishes at one subcarrier, so no subset is separable
     dead_entries = np.array([[[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
-    dead = analyze_link([ChannelMatrix(e, band, ports, ports) for e in dead_entries],
+    dead = analyze_link(ChannelMatrix(dead_entries, band, ports, ports),
                         LinkSettings(band=band, snr_db=20.0))
     assert dead.phy_rate_bps == 0.0 and dead.tx_columns == ()
     # a link starved of SNR still names the subset whose SNRs it reports
-    starved = analyze_link([ChannelMatrix(np.eye(2), band, ports, ports)],
+    starved = analyze_link(ChannelMatrix(np.eye(2), band, ports, ports),
                            LinkSettings(band=band, snr_db=-60.0))
     assert starved.phy_rate_bps == 0.0 and starved.tx_columns == (0,)
     live = LinkResult(3e8, 12.5, (21.0, 18.0), 1.2e8, "MIMO-3x3", tx_columns=(0, 2))

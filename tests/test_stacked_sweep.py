@@ -45,12 +45,11 @@ FAST = LinkSettings(grid=8, n_subcarriers=3)
 def _check_against_single_distances(mode, distances, st_):
     template = default_template()
     scenes = [build_link_scene(template, d, mode, st_) for d in distances]
-    _, stacked, _, _ = channel._channel_stack(scenes, st_.band, st_.n_subcarriers,
-                                              st_.grid, st_.params)
+    stacked = channel._channel_stack(scenes, st_.band, st_.n_subcarriers, st_.grid,
+                                     st_.params)
     assert stacked.shape[1] == len(distances)
     for d, scene in enumerate(scenes):
-        alone = np.array([m.entries for m in csi(scene, st_.band, st_.n_subcarriers,
-                                                 st_.grid, st_.params)])
+        alone = csi(scene, st_.band, st_.n_subcarriers, st_.grid, st_.params).entries
         assert np.all(np.abs(stacked[:, d] - alone) <= RTOL * np.abs(alone))
 
     swept = throughput_sweep(template, distances, mode, st_)
