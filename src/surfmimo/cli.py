@@ -345,7 +345,7 @@ def main(argv=None) -> int:
             "seed": seed, "command": args.command,
         })
         rio.write_results(rs, args.out)
-        print(f"wrote {args.out} ({len(rs.rows)} rows)")
+        print(f"wrote {args.out} ({rs.n_rows} rows)")
         if args.plot_script:
             rio.write_plot_script(args.command, args.out, args.plot_script)
             print(f"wrote {args.plot_script}")

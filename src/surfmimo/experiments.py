@@ -92,6 +92,9 @@ class LinkSettings:
             problems.append(f"esm_beta must be positive, got {self.esm_beta}")
         if not self.antenna_height_m >= 0:
             problems.append(f"antenna_height_m must be >= 0, got {self.antenna_height_m}")
+        for name in ("contact_spacing_m", "air_antenna_spacing_m"):
+            if not getattr(self, name) > 0:
+                problems.append(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("tx_power_dbm", "snr_db", "esm_beta", "antenna_height_m",
                      "contact_spacing_m", "air_antenna_spacing_m"):
             value = getattr(self, name)

@@ -5,9 +5,10 @@ analysis, seed).  Parsing collects *all* problems — unknown keys, bad types,
 scene violations, out-of-range analysis values — with line positions before
 raising, so a config can be fixed in one pass.  The band and analysis
 sections become the one LinkSettings every scene command reads, with the
-defaults and range checks of the settings dataclasses.  Results are CSV with a sorted metadata comment block;
-formatting round-trips floats exactly (repr) and is deterministic, so equal
-inputs produce byte-identical files.
+defaults and range checks of the settings dataclasses.  A result set is
+named columns of cells, written as CSV with a sorted metadata comment block
+a column at a time; formatting round-trips floats exactly (repr) and is
+deterministic, so equal inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
+from io import StringIO
 
 import numpy as np
 import yaml
@@ -394,19 +396,39 @@ _FORMATTERS = {
     np.float64: float.__repr__,
 }
 
+# The cell types whose text never needs CSV quoting.
+_BARE = {bool, int, float, np.int64, np.float64}
 
 # Rows per chunk that write_results formats before writing them.
 _WRITE_ROWS = 128
 
 
-def _format_column(cells) -> list:
+class _Quoted(dict):
+    """Cell text -> the cell as csv.writer writes it in a row of `width`
+    cells on the running Python (a one-cell row of "" is '""'); the csv
+    module quotes each distinct text once."""
+
+    def __init__(self, width: int):
+        self.pad = [""] * (width > 1)
+
+    def __missing__(self, text):
+        buf = StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text, *self.pad])
+        self[text] = buf.getvalue()[:-1 - len(self.pad)]
+        return self[text]
+
+
+def _format_column(cells, quoted: _Quoted) -> list:
     """The CSV text of one column's cells: one formatter for a column of one
-    cell type, one per cell otherwise."""
+    cell type, one per cell otherwise; text that may need quoting is quoted."""
     types = set(map(type, cells))
     if len(types) == 1:
-        return list(map(_FORMATTERS.get(types.pop(), _format_value), cells))
+        kind = types.pop()
+        texts = list(map(_FORMATTERS.get(kind, _format_value), cells))
+        return texts if kind in _BARE else list(map(quoted.__getitem__, texts))
     formatter = _FORMATTERS.get
-    return [formatter(type(v), _format_value)(v) for v in cells]
+    texts = [formatter(type(v), _format_value)(v) for v in cells]
+    return [t if type(v) in _BARE else quoted[t] for v, t in zip(cells, texts)]
 
 
 def _parse_value(s: str):
@@ -426,45 +448,53 @@ def _parse_value(s: str):
 
 @dataclass(frozen=True, eq=False)
 class ResultSet:
-    """Tabular experiment output plus reproducibility metadata."""
+    """Tabular experiment output plus reproducibility metadata: one tuple of
+    cells per column name, all of one length; ``rows`` is a view of them."""
 
     columns: tuple
-    rows: tuple
+    cells: tuple
     metadata: dict
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        # tuple() keeps a tuple: a copy with new metadata shares every column
+        object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
         object.__setattr__(
             self, "metadata", {str(k): str(v) for k, v in self.metadata.items()}
         )
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ResultIOError(
-                    f"row width {len(row)} does not match {len(self.columns)} columns"
-                )
+        if len(self.cells) != len(self.columns) or len(set(map(len, self.cells))) > 1:
+            raise ResultIOError(f"{len(self.columns)} column names need as many columns of "
+                                f"cells of one length, got {[len(c) for c in self.cells]}")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.cells[0]) if self.cells else 0
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(zip(*self.cells))
 
     def __eq__(self, other):
         return (isinstance(other, ResultSet)
                 and self.columns == other.columns
-                and self.rows == other.rows
+                and self.cells == other.cells
                 and self.metadata == other.metadata)
 
 
 def write_results(rs: ResultSet, path) -> None:
-    """CSV with a '#' metadata header; deterministic byte-for-byte."""
+    """CSV with a '#' metadata header; deterministic byte-for-byte.  Each
+    column of a chunk of rows is formatted once, and the chunk is one write."""
+    quoted = _Quoted(len(rs.columns))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(_MAGIC + "\n")
             for key in sorted(rs.metadata):
                 fh.write(f"# {key}: {rs.metadata[key]}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(rs.columns)
-            # formatted a column at a time, a bounded chunk of rows at a time
-            for lo in range(0, len(rs.rows), _WRITE_ROWS):
-                chunk = rs.rows[lo:lo + _WRITE_ROWS]
-                columns = [_format_column(cells) for cells in zip(*chunk)]
-                writer.writerows(zip(*columns) if columns else chunk)
+            fh.write(",".join(map(quoted.__getitem__, rs.columns)) + "\n")
+            for lo in range(0, rs.n_rows, _WRITE_ROWS):
+                texts = [_format_column(cells[lo:lo + _WRITE_ROWS], quoted)
+                         for cells in rs.cells]
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
     except OSError as exc:
         raise ResultIOError(f"cannot write results to {path}: {exc}") from exc
 
@@ -490,9 +520,12 @@ def read_results(path) -> ResultSet:
     body = list(csv.reader(lines[body_start:]))
     if not body:
         raise ResultIOError(f"{path} has no column header")
-    columns = tuple(body[0])
-    rows = tuple(tuple(_parse_value(v) for v in row) for row in body[1:])
-    return ResultSet(columns, rows, metadata)
+    columns, rows = tuple(body[0]), body[1:]
+    widths = {len(row) for row in rows} - {len(columns)}
+    if widths:
+        raise ResultIOError(f"row width {min(widths)} does not match {len(columns)} columns")
+    cells = [tuple(map(_parse_value, t)) for t in zip(*rows)] if rows else [()] * len(columns)
+    return ResultSet(columns, cells, metadata)
 
 
 # --- experiment-specific result builders ----------------------------------------
@@ -518,13 +551,14 @@ def channel_result_set(matrix) -> ResultSet:
     tx = _port_labels(matrix.tx_port_kinds)
     # the magnitude stays a scalar abs per entry: np.abs over the array
     # rounds some entries differently
-    rows = [
-        (s, rx[i], tx[j], h_ij.real, h_ij.imag,
-         20.0 * math.log10(abs(h_ij)) if h_ij else float("-inf"), phase)
-        for (s, i, j), h_ij, phase in zip(np.ndindex(h.shape), h.ravel().tolist(),
-                                          np.angle(h).ravel().tolist())
-    ]
-    return ResultSet(columns, rows, {})
+    mag_db = [20.0 * math.log10(abs(h_ij)) if h_ij else float("-inf")
+              for h_ij in h.ravel().tolist()]
+    return ResultSet(columns, (
+        np.repeat(np.arange(len(h)), len(rx) * len(tx)).tolist(),
+        [label for label in rx for _ in tx] * len(h), tx * (len(h) * len(rx)),
+        h.real.ravel().tolist(), h.imag.ravel().tolist(), mag_db,
+        np.angle(h).ravel().tolist(),
+    ), {})
 
 
 def analyze_result_set(matrix, snr_linear) -> ResultSet:
@@ -534,9 +568,10 @@ def analyze_result_set(matrix, snr_linear) -> ResultSet:
     columns = ("subcarrier_index", "frequency_hz", "capacity_bps_hz",
                "condition_number")
     h = matrix.tones
-    rows = zip(range(len(h)), subcarrier_frequencies(matrix.frequency, len(h)).tolist(),
-               capacity(h, snr_linear).tolist(), condition_number(h).tolist())
-    return ResultSet(columns, list(rows), {})
+    return ResultSet(columns, (
+        range(len(h)), subcarrier_frequencies(matrix.frequency, len(h)).tolist(),
+        capacity(h, snr_linear).tolist(), condition_number(h).tolist(),
+    ), {})
 
 
 def sweep_result_set(rows_by_mode: dict, mac_efficiency: float) -> ResultSet:
@@ -547,81 +582,85 @@ def sweep_result_set(rows_by_mode: dict, mac_efficiency: float) -> ResultSet:
     columns = ("mode", "distance_m", "distance_ft", "capacity_mbps",
                "condition_number", "stream_snrs_db", "phy_rate_mbps",
                "throughput_mbps", "n_streams", "tx_columns")
-    rows = []
-    for mode in rows_by_mode:
-        for d, r in rows_by_mode[mode]:
-            rows.append((
-                mode, d, d / FOOT_M, r.capacity_bps / 1e6, r.condition_number,
-                ";".join(repr(float(s)) for s in r.stream_snrs_db),
-                r.phy_rate_bps / 1e6,
-                r.phy_rate_bps * mac_efficiency / 1e6,
-                len(r.tx_columns),
-                ";".join(str(c) for c in r.tx_columns) or "none",
-            ))
-    return ResultSet(columns, rows, {})
+    modes = [mode for mode, pairs in rows_by_mode.items() for _ in pairs]
+    ds = [d for pairs in rows_by_mode.values() for d, _ in pairs]
+    rs = [r for pairs in rows_by_mode.values() for _, r in pairs]
+    return ResultSet(columns, (
+        modes, ds, [d / FOOT_M for d in ds],
+        [r.capacity_bps / 1e6 for r in rs], [r.condition_number for r in rs],
+        [";".join(repr(float(s)) for s in r.stream_snrs_db) for r in rs],
+        [r.phy_rate_bps / 1e6 for r in rs],
+        [r.phy_rate_bps * mac_efficiency / 1e6 for r in rs],
+        [len(r.tx_columns) for r in rs],
+        [";".join(str(c) for c in r.tx_columns) or "none" for r in rs],
+    ), {})
 
 
 def separation_result_set(rows_by_mode: dict, mac_efficiency: float) -> ResultSet:
     columns = ("mode", "separation_m", "separation_cm", "mean_capacity_mbps",
                "max_condition_number", "mean_snr_db", "mean_phy_rate_mbps",
                "mean_throughput_mbps")
-    rows = []
-    for mode in rows_by_mode:
-        for sep, r in rows_by_mode[mode]:
-            rows.append((
-                mode, sep, sep * 100.0, r.capacity_bps / 1e6, r.condition_number,
-                float(r.stream_snrs_db[0]), r.phy_rate_bps / 1e6,
-                r.phy_rate_bps * mac_efficiency / 1e6,
-            ))
-    return ResultSet(columns, rows, {})
+    modes = [mode for mode, pairs in rows_by_mode.items() for _ in pairs]
+    seps = [sep for pairs in rows_by_mode.values() for sep, _ in pairs]
+    rs = [r for pairs in rows_by_mode.values() for _, r in pairs]
+    return ResultSet(columns, (
+        modes, seps, [sep * 100.0 for sep in seps],
+        [r.capacity_bps / 1e6 for r in rs], [r.condition_number for r in rs],
+        [float(r.stream_snrs_db[0]) for r in rs], [r.phy_rate_bps / 1e6 for r in rs],
+        [r.phy_rate_bps * mac_efficiency / 1e6 for r in rs],
+    ), {})
 
 
 def aggregate_result_set(sweep_rows, plan) -> ResultSet:
-    """sweep_rows: [(distance_m, total_bps, [ChainResult, ...]), ...]; the
-    metadata holds the plan name and its total bandwidth."""
+    """sweep_rows: [(distance_m, total_bps, [ChainResult, ...]), ...]; each
+    distance's chains are followed by its total row.  The metadata holds the
+    plan name and its total bandwidth."""
     columns = ("distance_m", "label", "center_hz", "bandwidth_hz", "dfs",
                "conversion_loss_db", "esnr_db", "phy_rate_mbps")
-    rows = []
+    cells = tuple([] for _ in columns)
+    ds, labels, centers, widths, dfs, losses, esnrs, rates = cells
     for d, total, chains in sweep_rows:
-        for c in chains:
-            rows.append((d, c.label, c.center_hz, c.bandwidth_hz, c.dfs,
-                         c.conversion_loss_db, c.esnr_db, c.phy_rate_bps / 1e6))
-        rows.append((d, "total", None, plan.total_bandwidth_hz, False, 0.0,
-                     None, total / 1e6))
-    return ResultSet(columns, rows, {
+        ds += [d] * (len(chains) + 1)
+        labels += [c.label for c in chains] + ["total"]
+        centers += [c.center_hz for c in chains] + [None]
+        widths += [c.bandwidth_hz for c in chains] + [plan.total_bandwidth_hz]
+        dfs += [c.dfs for c in chains] + [False]
+        losses += [c.conversion_loss_db for c in chains] + [0.0]
+        esnrs += [c.esnr_db for c in chains] + [None]
+        rates += [c.phy_rate_bps / 1e6 for c in chains] + [total / 1e6]
+    return ResultSet(columns, cells, {
         "plan": plan.name, "total_bandwidth_mhz": repr(plan.total_bandwidth_hz / 1e6)})
 
 
 def radiation_result_set(samples) -> ResultSet:
     columns = ("x_m", "y_m", "z_m", "hemisphere", "reference_dbm",
                "surface_fed_dbm", "offset_db")
-    rows = [
-        (s.position[0], s.position[1], s.position[2],
-         "front" if s.position[2] >= 0 else "back",
-         s.reference_dbm, s.surface_fed_dbm, s.offset_db)
-        for s in samples
-    ]
-    return ResultSet(columns, rows, {})
+    x, y, z = ([s.position[k] for s in samples] for k in range(3))
+    return ResultSet(columns, (
+        x, y, z, ["front" if zi >= 0 else "back" for zi in z],
+        [s.reference_dbm for s in samples], [s.surface_fed_dbm for s in samples],
+        [s.offset_db for s in samples],
+    ), {})
 
 
 def share_result_set(results) -> ResultSet:
     columns = ("pair_index", "channel", "solo_rate_mbps", "win_fraction",
                "throughput_mbps")
-    rows = [
-        (r.pair_index, r.channel, r.solo_rate_bps / 1e6, r.win_fraction,
-         r.throughput_bps / 1e6)
-        for r in results
-    ]
-    return ResultSet(columns, rows, {})
+    return ResultSet(columns, (
+        [r.pair_index for r in results], [r.channel for r in results],
+        [r.solo_rate_bps / 1e6 for r in results], [r.win_fraction for r in results],
+        [r.throughput_bps / 1e6 for r in results],
+    ), {})
 
 
 def pulse_result_set(profile) -> ResultSet:
     columns = ("time_ns", "re", "im", "magnitude")
     y = profile.samples
     # the builtin abs of each sample: np.abs rounds some magnitudes differently
-    rows = list(zip((profile.time_s * 1e9).tolist(), y.real.tolist(), y.imag.tolist(),
-                    map(abs, y.tolist())))
-    return ResultSet(columns, rows, {
+    return ResultSet(columns, (
+        (profile.time_s * 1e9).tolist(), y.real.tolist(), y.imag.tolist(),
+        list(map(abs, y.tolist())),
+    ), {
         "sample_rate_hz": repr(profile.sample_rate_hz),
         "rms_delay_spread_s": repr(profile.response.rms_delay_spread())})
 

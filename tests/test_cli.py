@@ -402,6 +402,33 @@ def test_non_finite_link_settings_exit_2_at_the_analysis_line(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("contact_spacing_m", "0"), ("contact_spacing_m", "-0.4"), ("air_antenna_spacing_m", "0"),
+])
+def test_non_positive_spacings_exit_2_at_the_analysis_line(tmp_path, capsys, key, value):
+    # these used to run: the surface-3x3 row of spacing 0 read kappa = inf
+    # with two streams, -0.4 three streams, and air-mimo at 0 one stream
+    out = tmp_path / "o.csv"
+    scene = str(_tiny_scene(tmp_path, **{key: value}))
+    assert main(["sweep", "--scene", scene, "--mode", "all", "--distances-ft", "1",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert f"line 6: {key} must be positive, got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["all", "air-mimo"])
+def test_separation_zero_exits_2_where_it_sets_the_air_spacing(tmp_path, capsys, mode):
+    out = tmp_path / "o.csv"
+    assert main(["separation", "--mode", mode, "--separations-cm", "0", *FAST_SWEEP,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert ("config error: air_antenna_spacing_m must be positive, got 0.0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # a surface mode's separation is the antenna height, and a height of 0 is legal
+    assert main(["separation", "--mode", "surface-2x2", "--separations-cm", "0",
+                 *FAST_SWEEP, "--out", str(out)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("command", [["sweep", "--mode", "siso", "--distances-ft", "1"],
                                      ["separation", "--separations-cm", "1"]])
 def test_material_is_refused_with_a_scene(tmp_path, capsys, command):

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import textwrap
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from surfmimo import presets
 from surfmimo.channel import ChannelMatrix, build_mimo, csi, subcarrier_frequencies
 from surfmimo.errors import ConfigError, ResultIOError
 from surfmimo.experiments import (
+    ChainResult,
     LinkResult,
     LinkSettings,
     RadiationSample,
@@ -395,7 +397,7 @@ def test_config_hash_tells_close_and_lookalike_values_apart():
 def test_result_set_round_trip(tmp_path):
     rs = ResultSet(
         ("a", "b", "c", "d"),
-        ((math.pi, -3, True, None), (1.0000000000000002, 0, False, "text")),
+        ((math.pi, 1.0000000000000002), (-3, 0), (True, False), (None, "text")),
         {"seed": 1905, "zeta": "last", "alpha": "first"},
     )
     p = tmp_path / "out.csv"
@@ -411,7 +413,7 @@ def test_result_set_round_trip(tmp_path):
 
 
 def test_result_set_written_bytes_deterministic(tmp_path):
-    rs = ResultSet(("x",), ((0.1,), (2,)), {"b": "2", "a": "1"})
+    rs = ResultSet(("x",), ((0.1, 2),), {"b": "2", "a": "1"})
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_results(rs, p1)
     write_results(rs, p2)
@@ -429,6 +431,20 @@ def _reference_format(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+def _reference_bytes(columns, rows, metadata) -> bytes:
+    """The file write_results wrote when it wrote rows: csv.writer over each
+    row's cells, formatted by _reference_format."""
+    want = io.StringIO()
+    want.write("# surfmimo-results v1\n")
+    for key in sorted(metadata):
+        want.write(f"# {key}: {metadata[key]}\n")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_reference_format(v) for v in row])
+    return want.getvalue().encode("utf-8")
 
 
 _CELLS = st.one_of(
@@ -458,25 +474,24 @@ def test_written_cells_match_reference_formatting(rows):
         for v in row:
             assert rio._FORMATTERS.get(type(v), rio._format_value)(v) == _reference_format(v)
     columns = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 1))
-    want = io.StringIO()
-    want.write("# surfmimo-results v1\n# k: v\n")
-    writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_reference_format(v) for v in row])
+    cells = [[row[c] for row in rows] for c in range(len(columns))]
+    want = _reference_bytes(columns, rows, {"k": "v"})
     # the default chunk of rows, and chunks of two rows whose columns can
     # hold one cell type in one chunk and several in the next
     for chunk in (rio._WRITE_ROWS, 2):
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(rio, "_WRITE_ROWS", chunk):
             path = os.path.join(tmp, "r.csv")
-            write_results(ResultSet(columns, rows, {"k": "v"}), path)
+            write_results(ResultSet(columns, cells, {"k": "v"}), path)
             got = open(path, "rb").read()
-        assert got == want.getvalue().encode("utf-8")
+        assert got == want
 
 
 def test_result_set_validation_and_read_errors(tmp_path):
-    with pytest.raises(ResultIOError, match="row width"):
+    with pytest.raises(ResultIOError, match=r"2 column names need as many columns of cells "
+                                            r"of one length, got \[1\]"):
         ResultSet(("a", "b"), ((1,),), {})
+    with pytest.raises(ResultIOError, match=r"got \[1, 0\]"):
+        ResultSet(("a", "b"), ((1,), ()), {})
     plain = tmp_path / "plain.csv"
     plain.write_text("a,b\n1,2\n")
     with pytest.raises(ResultIOError, match="not a surfmimo results file"):
@@ -485,10 +500,26 @@ def test_result_set_validation_and_read_errors(tmp_path):
     headerless.write_text("# surfmimo-results v1\n# k: v\n")
     with pytest.raises(ResultIOError, match="no column header"):
         read_results(headerless)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("# surfmimo-results v1\na,b\n1,2\n3\n")
+    with pytest.raises(ResultIOError, match="row width 1 does not match 2 columns"):
+        read_results(ragged)
     with pytest.raises(ResultIOError, match="cannot read"):
         read_results(tmp_path / "nope.csv")
     with pytest.raises(ResultIOError, match="cannot write"):
-        write_results(ResultSet(("a",), (), {}), tmp_path / "no" / "dir.csv")
+        write_results(ResultSet(("a",), ((),), {}), tmp_path / "no" / "dir.csv")
+
+
+def test_result_set_is_its_columns():
+    rs = ResultSet(("a", "b"), ([1, 2], ("x", None)), {})
+    assert rs.cells == ((1, 2), ("x", None))
+    assert rs.rows == ((1, "x"), (2, None))
+    assert rs.n_rows == 2
+    assert ResultSet(("a",), ((),), {}).rows == ()
+    # stamping metadata copies no cell: the copy shares every column
+    stamped = replace(rs, metadata={"seed": 7})
+    assert stamped.metadata == {"seed": "7"}
+    assert all(a is b for a, b in zip(stamped.cells, rs.cells))
 
 
 # --- builders -------------------------------------------------------------------
@@ -593,20 +624,64 @@ def test_radiation_and_share_result_sets():
     assert share.rows[0] == (0, 6, 100.0, 0.5, 50.0)
 
 
-def test_pulse_result_set_carries_spread_metadata():
+def _pulse_fixture():
     from surfmimo.experiments import pulse_profile
-    from surfmimo import presets
-    from surfmimo.io import load_config
 
     cfg = load_config(presets.scene_path("cloth_10ft"))
     tx = cfg.scene.transmitters()[0].ports[0]
     rx = cfg.scene.receivers()[0].ports[0]
-    prof = pulse_profile(cfg.scene, tx, rx, band=cfg.settings.band, grid=8)
-    rs = pulse_result_set(prof)
+    return pulse_result_set(pulse_profile(cfg.scene, tx, rx, band=cfg.settings.band, grid=8))
+
+
+def test_pulse_result_set_carries_spread_metadata():
+    rs = _pulse_fixture()
     assert rs.columns == ("time_ns", "re", "im", "magnitude")
     assert set(rs.metadata) == {"rms_delay_spread_s", "sample_rate_hz"}
     assert float(rs.metadata["rms_delay_spread_s"]) > 0
     assert rs.metadata["sample_rate_hz"] == repr(4e9)
+
+
+def _two_tone_matrix():
+    m = _fake_matrix()
+    return ChannelMatrix(np.stack([m.entries, -1j * m.entries]), m.frequency,
+                         m.rx_port_kinds, m.tx_port_kinds)
+
+
+_DEAD_LINK = LinkResult(capacity_bps=0.0, condition_number=math.inf, stream_snrs_db=(),
+                        phy_rate_bps=0.0, mode="MIMO-3x3")
+
+# one small result set from each `*_result_set`, with text, None, bool, int and
+# float cells, -inf and empty cells among them
+_RESULT_SET_FIXTURES = {
+    "channel": lambda: channel_result_set(_two_tone_matrix()),
+    "analyze": lambda: analyze_result_set(_two_tone_matrix(), 1e4),
+    "sweep": lambda: sweep_result_set(
+        {"siso": [(0.3048, _link_result())],
+         "surface-3x3": [(0.3048, replace(_link_result(), tx_columns=(0, 2))),
+                         (0.6096, _DEAD_LINK)]}, 0.65),
+    "separation": lambda: separation_result_set(
+        {"surface-2x2": [(0.01, _link_result()), (0.03, _link_result(90e6))],
+         "air-mimo": [(0.01, _link_result(60e6))]}, 0.65),
+    "aggregate": lambda: aggregate_result_set(
+        [(0.3048, 350e6, [ChainResult("5ghz-ch38", 5.19e9, 40e6, False, 0.0, 31.5, 200e6),
+                          ChainResult("5ghz-ch54", 5.27e9, 40e6, True, 1.5, 27.25, 150e6)]),
+         (0.6096, 0.0, [])], scenario2_plan()),
+    "radiation": lambda: radiation_result_set(
+        [RadiationSample((0.5, 0.0, 0.25), -40.0, -53.0, 13.0),
+         RadiationSample((0.5, 0.0, -0.25), -40.0, -65.0, 25.0)]),
+    "share": lambda: share_result_set([ShareResult(0, 6, 100e6, 0.5, 50e6),
+                                       ShareResult(1, 11, 150e6, 1.0, 150e6)]),
+    "pulse": _pulse_fixture,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RESULT_SET_FIXTURES))
+def test_result_set_bytes_match_the_row_writer(kind, tmp_path):
+    rs = _RESULT_SET_FIXTURES[kind]()
+    assert rs.n_rows > 1
+    path = tmp_path / "out.csv"
+    write_results(rs, path)
+    assert path.read_bytes() == _reference_bytes(rs.columns, rs.rows, rs.metadata)
 
 
 def test_write_plot_script(tmp_path):

@@ -63,6 +63,13 @@ def test_link_settings_validation_and_budget():
     for beta in (0.0, -2.0):
         with pytest.raises(ConfigError, match="esm_beta"):
             LinkSettings(esm_beta=beta)
+    # a spacing of 0 put two ports on one point, and a negative one moved the
+    # far contact behind its partner; both ran
+    with pytest.raises(ConfigError) as err:
+        LinkSettings(contact_spacing_m=0.0, air_antenna_spacing_m=-0.4)
+    assert err.value.problems == ["contact_spacing_m must be positive, got 0.0",
+                                  "air_antenna_spacing_m must be positive, got -0.4"]
+    assert LinkSettings(antenna_height_m=0.0).antenna_height_m == 0.0
     with pytest.raises(ConfigError, match="max_image_order"):
         ChannelParams(max_image_order=-1)
     assert LinkSettings(snr_db=20.0).snr_linear() == 100.0
