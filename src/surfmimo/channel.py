@@ -434,9 +434,13 @@ def _surface_paths(tx, rx, scene: Scene, params: ChannelParams):
     """(clamped lengths, loss factors) of the direct surface path (index 0)
     and the boundary images of the receiver (straight segments to the
     mirrored point, the standard image-method approximation, also used for
-    obstacle shadowing).  A loss factor is refl_coeff per bounce times the
-    obstacle losses; a path's amplitude is its factor times the surface law
-    ``_surface_field`` at its length."""
+    obstacle shadowing).  A loss factor is refl_coeff raised to the image's
+    ring index max(cx, cy) (``geometry.image_sources``), times the obstacle
+    losses; a path's amplitude is its factor times the surface law
+    ``_surface_field`` at its length.  So the corner image, mirrored once
+    in x and once in y, carries refl_coeff**1, not refl_coeff**2.  The
+    per-wall rule refl_coeff**(cx + cy) of the image method is an open
+    decision; taking it changes outputs."""
     m = scene.surface.material
     order = params.max_image_order if m.refl_coeff > 0 else 0
     lengths = [math.hypot(tx[0] - rx[0], tx[1] - rx[1])]

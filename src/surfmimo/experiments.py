@@ -88,18 +88,18 @@ class LinkSettings:
         problems = []
         if not 0.0 < self.mac_efficiency <= 1.0:
             problems.append(f"mac_efficiency must be in (0, 1], got {self.mac_efficiency}")
-        if not self.esm_beta > 0:
-            problems.append(f"esm_beta must be positive, got {self.esm_beta}")
-        if not self.antenna_height_m >= 0:
-            problems.append(f"antenna_height_m must be >= 0, got {self.antenna_height_m}")
-        for name in ("contact_spacing_m", "air_antenna_spacing_m"):
-            if not getattr(self, name) > 0:
-                problems.append(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("tx_power_dbm", "snr_db", "esm_beta", "antenna_height_m",
-                     "contact_spacing_m", "air_antenna_spacing_m"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                problems.append(f"{name} must be finite, got {value}")
+        nonfinite = [name for name in ("tx_power_dbm", "snr_db", "esm_beta", "antenna_height_m",
+                                       "contact_spacing_m", "air_antenna_spacing_m")
+                     if (value := getattr(self, name)) is not None and not math.isfinite(value)]
+        # a value named as not finite is not named again by its range
+        for name, ok, rule in (("esm_beta", self.esm_beta > 0, "positive"),
+                               ("antenna_height_m", self.antenna_height_m >= 0, ">= 0"),
+                               ("contact_spacing_m", self.contact_spacing_m > 0, "positive"),
+                               ("air_antenna_spacing_m", self.air_antenna_spacing_m > 0,
+                                "positive")):
+            if not ok and name not in nonfinite:
+                problems.append(f"{name} must be {rule}, got {getattr(self, name)}")
+        problems += [f"{name} must be finite, got {getattr(self, name)}" for name in nonfinite]
         if problems:
             raise ConfigError(problems)
         if self.params is None:
@@ -387,6 +387,8 @@ def pulse_profile(scene: Scene, tx_port, rx_port,
         raise ConfigError(f"sample rate must be finite and >= 1 GHz, got {sample_rate_hz:.3g}")
     if duration_s is not None and not (math.isfinite(duration_s) and duration_s > 0):
         raise ConfigError(f"duration must be positive and finite, got {duration_s:.3g} s")
+    if not (math.isfinite(pulse_width_s) and pulse_width_s > 0):
+        raise ConfigError(f"pulse width must be positive and finite, got {pulse_width_s:.3g} s")
     band = band or FrequencyBand(2.437e9, 40e6)
     resp = impulse_response(tx_port, rx_port, scene, band, grid, params)
     delays = resp.delays()
@@ -395,8 +397,12 @@ def pulse_profile(scene: Scene, tx_port, rx_port,
     n = int(math.ceil(duration_s * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz
     y = np.zeros(n, dtype=complex)
-    for delay, amp in resp.taps:
-        y[(t >= delay) & (t < delay + pulse_width_s)] += amp
+    # tap k covers the samples with delay <= t < delay + width: one index
+    # range each on the sorted sample times, added in tap order
+    lo = np.searchsorted(t, delays)
+    hi = np.searchsorted(t, delays + pulse_width_s)
+    for a, b, (_, amp) in zip(lo.tolist(), hi.tolist(), resp.taps):
+        y[a:b] += amp
     return PulseProfile(t, y, resp, sample_rate_hz, pulse_width_s)
 
 

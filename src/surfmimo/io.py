@@ -14,7 +14,6 @@ deterministic, so equal inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import re
@@ -346,7 +345,22 @@ def config_hash(value) -> str:
     from . import __version__
 
     text = json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256((text + __version__).encode()).hexdigest()[:16]
+    return _sha256()((text + __version__).encode()).hexdigest()[:16]
+
+
+def _sha256():
+    """The interpreter's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256``
+    before), as ``random`` takes its SHA-512; ``hashlib`` only when neither
+    is built in, because importing it loads OpenSSL (~3.6 MB) into every
+    command.  The digest is the same from all three."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 def _canonical(v):

@@ -93,6 +93,21 @@ def test_h_ss_images_strengthen_multipath():
     assert with_images != base
 
 
+def test_image_loss_is_the_reflection_coefficient_to_the_ring_index():
+    # the corner image (mirrored across x = 0 and y = 0) is in ring 1, so at
+    # order 1 it carries rho**1; the per-wall rule would give rho**2
+    rho = 0.5
+    scene = _two_contact_scene(_flat_material(rho), width=3.0, height=1.0)
+    tx, rx = (0.5, 0.5), (1.7, 0.3)
+    lengths, factors = channel._surface_paths(
+        tx, rx, scene, dataclasses.replace(NO_COUPLING, max_image_order=1))
+    assert len(lengths) == 9 and factors[0] == 1.0
+    corner = math.hypot(tx[0] + rx[0], tx[1] + rx[1])  # the image at (-1.7, -0.3)
+    wall = math.hypot(tx[0] + rx[0], tx[1] - rx[1])  # the image at (-1.7, 0.3)
+    assert factors[lengths == corner].tolist() == [rho]
+    assert factors[lengths == wall].tolist() == [rho]
+
+
 def test_h_ss_sub_reference_distance_warns_and_clamps():
     m = _flat_material()
     scene = Scene(SurfaceSpec(3.0, 1.0, m), (

@@ -1,9 +1,15 @@
-"""End-to-end CLI runs (in-process) and exit-code contract."""
+"""End-to-end CLI runs (in process, and once in a fresh interpreter) and
+exit-code contract."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import surfmimo
 from surfmimo.cli import EXIT_CONFIG, EXIT_IO, EXIT_MODEL, EXIT_OK, main
 from surfmimo.io import read_results
 
@@ -23,6 +29,30 @@ def _tiny_scene(tmp_path, **analysis):
     p = tmp_path / "tiny.yaml"
     p.write_text(body)
     return p
+
+
+def test_the_commands_load_no_openssl(tmp_path):
+    # config_hash takes SHA-256 from the interpreter's built-in module: the
+    # hashlib import loaded OpenSSL's libcrypto (~3.6 MB) into every command
+    script = textwrap.dedent("""\
+        import sys
+        from surfmimo.cli import main
+
+        for name, argv in {
+            "sweep": ["sweep", "--mode", "all", "--distances-ft", "1,2", "--grid", "8",
+                      "--subcarriers", "2"],
+            "channel": ["channel", "--scene", "default_3x3"],
+            "pulse": ["pulse", "--scene", "default_3x3"],
+        }.items():
+            assert main(argv + ["--out", f"{sys.argv[1]}/{name}.csv"]) == 0, name
+        print(sorted({"_hashlib", "ssl"} & set(sys.modules)))
+    """)
+    src = str(Path(surfmimo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"  # after the "wrote" lines
 
 
 def test_version_banner(capsys):
@@ -398,7 +428,9 @@ def test_non_finite_link_settings_exit_2_at_the_analysis_line(tmp_path, capsys, 
     scene = str(_tiny_scene(tmp_path, **{key: value}))
     assert main(["sweep", "--scene", scene, "--mode", "all", "--distances-ft", "1",
                  "--out", str(out)]) == EXIT_CONFIG
-    assert f"line 6: {key} must be finite, got {shown}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"line 6: {key} must be finite, got {shown}" in err
+    assert err.count(f"{key} must") == 1  # not named again by its range check
     assert not out.exists()
 
 

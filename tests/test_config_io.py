@@ -1,9 +1,12 @@
 """Config parsing, result serialization, reproducibility hashes."""
 
 import csv
+import hashlib
 import io
+import json
 import math
 import os
+import sys
 import tempfile
 import textwrap
 from dataclasses import replace
@@ -15,6 +18,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surfmimo
+from surfmimo import io as rio
 from surfmimo import presets
 from surfmimo.channel import ChannelMatrix, build_mimo, csi, subcarrier_frequencies
 from surfmimo.errors import ConfigError, ResultIOError
@@ -338,8 +343,6 @@ def test_merged_key_problem_reports_the_line_it_is_written_on():
 
 
 def test_valid_config_builds_no_line_index(monkeypatch):
-    from surfmimo import io as rio
-
     def refuse(root):
         raise AssertionError("line index built for a valid config")
 
@@ -389,6 +392,27 @@ def test_config_hash_tells_close_and_lookalike_values_apart():
               "near_field_coupling": c.near_field_coupling}
     assert config_hash(c) != config_hash(fields)
     assert config_hash(c) == config_hash(CouplingConstants(0.02, 0.02, 0.02, 0.95))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+@pytest.mark.parametrize("builtin", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(value=JSON_VALUES)
+def test_config_hash_is_sha256_of_the_canonical_text(builtin, value):
+    # SHA-256 comes from the interpreter's built-in module, so that no command
+    # loads OpenSSL; hidden, hashlib gives it, and the digest is the same
+    text = json.dumps(rio._canonical(value), sort_keys=True, separators=(",", ":"))
+    expected = hashlib.sha256((text + surfmimo.__version__).encode()).hexdigest()[:16]
+    hidden = {} if builtin else {"_sha2": None, "_sha256": None}
+    with mock.patch.dict(sys.modules, hidden):
+        assert (rio._sha256() is hashlib.sha256) is not builtin
+        assert config_hash(value) == expected
 
 
 # --- result sets ---------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfmimo import presets
-from surfmimo.channel import ChannelParams, CouplingConstants
+from surfmimo import experiments
+from surfmimo.channel import ChannelParams, CouplingConstants, ImpulseResponse
 from surfmimo.errors import ConfigError, DomainError
 from surfmimo.experiments import (
     FOOT_M,
@@ -69,6 +73,18 @@ def test_link_settings_validation_and_budget():
         LinkSettings(contact_spacing_m=0.0, air_antenna_spacing_m=-0.4)
     assert err.value.problems == ["contact_spacing_m must be positive, got 0.0",
                                   "air_antenna_spacing_m must be positive, got -0.4"]
+    # a value that is not finite is named once, by the finite check, and not
+    # again by its range check
+    nan = float("nan")
+    with pytest.raises(ConfigError) as err:
+        LinkSettings(contact_spacing_m=nan, antenna_height_m=nan)
+    assert err.value.problems == ["antenna_height_m must be finite, got nan",
+                                  "contact_spacing_m must be finite, got nan"]
+    with pytest.raises(ConfigError) as err:
+        LinkSettings(esm_beta=nan, air_antenna_spacing_m=-math.inf, contact_spacing_m=0.0)
+    assert err.value.problems == ["contact_spacing_m must be positive, got 0.0",
+                                  "esm_beta must be finite, got nan",
+                                  "air_antenna_spacing_m must be finite, got -inf"]
     assert LinkSettings(antenna_height_m=0.0).antenna_height_m == 0.0
     with pytest.raises(ConfigError, match="max_image_order"):
         ChannelParams(max_image_order=-1)
@@ -222,6 +238,52 @@ def test_pulse_profile_validates_sample_rate():
     tx, rx = scene.transmitters()[0].ports[0], scene.receivers()[0].ports[0]
     with pytest.raises(ConfigError):
         pulse_profile(scene, tx, rx, sample_rate_hz=0.5e9)
+    for width in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="pulse width"):
+            pulse_profile(scene, tx, rx, pulse_width_s=width)
+
+
+def _mask_samples(time_s, taps, width_s):
+    """Each tap added to the samples with delay <= t < delay + width, one
+    boolean mask over all samples per tap: the reference placement."""
+    y = np.zeros(len(time_s), dtype=complex)
+    for delay, amp in taps:
+        y[(time_s >= delay) & (time_s < delay + width_s)] += amp
+    return y
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 60), st.sampled_from([0.0, 0.5, 0.999999]),
+                          st.complex_numbers(max_magnitude=10.0, allow_nan=False)),
+                min_size=1, max_size=8, unique_by=lambda tap: tap[:2]),
+       st.sampled_from([1e-9, 0.25e-9, 0.6e-9, 5e-9]))
+def test_pulse_taps_land_on_the_samples_the_mask_picks(picks, width_s):
+    # delays on sample boundaries (k / fs), between them, and past the 40
+    # sample horizon; widths of whole and fractional sample counts
+    fs = 4e9
+    taps = tuple(sorted(((k + frac) / fs, amp) for k, frac, amp in picks))
+    scene = _single_path_scene()
+    tx, rx = scene.transmitters()[0].ports[0], scene.receivers()[0].ports[0]
+    with mock.patch.object(experiments, "impulse_response",
+                           return_value=ImpulseResponse(taps, 40e6)):
+        prof = pulse_profile(scene, tx, rx, sample_rate_hz=fs, duration_s=10e-9,
+                             pulse_width_s=width_s)
+    assert len(prof.samples) == 40
+    expected = _mask_samples(prof.time_s, taps, width_s)
+    assert prof.samples.tobytes() == expected.tobytes()
+
+
+def test_pulse_samples_of_the_desk_scene_equal_the_mask_placement():
+    from surfmimo.io import load_config
+
+    cfg = load_config(presets.scene_path("default_3x3"))
+    tx_ports = cfg.scene.transmitters()[0].ports
+    rx_ports = cfg.scene.receivers()[0].ports
+    for tx in tx_ports:
+        for rx in rx_ports:
+            prof = pulse_profile(cfg.scene, tx, rx, band=cfg.settings.band, grid=8)
+            expected = _mask_samples(prof.time_s, prof.response.taps, prof.pulse_width_s)
+            assert prof.samples.tobytes() == expected.tobytes()
 
 
 def test_pulse_default_horizon_covers_late_taps():
