@@ -421,38 +421,28 @@ def _composite(grid: _Grid, k, a_tx, a_rx, params: ChannelParams):
 # --- discrete paths ---------------------------------------------------------------
 
 
-def _obstacle_factor(p0, p1, scene: Scene) -> float:
-    """Linear amplitude factor for obstacles crossed by a straight surface path."""
-    factor = 1.0
-    for ob in scene.obstacles:
-        if segment_crosses_rect(p0, p1, ob):
-            factor *= 10.0 ** (-ob.perturbation_db / 20.0)
-    return factor
-
-
 def _surface_paths(tx, rx, scene: Scene, params: ChannelParams):
-    """(clamped lengths, loss factors) of the direct surface path (index 0)
-    and the boundary images of the receiver (straight segments to the
-    mirrored point, the standard image-method approximation, also used for
-    obstacle shadowing).  A loss factor is refl_coeff raised to the image's
-    ring index max(cx, cy) (``geometry.image_sources``), times the obstacle
-    losses; a path's amplitude is its factor times the surface law
-    ``_surface_field`` at its length.  So the corner image, mirrored once
-    in x and once in y, carries refl_coeff**1, not refl_coeff**2.  The
-    per-wall rule refl_coeff**(cx + cy) of the image method is an open
-    decision; taking it changes outputs."""
+    """(clamped lengths, loss factors) of the surface paths from tx to each
+    image of rx (``geometry.image_sources``), the direct path, the image with
+    counts (0, 0), first: straight segments to the mirrored point, the
+    standard image-method approximation, also used for obstacle shadowing.
+    A factor is the obstacle losses, in obstacle order, times refl_coeff to
+    the image's ring index, its larger count; a path's amplitude is its
+    factor times ``_surface_field`` at its length.  So the corner image
+    carries refl_coeff**1, not refl_coeff**2.  The per-wall rule
+    refl_coeff**(cx + cy) of the image method is an open decision, made by
+    ``exponents`` alone; taking it changes outputs."""
     m = scene.surface.material
     order = params.max_image_order if m.refl_coeff > 0 else 0
-    lengths = [math.hypot(tx[0] - rx[0], tx[1] - rx[1])]
-    counts = [0.0]
-    factors = [_obstacle_factor(tx, rx, scene)]
-    if order >= 1:
-        for pos, count in image_sources(rx, order, scene.surface):
-            if count == 0:
-                continue
-            lengths.append(math.hypot(tx[0] - pos[0], tx[1] - pos[1]))
-            counts.append(float(count))
-            factors.append(_obstacle_factor(tx, pos, scene))
+    images = image_sources(rx, order, scene.surface)
+    lengths = [math.hypot(tx[0] - x, tx[1] - y) for (x, y), _ in images]
+    exponents = [max(cx, cy) for _, (cx, cy) in images]
+    factors = [1.0] * len(images)
+    for ob in scene.obstacles:
+        loss = 10.0 ** (-ob.perturbation_db / 20.0)
+        for i, (pos, _) in enumerate(images):
+            if segment_crosses_rect(tx, pos, ob):
+                factors[i] *= loss
     if lengths[0] < m.d0_m:
         # the warning names the first caller outside this package
         level, frame = 1, sys._getframe()
@@ -464,7 +454,7 @@ def _surface_paths(tx, rx, scene: Scene, params: ChannelParams):
             RuntimeWarning,
             stacklevel=level,
         )
-    return np.maximum(lengths, m.d0_m), m.refl_coeff ** np.array(counts) * np.array(factors)
+    return np.maximum(lengths, m.d0_m), m.refl_coeff ** np.array(exponents) * np.array(factors)
 
 
 def _near_field(antenna, scene: Scene, params: ChannelParams):

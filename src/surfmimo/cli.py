@@ -98,7 +98,10 @@ def _sweep_settings(args) -> tuple:
         raise ConfigError(["--material cannot be given with --scene: the scene sets the surface"])
     if args.scene:
         cfg = _load_scene_config(args.scene)
-        template, settings = cfg.template(), cfg.settings
+        try:
+            template, settings = cfg.template(), cfg.settings
+        except ConfigError as exc:
+            raise ConfigError([f"{args.scene}: {p}" for p in exc.problems]) from exc
     else:
         template = default_template() if args.material is None else default_template(args.material)
         settings = LinkSettings()

@@ -3,8 +3,9 @@
 A scene is a rectangular conductive surface with devices placed on it.
 Each device (node) exposes surface contact points and/or air antennas.
 Boundary-reflection multipath is modeled with the image-source method on
-the rectangle: ring k around the original point contributes 8k mirror
-images, each tagged with reflection count k.
+the rectangle: each mirror image carries its reflection counts (cx, cy)
+along x and y; ring k, the images whose larger count is k, holds 8k, and
+the point itself is the image (0, 0).
 """
 
 from __future__ import annotations
@@ -110,10 +111,11 @@ def _axis_images(x: float, length: float, order: int):
 def image_sources(p, order: int, s: SurfaceSpec):
     """Mirror images of point p across the rectangle edges up to the given order.
 
-    Returns a list of ((x, y), count) where count is the ring index
-    max(count_x, count_y); ring k contains 8k images, so the cumulative
-    count through ring k is (2k+1)**2.  Order 0 returns only the point
-    itself.  Deterministic ordering: by count, then y, then x.
+    Returns a list of ((x, y), (cx, cy)), cx and cy the reflections across
+    the vertical and horizontal walls, each at most ``order``: ring k, the
+    images with larger count k, holds 8k, so the list holds (2k+1)**2
+    through ring k.  Order 0 returns only the point itself.  Deterministic
+    ordering: by ring, then y, then x, so the point, (0, 0), comes first.
     """
     x, y = float(p[0]), float(p[1])
     if order < 0:
@@ -122,14 +124,9 @@ def image_sources(p, order: int, s: SurfaceSpec):
         raise DomainError(f"point ({x}, {y}) is outside the {s.width_m} x {s.height_m} surface")
     xs = _axis_images(x, s.width_m, order)
     ys = _axis_images(y, s.height_m, order)
-    images = []
-    for iy, cy in ys:
-        for ix, cx in xs:
-            count = max(cx, cy)
-            if count <= order:
-                images.append(((ix, iy), count))
-    images.sort(key=lambda it: (it[1], it[0][1], it[0][0]))
-    return images
+    # ring first, as the larger count, so that the tuples sort without a key
+    ranked = sorted((cx if cx > cy else cy, iy, ix, cx, cy) for iy, cy in ys for ix, cx in xs)
+    return [((ix, iy), (cx, cy)) for _, iy, ix, cx, cy in ranked]
 
 
 def reflect(value: float, edge: float) -> float:

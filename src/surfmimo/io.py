@@ -326,7 +326,10 @@ class ScenarioConfig:
     settings: LinkSettings
 
     def template(self) -> SceneTemplate:
-        """Sweep template anchored at the first transmitter port."""
+        """Sweep template anchored at the first transmitter port, refused for obstacles."""
+        if self.scene.obstacles:
+            raise ConfigError("obstacles: a sweep template keeps only the surface and "
+                              "cannot place them; run channel or analyze on this scene")
         tx = self.scene.transmitters()[0]
         kind, pos = tx.ports[0]
         return SceneTemplate(self.scene.surface, tx_x_m=pos[0], link_y_m=pos[1])
@@ -476,6 +479,12 @@ class ResultSet:
         object.__setattr__(
             self, "metadata", {str(k): str(v) for k, v in self.metadata.items()}
         )
+        # an item is one '# key: value' line, split on ':' and stripped; every
+        # break str.splitlines knows is whitespace, so strip finds them at the ends
+        for key, value in self.metadata.items():
+            if not key or ":" in key or any(
+                    t != t.strip() or len(t.splitlines()) > 1 for t in (key, value)):
+                raise ResultIOError(f"metadata {key!r}: {value!r} would not read back as itself")
         if len(self.cells) != len(self.columns) or len(set(map(len, self.cells))) > 1:
             raise ResultIOError(f"{len(self.columns)} column names need as many columns of "
                                 f"cells of one length, got {[len(c) for c in self.cells]}")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,16 @@ from surfmimo.channel import (
     subcarrier_frequencies,
 )
 from surfmimo.errors import ConfigError, DomainError, NearFieldError, PresetError
-from surfmimo.geometry import ANTENNA, CONTACT, Node, Obstacle, Scene, SurfaceSpec
+from surfmimo.geometry import (
+    ANTENNA,
+    CONTACT,
+    Node,
+    Obstacle,
+    Scene,
+    SurfaceSpec,
+    _axis_images,
+    segment_crosses_rect,
+)
 from surfmimo.mimo import capacity
 from surfmimo.propagation import (
     SPEED_OF_LIGHT,
@@ -106,6 +116,63 @@ def test_image_loss_is_the_reflection_coefficient_to_the_ring_index():
     wall = math.hypot(tx[0] + rx[0], tx[1] - rx[1])  # the image at (-1.7, 0.3)
     assert factors[lengths == corner].tolist() == [rho]
     assert factors[lengths == wall].tolist() == [rho]
+
+
+def _two_branch_surface_paths(tx, rx, scene, params):
+    """The reference: the direct path in one branch and the ring-indexed
+    images in another, each with its own length, loss count and obstacle
+    factor."""
+
+    def obstacle_factor(p0, p1):
+        factor = 1.0
+        for ob in scene.obstacles:
+            if segment_crosses_rect(p0, p1, ob):
+                factor *= 10.0 ** (-ob.perturbation_db / 20.0)
+        return factor
+
+    m = scene.surface.material
+    order = params.max_image_order if m.refl_coeff > 0 else 0
+    lengths = [math.hypot(tx[0] - rx[0], tx[1] - rx[1])]
+    counts = [0.0]
+    factors = [obstacle_factor(tx, rx)]
+    if order >= 1:
+        s = scene.surface
+        images = [((ix, iy), max(cx, cy)) for iy, cy in _axis_images(rx[1], s.height_m, order)
+                  for ix, cx in _axis_images(rx[0], s.width_m, order)]
+        images.sort(key=lambda it: (it[1], it[0][1], it[0][0]))
+        for pos, count in images:
+            if count == 0:
+                continue
+            lengths.append(math.hypot(tx[0] - pos[0], tx[1] - pos[1]))
+            counts.append(float(count))
+            factors.append(obstacle_factor(tx, pos))
+    return np.maximum(lengths, m.d0_m), m.refl_coeff ** np.array(counts) * np.array(factors)
+
+
+@st.composite
+def _obstacle(draw, w, h):
+    x0, x1 = sorted(draw(st.floats(0.0, w)) for _ in range(2))
+    y0, y1 = sorted(draw(st.floats(0.0, h)) for _ in range(2))
+    return Obstacle(x0, y0, x1, y1, perturbation_db=draw(st.floats(0.0, 40.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=st.floats(0.2, 6.0), h=st.floats(0.2, 2.0), rho=st.sampled_from([0.0, 0.3, 1.0]),
+       order=st.integers(0, 4), data=st.data())
+def test_surface_paths_are_bitwise_the_two_branch_form(w, h, rho, order, data):
+    # every path, the direct one included, comes from one image list; the
+    # lengths and factors are bitwise those of the direct-path branch plus
+    # the image branch
+    scene = Scene(SurfaceSpec(w, h, _flat_material(rho)),
+                  obstacles=data.draw(st.lists(_obstacle(w, h), max_size=3)))
+    tx, rx = ((data.draw(st.floats(0.0, w)), data.draw(st.floats(0.0, h))) for _ in range(2))
+    params = dataclasses.replace(NO_COUPLING, max_image_order=order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the clamp warning
+        lengths, factors = channel._surface_paths(tx, rx, scene, params)
+    want_lengths, want_factors = _two_branch_surface_paths(tx, rx, scene, params)
+    assert lengths.tobytes() == want_lengths.tobytes()
+    assert factors.tobytes() == want_factors.tobytes()
 
 
 def test_h_ss_sub_reference_distance_warns_and_clamps():

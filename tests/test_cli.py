@@ -249,6 +249,29 @@ def test_commands_without_a_scene_reject_scene(tmp_path, command, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--mode", "surface-2x2", "--distances-ft", "2,4"],
+    ["separation", "--mode", "surface-2x2", "--separations-cm", "1"],
+])
+def test_template_commands_refuse_a_scene_with_obstacles(tmp_path, capsys, command):
+    # a sweep rebuilds the link on the scene's bare surface, so it would
+    # drop the obstacle and write the rows and config_hash of the scene
+    # without it
+    text = Path(surfmimo.presets.scene_path("sweep_spraypaint")).read_text()
+    bare = tmp_path / "bare.yaml"
+    bare.write_text(text)
+    blocked = tmp_path / "blocked.yaml"
+    blocked.write_text(text + "obstacles:\n  - {x_min: 0.5, y_min: 0.0, x_max: 0.7, "
+                       "y_max: 0.6096, kind: metal, perturbation_db: 20.0}\n")
+    argv = command + ["--grid", "8", "--subcarriers", "4"]
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--scene", str(blocked), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{blocked}: obstacles:" in err
+    assert not out.exists()
+    assert main(argv + ["--scene", str(bare), "--out", str(out)]) == EXIT_OK
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--mode", "surface-2x2", "--distances-ft", "1,2",

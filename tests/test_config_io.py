@@ -534,6 +534,46 @@ def test_result_set_validation_and_read_errors(tmp_path):
         write_results(ResultSet(("a",), ((),), {}), tmp_path / "no" / "dir.csv")
 
 
+# metadata text that is mostly the characters the header line format uses:
+# the separator, the comment mark, spaces and every line break str.splitlines
+# knows
+_META_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from(" :#ab\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\xa0\u2028\u2029"),
+    st.characters()), max_size=6)
+
+
+def _header_line_reads_back(key, value) -> bool:
+    """Whether the item has a key (a line '# : v' names nothing) and the
+    header line write_results writes for it is one line that parses back to
+    the same key and value."""
+    lines = f"# {key}: {value}\n".splitlines()
+    k, _, v = lines[0][1:].partition(":")
+    return key != "" and len(lines) == 1 and (k.strip(), v.strip()) == (key, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_META_TEXT, _META_TEXT, max_size=4))
+def test_metadata_reads_back_as_itself_or_is_refused(metadata):
+    try:
+        rs = ResultSet(("a",), ([1.0, 2.0],), metadata)
+    except ResultIOError:
+        assert not all(_header_line_reads_back(k, v) for k, v in metadata.items())
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.csv")
+        write_results(rs, path)
+        assert read_results(path) == rs
+
+
+def test_metadata_that_would_not_read_back_is_refused():
+    # a value with a line break once wrote the cells ('a', 1.0, 2.0) under a
+    # column named 'lines', and a key with ':' read back as another key
+    for metadata in ({"note": "two\nlines"}, {"k:x": "v"}, {"": "v"}, {" k": "v"},
+                     {"k": "v "}, {"k\r": "v"}):
+        with pytest.raises(ResultIOError, match="would not read back"):
+            ResultSet(("a",), ([1.0, 2.0],), metadata)
+
+
 def test_result_set_is_its_columns():
     rs = ResultSet(("a", "b"), ([1, 2], ("x", None)), {})
     assert rs.cells == ((1, 2), ("x", None))
