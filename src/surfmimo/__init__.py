@@ -75,7 +75,6 @@ from .propagation import (
     FrequencyBand,
     MaterialParams,
     air_gain,
-    band_for_frequency,
     calibrate,
     phase_velocity,
     received_power_dbm,

@@ -431,7 +431,9 @@ def _surface_paths(tx, rx, scene: Scene, params: ChannelParams):
     factor times ``_surface_field`` at its length.  So the corner image
     carries refl_coeff**1, not refl_coeff**2.  The per-wall rule
     refl_coeff**(cx + cy) of the image method is an open decision, made by
-    ``exponents`` alone; taking it changes outputs."""
+    ``exponents`` alone; taking it changes outputs.  Both points must lie on
+    the surface (DomainError)."""
+    scene.surface.point(tx)
     m = scene.surface.material
     order = params.max_image_order if m.refl_coeff > 0 else 0
     images = image_sources(rx, order, scene.surface)

@@ -85,8 +85,11 @@ def _load_scene_config(ref: str) -> rio.ScenarioConfig:
 
 
 def _seed(args, cfg=None) -> int:
-    """--seed when given, else the scene config's seed, else DEFAULT_SEED."""
+    """--seed when given, else the scene config's seed, else DEFAULT_SEED.
+    A negative --seed is refused, as a config's seed is."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError([f"--seed must be a non-negative integer, got {args.seed}"])
         return args.seed
     return rio.DEFAULT_SEED if cfg is None else cfg.seed
 

@@ -34,6 +34,14 @@ class SurfaceSpec:
     def contains(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width_m and 0.0 <= y <= self.height_m
 
+    def point(self, p) -> tuple:
+        """p as floats (x, y); DomainError when it is off the surface."""
+        x, y = float(p[0]), float(p[1])
+        if not self.contains(x, y):
+            raise DomainError(f"point ({x}, {y}) is outside the {self.width_m} x "
+                              f"{self.height_m} surface")
+        return x, y
+
 
 @dataclass(frozen=True)
 class Node:
@@ -117,11 +125,9 @@ def image_sources(p, order: int, s: SurfaceSpec):
     through ring k.  Order 0 returns only the point itself.  Deterministic
     ordering: by ring, then y, then x, so the point, (0, 0), comes first.
     """
-    x, y = float(p[0]), float(p[1])
     if order < 0:
         raise DomainError(f"reflection order must be >= 0, got {order}")
-    if not s.contains(x, y):
-        raise DomainError(f"point ({x}, {y}) is outside the {s.width_m} x {s.height_m} surface")
+    x, y = s.point(p)
     xs = _axis_images(x, s.width_m, order)
     ys = _axis_images(y, s.height_m, order)
     # ring first, as the larger count, so that the tuples sort without a key

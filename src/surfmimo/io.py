@@ -6,9 +6,10 @@ scene violations, out-of-range analysis values — with line positions before
 raising, so a config can be fixed in one pass.  The band and analysis
 sections become the one LinkSettings every scene command reads, with the
 defaults and range checks of the settings dataclasses.  A result set is
-named columns of cells, written as CSV with a sorted metadata comment block
-a column at a time; formatting round-trips floats exactly (repr) and is
-deterministic, so equal inputs produce byte-identical files.
+named columns of cells, each column of one type, written as CSV a column at
+a time under a header of its column types and sorted metadata.  Every cell
+reads back as the value written (floats by repr), and equal inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from dataclasses import dataclass, fields, is_dataclass
 from io import StringIO
 
@@ -385,36 +385,15 @@ def _canonical(v):
 
 # --- result sets ------------------------------------------------------------------
 
-_MAGIC = "# surfmimo-results v1"
-_INT_RE = re.compile(r"^-?\d+$")
+_MAGIC = "# surfmimo-results v2"
+_TYPES_LINE = "# types: "
 
-
-def _format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-# Formatters for the exact types most cells have, each agreeing with
-# _format_value; any other type (subclasses included) falls back to it.
-_FORMATTERS = {
-    type(None): lambda v: "",
-    bool: lambda v: "true" if v else "false",
-    int: int.__repr__,
-    float: float.__repr__,
-    str: str,
-    np.int64: lambda v: str(int(v)),
-    np.float64: float.__repr__,
-}
-
-# The cell types whose text never needs CSV quoting.
-_BARE = {bool, int, float, np.int64, np.float64}
+# the cell types of a column (with None) -> its name on the types line and
+# its text (text is quoted as the row width needs); a name -> its parser
+_FORMATS = {int: ("int", int.__repr__), float: ("float", float.__repr__),
+            bool: ("bool", {True: "true", False: "false"}.__getitem__), str: ("text", None)}
+_PARSERS = {"int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__,
+            "text": str}
 
 # Rows per chunk that write_results formats before writing them.
 _WRITE_ROWS = 128
@@ -435,32 +414,28 @@ class _Quoted(dict):
         return self[text]
 
 
-def _format_column(cells, quoted: _Quoted) -> list:
-    """The CSV text of one column's cells: one formatter for a column of one
-    cell type, one per cell otherwise; text that may need quoting is quoted."""
-    types = set(map(type, cells))
-    if len(types) == 1:
-        kind = types.pop()
-        texts = list(map(_FORMATTERS.get(kind, _format_value), cells))
-        return texts if kind in _BARE else list(map(quoted.__getitem__, texts))
-    formatter = _FORMATTERS.get
-    texts = [formatter(type(v), _format_value)(v) for v in cells]
-    return [t if type(v) in _BARE else quoted[t] for v, t in zip(cells, texts)]
-
-
-def _parse_value(s: str):
-    if s == "":
-        return None
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    if _INT_RE.match(s):
-        return int(s)
-    try:
-        return float(s)
-    except ValueError:
-        return s
+def _column_format(name, cells, quoted: _Quoted) -> tuple:
+    """(type name, cell -> text) of one column: the one type of its cells
+    other than None, text when it has none.  A column of several types or
+    of another type, or with a text cell that would not read back (an empty
+    one reads as None), is refused."""
+    kinds = set(map(type, cells))
+    nullable = type(None) in kinds
+    kinds.discard(type(None))
+    if len(kinds) > 1 or not kinds <= _FORMATS.keys():
+        raise ResultIOError(f"column {name!r} holds {sorted(k.__name__ for k in kinds)} "
+                            f"cells; a column holds one of int, float, bool or str, and None")
+    kind, fmt = _FORMATS[kinds.pop() if kinds else str]
+    if fmt is None:
+        # csv writes a carriage return bare, where it reads as a row break
+        if any(t == "" or "\r" in t for t in set(cells) - {None}):
+            raise ResultIOError(f"column {name!r} holds an empty text cell or one with a "
+                                f"carriage return, which would not read back as itself")
+        fmt = quoted.__getitem__
+    if nullable:
+        empty = quoted[""]
+        return kind, lambda v, fmt=fmt: empty if v is None else fmt(v)
+    return kind, fmt
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,49 +480,63 @@ class ResultSet:
 
 
 def write_results(rs: ResultSet, path) -> None:
-    """CSV with a '#' metadata header; deterministic byte-for-byte.  Each
-    column of a chunk of rows is formatted once, and the chunk is one write."""
+    """CSV with a '#' header: the format line, the column types, then the
+    metadata; deterministic byte-for-byte.  Each column is formatted by the
+    one formatter of its type, a chunk of rows at a time, and the chunk is
+    one write.  A column it cannot type is refused before the file is opened."""
     quoted = _Quoted(len(rs.columns))
+    formats = [_column_format(name, cells, quoted) for name, cells in zip(rs.columns, rs.cells)]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_MAGIC + "\n")
+            fh.write(f"{_MAGIC}\n{_TYPES_LINE}{','.join(kind for kind, _ in formats)}\n")
             for key in sorted(rs.metadata):
                 fh.write(f"# {key}: {rs.metadata[key]}\n")
             fh.write(",".join(map(quoted.__getitem__, rs.columns)) + "\n")
             for lo in range(0, rs.n_rows, _WRITE_ROWS):
-                texts = [_format_column(cells[lo:lo + _WRITE_ROWS], quoted)
-                         for cells in rs.cells]
+                texts = [list(map(fmt, cells[lo:lo + _WRITE_ROWS]))
+                         for (_, fmt), cells in zip(formats, rs.cells)]
                 fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
     except OSError as exc:
         raise ResultIOError(f"cannot write results to {path}: {exc}") from exc
 
 
 def read_results(path) -> ResultSet:
+    """The result set write_results wrote to path: each column parsed as
+    the type its types line states, an empty cell as None."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.readlines()  # at \n, \r and \r\n only, as csv splits rows
     except OSError as exc:
         raise ResultIOError(f"cannot read results from {path}: {exc}") from exc
-    if not lines or lines[0] != _MAGIC:
-        raise ResultIOError(f"{path} is not a surfmimo results file")
-    metadata = {}
-    body_start = 1
-    for i, line in enumerate(lines[1:], start=1):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        key, _, value = line[1:].partition(":")
-        metadata[key.strip()] = value.strip()
-    else:
-        body_start = len(lines)
+    body_start = next((i for i, line in enumerate(lines) if not line.startswith("#")),
+                      len(lines))
+    head = [line.rstrip("\r\n") for line in lines[:body_start]]
+    if not head or head[0] != _MAGIC:
+        raise ResultIOError(f"{path} is not a surfmimo results file: its first line "
+                            f"is not {_MAGIC!r}")
+    if len(head) < 2 or not head[1].startswith(_TYPES_LINE):
+        raise ResultIOError(f"{path} has no {_TYPES_LINE.strip()!r} line after its first")
+    kinds = head[1][len(_TYPES_LINE):].split(",") if head[1] != _TYPES_LINE else []
+    metadata = {key.strip(): value.strip()
+                for key, _, value in (line[1:].partition(":") for line in head[2:])}
     body = list(csv.reader(lines[body_start:]))
     if not body:
         raise ResultIOError(f"{path} has no column header")
     columns, rows = tuple(body[0]), body[1:]
+    if len(kinds) != len(columns) or not set(kinds) <= _PARSERS.keys():
+        raise ResultIOError(f"{path} types {kinds} do not name one of "
+                            f"{sorted(_PARSERS)} for each of {len(columns)} columns")
     widths = {len(row) for row in rows} - {len(columns)}
     if widths:
         raise ResultIOError(f"row width {min(widths)} does not match {len(columns)} columns")
-    cells = [tuple(map(_parse_value, t)) for t in zip(*rows)] if rows else [()] * len(columns)
+    cells = []
+    for name, kind, texts in zip(columns, kinds, zip(*rows) if rows else [()] * len(columns)):
+        parse = _PARSERS[kind]
+        try:
+            cells.append([None if t == "" else parse(t) for t in texts])
+        except (KeyError, ValueError) as exc:
+            raise ResultIOError(f"{path}: a cell of {kind} column {name!r} does not "
+                                f"parse: {exc}") from exc
     return ResultSet(columns, cells, metadata)
 
 
@@ -601,7 +590,7 @@ def sweep_result_set(rows_by_mode: dict, mac_efficiency: float) -> ResultSet:
     """rows_by_mode: {mode_name: [(distance_m, LinkResult), ...]}.
 
     n_streams and tx_columns name the winning transmit-column subset (0 and
-    "none" for a dead link)."""
+    "none" for a dead link); stream_snrs_db is empty (None) with no streams."""
     columns = ("mode", "distance_m", "distance_ft", "capacity_mbps",
                "condition_number", "stream_snrs_db", "phy_rate_mbps",
                "throughput_mbps", "n_streams", "tx_columns")
@@ -611,7 +600,7 @@ def sweep_result_set(rows_by_mode: dict, mac_efficiency: float) -> ResultSet:
     return ResultSet(columns, (
         modes, ds, [d / FOOT_M for d in ds],
         [r.capacity_bps / 1e6 for r in rs], [r.condition_number for r in rs],
-        [";".join(repr(float(s)) for s in r.stream_snrs_db) for r in rs],
+        [";".join(repr(float(s)) for s in r.stream_snrs_db) or None for r in rs],
         [r.phy_rate_bps / 1e6 for r in rs],
         [r.phy_rate_bps * mac_efficiency / 1e6 for r in rs],
         [len(r.tx_columns) for r in rs],

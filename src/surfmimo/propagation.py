@@ -68,11 +68,6 @@ class FrequencyBand:
         return 2.0 * math.pi * self.center_hz
 
 
-def band_for_frequency(center_hz: float, bandwidth_hz: float = 40e6) -> FrequencyBand:
-    """Build a FrequencyBand, inferring the ISM band label from the center."""
-    return FrequencyBand(center_hz, bandwidth_hz)
-
-
 @dataclass(frozen=True)
 class MaterialParams:
     """Surface propagation constants for one material.

@@ -369,6 +369,15 @@ def test_obstacle_attenuates_crossing_paths_only():
     assert side == clear
 
 
+def test_surface_paths_refuse_an_off_surface_point_at_either_end():
+    # the transmit point was never checked: this call returned -0.144-0.030j
+    scene = Scene(SurfaceSpec(3.0, 1.0, SPRAY))
+    for tx, rx in [((-1.0, 0.5), (1.5, 0.5)), ((1.5, 0.5), (-1.0, 0.5))]:
+        with pytest.raises(DomainError, match=r"point \(-1\.0, 0\.5\) is outside the "
+                                              r"3\.0 x 1\.0 surface"):
+            h_ss(tx, rx, scene, BAND, grid=8)
+
+
 def test_channel_matrix_validation():
     with pytest.raises(DomainError):
         ChannelMatrix(np.zeros((0, 2)), BAND, (), (CONTACT, CONTACT))

@@ -535,6 +535,23 @@ def test_non_finite_radiation_and_share_values_are_refused(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["channel"], ["analyze"], ["pulse"],
+    ["sweep", "--mode", "siso", "--distances-ft", "1", *FAST_SWEEP],
+    ["separation", "--mode", "siso", "--separations-cm", "1", *FAST_SWEEP],
+    ["aggregate", "--distances-ft", "1"], ["radiation"],
+    ["share", "--channels", "6,11", "--slots", "100"],
+])
+def test_a_negative_seed_exits_2_on_every_command(tmp_path, capsys, command):
+    # share crashed in numpy's seeding, and the other commands recorded the seed
+    if command[0] in ("channel", "analyze", "pulse"):
+        command = command + ["--scene", str(_tiny_scene(tmp_path))]
+    out = tmp_path / "o.csv"
+    assert main(command + ["--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_scene_inputs_exit_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     bad = tmp_path / "bad.yaml"

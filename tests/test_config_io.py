@@ -430,14 +430,17 @@ def test_result_set_round_trip(tmp_path):
     assert back == rs
     assert back.rows[0][0] == math.pi               # repr round-trips floats
     assert back.rows[1][0] == 1.0000000000000002
+    assert [list(map(type, c)) for c in back.cells] == [
+        [float, float], [int, int], [bool, bool], [type(None), str]]
     text = p.read_text()
     lines = text.splitlines()
-    assert lines[0] == "# surfmimo-results v1"
-    assert lines[1:4] == ["# alpha: first", "# seed: 1905", "# zeta: last"]
+    assert lines[0] == "# surfmimo-results v2"
+    assert lines[1] == "# types: float,int,bool,text"
+    assert lines[2:5] == ["# alpha: first", "# seed: 1905", "# zeta: last"]
 
 
 def test_result_set_written_bytes_deterministic(tmp_path):
-    rs = ResultSet(("x",), ((0.1, 2),), {"b": "2", "a": "1"})
+    rs = ResultSet(("x", "y"), ((0.1, 2.0), (2, None)), {"b": "2", "a": "1"})
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_results(rs, p1)
     write_results(rs, p2)
@@ -457,11 +460,18 @@ def _reference_format(v) -> str:
     return str(v)
 
 
+_TYPE_NAMES = {int: "int", float: "float", bool: "bool", str: "text"}
+
+
 def _reference_bytes(columns, rows, metadata) -> bytes:
     """The file write_results wrote when it wrote rows: csv.writer over each
-    row's cells, formatted by _reference_format."""
+    row's cells, formatted by _reference_format, under a types line naming
+    each column's first non-None cell type (text when it has none)."""
+    kinds = [next((_TYPE_NAMES[type(v)] for v in col if v is not None), "text")
+             for col in zip(*rows)] if rows else ["text"] * len(columns)
     want = io.StringIO()
-    want.write("# surfmimo-results v1\n")
+    want.write("# surfmimo-results v2\n")
+    want.write(f"# types: {','.join(kinds)}\n")
     for key in sorted(metadata):
         want.write(f"# {key}: {metadata[key]}\n")
     writer = csv.writer(want, lineterminator="\n")
@@ -471,43 +481,100 @@ def _reference_bytes(columns, rows, metadata) -> bytes:
     return want.getvalue().encode("utf-8")
 
 
-_CELLS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.booleans().map(np.bool_),
-    st.integers(),
-    st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.integers(-2**31, 2**31 - 1).map(np.int32),
-    st.floats(),
-    st.floats().map(np.float64),
-    st.floats(width=32).map(np.float32),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, np.float64(-0.0),
-                     np.float64(math.nan), np.float64(-math.inf)]),
-    st.text(alphabet=st.sampled_from('ab ,"\'\n\r;'), max_size=8),
-)
+# the cells of a column of each type; text, never empty (an empty cell is
+# None) and without a carriage return (both are refused), holds the CSV's
+# special characters, line breaks that are not CSV's, and the texts of
+# other types
+_COLUMN_CELLS = {
+    type(None): st.none(),
+    int: st.integers(),
+    float: st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    bool: st.booleans(),
+    str: st.text(alphabet=st.sampled_from('ab ,"\'\n;#:0.1-\x0b\x1c\x85\u2028'),
+                 min_size=1, max_size=8)
+    | st.sampled_from(["0", "-3", "1.5", "nan", "-inf", "true", "false", "none", "0;1"]),
+}
+
+
+@st.composite
+def _typed_columns(draw):
+    """(columns, cells): 1-4 columns of 0-6 cells, each of one drawn type or None."""
+    n_rows = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(list(_COLUMN_CELLS)), min_size=1, max_size=4))
+    cells = [draw(st.lists(_COLUMN_CELLS[k] | st.none(), min_size=n_rows, max_size=n_rows))
+             for k in kinds]
+    return tuple(f"c{i}" for i in range(len(kinds))), cells
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda width: st.lists(st.lists(_CELLS, min_size=width, max_size=width),
-                           max_size=6)))
-def test_written_cells_match_reference_formatting(rows):
+@given(_typed_columns())
+def test_written_cells_match_reference_formatting(table):
     from surfmimo import io as rio
 
-    for row in rows:
-        for v in row:
-            assert rio._FORMATTERS.get(type(v), rio._format_value)(v) == _reference_format(v)
-    columns = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 1))
-    cells = [[row[c] for row in rows] for c in range(len(columns))]
+    columns, cells = table
+    rows = list(zip(*cells))
     want = _reference_bytes(columns, rows, {"k": "v"})
     # the default chunk of rows, and chunks of two rows whose columns can
-    # hold one cell type in one chunk and several in the next
+    # hold None in one chunk and none in the next
     for chunk in (rio._WRITE_ROWS, 2):
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(rio, "_WRITE_ROWS", chunk):
             path = os.path.join(tmp, "r.csv")
             write_results(ResultSet(columns, cells, {"k": "v"}), path)
             got = open(path, "rb").read()
         assert got == want
+
+
+def _same_cells(a: ResultSet, b: ResultSet) -> bool:
+    """Whether a and b hold the same columns of cells, each of the same type
+    and value (by repr, so NaN equals NaN and 0.0 differs from -0.0)."""
+    return a.columns == b.columns and repr(a.cells) == repr(b.cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_typed_columns())
+def test_typed_columns_read_back_as_written(table):
+    rs = ResultSet(*table, {"k": "v"})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.csv")
+        write_results(rs, path)
+        back = read_results(path)
+    assert _same_cells(back, rs) and back.metadata == rs.metadata
+
+
+@pytest.mark.parametrize("cells", [
+    (1, 2.0), (True, 1), (1.0, "1.0"), (None, 0, False),         # several types
+    (np.float64(1.0), np.float64(2.0)), (np.int64(1),), (np.bool_(True),),
+    ((1, 2),), ([0.5],), (1j,),                                    # other types
+    ("a", ""), ("a", "x\ry"),                      # an empty text, a carriage return
+])
+def test_columns_that_would_not_read_back_are_refused(tmp_path, cells):
+    path = tmp_path / "r.csv"
+    with pytest.raises(ResultIOError, match="column 'bad' holds"):
+        write_results(ResultSet(("ok", "bad"), ([0.5] * len(cells), cells), {}), path)
+    assert not path.exists()  # refused before the file is opened
+
+
+def test_files_without_their_column_types_are_refused(tmp_path):
+    cases = {
+        "# surfmimo-results v1\na,b\n1,x\n": "not a surfmimo results file",
+        "# surfmimo-results v2\n": "no '# types:' line",
+        "# surfmimo-results v2\n# k: v\na,b\n1,x\n": "no '# types:' line",
+        "# surfmimo-results v2\n# types: int\na,b\n1,x\n": r"types \['int'\] do not name",
+        "# surfmimo-results v2\n# types: int,text,float\na,b\n1,x\n": "do not name",
+        "# surfmimo-results v2\n# types: int,string\na,b\n1,x\n": "do not name",
+        "# surfmimo-results v2\n# types: int,text\na,b\n1.5,x\n": "int column 'a'",
+        "# surfmimo-results v2\n# types: float,text\na,b\nx,x\n": "float column 'a'",
+        "# surfmimo-results v2\n# types: bool,text\na,b\nTrue,x\n": "bool column 'a'",
+    }
+    for i, (text, message) in enumerate(cases.items()):
+        path = tmp_path / f"{i}.csv"
+        path.write_text(text)
+        with pytest.raises(ResultIOError, match=message):
+            read_results(path)
+    # a types line is the second line, whatever metadata follows
+    path = tmp_path / "types_key.csv"
+    path.write_text("# surfmimo-results v2\n# types: text\n# types: int\na\nx\n")
+    assert read_results(path) == ResultSet(("a",), (("x",),), {"types": "int"})
 
 
 def test_result_set_validation_and_read_errors(tmp_path):
@@ -521,11 +588,11 @@ def test_result_set_validation_and_read_errors(tmp_path):
     with pytest.raises(ResultIOError, match="not a surfmimo results file"):
         read_results(plain)
     headerless = tmp_path / "h.csv"
-    headerless.write_text("# surfmimo-results v1\n# k: v\n")
+    headerless.write_text("# surfmimo-results v2\n# types: int\n# k: v\n")
     with pytest.raises(ResultIOError, match="no column header"):
         read_results(headerless)
     ragged = tmp_path / "ragged.csv"
-    ragged.write_text("# surfmimo-results v1\na,b\n1,2\n3\n")
+    ragged.write_text("# surfmimo-results v2\n# types: int,int\na,b\n1,2\n3\n")
     with pytest.raises(ResultIOError, match="row width 1 does not match 2 columns"):
         read_results(ragged)
     with pytest.raises(ResultIOError, match="cannot read"):
@@ -610,8 +677,6 @@ def test_channel_result_set_labels_and_zero_magnitude():
 def test_channel_result_set_cells_are_the_per_entry_scalar_forms():
     # one pass over the stacked entries writes, to the last digit, what
     # scalar arithmetic on each entry gives
-    from surfmimo.io import _format_value
-
     cfg = load_config(presets.scene_path("default_3x3"))
     matrix = csi(cfg.scene, cfg.settings.band, 16, 8)
     want = []
@@ -621,8 +686,9 @@ def test_channel_result_set_cells_are_the_per_entry_scalar_forms():
         want.append((s, i, j, h.real, h.imag, mag_db, float(np.angle(h))))
     rows = channel_result_set(matrix).rows
     assert [r[0] for r in rows] == [w[0] for w in want]
-    assert [[_format_value(v) for v in r[3:]] for r in rows] == [
-        [_format_value(v) for v in w[3:]] for w in want]
+    assert all(type(v) is float for r in rows for v in r[3:])
+    assert [[repr(v) for v in r[3:]] for r in rows] == [
+        [repr(float(v)) for v in w[3:]] for w in want]
 
 
 def test_analyze_result_set_columns():
@@ -746,6 +812,33 @@ def test_result_set_bytes_match_the_row_writer(kind, tmp_path):
     path = tmp_path / "out.csv"
     write_results(rs, path)
     assert path.read_bytes() == _reference_bytes(rs.columns, rs.rows, rs.metadata)
+
+
+@pytest.mark.parametrize("kind", sorted(_RESULT_SET_FIXTURES))
+def test_every_result_set_reads_back_as_written(kind, tmp_path):
+    # the sweep's list cells are text: a one-stream tx_columns cell is '0',
+    # not the int 0, as a two-stream one is '0;2'
+    rs = _RESULT_SET_FIXTURES[kind]()
+    path = tmp_path / "out.csv"
+    write_results(rs, path)
+    back = read_results(path)
+    assert back == rs and _same_cells(back, rs)
+
+
+def test_a_sweep_of_every_mode_reads_back_as_written(tmp_path):
+    from surfmimo.experiments import SWEEP_MODES, default_template, multi_mode_sweep
+
+    s = LinkSettings(snr_db=25.0, grid=8, n_subcarriers=2)
+    rs = sweep_result_set(multi_mode_sweep(default_template(), (0.3048, 0.6096),
+                                           SWEEP_MODES, s), s.mac_efficiency)
+    n_streams = rs.cells[rs.columns.index("n_streams")]
+    assert 1 in n_streams and max(n_streams) > 1  # one- and multi-stream rows
+    path = tmp_path / "sweep.csv"
+    write_results(rs, path)
+    back = read_results(path)
+    assert back == rs and _same_cells(back, rs)
+    assert path.read_text().splitlines()[1] == (
+        "# types: text,float,float,float,float,text,float,float,int,text")
 
 
 def test_write_plot_script(tmp_path):

@@ -20,7 +20,6 @@ from surfmimo.propagation import (
     FrequencyBand,
     MaterialParams,
     air_gain,
-    band_for_frequency,
     calibrate,
     phase_velocity,
     received_power_dbm,
@@ -146,14 +145,10 @@ def test_from_conductor_good_conductor_relation():
 
 
 def test_band_validation_and_labels():
-    assert band_for_frequency(915e6, 20e6).band_id == "900MHz"
-    assert band_for_frequency(2.437e9).band_id == "2.4GHz"
-    assert band_for_frequency(5.19e9).band_id == "5GHz"
     # a band built without a label takes the one its center lies in
     assert FrequencyBand(5.19e9).band_id == "5GHz"
     assert FrequencyBand(915e6, 20e6).band_id == "900MHz"
     assert FrequencyBand(2.437e9).band_id == "2.4GHz"
-    assert FrequencyBand(5.19e9) == band_for_frequency(5.19e9)
     assert FrequencyBand(2.437e9, 40e6, "5GHz").band_id == "5GHz"  # a given label is kept
     assert FrequencyBand(2.437e9).omega == pytest.approx(2 * math.pi * 2.437e9)
     with pytest.raises(DomainError):
