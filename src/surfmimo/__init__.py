@@ -31,7 +31,6 @@ from .errors import (
     ConfigError,
     DegenerateMaterialError,
     DomainError,
-    FitError,
     NearFieldError,
     PresetError,
     ResultIOError,
@@ -47,15 +46,12 @@ from .experiments import (
     SceneTemplate,
     SharingConfig,
     SharingPair,
-    aggregate_capacity,
     analyze_link,
     build_link_scene,
     pulse_profile,
     radiation_benchmark,
     run_link,
-    separation_sweep,
     share_sim,
-    throughput_sweep,
 )
 from .geometry import Node, Obstacle, Scene, SurfaceSpec, image_sources, validate_scene
 from .io import ResultSet, config_hash, load_config, parse_config, read_results, write_results
@@ -68,14 +64,12 @@ from .mimo import (
     effective_snr,
     link_results,
     map_rate,
-    mrc_combine,
     zf_stream_snrs,
 )
 from .propagation import (
     FrequencyBand,
     MaterialParams,
     air_gain,
-    calibrate,
     phase_velocity,
     received_power_dbm,
     surface_gain,

@@ -35,10 +35,6 @@ class DegenerateMaterialError(DomainError):
     """Material constants make the propagation model undefined (e.g. beta = 0)."""
 
 
-class FitError(SurfMimoError):
-    """Calibration fit cannot be computed from the given samples."""
-
-
 class StreamSeparationError(SurfMimoError):
     """Channel matrix is singular; spatial streams cannot be separated."""
 

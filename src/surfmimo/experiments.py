@@ -9,7 +9,7 @@ the result up in the rate table, and keep the best (rate, stream-count)
 choice.  Reported rates are PHY rates; MAC overhead is a separate scalar
 applied only when results are written out.
 
-In a distance sweep (``throughput_sweep``, and ``aggregate_sweep`` per
+In a distance sweep (``multi_mode_sweep``, and ``aggregate_sweep`` per
 chain) only the receiver moves.  The runner builds and validates each
 distance's scene, then synthesizes all of them in one channel-engine pass,
 an ``(F, D, n_rx, n_tx)`` array, and analyzes that array in one pass of
@@ -236,16 +236,9 @@ def _analyze(h, settings: LinkSettings) -> list:
                         settings.band.bandwidth_hz)
 
 
-def throughput_sweep(template: SceneTemplate | None = None, distances_m=None,
-                     mode: str = MODE_2X2, settings: LinkSettings | None = None):
-    """Rate/capacity/conditioning across link distances.  Returns
-    [(distance_m, LinkResult), ...]."""
-    return multi_mode_sweep(template, distances_m, (mode,), settings)[mode]
-
-
 def multi_mode_sweep(template: SceneTemplate | None = None, distances_m=None,
                      modes=SWEEP_MODES, settings: LinkSettings | None = None) -> dict:
-    """throughput_sweep of several modes over the same distances:
+    """Rate, capacity and conditioning of each mode across link distances:
     {mode: [(distance_m, LinkResult), ...]} in the order of modes.
 
     Every mode's scenes are built and checked.  A mode whose transmit ports,
@@ -294,33 +287,25 @@ def _port_index(ports, host):
     return np.arange(len(rx))[:, None, None], np.array(rx)[:, :, None], np.array(cols)
 
 
-def separation_sweep(template: SceneTemplate | None = None,
-                     separations_m=(0.01, 0.03, 0.06), mode: str = MODE_2X2,
-                     settings: LinkSettings | None = None, distances_m=None):
-    """Distance sweeps repeated at several antenna separations.
-
-    For surface modes the separation is the antenna height above its contact;
-    for the air-MIMO baseline it is the array element spacing.  Each entry
-    aggregates a full distance sweep: mean rate and capacity, worst-case
-    condition number, mean pooled stream SNR.  Returns
-    [(separation_m, LinkResult), ...].
-    """
-    return multi_mode_separation_sweep(template, separations_m, (mode,), settings,
-                                       distances_m)[mode]
-
-
 def multi_mode_separation_sweep(template: SceneTemplate | None = None,
                                 separations_m=(0.01, 0.03, 0.06), modes=(MODE_2X2,),
                                 settings: LinkSettings | None = None,
                                 distances_m=None) -> dict:
-    """separation_sweep of several modes: {mode: [(separation_m, LinkResult),
-    ...]} in the order of modes.
+    """Distance sweeps of each mode repeated at several antenna separations:
+    {mode: [(separation_m, LinkResult), ...]} in the order of modes.
 
-    At each separation, the modes whose separation is the antenna height
-    (siso and the surface modes) are one multi_mode_sweep, and air-mimo,
-    whose separation is its element spacing, is another, so all four modes
-    take two engine passes per separation."""
+    For siso and the surface modes the separation is the antenna height
+    above its contact; for the air-MIMO baseline it is the array element
+    spacing.  Each entry aggregates a full distance sweep: mean rate and
+    capacity, worst-case condition number, mean pooled stream SNR.  At each
+    separation, the modes of antenna height are one multi_mode_sweep and
+    air-mimo is another, so all four modes take two engine passes per
+    separation.  An empty list of distances is refused with ConfigError."""
     settings = settings or LinkSettings()
+    if distances_m is not None:
+        distances_m = tuple(distances_m)
+        if not distances_m:
+            raise ConfigError("a separation sweep needs at least one distance")
     groups = {"antenna_height_m": tuple(m for m in modes if m != MODE_AIR_MIMO),
               "air_antenna_spacing_m": tuple(m for m in modes if m == MODE_AIR_MIMO)}
     out = {mode: [] for mode in modes}
@@ -495,20 +480,6 @@ def aggregate_template(material="spraypaint") -> SceneTemplate:
     return _strip(10.0, material)
 
 
-def aggregate_capacity(plan: AggregationPlan, distance_m: float,
-                       template: SceneTemplate | None = None,
-                       settings: LinkSettings | None = None):
-    """Total rate over all chains of the plan at one contact-to-contact
-    distance, plus the per-chain breakdown.
-
-    Each chain runs an independent surface link at its own center frequency
-    and bandwidth; its conversion loss comes straight off the chain SNR
-    before rate lookup.  Chains that fall below the lowest table threshold
-    contribute zero.  Returns (total_bps, [ChainResult, ...]).
-    """
-    return aggregate_sweep(plan, (distance_m,), template, settings)[0][1:]
-
-
 def _chain_results(chain: Chain, scenes, settings: LinkSettings) -> list:
     """One chain's ChainResult at every scene, from one channel-engine pass.
     The chain's conversion loss comes straight off its SNR."""
@@ -534,10 +505,16 @@ def _chain_results(chain: Chain, scenes, settings: LinkSettings) -> list:
 def aggregate_sweep(plan: AggregationPlan, distances_m=None,
                     template: SceneTemplate | None = None,
                     settings: LinkSettings | None = None):
-    """aggregate_capacity across distances (default 1-9 ft on the 10 ft strip).
+    """Total rate over all chains of the plan at each contact-to-contact
+    distance (default 1-9 ft on the 10 ft strip), plus the per-chain
+    breakdown: [(distance_m, total_bps, [ChainResult, ...]), ...].
 
-    Each chain reads its bandwidth's rows from settings.mcs_table and takes
-    one channel-engine pass over all distances."""
+    Each chain runs an independent surface link at its own center frequency
+    and bandwidth; its conversion loss comes straight off the chain SNR
+    before rate lookup.  Chains that fall below the lowest table threshold
+    contribute zero.  Each chain reads its bandwidth's rows from
+    settings.mcs_table and takes one channel-engine pass over all
+    distances."""
     if distances_m is None:
         distances_m = tuple(i * FOOT_M for i in range(1, 10))
     template = template or aggregate_template()

@@ -86,12 +86,6 @@ class Scene:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
 
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise DomainError(f"no node with id {node_id!r}")
-
     def transmitters(self):
         return tuple(n for n in self.nodes if n.role == "transmitter")
 
@@ -133,11 +127,6 @@ def image_sources(p, order: int, s: SurfaceSpec):
     # ring first, as the larger count, so that the tuples sort without a key
     ranked = sorted((cx if cx > cy else cy, iy, ix, cx, cy) for iy, cy in ys for ix, cx in xs)
     return [((ix, iy), (cx, cy)) for _, iy, ix, cx, cy in ranked]
-
-
-def reflect(value: float, edge: float) -> float:
-    """Mirror a coordinate across an edge (involution used in tests)."""
-    return 2.0 * edge - value
 
 
 def segment_crosses_rect(p0, p1, obstacle: Obstacle) -> bool:

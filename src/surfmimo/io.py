@@ -460,6 +460,11 @@ class ResultSet:
             if not key or ":" in key or any(
                     t != t.strip() or len(t.splitlines()) > 1 for t in (key, value)):
                 raise ResultIOError(f"metadata {key!r}: {value!r} would not read back as itself")
+        # the header is the first line not starting with '#', and csv writes a
+        # carriage return bare, where it reads as a row break
+        for i, name in enumerate(self.columns):
+            if not isinstance(name, str) or "\r" in name or (i == 0 and name.startswith("#")):
+                raise ResultIOError(f"column name {name!r} would not read back as itself")
         if len(self.cells) != len(self.columns) or len(set(map(len, self.cells))) > 1:
             raise ResultIOError(f"{len(self.columns)} column names need as many columns of "
                                 f"cells of one length, got {[len(c) for c in self.cells]}")

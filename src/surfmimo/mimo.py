@@ -158,19 +158,6 @@ def condition_number(h):
     return float(kappa[0]) if one else kappa
 
 
-def mrc_combine(h, snr_linear: float = 1.0) -> float:
-    """Maximal-ratio-combined SNR over receive branches with gains h.
-
-    Per-branch SNR is snr_linear * |h_i|**2; MRC sums the branch SNRs, so N
-    equal branches give an N-fold (e.g. N = 4 -> +6.02 dB) improvement.
-    """
-    g = np.asarray(h, dtype=complex).ravel()
-    if g.size == 0:
-        raise DomainError("mrc_combine needs at least one branch")
-    _check_snr(snr_linear)
-    return float(snr_linear * np.sum(np.abs(g) ** 2))
-
-
 def zf_stream_snrs(h, snr_linear: float) -> np.ndarray:
     """Post-zero-forcing SNR per spatial stream: snr / (N_tx * [(H†H)^-1]_kk),
     for one column the maximal-ratio-combined snr * sum |h_i|^2.  Shape

@@ -10,30 +10,18 @@ Each law has one array definition, ``_surface_field``, ``_air_field`` and
 ``_wavenumber`` (with ``_propagation``, alpha + j*beta over a frequency
 vector).  ``surface_gain`` and ``air_gain`` are checked 0-d calls of them, and
 the channel engine (``channel.py``) calls them and keeps no copy.
-
-Also provides calibration of ``alpha`` and ``d0`` from received-power
-samples, and an optional good-conductor constructor that derives the
-material constants from conductivity and permeability.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateMaterialError,
-    DomainError,
-    FitError,
-    NearFieldError,
-    PresetError,
-)
+from .errors import DegenerateMaterialError, DomainError, NearFieldError, PresetError
 
 SPEED_OF_LIGHT = 299792458.0
-MU0 = 4.0e-7 * math.pi
 
 VALID_BANDWIDTHS_HZ = (20e6, 40e6)
 BAND_IDS = ("900MHz", "2.4GHz", "5GHz")
@@ -61,11 +49,6 @@ class FrequencyBand:
             )
         if self.band_id not in BAND_IDS:
             raise DomainError(f"band_id must be one of {BAND_IDS}, got {self.band_id!r}")
-
-    @property
-    def omega(self) -> float:
-        """Angular frequency (always derived, never stored)."""
-        return 2.0 * math.pi * self.center_hz
 
 
 @dataclass(frozen=True)
@@ -104,19 +87,6 @@ class MaterialParams:
                 problems.append(f"{self.name}: alpha and beta must be nondecreasing in frequency")
         if problems:
             raise PresetError(problems)
-
-    @classmethod
-    def from_conductor(cls, name, sigma_s_per_m, mu_r, freqs_hz, d0_m=0.1, refl_coeff=0.6):
-        """Derive alpha = beta = sqrt(pi*f*mu*sigma) (good-conductor relation).
-
-        This is an explicit constructor; it is never applied implicitly when
-        loading presets.
-        """
-        if sigma_s_per_m <= 0 or mu_r <= 0:
-            raise DomainError("conductivity and relative permeability must be positive")
-        freqs = tuple(sorted(float(f) for f in freqs_hz))
-        consts = tuple(math.sqrt(math.pi * f * mu_r * MU0 * sigma_s_per_m) for f in freqs)
-        return cls(name, d0_m, refl_coeff, freqs, consts, consts)
 
     def _interp(self, table, f_hz):
         f = np.asarray(f_hz, dtype=float)
@@ -223,51 +193,6 @@ def phase_velocity(f, m: MaterialParams) -> float:
             "not a valid surface material"
         )
     return v
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Output of calibrate(): fitted constants and the dB-domain residual."""
-
-    alpha_np_per_m: float
-    d0_m: float
-    residual_rms_db: float
-
-
-def calibrate(samples, f, tx_power_dbm: float) -> CalibrationResult:
-    """Fit alpha and d0 of the surface-gain law to (distance, rx dBm) samples.
-
-    The received power in dB is linear in distance:
-        rx = tx + 20*log10(d0/d) - (20/ln 10)*alpha*d
-    so the fit is an ordinary least-squares line in
-        y = rx - tx + 20*log10(d)  against  d,
-    with intercept 20*log10(d0) and slope -(20/ln 10)*alpha.
-    """
-    pts = [(float(d), float(rx)) for d, rx in samples]
-    if len(pts) < 3:
-        raise FitError(f"need at least 3 samples, got {len(pts)}")
-    d = np.array([p[0] for p in pts])
-    rx = np.array([p[1] for p in pts])
-    if np.any(d <= 0):
-        raise DomainError("all sample distances must be positive")
-    if np.unique(d).size < 2:
-        raise FitError("all samples at the same distance; fit is rank-deficient")
-
-    y = rx - tx_power_dbm + 20.0 * np.log10(d)
-    slope, intercept = np.polyfit(d, y, 1)
-    alpha = -slope * math.log(10.0) / 20.0
-    if alpha <= 0:
-        warnings.warn(
-            f"fitted alpha = {alpha:.4g} Np/m is not positive "
-            "(received power grows with distance?); clamping to 1e-12",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        alpha = 1e-12
-    d0 = 10.0 ** (intercept / 20.0)
-    resid = y - (slope * d + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return CalibrationResult(float(alpha), float(d0), rms)
 
 
 def received_power_dbm(tx_power_dbm: float, gain: complex) -> float:

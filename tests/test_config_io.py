@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfmimo
@@ -639,6 +639,29 @@ def test_metadata_that_would_not_read_back_is_refused():
                      {"k": "v "}, {"k\r": "v"}):
         with pytest.raises(ResultIOError, match="would not read back"):
             ResultSet(("a",), ([1.0, 2.0],), metadata)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=3))
+@example(["#id", "x"])  # once read back with the first row as its column names
+@example(["a\rb", "x"])  # once failed to read at all
+@example(["x", "#y"])
+@example(["x", 5])  # once read back as the text '5'
+def test_column_names_read_back_as_themselves_or_are_refused(names):
+    # the header is the first line not starting with '#', and csv writes a
+    # carriage return bare, where it reads as a row break
+    unreadable = (not all(isinstance(n, str) for n in names) or names[0].startswith("#")
+                  or any("\r" in n for n in names))
+    try:
+        rs = ResultSet(tuple(names), [(1, 2)] * len(names), {})
+    except ResultIOError as exc:
+        assert unreadable and "would not read back" in str(exc)
+        return
+    assert not unreadable
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.csv")
+        write_results(rs, path)
+        assert read_results(path) == rs
 
 
 def test_result_set_is_its_columns():

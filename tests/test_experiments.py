@@ -26,23 +26,21 @@ from surfmimo.experiments import (
     RadiationProfile,
     SharingConfig,
     SharingPair,
-    aggregate_capacity,
     aggregate_sweep,
     aggregation_plan,
     build_link_scene,
     default_distances_m,
     default_radiation_positions,
     default_template,
+    multi_mode_separation_sweep,
     multi_mode_sweep,
     pulse_profile,
     radiation_benchmark,
     run_link,
     scenario1_plan,
     scenario2_plan,
-    separation_sweep,
     share_sim,
     share_template,
-    throughput_sweep,
 )
 from surfmimo.geometry import Node, Scene, SurfaceSpec
 from surfmimo.mimo import McsTable
@@ -181,8 +179,8 @@ def test_run_link_starved_of_snr_reports_zero_rate():
 
 
 def test_throughput_sweep_structure():
-    rows = throughput_sweep(distances_m=(FOOT_M, 2 * FOOT_M), mode=MODE_2X2,
-                            settings=FAST)
+    rows = multi_mode_sweep(distances_m=(FOOT_M, 2 * FOOT_M), modes=(MODE_2X2,),
+                            settings=FAST)[MODE_2X2]
     assert [d for d, _ in rows] == [FOOT_M, 2 * FOOT_M]
     assert all(r.phy_rate_bps >= 0 for _, r in rows)
 
@@ -190,18 +188,26 @@ def test_throughput_sweep_structure():
 def test_separation_insensitive_for_surface_modes():
     # the near-field patch saturates the antenna hop, so sliding the antenna
     # between 1 and 6 cm leaves the matrix (and hence the rate) unchanged
-    rows = separation_sweep(separations_m=(0.01, 0.03, 0.06), mode=MODE_2X2,
-                            settings=FAST, distances_m=(FOOT_M, 3 * FOOT_M))
+    rows = multi_mode_separation_sweep(separations_m=(0.01, 0.03, 0.06), modes=(MODE_2X2,),
+                                       settings=FAST,
+                                       distances_m=(FOOT_M, 3 * FOOT_M))[MODE_2X2]
     rates = [r.phy_rate_bps for _, r in rows]
     assert rates[0] == rates[1] == rates[2]
     assert [s for s, _ in rows] == [0.01, 0.03, 0.06]
 
 
 def test_separation_matters_for_the_air_baseline():
-    rows = separation_sweep(separations_m=(0.01, 0.0625), mode=MODE_AIR_MIMO,
-                            settings=FAST, distances_m=(2 * FOOT_M,))
+    rows = multi_mode_separation_sweep(separations_m=(0.01, 0.0625), modes=(MODE_AIR_MIMO,),
+                                       settings=FAST,
+                                       distances_m=(2 * FOOT_M,))[MODE_AIR_MIMO]
     conds = [r.condition_number for _, r in rows]
     assert conds[0] > conds[1]  # tighter array, worse conditioning
+
+
+def test_separation_sweep_refuses_an_empty_distance_list():
+    # once a bare numpy ValueError from the summary of an empty sweep
+    with pytest.raises(ConfigError, match="at least one distance"):
+        multi_mode_separation_sweep(separations_m=(0.01,), settings=FAST, distances_m=())
 
 
 # --- pulse profiling ----------------------------------------------------------
@@ -321,7 +327,7 @@ def test_chain_validation():
 
 
 def test_aggregate_peak_hits_every_top_mcs():
-    total, rows = aggregate_capacity(scenario1_plan(), FOOT_M)
+    total, rows = aggregate_sweep(scenario1_plan(), (FOOT_M,))[0][1:]
     assert total == 1286.7e6
     assert total == sum(r.phy_rate_bps for r in rows)
     for r in rows:

@@ -16,7 +16,6 @@ from surfmimo.mimo import (
     condition_number,
     effective_snr,
     map_rate,
-    mrc_combine,
     zf_stream_snrs,
 )
 from surfmimo import presets
@@ -82,15 +81,16 @@ def test_condition_number():
 
 
 def test_mrc_gain_of_equal_branches():
-    # four equal branches combine to 4x the single-branch SNR: +6.02 dB
-    one = mrc_combine([1.0], snr_linear=5.0)
-    four = mrc_combine([1.0, 1.0, 1.0, 1.0], snr_linear=5.0)
+    # one column is maximal-ratio combining: four equal branches combine to
+    # 4x the single-branch SNR, +6.02 dB
+    one = zf_stream_snrs(np.ones((1, 1)), 5.0)
+    four = zf_stream_snrs(np.ones((4, 1)), 5.0)
     assert four == pytest.approx(4 * one)
-    assert 10 * math.log10(four / one) == pytest.approx(6.02, abs=0.01)
+    assert 10 * math.log10(four[0] / one[0]) == pytest.approx(6.02, abs=0.01)
+    with pytest.raises(StreamSeparationError):
+        zf_stream_snrs(np.ones((0, 1)), 1.0)
     with pytest.raises(DomainError):
-        mrc_combine([], 1.0)
-    with pytest.raises(DomainError):
-        mrc_combine([1.0], 0.0)
+        zf_stream_snrs(np.ones((1, 1)), 0.0)
 
 
 def test_zf_stream_snrs_orthogonal_and_oracle():

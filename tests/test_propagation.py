@@ -1,4 +1,4 @@
-"""Path-loss laws, phase velocity, and attenuation calibration."""
+"""Path-loss laws, phase velocity, and the received-power budget."""
 
 import math
 
@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 from surfmimo.errors import (
     DegenerateMaterialError,
     DomainError,
-    FitError,
     NearFieldError,
     PresetError,
 )
 from surfmimo.propagation import (
     SPEED_OF_LIGHT,
-    CalibrationResult,
     FrequencyBand,
     MaterialParams,
     air_gain,
-    calibrate,
     phase_velocity,
     received_power_dbm,
     surface_gain,
@@ -131,26 +128,12 @@ def test_material_validation_collects_problems():
         MaterialParams("bad", -0.1, 1.5, (2e9, 1e9), (0.1, 0.2), (10.0, 20.0))
 
 
-def test_from_conductor_good_conductor_relation():
-    freqs = (1e9, 2.437e9, 5.8e9)
-    m = MaterialParams.from_conductor("paint", sigma_s_per_m=1e4, mu_r=1.0, freqs_hz=freqs)
-    for f in freqs:
-        expect = math.sqrt(math.pi * f * 4e-7 * math.pi * 1e4)
-        assert m.alpha_at(f) == pytest.approx(expect, rel=1e-12)
-        assert m.beta_at(f) == pytest.approx(expect, rel=1e-12)
-    # grows with sqrt(f)
-    assert m.alpha_at(5.8e9) > m.alpha_at(1e9)
-    with pytest.raises(DomainError):
-        MaterialParams.from_conductor("bad", -1.0, 1.0, freqs)
-
-
 def test_band_validation_and_labels():
     # a band built without a label takes the one its center lies in
     assert FrequencyBand(5.19e9).band_id == "5GHz"
     assert FrequencyBand(915e6, 20e6).band_id == "900MHz"
     assert FrequencyBand(2.437e9).band_id == "2.4GHz"
     assert FrequencyBand(2.437e9, 40e6, "5GHz").band_id == "5GHz"  # a given label is kept
-    assert FrequencyBand(2.437e9).omega == pytest.approx(2 * math.pi * 2.437e9)
     with pytest.raises(DomainError):
         FrequencyBand(2.437e9, 30e6)
     with pytest.raises(DomainError):
@@ -158,65 +141,6 @@ def test_band_validation_and_labels():
     for center in (-1.0, math.nan):  # no label is derived from a NaN center
         with pytest.raises(DomainError):
             FrequencyBand(center)
-
-
-def _samples(m, distances, tx_dbm, f=F0):
-    return [(d, received_power_dbm(tx_dbm, surface_gain(d, f, m))) for d in distances]
-
-
-def test_calibrate_recovers_preset_constants():
-    m = presets.load_material("spraypaint")
-    fit = calibrate(_samples(m, np.linspace(0.3, 4.8, 12), -3.0), F0, -3.0)
-    assert isinstance(fit, CalibrationResult)
-    assert fit.alpha_np_per_m == pytest.approx(m.alpha_at(F0), rel=1e-9)
-    assert fit.d0_m == pytest.approx(m.d0_m, rel=1e-9)
-    assert fit.residual_rms_db < 1e-9
-
-
-def test_calibrate_matches_grid_search():
-    # Independent oracle: brute-force (alpha, d0) over a dB-error grid must
-    # land on the closed-form least-squares optimum.
-    m = presets.load_material("spraypaint")
-    samples = _samples(m, np.linspace(0.3, 4.8, 12), -3.0)
-    fit = calibrate(samples, F0, -3.0)
-
-    d = np.array([s[0] for s in samples])
-    rx = np.array([s[1] for s in samples])
-    alphas = np.linspace(0.2, 0.6, 401)
-    d0s = np.linspace(0.05, 0.2, 301)
-    best = (math.inf, None, None)
-    for a in alphas:
-        model = -3.0 + 20.0 * np.log10(d0s[:, None] / d[None, :]) \
-            - (20.0 / math.log(10.0)) * a * d[None, :]
-        err = np.sum((model - rx[None, :]) ** 2, axis=1)
-        i = int(np.argmin(err))
-        if err[i] < best[0]:
-            best = (float(err[i]), float(a), float(d0s[i]))
-    assert fit.alpha_np_per_m == pytest.approx(best[1], abs=(alphas[1] - alphas[0]))
-    assert fit.d0_m == pytest.approx(best[2], abs=(d0s[1] - d0s[0]))
-
-
-def test_calibrate_with_noise_stays_close():
-    m = presets.load_material("spraypaint")
-    rng = np.random.default_rng(42)
-    samples = [(d, rx + rng.normal(0.0, 0.5))
-               for d, rx in _samples(m, np.linspace(0.3, 4.8, 40), -3.0)]
-    fit = calibrate(samples, F0, -3.0)
-    assert fit.alpha_np_per_m == pytest.approx(m.alpha_at(F0), rel=0.1)
-    assert 0.0 < fit.residual_rms_db < 1.5
-
-
-def test_calibrate_error_cases():
-    with pytest.raises(FitError):
-        calibrate([(1.0, -40.0), (2.0, -50.0)], F0, 0.0)
-    with pytest.raises(FitError):
-        calibrate([(1.0, -40.0), (1.0, -41.0), (1.0, -39.0)], F0, 0.0)
-    with pytest.raises(DomainError):
-        calibrate([(-1.0, -40.0), (1.0, -45.0), (2.0, -50.0)], F0, 0.0)
-    # rising received power fits a negative alpha: clamped with a warning
-    with pytest.warns(RuntimeWarning):
-        fit = calibrate([(1.0, -50.0), (2.0, -40.0), (3.0, -30.0)], F0, 0.0)
-    assert fit.alpha_np_per_m == pytest.approx(1e-12)
 
 
 def test_received_power_budget_anchors():

@@ -31,7 +31,6 @@ from surfmimo.experiments import (
     multi_mode_sweep,
     scenario2_plan,
     share_sim,
-    throughput_sweep,
 )
 from surfmimo.geometry import CONTACT
 from surfmimo.io import sweep_result_set
@@ -320,8 +319,8 @@ SHIPPED_ONCE = {"materials.yaml": 1, "mcs_80211.csv": 1}
 
 
 def test_throughput_sweep_parses_presets_once(file_reads):
-    rows = throughput_sweep(distances_m=default_distances_m(), mode=MODE_2X2,
-                            settings=LinkSettings(grid=8, n_subcarriers=2))
+    rows = multi_mode_sweep(distances_m=default_distances_m(), modes=(MODE_2X2,),
+                            settings=LinkSettings(grid=8, n_subcarriers=2))[MODE_2X2]
     assert len(rows) == 16
     assert file_reads == SHIPPED_ONCE
 

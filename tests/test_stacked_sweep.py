@@ -33,8 +33,6 @@ from surfmimo.experiments import (
     multi_mode_separation_sweep,
     multi_mode_sweep,
     run_link,
-    separation_sweep,
-    throughput_sweep,
 )
 from surfmimo.geometry import Node, Scene
 
@@ -52,7 +50,7 @@ def _check_against_single_distances(mode, distances, st_):
         alone = csi(scene, st_.band, st_.n_subcarriers, st_.grid, st_.params).entries
         assert np.all(np.abs(stacked[:, d] - alone) <= RTOL * np.abs(alone))
 
-    swept = throughput_sweep(template, distances, mode, st_)
+    swept = multi_mode_sweep(template, distances, (mode,), st_)[mode]
     assert [d for d, _ in swept] == [float(d) for d in distances]
     for scene, (_, got) in zip(scenes, swept):
         want = run_link(scene, st_)
@@ -79,7 +77,7 @@ def test_stacked_sweep_matches_random_distance_sets(mode, feet, grid, tones):
 def _check_modes_against_each_alone(distances, st_):
     together = multi_mode_sweep(default_template(), distances, SWEEP_MODES, st_)
     _assert_rows_match(together, {
-        mode: throughput_sweep(default_template(), distances, mode, st_)
+        mode: multi_mode_sweep(default_template(), distances, (mode,), st_)[mode]
         for mode in SWEEP_MODES})
 
 
@@ -133,7 +131,7 @@ def test_separation_all_modes_match_each_mode_alone():
     together = multi_mode_separation_sweep(default_template(), seps, SWEEP_MODES, st_,
                                            distances)
     _assert_rows_match(together, {
-        mode: separation_sweep(default_template(), seps, mode, st_, distances)
+        mode: multi_mode_separation_sweep(default_template(), seps, (mode,), st_, distances)[mode]
         for mode in SWEEP_MODES})
     # the air baseline's separation is its element spacing, not the height
     air = together[MODE_AIR_MIMO]
@@ -161,7 +159,8 @@ def test_sweep_synthesizes_once_per_mode(monkeypatch):
                         lambda *args: calls.append(len(args[4])) or synthesize(*args))
     for mode in SWEEP_MODES:
         calls.clear()
-        rows = throughput_sweep(distances_m=default_distances_m(), mode=mode, settings=FAST)
+        rows = multi_mode_sweep(distances_m=default_distances_m(), modes=(mode,),
+                                settings=FAST)[mode]
         assert len(rows) == 16
         n_rx = len(build_link_scene(default_template(), FOOT_M, mode).receivers()[0].ports)
         assert calls == [16 * n_rx]  # every distance's receive ports in one call
@@ -190,7 +189,7 @@ def test_non_finite_entry_on_the_stacked_path_raises(monkeypatch):
     with pytest.raises(DomainError, match="non-finite"):
         channel._channel_stack(scenes, FAST.band, 2, 8, None)
     with pytest.raises(DomainError, match="non-finite"):
-        throughput_sweep(distances_m=(FOOT_M, 2 * FOOT_M), mode=MODE_2X2, settings=FAST)
+        multi_mode_sweep(distances_m=(FOOT_M, 2 * FOOT_M), modes=(MODE_2X2,), settings=FAST)
 
 
 def test_stacked_scenes_must_share_the_transmit_side():
@@ -211,7 +210,7 @@ def test_the_surface_law_runs_once_per_distinct_distance(monkeypatch):
     surface_field = channel._surface_field
     monkeypatch.setattr(channel, "_surface_field", lambda d, gamma, m: (
         calls.append((len(gamma), np.asarray(d))) or surface_field(d, gamma, m)))
-    throughput_sweep(distances_m=(FOOT_M, 2 * FOOT_M), mode=MODE_3X3, settings=FAST)
+    multi_mode_sweep(distances_m=(FOOT_M, 2 * FOOT_M), modes=(MODE_3X3,), settings=FAST)
     # three tones, one block and one group of path sets: each side's contact
     # field rows on their 34 and 19 distinct grid distances, and the 12 path
     # sets (588 lengths) on their 151 distinct lengths
