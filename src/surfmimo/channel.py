@@ -63,20 +63,25 @@ place, and the inverse is pruned to what is read, the last axis in place and
 then the other axis on the first ny columns only.  The kernel is not copied:
 its near offsets are read out, zeroed while its transform reads it, and put
 back.  ``impulse_response`` runs the same pass at one tone, a block of one,
-and weights its composite delay by the port fields that pass formed.
+and weights its composite delay by the port fields and the kernel that
+pass formed.
 
 Each law is evaluated once per distinct distance and gathered
 (``_distinct``, ``_on_distinct``): a complex exponential costs far more than
 a gather, and distances repeat.  The kernel lattice is even in both offsets,
-a node's contacts mirror each other's image paths, and field rows share
-grid distances.  The distinct values of the kernel lattice are found when
-the grid is built, those of the field rows once per call before the
-tone-block loop, and the discrete paths group consecutive path sets up to
-the block budget of distinct lengths.  The result is bitwise the law on
-every distance, since each element depends only on its own (tone,
-distance).  The gather is ``np.take`` along the last axis, which keeps the
-array C-contiguous; a fancy-indexed view would change how FFTs and BLAS
-round.
+a node's contacts mirror each other's image paths, field rows share grid
+distances, and antennas repeat their heights and their spacings.
+The distinct values of the kernel lattice are found when the grid is
+built, those of the field rows once per call before the tone-block loop,
+and the discrete paths group consecutive path sets up to the block budget
+of distinct lengths.  A pass evaluates the near-field hop once per
+distinct hop length and the antenna line of sight once per distinct
+antenna distance (``_air_link`` takes all of a pass's antenna pairs), and
+``impulse_response`` weights its composite delay by the air kernel its
+one-tone integral formed.  The result is bitwise the law on every
+distance, since each element depends only on its own (tone, distance).
+The gather is ``np.take`` along the last axis, which keeps the array
+C-contiguous; a fancy-indexed view would change how FFTs and BLAS round.
 
 An entry depends only on its two ports, so a distance sweep, where only the
 receiver moves, is one pass: ``_channel_stack`` stacks the receive ports of
@@ -407,15 +412,16 @@ class _Grid:
                          out=self._buffer("out", lead + (left.shape[-2], rows[-1])))
 
 
-def _composite(grid: _Grid, k, a_tx, a_rx, params: ChannelParams):
+def _composite(grid: _Grid, kernel, a_tx, a_rx, params: ChannelParams):
     """C1 surface->air->surface integrals for every pair of transmit (rows of
     a_tx) and receive (rows of a_rx) surface fields:
-    C1 * sum A_S(tx,p1) A_air(p1,p2) A_S(p2,rx) dA^2, shape (T, R) at one
-    wavenumber k, or (B, T, R) for B wavenumbers and (B, T, N), (B, R, N)
-    fields.  The rows of a_rx go through the FFT.  The air kernel is even in
-    the offset, so swapping the two sides gives the transposed integrals."""
+    C1 * sum A_S(tx,p1) A_air(p1,p2) A_S(p2,rx) dA^2, shape (B, T, R) for
+    the air kernel (``_Grid.air_kernel``) at B wavenumbers and (B, T, N),
+    (B, R, N) fields.  The rows of a_rx go through the FFT.  The air kernel
+    is even in the offset, so swapping the two sides gives the transposed
+    integrals."""
     c1 = params.coupling.c1
-    return c1 * grid.da * grid.da * grid.correlate(grid.air_kernel(k), a_tx, a_rx)
+    return c1 * grid.da * grid.da * grid.correlate(kernel, a_tx, a_rx)
 
 
 # --- discrete paths ---------------------------------------------------------------
@@ -489,22 +495,27 @@ def _scatterers(tx, rx, model: AirMultipathModel):
     return pos, phases
 
 
-def _air_link(tx, rx, k, params: ChannelParams):
-    """Antenna-to-antenna gains at wavenumbers k: line of sight plus the
-    optional scatterer ring."""
-    d = math.dist(tx, rx)
-    if d < params.air_ref_m:
-        raise NearFieldError(f"antenna separation {d:.4g} m is below the air reference "
-                             f"distance {params.air_ref_m} m")
-    amp = _air_amplitude(params.air_ref_m / d, params.air_exponent)
-    los = _air_field(d, k, params.air_ref_m, params.air_exponent)
+def _air_link(pairs, k, params: ChannelParams):
+    """Antenna-to-antenna gains of each (tx, rx) antenna pair at the
+    wavenumbers k, shape (F, pairs): the line of sight, evaluated once per
+    distinct distance, plus the optional scatterer ring of each pair."""
+    d = [math.dist(tx, rx) for tx, rx in pairs]
+    for dist in d:
+        if dist < params.air_ref_m:
+            raise NearFieldError(f"antenna separation {dist:.4g} m is below the air "
+                                 f"reference distance {params.air_ref_m} m")
+    gains = _on_distinct(_air_field, _distinct(d), k, params.air_ref_m, params.air_exponent)
     mp = params.air_multipath
     if mp is None:
-        return los
-    pos, phases = _scatterers(tx, rx, mp)
-    d1, d2 = (np.sqrt(np.sum((pos - np.asarray(p)) ** 2, axis=1)) for p in (tx, rx))
-    scale = amp * 10.0 ** (mp.relative_gain_db / 20.0) / math.sqrt(mp.n_scatterers)
-    return los + np.sum(scale * np.exp(1j * (phases - np.multiply.outer(k, d1 + d2))), axis=-1)
+        return gains
+    for p, ((tx, rx), dist) in enumerate(zip(pairs, d)):
+        pos, phases = _scatterers(tx, rx, mp)
+        d1, d2 = (np.sqrt(np.sum((pos - np.asarray(q)) ** 2, axis=1)) for q in (tx, rx))
+        amp = _air_amplitude(params.air_ref_m / dist, params.air_exponent)
+        scale = amp * 10.0 ** (mp.relative_gain_db / 20.0) / math.sqrt(mp.n_scatterers)
+        gains[:, p] += np.sum(scale * np.exp(1j * (phases - np.multiply.outer(k, d1 + d2))),
+                              axis=-1)
+    return gains
 
 
 # --- the channel engine -----------------------------------------------------------
@@ -518,29 +529,38 @@ def _paths(scene: Scene, gamma, k, params: ChannelParams, rx_ports, tx_ports):
     foot path set followed by the near-field hop; an antenna pair's line of
     sight with the scatterer ring, one column with no surface leg (gamma is
     not read).  Each distinct surface path set is evaluated once, in
-    groups of consecutive sets (``_path_sets``)."""
+    groups of consecutive sets (``_path_sets``), and the air law once per
+    distinct hop length and once per distinct antenna distance."""
     # the entries on each distinct surface path set (source, target), with
     # the near-field hop length or None for a contact -> contact entry
-    uses = {}
+    uses, air = {}, []
     for i, (rk, rp) in enumerate(rx_ports):
         for j, (tk, tp) in enumerate(tx_ports):
             if tk == CONTACT and rk == CONTACT:
                 uses.setdefault((tuple(tp), tuple(rp)), []).append((i, j, None))
             elif tk == ANTENNA and rk == ANTENNA:
-                yield i, j, np.zeros(1), math.dist(tp, rp), _air_link(tp, rp, k, params)[:, None]
+                air.append((i, j, tp, rp))
             else:
                 contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
                 near = _near_field(antenna, scene, params)
                 if near is not None:
                     foot, hop_c = near
                     uses.setdefault((tuple(contact), foot), []).append((i, j, hop_c))
+    if air:
+        gains = _air_link([(tp, rp) for _, _, tp, rp in air], k, params)
+        for p, (i, j, tp, rp) in enumerate(air):
+            yield i, j, np.zeros(1), math.dist(tp, rp), gains[:, p, None]
+    hops = sorted({hop_c for entries in uses.values() for _, _, hop_c in entries
+                   if hop_c is not None})
+    if hops:
+        hop_fields = _air_field(np.array(hops), k, params.air_ref_m, params.air_exponent)
     for lengths, amps, entries in _path_sets(uses, scene, gamma, len(k), params):
         for i, j, hop_c in entries:
             if hop_c is None:
                 yield i, j, lengths, 0.0, amps
             else:
-                hop = _air_field(hop_c, k, params.air_ref_m, params.air_exponent)
-                yield i, j, lengths, hop_c, params.coupling.near_field_coupling * amps * hop[:, None]
+                hop = hop_fields[:, hops.index(hop_c), None]
+                yield i, j, lengths, hop_c, params.coupling.near_field_coupling * amps * hop
 
 
 def _path_sets(uses, scene: Scene, gamma, tones: int, params: ChannelParams):
@@ -573,8 +593,9 @@ def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports)
     surface of material m, as an (F, R, T) array, 0 where a pair has none,
     and the port fields of the last tone block, (receive contacts, transmit
     contacts, receive antennas, transmit antennas), each (B, rows, N) over
-    the ports some integral uses (None when no integral is taken): for a
-    one-tone call, those of every used port."""
+    the ports some integral uses, and the air kernel (B, 2n, 2ny) of the C1
+    integral (None when no integral is taken): for a one-tone call, those
+    of every used port."""
     coupling = params.coupling
     h = np.zeros((len(k), len(rx_ports), len(tx_ports)), dtype=complex)
     # each integral from the fields of the ports it uses: surface fields of
@@ -610,15 +631,16 @@ def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports)
         s_rx, s_tx = (_on_distinct(_surface_field, d, gamma[f], m) for d in (d_rx_c, d_tx_c))
         a_rx, a_tx = (_on_distinct(_air_field, d, k[f], params.air_ref_m, params.air_exponent)
                       for d in (d_rx_a, d_tx_a))
+        kernel = g.air_kernel(k[f]) if use_c1 else None
         if use_c1 and swap:
-            h[f, rx_c, tx_c] += _composite(g, k[f], s_rx, s_tx, params)
+            h[f, rx_c, tx_c] += _composite(g, kernel, s_rx, s_tx, params)
         elif use_c1:
-            h[f, rx_c, tx_c] += np.swapaxes(_composite(g, k[f], s_tx, s_rx, params), -1, -2)
+            h[f, rx_c, tx_c] += np.swapaxes(_composite(g, kernel, s_tx, s_rx, params), -1, -2)
         if use_c2:
             h[f, rx_a, tx_c] += coupling.c2 * g.da * (a_rx @ np.swapaxes(s_tx, -1, -2))
         if use_c3:
             h[f, rx_c, tx_a] += coupling.c3 * g.da * (s_rx @ np.swapaxes(a_tx, -1, -2))
-    return h, (s_rx, s_tx, a_rx, a_tx)
+    return h, (s_rx, s_tx, a_rx, a_tx, kernel)
 
 
 def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
@@ -669,7 +691,8 @@ def h_as(tx_antenna, rx_contact, scene: Scene, f, grid: int = 32,
 def h_aa(tx_antenna, rx_antenna, f, params: ChannelParams | None = None) -> complex:
     """Antenna-to-antenna gain: direct air path (plus optional scatterer ring)."""
     params = params or ChannelParams()
-    return complex(_air_link(tx_antenna, rx_antenna, _wavenumber([_center_hz(f)]), params)[0])
+    k = _wavenumber([_center_hz(f)])
+    return complex(_air_link([(tx_antenna, rx_antenna)], k, params)[0, 0])
 
 
 # --- matrix assembly ----------------------------------------------------------
@@ -815,9 +838,9 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
     if amp != 0 and tk == CONTACT and rk == CONTACT:
         # sum w tau over point pairs, w = |A_S(tx,p1)| |A_air(p1,p2)| |A_S(p2,rx)|
         # and v tau = d1(p1) + d2(p1-p2) + d3(p2): three Toeplitz forms
-        s_rx, s_tx, _, _ = fields
+        s_rx, s_tx, _, _, kernel = fields
         d1, d3 = (g.surface_distance(p, m.d0_m) for p in (tp, rp))
-        w_tx, w_rx, w_air = np.abs(s_tx[0, 0]), np.abs(s_rx[0, 0]), np.abs(g.air_kernel(k[0]))
+        w_tx, w_rx, w_air = np.abs(s_tx[0, 0]), np.abs(s_rx[0, 0]), np.abs(kernel[0])
         forms = g.correlate(w_air, np.stack([w_tx, w_tx * d1]),
                             np.stack([w_rx, w_rx * d3])).real
         # read out before the next correlation reuses the grid's buffers
@@ -825,7 +848,7 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
         air = g.correlate(w_air * g.lattice_d, w_tx[None], w_rx[None]).real[0, 0]
         taps.append((float((delay_sum + air) / (v * weight)), amp))
     elif amp != 0:
-        s_rx, s_tx, a_rx, a_tx = fields
+        s_rx, s_tx, a_rx, a_tx, _ = fields
         contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
         s, a = (s_tx, a_rx) if tk == CONTACT else (s_rx, a_tx)
         d_s = g.surface_distance(contact, m.d0_m)

@@ -9,22 +9,31 @@ bitwise equal to its slice of any stack, which gives the result per matrix
 along the leading axes.
 
 Every result is read off two per-matrix quantities, the singular values
-s_i and the zero-forcing diagonal ``[(H†H)^-1]_kk``:
+s_i and the Gram determinant det(H†H):
 
 * Capacity is the equal-power log-det form, log2 det(I + snr/N_tx H H†),
   taken as ``sum_i log2(1 + snr/N_tx s_i^2)``.
 * The condition number is s_max / s_min (+inf where a matrix is
   numerically singular: s_min <= s_max * max(n_rx, n_tx) * eps).
-* A zero-forcing receiver gives stream k the SNR snr / (N_tx *
-  ``[(H†H)^-1]_kk``).
+* A zero-forcing (ZF) receiver gives stream k the SNR snr / (N_tx *
+  ``[(H†H)^-1]_kk``), and the ZF diagonal is Cramer's rule on Gram
+  determinants: ``[(H†H)^-1]_kk = det G_-k / det G``, with G_-k the Gram
+  matrix of H without column k (1 for a one-column H).  No singular vector
+  is formed.
 
-Channels of one or two columns, which are all but the 3x3 links, take
-closed forms.  With a, c the squared column norms and b = h_1† h_2:
+Each matrix is scaled by the exact power of two 2^-e that puts its largest
+part in [1/2, 1): the closed forms square only scaled entries, every
+determinant is that of the scaled matrix, and the singular values and the
+ZF quotients are scaled back exactly, so no square or determinant under- or
+overflows.  Channels of one or two columns, which are all but the 3x3
+links, take closed forms.  With a, c the squared column norms and
+b = h_1† h_2:
 
 * s_max^2 = (a + c)/2 + sqrt(((a - c)/2)^2 + |b|^2), a sum of non-negative
   terms, so nothing cancels under the root;
 * det(H†H) = sum over the 2x2 minors of H of |minor|^2 (the Lagrange
-  identity), so s_min^2 = det / s_max^2, and the ZF diagonal is (c, a) / det.
+  identity), so s_min^2 = det / s_max^2, and the ZF diagonal is (c, a) / det
+  (for one column, 1 / a).
 
 The determinant is taken from the minors of H itself, never as a c - |b|^2
 from the Gram matrix: each minor is rounded relative to the entries it is
@@ -32,12 +41,11 @@ made of, so s_min is accurate to about eps * s_max, as from a
 backward-stable SVD, and the ZF diagonal loses about log10 of the
 condition number in digits, not twice that as an inverse of H†H would.
 Exactly parallel columns give minors of at most one rounding per product,
-so s_min <= eps * s_max / (2 sqrt 2), well inside the singular rule.  Each
-matrix is first scaled by an exact power of two to a largest part in
-[1/2, 1), so no square underflows or overflows, and the results are scaled
-back exactly.  Three or more columns take one batched LAPACK SVD, with
-the ZF diagonal read off the thin SVD ``H = U S V†`` as
-``sum_i |V_ki|^2 / s_i^2``.
+so s_min <= eps * s_max / (2 sqrt 2), well inside the singular rule.  Three
+or more columns take one batched LAPACK SVD of singular values alone, and
+det(H†H) is the product of the scaled s_i^2.  The one- and two-column
+determinants ``link_results`` needs for a three-column diagonal are those
+of the subsets it walks anyway.
 
 Per-subcarrier SNRs are compressed to a single effective SNR which an MCS
 table maps to a PHY rate.  ``link_results`` is the one link analysis of the
@@ -69,44 +77,53 @@ def _as_matrix(h):
     return (m[None], True) if m.ndim == 2 else (m, False)
 
 
-def _decompose(m: np.ndarray, zf: bool = False):
-    """(s, g) for a stack m (..., n_rx, n_tx): the singular values s (...,
-    min(n_rx, n_tx)), descending, and with zf and n_rx >= n_tx the ZF
-    diagonal g = [(H†H)^-1]_kk (..., n_tx), else None.  g is inf or nan
-    where a matrix is singular.  Closed forms up to two columns, one
-    batched SVD above (see the module docstring)."""
+def _decompose(m: np.ndarray):
+    """(s, det, e) for a stack m (..., n_rx, n_tx): the singular values s
+    (..., min(n_rx, n_tx)), descending; det (...), where n_rx >= n_tx the
+    Gram determinant det(H†H) of the scaled matrix 2^-e H; and the exponent e
+    (...) of the exact power of two that scales each matrix to a largest real
+    or imaginary part in [1/2, 1).  Closed forms up to two columns, one
+    batched LAPACK SVD of singular values alone above (see the module
+    docstring)."""
     n_rx, n_tx = m.shape[-2:]
-    zf = zf and n_rx >= n_tx
-    if n_tx > 2:
-        if not zf:
-            return np.linalg.svd(m, compute_uv=False), None
-        s, vh = np.linalg.svd(m, full_matrices=False)[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return s, np.sum((np.abs(vh) / s[..., :, None]) ** 2, axis=-2)
-    # scale each matrix by 2^-e to a largest real or imaginary part in [1/2, 1)
     parts = np.ascontiguousarray(m).view(float)
     largest = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
-    e = np.frexp(largest)[1][..., None]
-    m = np.ldexp(parts, -e[..., None]).view(complex)
+    e = np.frexp(largest)[1]
+    if n_tx > 2:
+        s = np.linalg.svd(m, compute_uv=False)
+        return s, np.prod(np.ldexp(s, -e[..., None]) ** 2, axis=-1), e
+    m = np.ldexp(parts, -e[..., None, None]).view(complex)
     norms = np.sum(m.real ** 2 + m.imag ** 2, axis=-2)
+    if n_tx == 1:
+        s2, det = norms, norms[..., 0]
+    else:
+        a, c = norms[..., 0], norms[..., 1]
+        x, y = m[..., 0], m[..., 1]
+        b = np.sum(x.conj() * y, axis=-1)
+        hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + (b.real ** 2 + b.imag ** 2))
+        det = np.zeros_like(a)
+        for i, j in itertools.combinations(range(n_rx), 2):
+            minor = x[..., i] * y[..., j] - x[..., j] * y[..., i]
+            det += minor.real ** 2 + minor.imag ** 2
+        # s_min^2 = det / s_max^2: 0 for a zero matrix, and never above
+        # s_max^2, as rounding could put it for equal orthogonal columns
+        lo = np.minimum(det / np.where(hi > 0, hi, 1.0), hi)
+        s2 = np.stack([hi, lo], axis=-1)[..., :n_rx]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(s2), e[..., None]), det, e
+
+
+def _zf_diagonal(det, e, deletions):
+    """The ZF diagonal [(H†H)^-1]_kk (..., k) of k-column matrices by
+    Cramer's rule, det G_-k / det G with G = H†H and G_-k the Gram matrix of
+    H without column k: from the det and e of _decompose of H and the
+    (det, e) of each one-column deletion, in column order ((1, 0), the empty
+    determinant, for one column).  Each quotient is taken on scaled
+    determinants and scaled back exactly; inf or nan where det G is 0."""
+    k = len(deletions)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if n_tx == 1:
-            s2, g = norms, 1.0 / norms
-        else:
-            a, c = norms[..., 0], norms[..., 1]
-            x, y = m[..., 0], m[..., 1]
-            b = np.sum(x.conj() * y, axis=-1)
-            hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + (b.real ** 2 + b.imag ** 2))
-            det = np.zeros_like(a)
-            for i, j in itertools.combinations(range(n_rx), 2):
-                minor = x[..., i] * y[..., j] - x[..., j] * y[..., i]
-                det += minor.real ** 2 + minor.imag ** 2
-            # s_min^2 = det / s_max^2: 0 for a zero matrix, and never above
-            # s_max^2, as rounding could put it for equal orthogonal columns
-            lo = np.minimum(det / np.where(hi > 0, hi, 1.0), hi)
-            s2 = np.stack([hi, lo], axis=-1)[..., :n_rx]
-            g = np.stack([c, a], axis=-1) / det[..., None]
-        return np.ldexp(np.sqrt(s2), e), (np.ldexp(g, -2 * e) if zf else None)
+        return np.stack([np.ldexp(d / det, 2 * (k - 1) * e_d - 2 * k * e)
+                         for d, e_d in deletions], axis=-1)
 
 
 def _singular(s: np.ndarray, shape) -> np.ndarray:
@@ -173,10 +190,12 @@ def zf_stream_snrs(h, snr_linear: float) -> np.ndarray:
         raise StreamSeparationError(
             f"cannot separate {n_tx} streams with {n_rx} receive ports"
         )
-    s, g = _decompose(m, zf=True)
+    s, det, e = _decompose(m)
     if np.any(_singular(s, m.shape)):
         raise StreamSeparationError("channel matrix is singular; streams are not separable")
-    snrs = snr_linear / (n_tx * g)
+    deletions = ([(1.0, 0)] if n_tx == 1 else
+                 [_decompose(np.delete(m, j, axis=-1))[1:] for j in range(n_tx)])
+    snrs = snr_linear / (n_tx * _zf_diagonal(det, e, deletions))
     return snrs[0] if one else snrs
 
 
@@ -322,17 +341,21 @@ def link_results(h, snr_linear: float, beta: float, table: McsTable,
     steps = _rate_steps(table)
     h = np.moveaxis(h, 1, 0)  # (D, F, n_rx, n_tx)
     n_d, _, n_rx, n_tx = h.shape
-    s_all, g_all = _decompose(_nonzero(h), zf=True)
-    caps = _capacity(s_all, snr_linear, n_tx).mean(axis=-1)
-    kappa = _kappa(s_all, h.shape).max(axis=-1)
+    full = _decompose(_nonzero(h))
+    caps = _capacity(full[0], snr_linear, n_tx).mean(axis=-1)
+    kappa = _kappa(full[0], h.shape).max(axis=-1)
     best_rate = np.full(n_d, -1.0)
     best = [((float("-inf"),), ())] * n_d  # (stream ESNRs in dB, columns)
+    # the (det, e) of every subset walked, read by the subsets one column larger
+    dets = {(): (1.0, 0)}
     for k in range(1, min(n_rx, n_tx) + 1):
         for subset in itertools.combinations(range(n_tx), k):
-            s, g = (s_all, g_all) if k == n_tx else _decompose(h[..., subset], zf=True)
+            s, det, e = full if k == n_tx else _decompose(h[..., subset])
+            dets[subset] = det, e
             live = np.flatnonzero(~np.any(_singular(s, (n_rx, k)), axis=-1))
             if not live.size:
                 continue
+            g = _zf_diagonal(det, e, [dets[subset[:j] + subset[j + 1:]] for j in range(k)])
             snrs = np.swapaxes(snr_linear / (k * g[live]), -1, -2)  # (live, k, F)
             rate = _lookup_rates(_esnr_db(snrs.reshape(len(live), -1), beta), steps) * k
             better = rate > best_rate[live]

@@ -8,8 +8,11 @@ use ``exp(-1j*w*d/c) * (d0/d)**p`` with a configurable amplitude exponent
 
 Each law has one array definition, ``_surface_field``, ``_air_field`` and
 ``_wavenumber`` (with ``_propagation``, alpha + j*beta over a frequency
-vector).  ``surface_gain`` and ``air_gain`` are checked 0-d calls of them, and
-the channel engine (``channel.py``) calls them and keeps no copy.
+vector).  ``surface_gain`` and ``air_gain`` are checked calls of them at one
+distance, and the channel engine (``channel.py``) calls them and keeps no
+copy.  ``air_gain`` takes its distance as a one-element array, as the engine
+takes every air distance: numpy's array power and its scalar one can differ
+in the last bit at a non-integer exponent.
 """
 
 from __future__ import annotations
@@ -177,7 +180,7 @@ def air_gain(d: float, f, d0_air: float = 0.1, p: float = 2.0) -> complex:
         raise DomainError(f"distance must be positive, got {d}")
     if d < d0_air:
         raise NearFieldError(f"d = {d} m is below the air reference distance {d0_air} m")
-    return complex(_air_field(d, _wavenumber(_center_hz(f)), d0_air, p))
+    return complex(_air_field(np.array([d]), _wavenumber(_center_hz(f)), d0_air, p)[0])
 
 
 def phase_velocity(f, m: MaterialParams) -> float:

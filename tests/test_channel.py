@@ -801,6 +801,67 @@ def test_a_law_on_distinct_distances_is_bitwise_the_law(freqs, pool, picks, rows
         assert got.tobytes() == full.tobytes()
 
 
+# CI's obstacle scene: hybrid nodes whose antennas hover 2 cm over their contacts
+OBSTACLE_SCENE = """name: obstacle
+surface: {material: spraypaint, width_m: 1.2, height_m: 0.6096}
+band: {center_ghz: 2.437, bandwidth_mhz: 40}
+nodes:
+  - {id: tx, role: transmitter, contacts: [[0.2, 0.25], [0.2, 0.35]], antennas: [[0.2, 0.3, 0.02]]}
+  - {id: rx, role: receiver, contacts: [[1.0, 0.25], [1.0, 0.35]], antennas: [[1.0, 0.3, 0.02]]}
+obstacles:
+  - {x_min: 0.5, y_min: 0.15, x_max: 0.65, y_max: 0.45, kind: wood, perturbation_db: 2.0}
+analysis: {grid: 16, subcarriers: 8}
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--mode", "all", "--distances-ft", "1,2", "--grid", "8", "--subcarriers", "2"],
+    ["channel", "--scene", "obstacle.yaml"],
+])
+def test_a_pass_takes_the_air_law_once_per_hop_length_and_antenna_distance(
+        monkeypatch, tmp_path, command):
+    # every distance that reaches the air law while a pass streams its
+    # discrete paths, against the distinct near-field hop lengths and
+    # antenna-pair distances of that pass's port pairs
+    from surfmimo.cli import main
+
+    passes, streaming = [], []
+    paths, air_field = channel._paths, channel._air_field
+
+    def air(d, *args):
+        if streaming:
+            streaming[-1].extend(np.ravel(d).tolist())
+        return air_field(d, *args)
+
+    def traced(scene, gamma, k, params, rx_ports, tx_ports):
+        hops, spans = [], []
+        for rk, rp in rx_ports:
+            for tk, tp in tx_ports:
+                if rk == tk == ANTENNA:
+                    spans.append(math.dist(tp, rp))
+                elif rk != tk:
+                    near = channel._near_field(rp if rk == ANTENNA else tp, scene, params)
+                    hops += [near[1]] if near is not None else []
+        passes.append(([], hops, spans))
+        streaming.append(passes[-1][0])
+        try:
+            yield from paths(scene, gamma, k, params, rx_ports, tx_ports)
+        finally:
+            streaming.pop()
+
+    monkeypatch.setattr(channel, "_air_field", air)
+    monkeypatch.setattr(channel, "_paths", traced)
+    (tmp_path / "obstacle.yaml").write_text(OBSTACLE_SCENE)
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--out", "out.csv"]) == 0
+    for evaluated, hops, spans in passes:
+        assert sorted(evaluated) == sorted([*set(hops), *set(spans)])
+    # entries of a pass share hop lengths, and on the sweep antenna distances
+    hop_repeats = sum(len(hops) - len(set(hops)) for _, hops, _ in passes)
+    span_repeats = sum(len(spans) - len(set(spans)) for _, _, spans in passes)
+    assert hop_repeats > 0 and (span_repeats > 0 or command[0] == "channel")
+
+
 def test_library_calls_without_params_parse_the_shipped_presets_once(file_reads):
     from surfmimo.io import load_config
 

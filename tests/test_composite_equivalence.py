@@ -180,10 +180,12 @@ def test_fft_composite_matches_dense_double_sum(case, more_freqs):
                                           channel._surface_field(d_tx, gamma, m),
                                           channel._surface_field(d_rx, gamma, m))
             for gamma, k in zip(gammas, ks)]
-    got = channel._composite(grid, ks[0], channel._surface_field(d_tx, gammas[0], m),
+    got = channel._composite(grid, grid.air_kernel(ks[0]),
+                             channel._surface_field(d_tx, gammas[0], m),
                              channel._surface_field(d_rx, gammas[0], m), params)
     assert _within(got, amps[0], RTOL)
-    stacked = channel._composite(grid, ks, channel._surface_field(d_tx, gammas, m),
+    stacked = channel._composite(grid, grid.air_kernel(ks),
+                                 channel._surface_field(d_tx, gammas, m),
                                  channel._surface_field(d_rx, gammas, m), params)
     assert stacked.shape == (len(freqs), len(txs), len(rxs))
     for got_b, want in zip(stacked, amps):

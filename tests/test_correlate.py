@@ -136,9 +136,9 @@ def _law_calls(monkeypatch, fn):
 
 
 def test_impulse_response_reads_the_port_fields_of_its_integral(monkeypatch):
-    # the composite tap's weights come from the fields the one-tone integral
-    # pass formed: no law evaluation beyond the engine's for the same pair,
-    # apart from the air kernel of the C1 delay forms
+    # the composite tap's weights come from the fields and the air kernel
+    # the one-tone integral pass formed: no law evaluation beyond the
+    # engine's for the same pair
     scene = _scene("default_3x3")
     band = FrequencyBand(2.437e9, 40e6)
     tx = [p for node in scene.transmitters() for p in node.ports]
@@ -150,5 +150,21 @@ def test_impulse_response_reads_the_port_fields_of_its_integral(monkeypatch):
         engine = _law_calls(monkeypatch, lambda: channel._synthesize(
             scene, [band.center_hz], 16, ChannelParams(), [r], [t]))
         taps = _law_calls(monkeypatch, lambda: impulse_response(t, r, scene, band, 16))
-        kernel = 1 if t[0] == r[0] == CONTACT else 0
-        assert taps == (engine[0], engine[1] + kernel)
+        assert taps == engine
+
+
+def test_a_contact_pair_pulse_forms_its_air_kernel_once(monkeypatch):
+    # the C1 delay forms weight by the kernel the one-tone integral formed
+    shapes, air_kernel = [], channel._Grid.air_kernel
+
+    def counted(self, k):
+        shapes.append(np.shape(k))
+        return air_kernel(self, k)
+
+    monkeypatch.setattr(channel._Grid, "air_kernel", counted)
+    scene = _scene("default_3x3")
+    tx, rx = ([p for node in nodes for p in node.ports if p[0] == CONTACT][0]
+              for nodes in (scene.transmitters(), scene.receivers()))
+    taps = impulse_response(tx, rx, scene, FrequencyBand(2.437e9, 40e6), 16).taps
+    assert len(taps) > 1
+    assert shapes == [(1,)]

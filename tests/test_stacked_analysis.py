@@ -222,19 +222,16 @@ def test_link_metrics_from_one_svd_match_the_separate_calls(seed, n_rx, n_tx, f,
     stack = rng.standard_normal((f, n_rx, n_tx)) + 1j * rng.standard_normal((f, n_rx, n_tx))
     if rank_deficient and n_tx > 1:
         stack[f // 2, :, 1] = stack[f // 2, :, 0]
-    # the decomposition with singular vectors, which link_results reads the
-    # capacity, the condition number and the ZF SNRs from
-    s, g = mimo._decompose(stack, zf=True)
-    # with and without singular vectors LAPACK takes different paths
-    np.testing.assert_allclose(mimo._capacity(s, 50.0, n_tx), capacity(stack, 50.0), rtol=1e-12)
-    np.testing.assert_allclose(mimo._kappa(s, stack.shape), condition_number(stack), rtol=1e-12)
+    # the one decomposition that link_results reads the capacity and the
+    # condition number from is the one capacity and condition_number take:
+    # singular values alone at every width
+    s = mimo._decompose(stack)[0]
+    np.testing.assert_array_equal(mimo._capacity(s, 50.0, n_tx), capacity(stack, 50.0))
+    np.testing.assert_array_equal(mimo._kappa(s, stack.shape), condition_number(stack))
     try:
-        want = zf_stream_snrs(stack, 50.0)
+        zf_stream_snrs(stack, 50.0)
     except StreamSeparationError:
-        assert g is None or np.any(mimo._singular(s, stack.shape))
-    else:
-        # one column: the SVD form against the closed form, to rounding
-        np.testing.assert_allclose(50.0 / (n_tx * g), want, rtol=0 if n_tx > 1 else 1e-14)
+        assert n_tx > n_rx or np.any(mimo._singular(s, stack.shape))
 
 
 def _reference_analyze(stack, st_: LinkSettings):
@@ -357,7 +354,7 @@ def test_closed_forms_match_lapack_and_exact_zf(seed, n_rx, n_tx, f, log_kappa):
     # rounding times kappa; the ZF diagonal also matches exact arithmetic.
     rng = np.random.default_rng(seed)
     stack = np.stack([_column_case(rng, n_rx, n_tx, 10.0 ** log_kappa) for _ in range(f)])
-    s, g = mimo._decompose(stack, zf=True)
+    s = mimo._decompose(stack)[0]
     _, s_ref, vh = np.linalg.svd(stack, full_matrices=False)
     assert s.shape == s_ref.shape == (f, min(n_rx, n_tx))
     assert np.all(np.diff(s, axis=-1) <= 0)
@@ -365,13 +362,12 @@ def test_closed_forms_match_lapack_and_exact_zf(seed, n_rx, n_tx, f, log_kappa):
     assert np.all(np.abs(s - s_ref) <= 1e-13 * s_ref[:, :1])
     assert np.all(np.abs(s[:, 0] / s[:, -1] / kappa_ref - 1) <= 1e-13 * kappa_ref)
     if n_tx > n_rx:
-        assert g is None
         return
+    g = 7.0 / (n_tx * zf_stream_snrs(stack, 7.0))
     g_ref = np.sum(np.abs(vh) ** 2 / s_ref[..., :, None] ** 2, axis=-2)
     assert np.all(np.abs(g / g_ref - 1) <= 1e-13 * kappa_ref[:, None])
     for m, g_m in zip(stack, g):
         np.testing.assert_allclose(g_m, _gram_inverse_diag_exact(m), rtol=1e-9, atol=0)
-    np.testing.assert_array_equal(zf_stream_snrs(stack, 7.0), 7.0 / (n_tx * g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,9 +378,9 @@ def test_closed_forms_are_exactly_scale_invariant(seed, n_rx, n_tx, log_kappa):
     # squared, so a power-of-two scale moves every result by exactly its power
     rng = np.random.default_rng(seed)
     m = np.stack([_column_case(rng, n_rx, n_tx, 10.0 ** log_kappa) for _ in range(3)])
-    s, _ = mimo._decompose(m)
+    s = mimo._decompose(m)[0]
     for p in (600, -600):
-        scaled, _ = mimo._decompose(np.ldexp(1.0, p) * m)
+        scaled = mimo._decompose(np.ldexp(1.0, p) * m)[0]
         np.testing.assert_array_equal(scaled, np.ldexp(s, p))
         np.testing.assert_array_equal(condition_number(np.ldexp(1.0, p) * m),
                                       condition_number(m))
@@ -412,11 +408,114 @@ def test_parallel_or_doubled_columns_are_singular(factor, n_rx):
     rng = np.random.default_rng(n_rx)
     h = rng.standard_normal((5, n_rx)) + 1j * rng.standard_normal((5, n_rx))
     stack = np.stack([h, factor * h], axis=-1)
-    s, _ = mimo._decompose(stack, zf=True)
+    s = mimo._decompose(stack)[0]
     assert np.all(s[:, 1] <= s[:, 0] * np.finfo(float).eps / 2)
     assert np.all(np.isinf(condition_number(stack)))
     with pytest.raises(StreamSeparationError):
         zf_stream_snrs(stack, 10.0)
+
+
+# --- the ZF diagonal by Cramer's rule ---------------------------------------------
+
+
+def _zf_diagonal_svd(m) -> np.ndarray:
+    """The ZF diagonal read off the thin SVD H = U S V†, sum_i |V_ki|^2 /
+    s_i^2: the oracle of Cramer's rule (the package's form for three or more
+    columns before it)."""
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    return np.sum((np.abs(vh) / s[..., :, None]) ** 2, axis=-2)
+
+
+def _zf_diagonal_closed(m) -> np.ndarray:
+    """The package's closed ZF diagonal of one- and two-column stacks before
+    Cramer's rule: 1/a, and (c, a)/det with det the sum of the |2x2 minors|^2,
+    on each matrix scaled by 2^-e to a largest part in [1/2, 1), scaled back
+    by 2^-2e."""
+    parts = np.ascontiguousarray(m).view(float)
+    largest = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
+    e = np.frexp(largest)[1][..., None]
+    m = np.ldexp(parts, -e[..., None]).view(complex)
+    norms = np.sum(m.real ** 2 + m.imag ** 2, axis=-2)
+    if m.shape[-1] == 1:
+        return np.ldexp(1.0 / norms, -2 * e)
+    x, y = m[..., 0], m[..., 1]
+    det = np.zeros(m.shape[:-2])
+    for i, j in itertools.combinations(range(m.shape[-2]), 2):
+        minor = x[..., i] * y[..., j] - x[..., j] * y[..., i]
+        det += minor.real ** 2 + minor.imag ** 2
+    return np.ldexp(np.stack([norms[..., 1], norms[..., 0]], axis=-1) / det[..., None], -2 * e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), extra=st.integers(0, 3),
+       f=st.integers(1, 4), spread=st.booleans(), log_kappa=st.floats(0.0, 6.0),
+       p=st.integers(-250, 250))
+@example(seed=2567, k=4, extra=0, f=3, spread=False, log_kappa=0.0, p=-250)
+@example(seed=1, k=3, extra=1, f=2, spread=True, log_kappa=6.0, p=250)
+def test_zf_diagonal_by_cramers_rule_matches_the_singular_vectors(seed, k, extra, f, spread,
+                                                                  log_kappa, p):
+    # det G_-k / det G against sum_i |V_ki|^2 / s_i^2: both are backward
+    # stable, so they agree to rounding times kappa, for singular values
+    # spread to 1/kappa or equal to 1e-9 (where V is ill-determined but the
+    # diagonal is not), at any power-of-two scale
+    n_rx = min(k + extra, 4)
+    rng = np.random.default_rng(seed)
+    if spread:
+        stack = np.stack([_conditioned(rng, n_rx, k, 10.0 ** log_kappa) for _ in range(f)])
+    else:
+        s = 1.0 + rng.uniform(0.0, 1e-9, size=(f, 1, k))
+        stack = np.stack([_unitary(rng, n_rx)[:, :k] for _ in range(f)]) * s
+        stack = stack @ np.stack([_unitary(rng, k).conj().T for _ in range(f)])
+    stack = np.ldexp(1.0, p) * stack
+    rho = 3.0
+    snrs = zf_stream_snrs(stack, rho)
+    s_ref = np.linalg.svd(stack, compute_uv=False)
+    kappa = s_ref[:, :1] / s_ref[:, -1:]
+    g = rho / (k * snrs)
+    assert np.all(np.abs(g / _zf_diagonal_svd(stack) - 1) <= 1e-13 * kappa)
+    if k <= 2:
+        # one and two columns: the quotients are the closed forms' (c, a)/det
+        # and 1/a, bit for bit
+        np.testing.assert_array_equal(snrs, rho / (k * _zf_diagonal_closed(stack)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), extra=st.integers(0, 2),
+       factor=st.sampled_from([1.0, 2.0, 0.5, -1.0, 1j, -2j, 0.0]), p=st.integers(-250, 250))
+def test_exactly_rank_deficient_matrices_are_singular(seed, k, extra, factor, p):
+    # one column an exact multiple of another (or zero) at one tone: that
+    # matrix is singular, so ZF refuses the stack and the link analysis
+    # drops every subset holding both columns
+    n_rx = min(k + extra, 4)
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((3, n_rx, k)) + 1j * rng.standard_normal((3, n_rx, k))
+    stack = np.ldexp(1.0, p) * stack
+    i, j = (int(c) for c in rng.choice(k, 2, replace=False))
+    stack[1, :, j] = factor * stack[1, :, i]
+    s = mimo._decompose(stack)[0]
+    assert mimo._singular(s, stack.shape).tolist() == [False, True, False]
+    with pytest.raises(StreamSeparationError):
+        zf_stream_snrs(stack, 10.0)
+    table = presets.load_mcs_table().for_bandwidth(40.0)
+    (result,) = mimo.link_results(stack[:, None], 1e3, 1.0, table, 40e6)
+    assert not {i, j} <= set(result.tx_columns)
+
+
+def test_link_analysis_forms_no_singular_vectors(monkeypatch):
+    svd = np.linalg.svd
+
+    def values_only(a, full_matrices=True, compute_uv=True, hermitian=False):
+        if compute_uv:
+            raise AssertionError("singular vectors asked of LAPACK")
+        return svd(a, full_matrices, compute_uv, hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", values_only)
+    rng = np.random.default_rng(27)
+    table = presets.load_mcs_table().for_bandwidth(40.0)
+    for n_tx in (1, 2, 3, 4):
+        h = rng.standard_normal((5, 2, 4, n_tx)) + 1j * rng.standard_normal((5, 2, 4, n_tx))
+        assert len(mimo.link_results(h, 1e3, 1.0, table, 40e6)) == 2
+        assert zf_stream_snrs(h[:, 0], 1e3).shape == (5, n_tx)
 
 
 # --- rate lookup ------------------------------------------------------------------

@@ -179,8 +179,8 @@ def test_kernel_is_exactly_even_on_the_sweep_grid():
 def test_non_finite_entry_on_the_stacked_path_raises(monkeypatch):
     real = channel._air_link
 
-    def poisoned(tx, rx, k, params):
-        h = real(tx, rx, k, params)
+    def poisoned(pairs, k, params):
+        h = real(pairs, k, params)
         h[-1] = np.nan
         return h
 
