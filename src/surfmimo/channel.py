@@ -84,9 +84,9 @@ The gather is ``np.take`` along the last axis, which keeps the array
 C-contiguous; a fancy-indexed view would change how FFTs and BLAS round.
 
 An entry depends only on its two ports, so a distance sweep, where only the
-receiver moves, is one pass: ``_channel_stack`` stacks the receive ports of
-every distance against the shared transmit ports, and the transmit rows take
-the FFT once for the whole sweep.
+receiver moves, is one scene with one receiver node per distance, and one
+``csi`` call: every receiver's ports stand against the shared transmit
+ports, and the transmit rows take the FFT once for the whole sweep.
 
 Results are deterministic: equal inputs give bitwise-equal outputs, each
 tone of ``csi`` is bitwise equal to ``build_mimo`` at its subcarrier, a
@@ -264,6 +264,8 @@ class ImpulseResponse:
     def __post_init__(self):
         if len(self.taps) < 1:
             raise DomainError("impulse response needs at least one tap")
+        if not np.isfinite(np.array(self.taps, dtype=complex)).all():
+            raise DomainError("impulse response contains non-finite taps")
         delays = [t[0] for t in self.taps]
         if delays[0] <= 0:
             raise DomainError("first tap delay must be positive")
@@ -734,50 +736,16 @@ def csi(scene: Scene, band: FrequencyBand, n_subcarriers: int | None = None,
         grid: int = 32, params: ChannelParams | None = None) -> ChannelMatrix:
     """The channel at every subcarrier of the band in one engine pass: a
     ChannelMatrix of F tones, each bitwise ``build_mimo`` at its subcarrier.
+    A scene with several receiver nodes (a distance sweep) is still one
+    pass; its rows are the receivers' ports in node order.
 
     Defaults to the 802.11 data+pilot tone counts (114 at 40 MHz, 56 at
     20 MHz).  Frequency diversity emerges from the multipath delay structure.
+    PresetError when the band's edges fall outside the material's preset.
     """
-    h = _channel_stack([scene], band, n_subcarriers, grid, params)
-    _, rx_kinds, _, tx_kinds = _scene_ports(scene)
-    return ChannelMatrix(h[:, 0], band, rx_kinds, tx_kinds)
-
-
-def subcarrier_count(band: FrequencyBand, n_subcarriers: int | None = None) -> int:
-    """n_subcarriers, or the 802.11 data+pilot tone count of the band if None."""
-    if n_subcarriers is None:
-        return DEFAULT_SUBCARRIERS[band.bandwidth_hz]
-    return n_subcarriers
-
-
-def _stack_ports(scenes):
-    """(receive ports of each scene, receive kinds, transmit ports, transmit
-    kinds) of scenes that differ only in their receive ports; DomainError
-    when they differ in anything else or in the kinds of receive ports."""
-    first = scenes[0]
-    _, rx_kinds, tx, tx_kinds = _scene_ports(first)
-    rx_each = []
-    for scene in scenes:
-        rx, kinds, scene_tx, _ = _scene_ports(scene)
-        if (scene.surface != first.surface or scene.obstacles != first.obstacles
-                or scene_tx != tx or kinds != rx_kinds):
-            raise DomainError("stacked scenes must share the surface, the obstacles, "
-                              "the transmit ports and the receive port kinds")
-        rx_each.append(rx)
-    return rx_each, rx_kinds, tx, tx_kinds
-
-
-def _channel_stack(scenes, band: FrequencyBand, n_subcarriers: int | None, grid: int,
-                   params: ChannelParams | None):
-    """The csi channels of scenes that differ only in their receive ports, in
-    one engine pass: h of shape (F, D, n_rx, n_tx), h[:, d] the channel of
-    scenes[d] at the subcarrier frequencies of the band.  Every scene's
-    receive ports are stacked against the shared transmit ports in one
-    (F, D * n_rx, n_tx) synthesis; an entry depends only on its two ports."""
     params = params or ChannelParams()
     freqs = subcarrier_frequencies(band, subcarrier_count(band, n_subcarriers))
-    first = scenes[0]
-    m = first.surface.material
+    m = scene.surface.material
     lo, hi = m.freqs_hz[0], m.freqs_hz[-1]
     if band.center_hz - band.bandwidth_hz / 2 < lo or band.center_hz + band.bandwidth_hz / 2 > hi:
         raise PresetError(
@@ -785,11 +753,16 @@ def _channel_stack(scenes, band: FrequencyBand, n_subcarriers: int | None, grid:
             f"{band.center_hz + band.bandwidth_hz / 2:.4g}] Hz outside material "
             f"preset coverage [{lo:.4g}, {hi:.4g}] Hz"
         )
-    rx_each, rx_kinds, tx, tx_kinds = _stack_ports(scenes)
-    h = _synthesize(first, freqs, grid, params, [p for rx in rx_each for p in rx], tx)
-    if not np.isfinite(h).all():
-        raise DomainError("channel matrix contains non-finite entries")
-    return h.reshape(len(freqs), len(scenes), len(rx_kinds), len(tx_kinds))
+    rx, rx_kinds, tx, tx_kinds = _scene_ports(scene)
+    return ChannelMatrix(_synthesize(scene, freqs, grid, params, rx, tx), band, rx_kinds,
+                         tx_kinds)
+
+
+def subcarrier_count(band: FrequencyBand, n_subcarriers: int | None = None) -> int:
+    """n_subcarriers, or the 802.11 data+pilot tone count of the band if None."""
+    if n_subcarriers is None:
+        return DEFAULT_SUBCARRIERS[band.bandwidth_hz]
+    return n_subcarriers
 
 
 # --- impulse responses ---------------------------------------------------------

@@ -10,17 +10,17 @@ choice.  Reported rates are PHY rates; MAC overhead is a separate scalar
 applied only when results are written out.
 
 In a distance sweep (``multi_mode_sweep``, and ``aggregate_sweep`` per
-chain) only the receiver moves.  The runner builds and validates each
-distance's scene, then synthesizes all of them in one channel-engine pass,
-an ``(F, D, n_rx, n_tx)`` array, and analyzes that array in one pass of
-``mimo.link_results``, which owns the subset search: each column subset is
-decomposed once for every distance, and the effective SNRs and rate
-lookups of all distances are taken together.  A single link is the
-one-distance case.  A sweep over several modes (``multi_mode_sweep``)
-synthesizes only the modes whose ports no other mode of the sweep holds
-and reads the rest as index slices of those stacks: ``--mode all`` is two
-engine passes, surface-3x3 and air-mimo, and two per separation in
-``multi_mode_separation_sweep``.
+chain) only the receiver moves, so a sweep is one scene: one transmitter
+node and one receiver node per distance (``build_link_scene``).  One
+``csi`` call synthesizes it, its tones are read as an ``(F, D, n_rx, n_tx)``
+array, and that array is analyzed in one pass of ``mimo.link_results``,
+which owns the subset search: each column subset is decomposed once for
+every distance, and the effective SNRs and rate lookups of all distances
+are taken together.  A single link is the one-distance case.  A sweep over
+several modes (``multi_mode_sweep``) synthesizes only the modes whose ports
+no other mode of the sweep holds and reads the rest as index slices of those
+stacks: ``--mode all`` is two engine passes, surface-3x3 and air-mimo, and
+two per separation in ``multi_mode_separation_sweep``.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (
-    ChannelParams,
-    NoiseModel,
-    _channel_stack,
-    _stack_ports,
-    impulse_response,
-)
+from .channel import ChannelParams, NoiseModel, csi, impulse_response
 from .errors import ConfigError, DomainError
 from .geometry import Node, Scene, SurfaceSpec
 from .mimo import LinkResult, McsTable, link_results
@@ -155,9 +149,11 @@ def default_template(material="spraypaint") -> SceneTemplate:
     return _strip(17.5, material)
 
 
-def build_link_scene(template: SceneTemplate, distance_m: float, mode: str,
+def build_link_scene(template: SceneTemplate, distances_m, mode: str,
                      settings: LinkSettings | None = None) -> Scene:
-    """One TX node and one RX node separated by distance_m along the surface.
+    """One TX node and, for each of distances_m in order, one RX node that
+    distance along the surface from it: receivers rx0, rx1, ...  One
+    distance is one link; several are a distance sweep, one ``csi`` call.
 
     Port layout per mode:
       siso         one antenna per node
@@ -171,20 +167,11 @@ def build_link_scene(template: SceneTemplate, distance_m: float, mode: str,
     settings = settings or LinkSettings()
     if mode not in SWEEP_MODES:
         raise ConfigError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
-    if distance_m <= 0:
-        raise DomainError(f"link distance must be positive, got {distance_m}")
     x0, y = template.anchor()
-    x1 = x0 + distance_m
     h = settings.antenna_height_m
     dc = settings.contact_spacing_m
     sa = settings.air_antenna_spacing_m
     surface = template.surface
-    far_x = x1 + (dc if mode == MODE_3X3 else 0.0)
-    if not surface.contains(x0, y) or not surface.contains(far_x, y):
-        raise DomainError(
-            f"link from x={x0:.4g} to x={far_x:.4g} m does not fit on the "
-            f"{surface.width_m:.4g} m surface"
-        )
 
     def ports(x):
         if mode == MODE_SISO:
@@ -195,31 +182,27 @@ def build_link_scene(template: SceneTemplate, distance_m: float, mode: str,
             return ((x, y),), ((x, y, h),)
         return ((x, y), (x + dc, y)), ((x, y, h),)
 
-    tc, ta = ports(x0)
-    rc, ra = ports(x1)
-    return Scene(
-        surface,
-        nodes=(
-            Node("tx", "transmitter", contacts=tc, antennas=ta),
-            Node("rx", "receiver", contacts=rc, antennas=ra),
-        ),
-    )
+    nodes = [Node("tx", "transmitter", *ports(x0))]
+    for i, d in enumerate(distances_m):
+        if d <= 0:
+            raise DomainError(f"link distance must be positive, got {d}")
+        x1 = x0 + d
+        far_x = x1 + (dc if mode == MODE_3X3 else 0.0)
+        if not surface.contains(x0, y) or not surface.contains(far_x, y):
+            raise DomainError(
+                f"link from x={x0:.4g} to x={far_x:.4g} m does not fit on the "
+                f"{surface.width_m:.4g} m surface"
+            )
+        nodes.append(Node(f"rx{i}", "receiver", *ports(x1)))
+    return Scene(surface, nodes=tuple(nodes))
 
 
 def run_link(scene: Scene, settings: LinkSettings | None = None) -> LinkResult:
     """Full link analysis for one scene: synthesize its channel over the
     subcarriers, then analyze it (see analyze_link)."""
-    return _run_links([scene], settings or LinkSettings())[0]
-
-
-def _run_links(scenes, settings: LinkSettings) -> list:
-    """run_link for scenes that differ only in their receive ports (the
-    distances of a sweep), from one channel-engine pass and one analysis
-    pass for all of them."""
-    if not scenes:
-        return []
-    return _analyze(_channel_stack(scenes, settings.band, settings.n_subcarriers,
-                                   settings.grid, settings.params), settings)
+    settings = settings or LinkSettings()
+    return analyze_link(csi(scene, settings.band, settings.n_subcarriers, settings.grid,
+                            settings.params), settings)
 
 
 def analyze_link(matrix, settings: LinkSettings | None = None) -> LinkResult:
@@ -236,6 +219,15 @@ def _analyze(h, settings: LinkSettings) -> list:
                         settings.band.bandwidth_hz)
 
 
+def _sweep_stack(scene: Scene, settings: LinkSettings) -> np.ndarray:
+    """The channel of a sweep scene (build_link_scene: one receiver node per
+    distance, each with as many ports) at the subcarriers of settings, from
+    one csi call, as an (F, D, n_rx, n_tx) stack."""
+    tones = csi(scene, settings.band, settings.n_subcarriers, settings.grid,
+                settings.params).tones
+    return tones.reshape(tones.shape[0], len(scene.receivers()), -1, tones.shape[-1])
+
+
 def multi_mode_sweep(template: SceneTemplate | None = None, distances_m=None,
                      modes=SWEEP_MODES, settings: LinkSettings | None = None) -> dict:
     """Rate, capacity and conditioning of each mode across link distances:
@@ -250,38 +242,35 @@ def multi_mode_sweep(template: SceneTemplate | None = None, distances_m=None,
     template = template or default_template()
     settings = settings or LinkSettings()
     distances_m = default_distances_m() if distances_m is None else tuple(distances_m)
-    scenes = {mode: [build_link_scene(template, d, mode, settings) for d in distances_m]
-              for mode in modes}
+    scenes = {mode: build_link_scene(template, distances_m, mode, settings) for mode in modes}
     if not distances_m:
         return {mode: [] for mode in scenes}
-    ports = {mode: _stack_ports(s) for mode, s in scenes.items()}
     stacks, results = {}, {}
-    # largest first, so a mode meets every mode that could hold it as a host;
-    # each mode is analyzed as soon as it is read, before the next mode's
-    # stack is made, which keeps the peak memory of the analysis down
-    for mode in sorted(ports, key=lambda m: -(len(ports[m][0][0]) + len(ports[m][2]))):
+    # largest first (the transmitter's ports and one receiver's), so a mode
+    # meets every mode that could hold it as a host; each mode is analyzed as
+    # soon as it is read, before the next mode's stack is made, which keeps
+    # the peak memory of the analysis down
+    for mode in sorted(scenes, key=lambda m: -sum(len(n.ports) for n in scenes[m].nodes[:2])):
         for host in stacks:
-            index = _port_index(ports[mode], ports[host])
+            index = _port_index(scenes[mode], scenes[host])
             if index is not None:
                 h = stacks[host][(slice(None),) + index]
                 break
         else:
-            h = stacks[mode] = _channel_stack(
-                scenes[mode], settings.band, settings.n_subcarriers, settings.grid,
-                settings.params)
+            h = stacks[mode] = _sweep_stack(scenes[mode], settings)
         results[mode] = _analyze(h, settings)
     return {mode: list(zip(map(float, distances_m), results[mode])) for mode in scenes}
 
 
-def _port_index(ports, host):
+def _port_index(scene: Scene, host: Scene):
     """Index arrays (distance, receive port, transmit port) that read the
-    (F, D, n_rx, n_tx) stack of ports out of the stack of host, or None when
-    one of the ports is not among the host's; both are _stack_ports tuples."""
-    rx_each, _, tx, _ = ports
-    host_rx, _, host_tx, _ = host
+    (F, D, n_rx, n_tx) stack of the sweep scene out of the stack of the sweep
+    scene host, or None when one of its ports is not among the host's."""
+    (tx,), (host_tx,) = scene.transmitters(), host.transmitters()
     try:
-        rx = [[h_rx.index(p) for p in r] for r, h_rx in zip(rx_each, host_rx)]
-        cols = [host_tx.index(p) for p in tx]
+        rx = [[h.ports.index(p) for p in r.ports]
+              for r, h in zip(scene.receivers(), host.receivers())]
+        cols = [host_tx.ports.index(p) for p in tx.ports]
     except ValueError:
         return None
     return np.arange(len(rx))[:, None, None], np.array(rx)[:, :, None], np.array(cols)
@@ -480,9 +469,10 @@ def aggregate_template(material="spraypaint") -> SceneTemplate:
     return _strip(10.0, material)
 
 
-def _chain_results(chain: Chain, scenes, settings: LinkSettings) -> list:
-    """One chain's ChainResult at every scene, from one channel-engine pass.
-    The chain's conversion loss comes straight off its SNR."""
+def _chain_results(chain: Chain, scene: Scene, settings: LinkSettings) -> list:
+    """One chain's ChainResult at every distance of the sweep scene, from one
+    channel-engine pass.  The chain's conversion loss comes straight off its
+    SNR."""
     s = replace(settings, band=chain.band)
     if s.snr_db is not None:
         s = replace(s, snr_db=s.snr_db - chain.conversion_loss_db)
@@ -498,7 +488,7 @@ def _chain_results(chain: Chain, scenes, settings: LinkSettings) -> list:
             esnr_db=float(np.max(result.stream_snrs_db)),
             phy_rate_bps=result.phy_rate_bps,
         )
-        for result in _run_links(scenes, s)
+        for result in _analyze(_sweep_stack(scene, s), s)
     ]
 
 
@@ -515,17 +505,17 @@ def aggregate_sweep(plan: AggregationPlan, distances_m=None,
     contribute zero.  Each chain reads its bandwidth's rows from
     settings.mcs_table and takes one channel-engine pass over all
     distances."""
-    if distances_m is None:
-        distances_m = tuple(i * FOOT_M for i in range(1, 10))
+    distances_m = (tuple(i * FOOT_M for i in range(1, 10)) if distances_m is None
+                   else tuple(distances_m))
+    if not distances_m:
+        return []
     template = template or aggregate_template()
     settings = settings or LinkSettings()
-    scenes = []
-    for d in distances_m:
-        scene = build_link_scene(template, d, MODE_2X2, settings)
-        # contact-to-contact only: strip the antennas, keep the contacts
-        scenes.append(Scene(scene.surface, nodes=tuple(
-            Node(n.id, n.role, contacts=n.contacts, antennas=()) for n in scene.nodes)))
-    by_chain = [_chain_results(chain, scenes, settings) for chain in plan.chains]
+    scene = build_link_scene(template, distances_m, MODE_2X2, settings)
+    # contact-to-contact only: strip the antennas, keep the contacts
+    scene = Scene(scene.surface, nodes=tuple(
+        Node(n.id, n.role, contacts=n.contacts, antennas=()) for n in scene.nodes))
+    by_chain = [_chain_results(chain, scene, settings) for chain in plan.chains]
     out = []
     for d, rows in zip(distances_m, zip(*by_chain)):
         total = 0.0

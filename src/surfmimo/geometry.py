@@ -10,6 +10,7 @@ the point itself is the image (0, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -184,7 +185,10 @@ def validate_scene(scene: Scene):
                     f"[0, {surf.width_m}] x [0, {surf.height_m}]"
                 )
         for i, (x, y, z) in enumerate(node.antennas):
-            if z < 0:
+            if not all(map(math.isfinite, (x, y, z))):
+                problems.append(f"node {node.id!r}: antenna {i} at ({x}, {y}, {z}) has a "
+                                f"non-finite coordinate")
+            elif z < 0:
                 problems.append(f"node {node.id!r}: antenna {i} has negative height z = {z}")
     if not any(n.role == "transmitter" for n in scene.nodes):
         problems.append("no transmitter in scene")
@@ -197,7 +201,8 @@ def validate_scene(scene: Scene):
             surf.contains(ob.x_min, ob.y_min) and surf.contains(ob.x_max, ob.y_max)
         ):
             problems.append(f"obstacle {i}: footprint extends outside the surface")
-        if ob.perturbation_db < 0:
+        # +inf is legal: a full block, loss factor 0
+        if not ob.perturbation_db >= 0:
             problems.append(f"obstacle {i}: perturbation_db must be >= 0")
         if ob.kind not in ("metal", "plastic", "wood"):
             problems.append(f"obstacle {i}: unknown kind {ob.kind!r}")

@@ -109,7 +109,7 @@ def test_criterion_04_conditioning():
     worst = 0.0
     for mode in (MODE_2X2, MODE_3X3):
         for ft in range(1, 17):
-            scene = build_link_scene(tpl, ft * FOOT_M, mode, st)
+            scene = build_link_scene(tpl, (ft * FOOT_M,), mode, st)
             c = condition_number(csi(scene, st.band, st.n_subcarriers, st.grid, st.params))
             assert np.all(np.isfinite(c))
             assert np.all(c < 1e6)  # sigma_min > 1e-6 * sigma_max

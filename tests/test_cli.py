@@ -33,7 +33,9 @@ def _tiny_scene(tmp_path, **analysis):
 
 def test_the_commands_load_no_openssl(tmp_path):
     # config_hash takes SHA-256 from the interpreter's built-in module: the
-    # hashlib import loaded OpenSSL's libcrypto (~3.6 MB) into every command
+    # hashlib import loaded OpenSSL's libcrypto (~3.6 MB) into every command.
+    # share is the exception: numpy's random generator imports secrets, which
+    # imports hmac and with it _hashlib
     script = textwrap.dedent("""\
         import sys
         from surfmimo.cli import main
@@ -43,6 +45,11 @@ def test_the_commands_load_no_openssl(tmp_path):
                       "--subcarriers", "2"],
             "channel": ["channel", "--scene", "default_3x3"],
             "pulse": ["pulse", "--scene", "default_3x3"],
+            "analyze": ["analyze", "--scene", "default_2x2"],
+            "separation": ["separation", "--mode", "all", "--separations-cm", "1,6",
+                           "--grid", "8", "--subcarriers", "2"],
+            "aggregate": ["aggregate", "--distances-ft", "1"],
+            "radiation": ["radiation"],
         }.items():
             assert main(argv + ["--out", f"{sys.argv[1]}/{name}.csv"]) == 0, name
         print(sorted({"_hashlib", "ssl"} & set(sys.modules)))
@@ -512,6 +519,33 @@ def test_non_finite_channel_params_exit_2_at_the_analysis_line(tmp_path, capsys,
     scene = str(_tiny_scene(tmp_path, **{key: value}))
     assert main([command, "--scene", scene, "--out", str(out)]) == EXIT_CONFIG
     assert f"line 6: {key} must be finite, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["channel", "pulse"])
+@pytest.mark.parametrize("rx_antenna, perturbation_db, message", [
+    ("[0.273, 0.3048, .nan]", "2.0", "antenna 0 at (0.273, 0.3048, nan) has a non-finite"),
+    ("[.inf, 0.3048, 0.02]", "2.0", "antenna 0 at (inf, 0.3048, 0.02) has a non-finite"),
+    ("[0.273, 0.3048, 0.02]", ".nan", "obstacle 0: perturbation_db must be >= 0"),
+], ids=["antenna-z-nan", "antenna-x-inf", "obstacle-loss-nan"])
+def test_non_finite_scene_geometry_exits_2(tmp_path, capsys, command, rx_antenna,
+                                           perturbation_db, message):
+    # these used to pass the scene checks: pulse then died in a traceback or
+    # wrote nan rows, and channel exited 3 on a non-finite matrix
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(textwrap.dedent(f"""\
+        name: nonfinite
+        surface: {{material: spraypaint, width_m: 1.2, height_m: 0.6096}}
+        nodes:
+          - {{id: tx, role: transmitter, contacts: [[0.15, 0.3048]], antennas: [[0.15, 0.3048, 0.02]]}}
+          - {{id: rx, role: receiver, contacts: [[0.9, 0.3048]], antennas: [{rx_antenna}]}}
+        obstacles:
+          - {{x_min: 0.4, y_min: 0.1, x_max: 0.55, y_max: 0.5, kind: wood, perturbation_db: {perturbation_db}}}
+        analysis: {{grid: 8, subcarriers: 2}}
+    """))
+    out = tmp_path / "o.csv"
+    assert main([command, "--scene", str(scene), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -100,7 +100,7 @@ def test_a_whole_rate_table_gives_each_link_its_own_bandwidth_rows():
     # the 20 MHz rows, exactly as with the default (shipped) table
     band20 = FrequencyBand(2.437e9, 20e6)
     whole = presets.load_mcs_table()
-    scene = build_link_scene(default_template(), 0.3, MODE_2X2)
+    scene = build_link_scene(default_template(), (0.3,), MODE_2X2)
     given = run_link(scene, LinkSettings(band=band20, mcs_table=whole, grid=8,
                                          n_subcarriers=8))
     default = run_link(scene, LinkSettings(band=band20, grid=8, n_subcarriers=8))
@@ -117,7 +117,7 @@ def test_build_link_scene_layouts():
     tpl = default_template()
     st = LinkSettings()
     d = 2.0
-    per_mode = {m: build_link_scene(tpl, d, m, st) for m in SWEEP_MODES}
+    per_mode = {m: build_link_scene(tpl, (d,), m, st) for m in SWEEP_MODES}
 
     siso = per_mode[MODE_SISO]
     assert siso.transmitters()[0].contacts == ()
@@ -150,13 +150,15 @@ def test_build_link_scene_layouts():
 def test_build_link_scene_rejects_bad_inputs():
     tpl = default_template()
     with pytest.raises(ConfigError):
-        build_link_scene(tpl, 1.0, "duplex", LinkSettings())
+        build_link_scene(tpl, (1.0,), "duplex", LinkSettings())
+    with pytest.raises(ConfigError):  # a sweep of no distances still names its mode
+        multi_mode_sweep(tpl, (), ("duplex",), FAST)
     with pytest.raises(DomainError):
-        build_link_scene(tpl, 0.0, MODE_2X2, LinkSettings())
+        build_link_scene(tpl, (0.0,), MODE_2X2, LinkSettings())
     with pytest.raises(DomainError):
-        build_link_scene(tpl, 5.2, MODE_3X3, LinkSettings())  # runs off the strip
+        build_link_scene(tpl, (5.2,), MODE_3X3, LinkSettings())  # runs off the strip
     # 16 ft still fits on the default strip
-    build_link_scene(tpl, 16 * FOOT_M, MODE_3X3, LinkSettings())
+    build_link_scene(tpl, (16 * FOOT_M,), MODE_3X3, LinkSettings())
 
 
 def test_run_link_mode_labels_and_rates():
@@ -164,7 +166,7 @@ def test_run_link_mode_labels_and_rates():
     expected = {MODE_SISO: "SISO", MODE_AIR_MIMO: "MIMO-2x2",
                 MODE_2X2: "MIMO-2x2", MODE_3X3: "MIMO-3x3"}
     for mode, label in expected.items():
-        res = run_link(build_link_scene(tpl, FOOT_M, mode, FAST), FAST)
+        res = run_link(build_link_scene(tpl, (FOOT_M,), mode, FAST), FAST)
         assert res.mode == label
         assert res.phy_rate_bps > 0
         assert res.capacity_bps > 0
@@ -173,7 +175,7 @@ def test_run_link_mode_labels_and_rates():
 
 def test_run_link_starved_of_snr_reports_zero_rate():
     st = LinkSettings(grid=8, n_subcarriers=2, snr_db=-60.0)
-    res = run_link(build_link_scene(default_template(), FOOT_M, MODE_2X2, st), st)
+    res = run_link(build_link_scene(default_template(), (FOOT_M,), MODE_2X2, st), st)
     assert res.phy_rate_bps == 0.0
     assert res.capacity_bps > 0  # Shannon capacity is still positive
 
@@ -344,6 +346,14 @@ def test_aggregate_sweep_shape_and_decay():
     assert d0 == FOOT_M and len(chains0) == 7
     assert total1 <= total0
     assert total1 > 0
+
+
+def test_aggregate_sweep_takes_its_distances_from_a_generator():
+    # the scene loop used to consume a one-shot iterable before the rows
+    # were zipped with it, and the sweep came back empty
+    listed = aggregate_sweep(aggregation_plan(), [0.3, 0.6], settings=FAST)
+    assert len(listed) == 2
+    assert aggregate_sweep(aggregation_plan(), (d for d in [0.3, 0.6]), settings=FAST) == listed
 
 
 def _doubled_rates(table):

@@ -9,8 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Public names that nothing in src/ or perfbench/ calls, each with the reason
-# it is kept.  (run_link, the per-distance oracle of the stacked sweep, needs
-# no entry: share calls it.)
+# it is kept.  (run_link, the link analysis of one scene and the oracle of
+# each distance of a sweep scene, needs no entry: share calls it.)
 KEPT = {
     "channel.h_ss": "physics oracle: one surface-to-surface gain of the engine",
     "channel.h_sa": "physics oracle: one surface-to-air gain of the engine",

@@ -1,13 +1,14 @@
 """A distance sweep as one channel-engine pass.
 
-The sweep runners stack the receive ports of every distance against the
-shared transmit ports in one synthesis and send whichever side has fewer
-contact rows through the FFT.  Each distance must agree with the same
-distance synthesized alone (the per-distance engine) to 1e-12 relative, and
-its link analysis must pick the same rate, stream count and columns.  A
-multi-mode sweep reads a mode whose ports another mode holds as slices of
-that mode's stack; each mode must match the same mode swept alone, and
-so must each mode of a multi-mode separation sweep.
+A sweep is one scene with one receiver node per distance, so one ``csi``
+call synthesizes the receive ports of every distance against the shared
+transmit ports and sends whichever side has fewer contact rows through the
+FFT.  Each receiver must hold the ports of the one-distance scene at its
+distance, each distance must agree with that scene synthesized alone to
+1e-12 relative, and its link analysis must pick the same rate, stream count
+and columns.  A multi-mode sweep reads a mode whose ports another mode holds
+as slices of that mode's stack; each mode must match the same mode swept
+alone, and so must each mode of a multi-mode separation sweep.
 """
 
 import math
@@ -34,7 +35,6 @@ from surfmimo.experiments import (
     multi_mode_sweep,
     run_link,
 )
-from surfmimo.geometry import Node, Scene
 
 RTOL = 1e-12
 FAST = LinkSettings(grid=8, n_subcarriers=3)
@@ -42,10 +42,14 @@ FAST = LinkSettings(grid=8, n_subcarriers=3)
 
 def _check_against_single_distances(mode, distances, st_):
     template = default_template()
-    scenes = [build_link_scene(template, d, mode, st_) for d in distances]
-    stacked = channel._channel_stack(scenes, st_.band, st_.n_subcarriers, st_.grid,
-                                     st_.params)
-    assert stacked.shape[1] == len(distances)
+    sweep = build_link_scene(template, distances, mode, st_)
+    scenes = [build_link_scene(template, (d,), mode, st_) for d in distances]
+    assert [n.id for n in sweep.receivers()] == [f"rx{i}" for i in range(len(distances))]
+    for rx, scene in zip(sweep.receivers(), scenes):
+        assert sweep.transmitters() == scene.transmitters()
+        assert rx.ports == scene.receivers()[0].ports
+    tones = csi(sweep, st_.band, st_.n_subcarriers, st_.grid, st_.params).tones
+    stacked = tones.reshape(tones.shape[0], len(distances), -1, tones.shape[-1])
     for d, scene in enumerate(scenes):
         alone = csi(scene, st_.band, st_.n_subcarriers, st_.grid, st_.params).entries
         assert np.all(np.abs(stacked[:, d] - alone) <= RTOL * np.abs(alone))
@@ -162,7 +166,7 @@ def test_sweep_synthesizes_once_per_mode(monkeypatch):
         rows = multi_mode_sweep(distances_m=default_distances_m(), modes=(mode,),
                                 settings=FAST)[mode]
         assert len(rows) == 16
-        n_rx = len(build_link_scene(default_template(), FOOT_M, mode).receivers()[0].ports)
+        n_rx = len(build_link_scene(default_template(), (FOOT_M,), mode).receivers()[0].ports)
         assert calls == [16 * n_rx]  # every distance's receive ports in one call
 
 
@@ -185,24 +189,11 @@ def test_non_finite_entry_on_the_stacked_path_raises(monkeypatch):
         return h
 
     monkeypatch.setattr(channel, "_air_link", poisoned)
-    scenes = [build_link_scene(default_template(), d, MODE_2X2) for d in (FOOT_M, 2 * FOOT_M)]
+    sweep = build_link_scene(default_template(), (FOOT_M, 2 * FOOT_M), MODE_2X2)
     with pytest.raises(DomainError, match="non-finite"):
-        channel._channel_stack(scenes, FAST.band, 2, 8, None)
+        csi(sweep, FAST.band, 2, 8)
     with pytest.raises(DomainError, match="non-finite"):
         multi_mode_sweep(distances_m=(FOOT_M, 2 * FOOT_M), modes=(MODE_2X2,), settings=FAST)
-
-
-def test_stacked_scenes_must_share_the_transmit_side():
-    template = default_template()
-    a = build_link_scene(template, FOOT_M, MODE_3X3)
-    b = build_link_scene(template, 2 * FOOT_M, MODE_3X3)
-    moved = Scene(b.surface, tuple(
-        Node(n.id, n.role, tuple((x + 0.01, y) for x, y in n.contacts), n.antennas)
-        if n.role == "transmitter" else n for n in b.nodes))
-    other_mode = build_link_scene(template, 2 * FOOT_M, MODE_2X2)
-    for bad in (moved, other_mode):
-        with pytest.raises(DomainError, match="stacked scenes"):
-            channel._channel_stack([a, bad], FAST.band, 2, 8, None)
 
 
 def test_the_surface_law_runs_once_per_distinct_distance(monkeypatch):
