@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from io import StringIO
 
 import numpy as np
-import yaml
 
 from . import presets
 from .channel import ChannelParams, NoiseModel, subcarrier_frequencies
@@ -51,6 +50,8 @@ _ANALYSIS_KEYS = {
 
 def _position_index(root) -> dict:
     """Map (key, path, tuples) -> 1-based line numbers, via the YAML node tree."""
+    import yaml
+
     idx: dict = {}
 
     def walk(node, path):
@@ -124,6 +125,8 @@ def _parse_points(raw, dim, what, path, col: _Collector):
 def parse_config(text) -> "ScenarioConfig":
     """Parse and validate a scenario config; raises ConfigError listing every
     problem found (with line positions where available)."""
+    import yaml
+
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     try:
@@ -348,14 +351,15 @@ def config_hash(value) -> str:
     from . import __version__
 
     text = json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
-    return _sha256()((text + __version__).encode()).hexdigest()[:16]
+    return _SHA256((text + __version__).encode()).hexdigest()[:16]
 
 
 def _sha256():
     """The interpreter's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256``
     before), as ``random`` takes its SHA-512; ``hashlib`` only when neither
     is built in, because importing it loads OpenSSL (~3.6 MB) into every
-    command.  The digest is the same from all three."""
+    command.  The digest is the same from all three.  Resolved once, into
+    ``_SHA256``: a failed import searches every ``sys.path`` entry again."""
     try:
         from _sha2 import sha256
     except ImportError:
@@ -364,6 +368,9 @@ def _sha256():
         except ImportError:
             from hashlib import sha256
     return sha256
+
+
+_SHA256 = _sha256()
 
 
 def _canonical(v):

@@ -1,22 +1,39 @@
 """Loading of preset files: materials, coupling constants, MCS tables.
 
-The shipped files (``materials.yaml`` and ``mcs_80211.csv``) are parsed on
+The shipped files (``materials.json`` and ``mcs_80211.csv``) are parsed on
 first use and kept for the life of the process as one immutable value,
 ``shipped()``; every loader called without a path reads that value.  A file
-given by path is parsed on every call.
+given by path is parsed on every call, and a material preset file given by
+path is YAML, which the shipped JSON also parses as.  The material presets
+ship as JSON so that a command that reads no YAML file never imports PyYAML:
+only the functions that parse YAML import it.
+
+The shipped material presets are model defaults, not measured constants:
+
+- The alpha/beta anchor tables cover 0.9-6.0 GHz and are linearly
+  interpolated in between; queries outside the range are rejected.  The
+  alpha anchors lie on a sqrt(f) curve (skin-effect-like loss growth); the
+  beta anchors correspond to a constant phase velocity per material (0.55c
+  spraypaint, 0.50c cloth), so interpolated beta stays exactly proportional
+  to f.
+- They are calibrated so that a -3 dBm transmitter leaves >= -70 dBm across
+  a 16 ft spraypaint surface at 2.4 GHz, with loss increasing with
+  frequency.
+- The coupling section holds the calibration scalars of the composite
+  (surface<->air) channel terms and the local contact<->antenna coupling on
+  a device sitting on the surface.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import json
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-
-import yaml
 
 from .channel import CouplingConstants
 from .errors import PresetError
@@ -40,6 +57,8 @@ def load_yaml(text):
     so the data is the same either way.  The root is None for an empty
     document.  Raises yaml.YAMLError with a ``problem_mark`` on bad syntax.
     """
+    import yaml
+
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     try:
         root = loader.get_single_node()
@@ -142,10 +161,16 @@ def load_presets(path=None) -> MaterialPresets:
     one parse of it (default: the shipped presets)."""
     if path is None:
         return shipped().presets
+    import yaml
+
     try:
         doc, _ = load_yaml(_read_text(path))
     except yaml.YAMLError as exc:
         raise PresetError(f"cannot parse material preset file {path}: {exc}") from exc
+    return _presets(doc, path)
+
+
+def _presets(doc, path) -> MaterialPresets:
     if not isinstance(doc, dict) or "materials" not in doc:
         raise PresetError(f"material preset file {path} has no 'materials' section")
     return MaterialPresets(_materials(doc), _coupling(doc),
@@ -192,7 +217,8 @@ def shipped() -> ShippedPresets:
     """The shipped preset files, parsed on the first call and shared by every
     later one; ``shipped.cache_clear()`` makes the next call parse them again.
     The value is immutable, so no caller can change what another reads."""
-    return ShippedPresets(load_presets(data_dir() / "materials.yaml"),
+    path = data_dir() / "materials.json"
+    return ShippedPresets(_presets(json.loads(_read_text(path)), path),
                           load_mcs_table(data_dir() / "mcs_80211.csv"))
 
 

@@ -884,7 +884,7 @@ def test_library_calls_without_params_parse_the_shipped_presets_once(file_reads)
         csi(scene, BAND, n_subcarriers=2, grid=8)
         impulse_response(tx.ports[0], rx.ports[1], scene, BAND, grid=8)
         assert ex.LinkSettings().params == ChannelParams()
-    assert file_reads == {"materials.yaml": 1, "mcs_80211.csv": 1}
+    assert file_reads == {"materials.json": 1, "mcs_80211.csv": 1}
 
 
 # an obstacle per shipped scene, off every port and off the link line

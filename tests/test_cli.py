@@ -54,12 +54,83 @@ def test_the_commands_load_no_openssl(tmp_path):
             assert main(argv + ["--out", f"{sys.argv[1]}/{name}.csv"]) == 0, name
         print(sorted({"_hashlib", "ssl"} & set(sys.modules)))
     """)
+    proc = _fresh(script, tmp_path)
+    assert proc.stdout.splitlines()[-1] == "[]"  # after the "wrote" lines
+
+
+def _fresh(script, *args):
+    """The completed run of script in a fresh interpreter, which must exit 0."""
     src = str(Path(surfmimo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"  # after the "wrote" lines
+    return proc
+
+
+def test_only_a_yaml_file_loads_pyyaml(tmp_path):
+    # the shipped material presets are JSON: a command given no scene or
+    # preset file loads no YAML parser, and a scene loads it when parsed
+    script = textwrap.dedent("""\
+        import sys
+        from surfmimo.cli import main
+
+        for name, argv in {
+            "sweep": ["sweep", "--mode", "all", "--distances-ft", "1,2", "--grid", "8",
+                      "--subcarriers", "2"],
+            "separation": ["separation", "--mode", "all", "--separations-cm", "1,6",
+                           "--grid", "8", "--subcarriers", "2"],
+            "aggregate": ["aggregate", "--distances-ft", "1"],
+            "radiation": ["radiation"],
+            "share": ["share", "--channels", "6,11", "--slots", "100"],
+            "channel": ["channel", "--scene", "default_3x3"],
+        }.items():
+            assert main(argv + ["--out", f"{sys.argv[1]}/{name}.csv"]) == 0, name
+            print(name, "yaml" in sys.modules)
+    """)
+    lines = _fresh(script, tmp_path).stdout.splitlines()
+    loaded = [line for line in lines if not line.startswith("wrote")]
+    assert loaded == ["sweep False", "separation False", "aggregate False",
+                      "radiation False", "share False", "channel True"]
+
+
+MALFORMED = {
+    "scene": "name: bad\nsurface: {material: spraypaint, width_m: 3.0, height_m: 1.0}\n"
+             "nodes:\n  - {id: tx, role: transmitter\n  - {id: rx}\n",
+    "preset": "version: 1\nmaterials:\n  plate: {d0_m: 0.1\n  bad: [\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_a_malformed_first_yaml_file_is_reported(tmp_path, kind):
+    # PyYAML is imported inside the functions that parse YAML; the first
+    # parse of a process must still catch its syntax error
+    path = tmp_path / f"{kind}.yaml"
+    path.write_text(MALFORMED[kind])
+    script = textwrap.dedent("""\
+        import sys
+        from surfmimo import presets
+        from surfmimo.cli import main
+        from surfmimo.errors import PresetError
+
+        assert "yaml" not in sys.modules
+        kind, path = sys.argv[1:]
+        if kind == "scene":
+            print(main(["channel", "--scene", path, "--out", path + ".csv"]))
+        else:
+            try:
+                presets.load_presets(path)
+            except PresetError as exc:
+                print(exc)
+    """)
+    proc = _fresh(script, kind, path)
+    # the wording after the line depends on whether PyYAML has libyaml
+    if kind == "scene":
+        assert proc.stdout == f"{EXIT_CONFIG}\n"
+        assert proc.stderr.startswith(f"config error: {path}: line 5: ")
+    else:
+        assert proc.stdout.startswith(f"cannot parse material preset file {path}: ")
+        assert "line 4, column 6" in proc.stdout
 
 
 def test_version_banner(capsys):
@@ -152,6 +223,7 @@ def test_sweep_all_modes_synthesizes_twice(tmp_path, monkeypatch):
     ["sweep", "--mode", "siso", "--distances-ft", "1,2"],
 ])
 def test_scene_commands_parse_each_yaml_file_once(tmp_path, monkeypatch, command):
+    # the shipped material presets are JSON, so the scene is the one YAML file
     from surfmimo import presets
 
     presets.shipped.cache_clear()
@@ -161,11 +233,10 @@ def test_scene_commands_parse_each_yaml_file_once(tmp_path, monkeypatch, command
     scene = _tiny_scene(tmp_path)
     code = main(command + ["--scene", str(scene), "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_OK
-    materials = (presets.data_dir() / "materials.yaml").read_text()
-    assert parsed == [scene.read_text(), materials]
+    assert parsed == [scene.read_text()]
 
 
-SHIPPED_ONCE = {"materials.yaml": 1, "mcs_80211.csv": 1}
+SHIPPED_ONCE = {"materials.json": 1, "mcs_80211.csv": 1}
 
 
 @pytest.mark.parametrize("command", [

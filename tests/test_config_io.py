@@ -10,6 +10,7 @@ import sys
 import tempfile
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -223,8 +224,7 @@ def test_load_yaml_uses_libyaml_when_present(monkeypatch):
     monkeypatch.setattr(yaml, "CSafeLoader", Counted)
     presets.shipped.cache_clear()
     parse_config(GOOD)
-    assert made[0] == GOOD
-    assert len(made) == 2  # the config, then the shipped material presets
+    assert made == [GOOD]  # the shipped material presets are JSON
 
 
 def test_shipped_scenes_parse_equal_under_both_loaders(monkeypatch):
@@ -233,7 +233,6 @@ def test_shipped_scenes_parse_equal_under_both_loaders(monkeypatch):
     assert len(names) >= 4
 
     def parse_all():
-        presets.shipped.cache_clear()  # parse the materials under this loader too
         return [load_config(presets.scene_path(n)) for n in names]
 
     default, pure = _under_both_loaders(monkeypatch, parse_all)
@@ -242,20 +241,71 @@ def test_shipped_scenes_parse_equal_under_both_loaders(monkeypatch):
 
 def test_presets_equal_under_both_loaders(monkeypatch, file_reads):
     def load_all():
-        presets.shipped.cache_clear()  # parse the shipped file under this loader
+        presets.shipped.cache_clear()
         return (presets.load_materials(), presets.load_coupling(),
                 presets.preset_version(), presets.load_presets(),
-                presets.load_presets(presets.data_dir() / "materials.yaml"))
+                presets.load_presets(presets.data_dir() / "materials.json"))
 
     default, pure = _under_both_loaders(monkeypatch, load_all)
-    # under each loader: once for the shipped value, once by path
-    assert file_reads["materials.yaml"] == 4
+    # under each loader: once as JSON for the shipped value, once by path as YAML
+    assert file_reads["materials.json"] == 4
     assert default == pure
     materials, coupling, version, shipped, by_path = default
     assert shipped == by_path
     assert shipped.materials == materials
     assert shipped.coupling == coupling
     assert shipped.version == version
+
+
+# the shipped material presets as the YAML file they were shipped as before
+# JSON: PyYAML reads 0.9e9 (no exponent sign) as a string, which float() takes
+MATERIALS_YAML = textwrap.dedent("""\
+    version: 1
+    coupling:
+      c1: 0.02
+      c2: 0.02
+      c3: 0.02
+      near_field_coupling: 0.95
+    materials:
+      spraypaint:
+        d0_m: 0.1
+        refl_coeff: 0.6
+        bands:
+          - {frequency_hz: 0.9e9, alpha_np_per_m: 0.242437, beta_rad_per_m: 34.295646}
+          - {frequency_hz: 2.45e9, alpha_np_per_m: 0.400000, beta_rad_per_m: 93.360369}
+          - {frequency_hz: 6.0e9, alpha_np_per_m: 0.625969, beta_rad_per_m: 228.637639}
+      cloth:
+        d0_m: 0.1
+        refl_coeff: 0.6
+        bands:
+          - {frequency_hz: 0.9e9, alpha_np_per_m: 0.333350, beta_rad_per_m: 37.725210}
+          - {frequency_hz: 2.45e9, alpha_np_per_m: 0.550000, beta_rad_per_m: 102.696406}
+          - {frequency_hz: 6.0e9, alpha_np_per_m: 0.860707, beta_rad_per_m: 251.501403}
+    """)
+
+
+def test_shipped_json_presets_equal_the_same_data_read_as_yaml(tmp_path):
+    shipped = presets.shipped().presets
+    # by path, the JSON file goes through the YAML parser
+    assert presets.load_presets(presets.data_dir() / "materials.json") == shipped
+    custom = tmp_path / "materials.yaml"
+    custom.write_text(MATERIALS_YAML)
+    assert presets.load_presets(custom) == shipped
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_every_preset_file_is_package_data():
+    import tomllib
+
+    package = Path(surfmimo.__file__).resolve().parent
+    pyproject = package.parents[1] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("surfmimo is not imported from its source tree")
+    globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]["surfmimo"]
+    shipped = {p for g in globs for p in package.glob(g)}
+    files = [p for p in (package / "presets").rglob("*") if p.is_file()]
+    assert "materials.json" in {p.name for p in files}
+    assert [str(p.relative_to(package)) for p in files if p not in shipped] == []
 
 
 def test_shipped_presets_cannot_be_changed_by_a_caller():
@@ -413,6 +463,20 @@ def test_config_hash_is_sha256_of_the_canonical_text(builtin, value):
     with mock.patch.dict(sys.modules, hidden):
         assert (rio._sha256() is hashlib.sha256) is not builtin
         assert config_hash(value) == expected
+
+
+def test_config_hash_looks_up_no_module(monkeypatch):
+    # a failed import searches every sys.path entry again, so the SHA-256
+    # constructor is resolved once, when io is imported
+    from importlib.machinery import PathFinder
+
+    looked_up = []
+    real = PathFinder.find_spec
+    monkeypatch.setattr(PathFinder, "find_spec", lambda name, path=None, target=None:
+                        looked_up.append(name) or real(name, path, target))
+    config_hash({"command": "radiation"})
+    config_hash({"command": "share"})
+    assert looked_up == []
 
 
 # --- result sets ---------------------------------------------------------------

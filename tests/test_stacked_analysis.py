@@ -312,7 +312,7 @@ def test_dead_link_has_no_columns_in_sweep_csv():
     assert [row[-2:] for row in rs.rows] == [(2, "0;2"), (0, "none")]
 
 
-SHIPPED_ONCE = {"materials.yaml": 1, "mcs_80211.csv": 1}
+SHIPPED_ONCE = {"materials.json": 1, "mcs_80211.csv": 1}
 
 
 def test_throughput_sweep_parses_presets_once(file_reads):
