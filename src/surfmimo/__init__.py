@@ -15,7 +15,6 @@ from .channel import (
     AirMultipathModel,
     ChannelMatrix,
     ChannelParams,
-    CouplingConstants,
     ImpulseResponse,
     NoiseModel,
     build_mimo,
@@ -66,6 +65,7 @@ from .mimo import (
     map_rate,
     zf_stream_snrs,
 )
+from .presets import CouplingConstants
 from .propagation import (
     FrequencyBand,
     MaterialParams,

@@ -110,6 +110,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import presets
 from .errors import ConfigError, DomainError, NearFieldError, PresetError
 from .geometry import ANTENNA, CONTACT, Scene, image_sources, segment_crosses_rect
 from .propagation import (
@@ -132,23 +133,6 @@ _BLOCK_ELEMENTS = 2 ** 15
 # Cell offsets (x, y) at which correlations sum the kernel directly.
 _NEAR_OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
 _NEAR_X, _NEAR_Y = (np.array(c) for c in zip(*_NEAR_OFFSETS))
-
-
-@dataclass(frozen=True)
-class CouplingConstants:
-    """Calibration scalars for the composite channel terms; the calibrated
-    values are written only in the material preset file."""
-
-    c1: float
-    c2: float
-    c3: float
-    near_field_coupling: float
-
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3", "near_field_coupling"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise DomainError(f"coupling constant {name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +191,7 @@ class ChannelParams:
     coupling=None is resolved to the shipped calibration when the parameters
     are built, so every ChannelParams holds its coupling constants."""
 
-    coupling: CouplingConstants | None = None
+    coupling: presets.CouplingConstants | None = None
     air_ref_m: float = 0.1
     air_exponent: float = 2.0
     near_field_radius_m: float = 0.1
@@ -223,8 +207,6 @@ class ChannelParams:
         if problems:
             raise ConfigError(problems)
         if self.coupling is None:
-            from . import presets
-
             object.__setattr__(self, "coupling", presets.load_coupling())
 
 

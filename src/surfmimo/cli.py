@@ -13,8 +13,8 @@ import os
 import sys
 from dataclasses import replace
 
+from . import __version__, presets
 from . import io as rio
-from . import presets
 from .channel import csi
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import (
@@ -44,9 +44,7 @@ EXIT_IO = 4
 
 
 def _version_string() -> str:
-    from . import __version__
-
-    return f"surfmimo {__version__} (presets {presets.preset_version()})"
+    return f"surfmimo {__version__} (presets {presets.shipped().version})"
 
 
 class _VersionAction(argparse.Action):
@@ -172,15 +170,14 @@ def _cmd_separation(args) -> tuple:
 
 def _cmd_pulse(args) -> tuple:
     cfg = _load_scene_config(args.scene)
-    tx = cfg.scene.transmitters()[0]
-    rx = cfg.scene.receivers()[0]
-    if not (0 <= args.tx_port < len(tx.ports) and 0 <= args.rx_port < len(rx.ports)):
-        raise ConfigError([
-            f"port index out of range: tx has {len(tx.ports)}, rx has {len(rx.ports)}"
-        ])
+    # every node's ports in node order, as csi orders the matrix and channel labels it
+    tx = [port for node in cfg.scene.transmitters() for port in node.ports]
+    rx = [port for node in cfg.scene.receivers() for port in node.ports]
+    if not (0 <= args.tx_port < len(tx) and 0 <= args.rx_port < len(rx)):
+        raise ConfigError([f"port index out of range: tx has {len(tx)}, rx has {len(rx)}"])
     inputs = {
-        "scene": cfg.scene, "tx_port": tx.ports[args.tx_port],
-        "rx_port": rx.ports[args.rx_port], "band": cfg.settings.band,
+        "scene": cfg.scene, "tx_port": tx[args.tx_port],
+        "rx_port": rx[args.rx_port], "band": cfg.settings.band,
         "sample_rate_hz": args.sample_rate_ghz * 1e9,
         "duration_s": None if args.duration_ns is None else args.duration_ns * 1e-9,
         "grid": cfg.settings.grid, "params": cfg.settings.params,
@@ -341,12 +338,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        from . import __version__
-
         inputs, rs, seed = args.func(args)
         rs = replace(rs, metadata={
             **rs.metadata, "tool_version": __version__,
-            "preset_version": presets.preset_version(),
+            "preset_version": presets.shipped().version,
             "config_hash": rio.config_hash({"command": args.command, **inputs}),
             "seed": seed, "command": args.command,
         })

@@ -30,11 +30,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import presets
 from .channel import ChannelParams, NoiseModel, csi, impulse_response
 from .errors import ConfigError, DomainError
 from .geometry import Node, Scene, SurfaceSpec
 from .mimo import LinkResult, McsTable, link_results
-from .propagation import FrequencyBand
+from .propagation import FrequencyBand, air_gain, received_power_dbm
 
 FOOT_M = 0.3048
 
@@ -99,8 +100,6 @@ class LinkSettings:
         if self.params is None:
             object.__setattr__(self, "params", ChannelParams())
         if self.mcs_table is None:
-            from . import presets
-
             object.__setattr__(self, "mcs_table", presets.load_mcs_table())
 
     def snr_linear(self) -> float:
@@ -131,8 +130,6 @@ def _strip(length_ft: float, material) -> SceneTemplate:
     """A length_ft x 2 ft surface of a material, given as its parameters or
     by preset name or path."""
     if isinstance(material, str):
-        from . import presets
-
         material = presets.load_material(material)
     return SceneTemplate(SurfaceSpec(length_ft * FOOT_M, 2.0 * FOOT_M, material))
 
@@ -538,7 +535,7 @@ class RadiationProfile:
 
     def __post_init__(self):
         if not (self.front_offset_db >= 0 and self.back_offset_db >= 0):
-            raise DomainError("radiation offsets must be >= 0")
+            raise ConfigError("radiation offsets must be >= 0")
 
     def offset_db(self, z: float) -> float:
         return self.front_offset_db if z >= 0 else self.back_offset_db
@@ -574,10 +571,8 @@ def radiation_benchmark(profile: RadiationProfile | None = None, positions=None,
     is independent of (and applied after) distance attenuation.  Returns
     [RadiationSample, ...].
     """
-    from .propagation import air_gain, received_power_dbm
-
     if not math.isfinite(tx_power_dbm):
-        raise DomainError(f"tx_power_dbm must be finite, got {tx_power_dbm}")
+        raise ConfigError(f"tx_power_dbm must be finite, got {tx_power_dbm}")
     profile = profile or RadiationProfile()
     params = params or ChannelParams()
     if positions is None:
@@ -671,7 +666,7 @@ def share_sim(config: SharingConfig, n_slots: int,
     settings.mcs_table.  Returns [ShareResult, ...] in pair order.
     """
     if n_slots <= 0:
-        raise DomainError(f"n_slots must be positive, got {n_slots}")
+        raise ConfigError(f"n_slots must be positive, got {n_slots}")
     template = template or share_template()
     settings = settings or LinkSettings()
     solo = [_solo_rate(p, template, settings) for p in config.pairs]

@@ -22,11 +22,12 @@ from io import StringIO
 
 import numpy as np
 
-from . import presets
+from . import __version__, presets
 from .channel import ChannelParams, NoiseModel, subcarrier_frequencies
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import FOOT_M, LinkSettings, SceneTemplate
 from .geometry import CONTACT, Node, Obstacle, Scene, SurfaceSpec, validate_scene
+from .mimo import capacity, condition_number
 from .propagation import FrequencyBand
 
 DEFAULT_SEED = 1905
@@ -348,8 +349,6 @@ def config_hash(value) -> str:
     their keys sorted, tuples and lists as arrays, floats by repr.  Any
     other type raises TypeError, so no hash can depend on an object's
     identity or on iteration order."""
-    from . import __version__
-
     text = json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
     return _SHA256((text + __version__).encode()).hexdigest()[:16]
 
@@ -445,7 +444,7 @@ def _column_format(name, cells, quoted: _Quoted) -> tuple:
     return kind, fmt
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ResultSet:
     """Tabular experiment output plus reproducibility metadata: one tuple of
     cells per column name, all of one length; ``rows`` is a view of them."""
@@ -483,12 +482,6 @@ class ResultSet:
     @property
     def rows(self) -> tuple:
         return tuple(zip(*self.cells))
-
-    def __eq__(self, other):
-        return (isinstance(other, ResultSet)
-                and self.columns == other.columns
-                and self.cells == other.cells
-                and self.metadata == other.metadata)
 
 
 def write_results(rs: ResultSet, path) -> None:
@@ -587,8 +580,6 @@ def channel_result_set(matrix) -> ResultSet:
 
 def analyze_result_set(matrix, snr_linear) -> ResultSet:
     """Capacity and condition number of a ChannelMatrix at each subcarrier."""
-    from .mimo import capacity, condition_number
-
     columns = ("subcarrier_index", "frequency_hz", "capacity_bps_hz",
                "condition_number")
     h = matrix.tones

@@ -2,11 +2,13 @@
 
 The shipped files (``materials.json`` and ``mcs_80211.csv``) are parsed on
 first use and kept for the life of the process as one immutable value,
-``shipped()``; every loader called without a path reads that value.  A file
-given by path is parsed on every call, and a material preset file given by
-path is YAML, which the shipped JSON also parses as.  The material presets
-ship as JSON so that a command that reads no YAML file never imports PyYAML:
-only the functions that parse YAML import it.
+``shipped()``: its materials, coupling constants, preset version and MCS
+table.  Every loader called without a path reads that value.  A file given
+by path is parsed on every call.  A material file given by path is YAML and
+holds only a ``materials`` section; any other section is refused, so the
+calibration is written only in ``materials.json``.  The shipped presets are
+JSON so that a command that reads no YAML file never imports PyYAML: only
+the functions that parse YAML import it.
 
 The shipped material presets are model defaults, not measured constants:
 
@@ -35,8 +37,7 @@ from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
-from .channel import CouplingConstants
-from .errors import PresetError
+from .errors import DomainError, PresetError
 from .mimo import McsRow, McsTable
 from .propagation import MaterialParams
 
@@ -67,7 +68,9 @@ def load_yaml(text):
         loader.dispose()
 
 
-def _materials(doc: dict) -> dict:
+def _materials(doc, path) -> dict:
+    if not isinstance(doc, dict) or "materials" not in doc:
+        raise PresetError(f"material preset file {path} has no 'materials' section")
     out = {}
     for name, spec in doc["materials"].items():
         try:
@@ -87,15 +90,30 @@ def _materials(doc: dict) -> dict:
     return out
 
 
+@dataclass(frozen=True)
+class CouplingConstants:
+    """Calibration scalars for the composite channel terms; the calibrated
+    values are written only in the shipped ``materials.json``."""
+
+    c1: float
+    c2: float
+    c3: float
+    near_field_coupling: float
+
+    def __post_init__(self):
+        for name in ("c1", "c2", "c3", "near_field_coupling"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise DomainError(f"coupling constant {name} must be >= 0, got {value}")
+
+
 _COUPLING_KEYS = tuple(f.name for f in fields(CouplingConstants))
 
 
-def _coupling(doc: dict) -> CouplingConstants | None:
-    """The constants of the file's coupling section, None when it has none; a
-    section must set every constant."""
-    if "coupling" not in doc:
-        return None
-    c = doc["coupling"] or {}
+def _coupling(doc: dict) -> CouplingConstants:
+    """The constants of the shipped file's coupling section, which must set
+    every constant."""
+    c = doc.get("coupling") or {}
     if not isinstance(c, dict):
         raise PresetError("the coupling section must be a mapping")
     missing = [key for key in _COUPLING_KEYS if key not in c]
@@ -109,7 +127,7 @@ def _coupling(doc: dict) -> CouplingConstants | None:
 
 def load_material(name_or_path: str) -> MaterialParams:
     """A shipped material by preset name, or the material of a custom file."""
-    materials = load_presets().materials
+    materials = shipped().materials
     if name_or_path in materials:
         return materials[name_or_path]
     p = Path(name_or_path)
@@ -125,56 +143,29 @@ def load_material(name_or_path: str) -> MaterialParams:
     )
 
 
-def preset_version(path=None) -> str:
-    return load_presets(path).version
-
-
 def load_materials(path=None) -> dict:
-    """All material presets from a file (default: the shipped presets)."""
-    return dict(load_presets(path).materials)
-
-
-def load_coupling(path=None) -> CouplingConstants:
-    """The coupling constants of a preset file (default: the shipped
-    presets); PresetError when the file has no coupling section."""
-    coupling = load_presets(path).coupling
-    if coupling is None:
-        raise PresetError(f"material preset file {path} has no 'coupling' section")
-    return coupling
-
-
-@dataclass(frozen=True)
-class MaterialPresets:
-    """Everything a material preset file holds, from one parse of it; the
-    materials are a read-only mapping."""
-
-    materials: Mapping
-    coupling: CouplingConstants | None
-    version: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "materials", MappingProxyType(dict(self.materials)))
-
-
-def load_presets(path=None) -> MaterialPresets:
-    """Materials, coupling constants and version of one preset file, from
-    one parse of it (default: the shipped presets)."""
+    """All material presets of a YAML file given by path, which holds only a
+    'materials' section (default: the shipped presets)."""
     if path is None:
-        return shipped().presets
+        return dict(shipped().materials)
     import yaml
 
     try:
-        doc, _ = load_yaml(_read_text(path))
+        doc, root = load_yaml(_read_text(path))
     except yaml.YAMLError as exc:
         raise PresetError(f"cannot parse material preset file {path}: {exc}") from exc
-    return _presets(doc, path)
+    if isinstance(doc, dict):
+        others = [f"material preset file {path}, line {key.start_mark.line + 1}: a "
+                  f"{key.value!r} section is refused; a file given by path holds only "
+                  "'materials'" for key, _ in root.value if key.value != "materials"]
+        if others:
+            raise PresetError(others)
+    return _materials(doc, path)
 
 
-def _presets(doc, path) -> MaterialPresets:
-    if not isinstance(doc, dict) or "materials" not in doc:
-        raise PresetError(f"material preset file {path} has no 'materials' section")
-    return MaterialPresets(_materials(doc), _coupling(doc),
-                           str(doc.get("version", "unversioned")))
+def load_coupling() -> CouplingConstants:
+    """The shipped coupling constants."""
+    return shipped().coupling
 
 
 def load_mcs_table(path=None) -> McsTable:
@@ -206,9 +197,12 @@ def load_mcs_table(path=None) -> McsTable:
 
 @dataclass(frozen=True)
 class ShippedPresets:
-    """The shipped material presets and MCS table."""
+    """The shipped material presets, coupling constants, preset version and
+    MCS table; the materials are a read-only mapping."""
 
-    presets: MaterialPresets
+    materials: Mapping
+    coupling: CouplingConstants
+    version: str
     mcs_table: McsTable
 
 
@@ -218,8 +212,9 @@ def shipped() -> ShippedPresets:
     later one; ``shipped.cache_clear()`` makes the next call parse them again.
     The value is immutable, so no caller can change what another reads."""
     path = data_dir() / "materials.json"
-    return ShippedPresets(_presets(json.loads(_read_text(path)), path),
-                          load_mcs_table(data_dir() / "mcs_80211.csv"))
+    doc = json.loads(_read_text(path))
+    return ShippedPresets(MappingProxyType(_materials(doc, path)), _coupling(doc),
+                          str(doc["version"]), load_mcs_table(data_dir() / "mcs_80211.csv"))
 
 
 def scene_path(name: str):

@@ -1,6 +1,7 @@
 """Channel synthesis: composite matrices, CSI, impulse responses."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -14,7 +15,6 @@ from surfmimo.channel import (
     AirMultipathModel,
     ChannelMatrix,
     ChannelParams,
-    CouplingConstants,
     ImpulseResponse,
     NoiseModel,
     _scatterers,
@@ -39,6 +39,7 @@ from surfmimo.geometry import (
     segment_crosses_rect,
 )
 from surfmimo.mimo import capacity
+from surfmimo.presets import CouplingConstants
 from surfmimo.propagation import (
     SPEED_OF_LIGHT,
     VALID_BANDWIDTHS_HZ,
@@ -730,22 +731,19 @@ materials:
 """
 
 
-def test_a_preset_coupling_section_must_set_every_constant(tmp_path):
-    partial = tmp_path / "partial.yaml"
-    partial.write_text("coupling: {c1: 0.02, c3: 0.01}\n" + _PRESET_MATERIALS)
+def test_a_preset_coupling_section_must_set_every_constant(tmp_path, monkeypatch):
+    # the shipped materials.json is the only file that holds a coupling section
+    doc = json.loads((presets.data_dir() / "materials.json").read_text())
+    del doc["coupling"]["c2"], doc["coupling"]["near_field_coupling"]
+    (tmp_path / "materials.json").write_text(json.dumps(doc))
+    (tmp_path / "mcs_80211.csv").write_text(
+        (presets.data_dir() / "mcs_80211.csv").read_text())
+    monkeypatch.setattr(presets, "data_dir", lambda: tmp_path)
+    presets.shipped.cache_clear()
     with pytest.raises(PresetError) as exc:
-        presets.load_coupling(partial)
+        presets.shipped()
     assert exc.value.problems == ["coupling section has no 'c2'",
                                   "coupling section has no 'near_field_coupling'"]
-    empty = tmp_path / "empty.yaml"
-    empty.write_text("coupling:\n" + _PRESET_MATERIALS)
-    with pytest.raises(PresetError) as exc:
-        presets.load_presets(empty)
-    assert len(exc.value.problems) == 4
-    full = tmp_path / "full.yaml"
-    full.write_text("coupling: {c1: 0.1, c2: 0.2, c3: 0.3, near_field_coupling: 0.4}\n"
-                    + _PRESET_MATERIALS)
-    assert presets.load_coupling(full) == CouplingConstants(0.1, 0.2, 0.3, 0.4)
 
 
 def test_materials_and_tone_counts_have_one_source_each(tmp_path):
@@ -757,16 +755,6 @@ def test_materials_and_tone_counts_have_one_source_each(tmp_path):
     with pytest.raises(TypeError):
         presets.load_material("plate", path)
     assert set(channel.DEFAULT_SUBCARRIERS) == set(VALID_BANDWIDTHS_HZ)
-
-
-def test_a_preset_file_without_coupling_gives_materials_but_no_coupling(tmp_path):
-    # a material-only file still serves its materials; reading its coupling
-    # is refused instead of reading as zero (the composite terms switched off)
-    path = tmp_path / "plate.yaml"
-    path.write_text(_PRESET_MATERIALS)
-    assert presets.load_material(str(path)).name == "plate"
-    with pytest.raises(PresetError, match="has no 'coupling' section"):
-        presets.load_coupling(path)
 
 
 def test_channel_params_hold_the_shipped_coupling():

@@ -119,7 +119,7 @@ def test_a_malformed_first_yaml_file_is_reported(tmp_path, kind):
             print(main(["channel", "--scene", path, "--out", path + ".csv"]))
         else:
             try:
-                presets.load_presets(path)
+                presets.load_materials(path)
             except PresetError as exc:
                 print(exc)
     """)
@@ -145,15 +145,15 @@ def test_version_text_is_built_only_for_version(monkeypatch, capsys):
     from surfmimo.cli import build_parser
 
     calls = []
-    real = presets.preset_version
-    monkeypatch.setattr(presets, "preset_version", lambda *a: calls.append(a) or real(*a))
+    real = presets.shipped
+    monkeypatch.setattr(presets, "shipped", lambda: calls.append(1) or real())
     build_parser()
     assert calls == []
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
     assert len(calls) == 1
-    assert capsys.readouterr().out == f"surfmimo {__version__} (presets {real()})\n"
+    assert capsys.readouterr().out == f"surfmimo {__version__} (presets {real().version})\n"
 
 
 def test_channel_from_config_path(tmp_path, capsys):
@@ -443,6 +443,61 @@ def test_pulse_rejects_negative_port_indices(tmp_path, capsys, ports):
     assert not out.exists()
 
 
+def test_pulse_ports_index_every_node_in_the_order_channel_labels_them(tmp_path):
+    # channel labels the contact of the second receiver contact1, so pulse
+    # --rx-port 1 is that port, as if the scene held that receiver alone
+    nodes = {"rxa": "  - {id: rxa, role: receiver, contacts: [[1.5, 0.3]]}\n",
+             "rxb": "  - {id: rxb, role: receiver, contacts: [[1.5, 0.7]]}\n"}
+
+    def scene(name, *receivers):
+        p = tmp_path / f"{name}.yaml"
+        p.write_text("surface: {material: spraypaint, width_m: 3.0, height_m: 1.0}\n"
+                     "nodes:\n  - {id: tx, role: transmitter, contacts: [[0.5, 0.5]]}\n"
+                     + "".join(nodes[r] for r in receivers)
+                     + "analysis: {grid: 8, subcarriers: 2}\n")
+        return str(p)
+
+    def body(path):
+        return [line for line in Path(path).read_text().splitlines()
+                if not line.startswith("# config_hash")]
+
+    both, alone = scene("both", "rxa", "rxb"), scene("alone", "rxb")
+    out = tmp_path / "ch.csv"
+    assert main(["channel", "--scene", both, "--out", str(out)]) == EXIT_OK
+    assert {row[1] for row in read_results(out).rows} == {"contact0", "contact1"}
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["pulse", "--scene", both, "--rx-port", "1", "--out", str(a)]) == EXIT_OK
+    assert main(["pulse", "--scene", alone, "--out", str(b)]) == EXIT_OK
+    assert body(a) == body(b)
+
+
+SECTIONS = {"coupling": "coupling: {c1: 5.0, c2: 0.02, c3: 0.02, near_field_coupling: 0.95}",
+            "version": "version: 2"}
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_a_material_file_given_by_path_holds_only_materials(tmp_path, capsys, section):
+    # the calibration is the shipped file's alone: a coupling section here was
+    # read, checked and then dropped without a word
+    plate = ("materials:\n  plate: {d0_m: 0.1, refl_coeff: 0.5, bands: ["
+             "{frequency_hz: 1.0e9, alpha_np_per_m: 0.3, beta_rad_per_m: 40.0}, "
+             "{frequency_hz: 6.0e9, alpha_np_per_m: 0.6, beta_rad_per_m: 240.0}]}\n")
+    material = tmp_path / "plate.yaml"
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(_tiny_scene(tmp_path).read_text().replace("spraypaint", str(material)))
+    out = tmp_path / "o.csv"
+    material.write_text(plate)
+    assert main(["channel", "--scene", str(scene), "--out", str(out)]) == EXIT_OK
+    out.unlink()
+    capsys.readouterr()
+    material.write_text(plate + SECTIONS[section] + "\n")
+    assert main(["channel", "--scene", str(scene), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {scene}: line 2: material preset file {material}, line 3: a "
+        f"{section!r} section is refused; a file given by path holds only 'materials'\n")
+    assert not out.exists()
+
+
 def test_aggregate_command(tmp_path):
     out = tmp_path / "agg.csv"
     assert main(["aggregate", "--distances-ft", "1", "--out", str(out)]) == EXIT_OK
@@ -621,16 +676,18 @@ def test_non_finite_scene_geometry_exits_2(tmp_path, capsys, command, rx_antenna
 
 
 @pytest.mark.parametrize("command, code, message", [
-    (["radiation", "--front-db", "nan"], EXIT_MODEL, "radiation offsets must be >= 0"),
-    (["radiation", "--back-db", "nan"], EXIT_MODEL, "radiation offsets must be >= 0"),
-    (["radiation", "--tx-power-dbm", "nan"], EXIT_MODEL, "tx_power_dbm must be finite"),
-    (["radiation", "--tx-power-dbm", "inf"], EXIT_MODEL, "tx_power_dbm must be finite"),
+    (["radiation", "--front-db", "nan"], EXIT_CONFIG, "radiation offsets must be >= 0"),
+    (["radiation", "--back-db", "nan"], EXIT_CONFIG, "radiation offsets must be >= 0"),
+    (["radiation", "--tx-power-dbm", "nan"], EXIT_CONFIG, "tx_power_dbm must be finite"),
+    (["radiation", "--tx-power-dbm", "inf"], EXIT_CONFIG, "tx_power_dbm must be finite"),
     (["share", "--channels", "6,6", "--solo-rate-mbps", "nan,1"], EXIT_CONFIG,
      "solo_rate_bps must be finite and >= 0"),
     (["share", "--channels", "6,6", "--solo-rate-mbps", "inf,1"], EXIT_CONFIG,
      "solo_rate_bps must be finite and >= 0"),
     (["share", "--channels", "6,6", "--solo-rate-mbps=-1,1"], EXIT_CONFIG,
      "solo_rate_bps must be finite and >= 0"),
+    (["radiation", "--front-db=-1"], EXIT_CONFIG, "radiation offsets must be >= 0"),
+    (["share", "--slots", "0"], EXIT_CONFIG, "n_slots must be positive, got 0"),
 ])
 def test_non_finite_radiation_and_share_values_are_refused(tmp_path, capsys, command,
                                                            code, message):

@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 
 from surfmimo import channel, presets
 from surfmimo.io import load_config
-from surfmimo.channel import ChannelParams, CouplingConstants, h_as, h_sa, h_ss, impulse_response
+from surfmimo.channel import ChannelParams, h_as, h_sa, h_ss, impulse_response
 from surfmimo.geometry import ANTENNA, CONTACT, Node, Scene, SurfaceSpec
+from surfmimo.presets import CouplingConstants
 from surfmimo.propagation import SPEED_OF_LIGHT, FrequencyBand, MaterialParams, phase_velocity
 
 RTOL = 1e-12

@@ -23,7 +23,7 @@ import surfmimo
 from surfmimo import io as rio
 from surfmimo import presets
 from surfmimo.channel import ChannelMatrix, build_mimo, csi, subcarrier_frequencies
-from surfmimo.errors import ConfigError, ResultIOError
+from surfmimo.errors import ConfigError, PresetError, ResultIOError
 from surfmimo.experiments import (
     ChainResult,
     LinkResult,
@@ -239,33 +239,26 @@ def test_shipped_scenes_parse_equal_under_both_loaders(monkeypatch):
     assert default == pure
 
 
-def test_presets_equal_under_both_loaders(monkeypatch, file_reads):
+def test_presets_equal_under_both_loaders(monkeypatch, file_reads, tmp_path):
+    custom = tmp_path / "materials.yaml"
+    custom.write_text(MATERIALS_YAML)
+
     def load_all():
         presets.shipped.cache_clear()
-        return (presets.load_materials(), presets.load_coupling(),
-                presets.preset_version(), presets.load_presets(),
-                presets.load_presets(presets.data_dir() / "materials.json"))
+        return presets.shipped(), presets.load_materials(custom)
 
     default, pure = _under_both_loaders(monkeypatch, load_all)
-    # under each loader: once as JSON for the shipped value, once by path as YAML
-    assert file_reads["materials.json"] == 4
+    # under each loader: the shipped JSON once, and the custom file by path as YAML
+    assert file_reads["materials.json"] == 2
+    assert file_reads["materials.yaml"] == 2
     assert default == pure
-    materials, coupling, version, shipped, by_path = default
-    assert shipped == by_path
-    assert shipped.materials == materials
-    assert shipped.coupling == coupling
-    assert shipped.version == version
+    shipped, by_path = default
+    assert by_path == dict(shipped.materials)
 
 
-# the shipped material presets as the YAML file they were shipped as before
-# JSON: PyYAML reads 0.9e9 (no exponent sign) as a string, which float() takes
+# the shipped materials as a material file given by path: PyYAML reads 0.9e9
+# (no exponent sign) as a string, which float() takes
 MATERIALS_YAML = textwrap.dedent("""\
-    version: 1
-    coupling:
-      c1: 0.02
-      c2: 0.02
-      c3: 0.02
-      near_field_coupling: 0.95
     materials:
       spraypaint:
         d0_m: 0.1
@@ -285,12 +278,17 @@ MATERIALS_YAML = textwrap.dedent("""\
 
 
 def test_shipped_json_presets_equal_the_same_data_read_as_yaml(tmp_path):
-    shipped = presets.shipped().presets
-    # by path, the JSON file goes through the YAML parser
-    assert presets.load_presets(presets.data_dir() / "materials.json") == shipped
     custom = tmp_path / "materials.yaml"
     custom.write_text(MATERIALS_YAML)
-    assert presets.load_presets(custom) == shipped
+    assert presets.load_materials(custom) == dict(presets.shipped().materials)
+    # the calibration and the version are the shipped file's alone
+    custom.write_text("version: 1\ncoupling: {c1: 5.0}\n" + MATERIALS_YAML)
+    with pytest.raises(PresetError) as exc:
+        presets.load_materials(custom)
+    assert exc.value.problems == [
+        f"material preset file {custom}, line {n}: a {key!r} section is refused; "
+        "a file given by path holds only 'materials'"
+        for n, key in ((1, "version"), (2, "coupling"))]
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
@@ -313,8 +311,8 @@ def test_shipped_presets_cannot_be_changed_by_a_caller():
     materials.pop("spraypaint")
     assert "spraypaint" in presets.load_materials()
     with pytest.raises(TypeError):
-        presets.load_presets().materials["spraypaint"] = None
-    assert presets.load_presets() is presets.load_presets()
+        presets.shipped().materials["spraypaint"] = None
+    assert presets.shipped() is presets.shipped()
 
 
 def test_analysis_section_is_checked_by_the_settings_dataclasses():
@@ -429,7 +427,7 @@ def test_config_hash_refuses_types_without_a_canonical_form():
 
 
 def test_config_hash_tells_close_and_lookalike_values_apart():
-    from surfmimo.channel import CouplingConstants
+    from surfmimo.presets import CouplingConstants
 
     one = config_hash({"x": 0.1})
     assert one != config_hash({"x": math.nextafter(0.1, 1.0)})  # floats by repr

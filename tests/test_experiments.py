@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from surfmimo import presets
 from surfmimo import experiments
-from surfmimo.channel import ChannelParams, CouplingConstants, ImpulseResponse
+from surfmimo.channel import ChannelParams, ImpulseResponse
 from surfmimo.errors import ConfigError, DomainError
 from surfmimo.experiments import (
     FOOT_M,
@@ -44,6 +44,7 @@ from surfmimo.experiments import (
 )
 from surfmimo.geometry import Node, Scene, SurfaceSpec
 from surfmimo.mimo import McsTable
+from surfmimo.presets import CouplingConstants
 from surfmimo.propagation import FrequencyBand, air_gain, received_power_dbm
 
 FAST = LinkSettings(grid=8, n_subcarriers=2)
@@ -408,7 +409,7 @@ def test_radiation_positions_mirrored():
 
 
 def test_radiation_profile_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         RadiationProfile(front_offset_db=-1.0)
     assert RadiationProfile().offset_db(0.0) == 13.0
 
@@ -468,6 +469,6 @@ def test_share_validation():
         SharingConfig((_pair(6),), ambient_busy_fraction=1.5)
     with pytest.raises(ConfigError):
         SharingPair((0, 0), (1, 0), channel=-1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         share_sim(SharingConfig((_pair(6),)), 0)
     assert share_template().surface.width_m == 4.0 * FOOT_M
