@@ -12,7 +12,6 @@ surface sharing.
 __version__ = "0.1.0"
 
 from .channel import (
-    AirMultipathModel,
     ChannelMatrix,
     ChannelParams,
     ImpulseResponse,

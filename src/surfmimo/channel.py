@@ -9,8 +9,7 @@ Every (TX port, RX port) pair maps to one of four channel kinds:
   the near-field radius of the surface: the signal runs along the surface to
   the point under the antenna and hops up.
 * antenna -> antenna: direct line-of-sight air path (no surface re-radiation:
-  surface<->air transformations are modeled at most once per path), with an
-  optional scatterer-ring multipath model, off by default.
+  surface<->air transformations are modeled at most once per path).
 
 Every gain evaluates the propagation laws defined once in
 ``propagation.py``: the surface law ``_surface_field``, the air law
@@ -116,7 +115,6 @@ from .geometry import ANTENNA, CONTACT, Scene, image_sources, segment_crosses_re
 from .propagation import (
     SPEED_OF_LIGHT,
     FrequencyBand,
-    _air_amplitude,
     _air_field,
     _center_hz,
     _propagation,
@@ -156,36 +154,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class AirMultipathModel:
-    """Optional scatterer-ring multipath for antenna-antenna links.
-
-    Scatterers sit on a far ring with fixed random phases (seeded,
-    deterministic); scattered power relative to the line-of-sight path is set
-    by relative_gain_db.  With center_m unset the ring follows each link's
-    midpoint.  Pinning center_m places the scatterers at fixed points in
-    space, shared by every antenna pair, so closely spaced antennas see
-    correlated fading while spacing near half a wavelength decorrelates them.
-    """
-
-    n_scatterers: int = 64
-    radius_m: float = 3.0
-    relative_gain_db: float = -6.0
-    seed: int = 7
-    center_m: tuple | None = None
-
-    def __post_init__(self):
-        if self.n_scatterers < 1:
-            raise DomainError(f"n_scatterers must be >= 1, got {self.n_scatterers}")
-        if not (self.radius_m > 0):
-            raise DomainError(f"scatterer ring radius must be positive, got {self.radius_m}")
-        if self.center_m is not None:
-            c = tuple(float(x) for x in self.center_m)
-            if len(c) not in (2, 3):
-                raise DomainError("center_m must be (x, y) or (x, y, z)")
-            object.__setattr__(self, "center_m", c)
-
-
-@dataclass(frozen=True)
 class ChannelParams:
     """Everything besides the scene that shapes channel synthesis.
     coupling=None is resolved to the shipped calibration when the parameters
@@ -196,7 +164,6 @@ class ChannelParams:
     air_exponent: float = 2.0
     near_field_radius_m: float = 0.1
     max_image_order: int = 3
-    air_multipath: AirMultipathModel | None = None
 
     def __post_init__(self):
         problems = [f"{name} must be finite, got {getattr(self, name)}"
@@ -462,44 +429,16 @@ def _near_field(antenna, scene: Scene, params: ChannelParams):
     return foot, max(hop, params.air_ref_m)
 
 
-def _scatterers(tx, rx, model: AirMultipathModel):
-    if model.center_m is not None:
-        c = model.center_m
-        mid = (c[0], c[1], c[2] if len(c) == 3 else (tx[2] + rx[2]) / 2.0)
-    else:
-        mid = ((tx[0] + rx[0]) / 2.0, (tx[1] + rx[1]) / 2.0, (tx[2] + rx[2]) / 2.0)
-    angles = 2.0 * math.pi * np.arange(model.n_scatterers) / model.n_scatterers
-    pos = np.column_stack([
-        mid[0] + model.radius_m * np.cos(angles),
-        mid[1] + model.radius_m * np.sin(angles),
-        np.full(model.n_scatterers, mid[2]),
-    ])
-    rng = np.random.default_rng(model.seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, model.n_scatterers)
-    return pos, phases
-
-
 def _air_link(pairs, k, params: ChannelParams):
     """Antenna-to-antenna gains of each (tx, rx) antenna pair at the
     wavenumbers k, shape (F, pairs): the line of sight, evaluated once per
-    distinct distance, plus the optional scatterer ring of each pair."""
+    distinct distance."""
     d = [math.dist(tx, rx) for tx, rx in pairs]
     for dist in d:
         if dist < params.air_ref_m:
             raise NearFieldError(f"antenna separation {dist:.4g} m is below the air "
                                  f"reference distance {params.air_ref_m} m")
-    gains = _on_distinct(_air_field, _distinct(d), k, params.air_ref_m, params.air_exponent)
-    mp = params.air_multipath
-    if mp is None:
-        return gains
-    for p, ((tx, rx), dist) in enumerate(zip(pairs, d)):
-        pos, phases = _scatterers(tx, rx, mp)
-        d1, d2 = (np.sqrt(np.sum((pos - np.asarray(q)) ** 2, axis=1)) for q in (tx, rx))
-        amp = _air_amplitude(params.air_ref_m / dist, params.air_exponent)
-        scale = amp * 10.0 ** (mp.relative_gain_db / 20.0) / math.sqrt(mp.n_scatterers)
-        gains[:, p] += np.sum(scale * np.exp(1j * (phases - np.multiply.outer(k, d1 + d2))),
-                              axis=-1)
-    return gains
+    return _on_distinct(_air_field, _distinct(d), k, params.air_ref_m, params.air_exponent)
 
 
 # --- the channel engine -----------------------------------------------------------
@@ -511,10 +450,10 @@ def _paths(scene: Scene, gamma, k, params: ChannelParams, rx_ports, tx_ports):
     (i, j, surface-leg lengths (P,), air-leg length, amplitudes (F, P)):
     a contact pair's direct path and images (no air leg); a contact ->
     foot path set followed by the near-field hop; an antenna pair's line of
-    sight with the scatterer ring, one column with no surface leg (gamma is
-    not read).  Each distinct surface path set is evaluated once, in
-    groups of consecutive sets (``_path_sets``), and the air law once per
-    distinct hop length and once per distinct antenna distance."""
+    sight, one column with no surface leg (gamma is not read).  Each
+    distinct surface path set is evaluated once, in groups of consecutive
+    sets (``_path_sets``), and the air law once per distinct hop length and
+    once per distinct antenna distance."""
     # the entries on each distinct surface path set (source, target), with
     # the near-field hop length or None for a contact -> contact entry
     uses, air = {}, []
@@ -673,7 +612,7 @@ def h_as(tx_antenna, rx_contact, scene: Scene, f, grid: int = 32,
 
 
 def h_aa(tx_antenna, rx_antenna, f, params: ChannelParams | None = None) -> complex:
-    """Antenna-to-antenna gain: direct air path (plus optional scatterer ring)."""
+    """Antenna-to-antenna gain: direct air path."""
     params = params or ChannelParams()
     k = _wavenumber([_center_hz(f)])
     return complex(_air_link([(tx_antenna, rx_antenna)], k, params)[0, 0])

@@ -534,8 +534,9 @@ class RadiationProfile:
     back_offset_db: float = 25.0
 
     def __post_init__(self):
-        if not (self.front_offset_db >= 0 and self.back_offset_db >= 0):
-            raise ConfigError("radiation offsets must be >= 0")
+        offsets = (self.front_offset_db, self.back_offset_db)
+        if not all(0 <= off < math.inf for off in offsets):
+            raise ConfigError(f"radiation offsets must be >= 0 and finite, got {offsets}")
 
     def offset_db(self, z: float) -> float:
         return self.front_offset_db if z >= 0 else self.back_offset_db
@@ -549,38 +550,34 @@ class RadiationSample:
     offset_db: float
 
 
-def default_radiation_positions(radius_m: float = 1.0, n_per_side: int = 4):
-    """Points on front/back arcs around the feed, mirrored in z."""
-    angles = np.linspace(math.pi / 8, math.pi - math.pi / 8, n_per_side)
+def default_radiation_positions():
+    """The probe points, 1 m from the feed: four on a front arc and their
+    mirror images in z on the back arc."""
+    angles = np.linspace(math.pi / 8, math.pi - math.pi / 8, 4)
     pts = []
     for sign in (1.0, -1.0):
         for a in angles:
-            pts.append((radius_m * math.cos(a), 0.0, sign * radius_m * math.sin(a)))
+            pts.append((math.cos(a), 0.0, sign * math.sin(a)))
     return tuple(pts)
 
 
-def radiation_benchmark(profile: RadiationProfile | None = None, positions=None,
-                        tx_power_dbm: float = 0.0,
-                        params: ChannelParams | None = None,
-                        f_hz: float = 2.437e9):
-    """Received power at each position for an antenna reference versus a
-    surface-fed emitter.
+def radiation_benchmark(profile: RadiationProfile | None = None, tx_power_dbm: float = 0.0):
+    """Received power at each probe point (``default_radiation_positions``)
+    for an antenna reference versus a surface-fed emitter.
 
-    The reference is a plain air path from the feed point; the surface-fed
-    value is that same reference minus the hemisphere offset, so the offset
-    is independent of (and applied after) distance attenuation.  Returns
-    [RadiationSample, ...].
+    The reference is the default air law's path from the feed point at
+    2.437 GHz; the surface-fed value is that same reference minus the
+    hemisphere offset, so the offset is independent of (and applied after)
+    distance attenuation.  Returns [RadiationSample, ...].
     """
     if not math.isfinite(tx_power_dbm):
         raise ConfigError(f"tx_power_dbm must be finite, got {tx_power_dbm}")
     profile = profile or RadiationProfile()
-    params = params or ChannelParams()
-    if positions is None:
-        positions = default_radiation_positions()
+    params = ChannelParams()
     out = []
-    for pos in positions:
+    for pos in default_radiation_positions():
         d = math.sqrt(pos[0] ** 2 + pos[1] ** 2 + pos[2] ** 2)
-        g = air_gain(d, f_hz, params.air_ref_m, params.air_exponent)
+        g = air_gain(d, 2.437e9, params.air_ref_m, params.air_exponent)
         ref = received_power_dbm(tx_power_dbm, g)
         off = profile.offset_db(pos[2])
         out.append(RadiationSample(tuple(pos), ref, ref - off, off))
@@ -590,6 +587,9 @@ def radiation_benchmark(profile: RadiationProfile | None = None, positions=None,
 # --- carrier-sense sharing --------------------------------------------------------
 
 
+_SHARE_BAND = FrequencyBand(2.437e9, 20e6)
+
+
 @dataclass(frozen=True)
 class SharingPair:
     """A client/AP pair contending for surface airtime on one channel."""
@@ -597,7 +597,6 @@ class SharingPair:
     client: tuple
     ap: tuple
     channel: int  # a whole float such as 6.0 is taken as the int 6
-    band: FrequencyBand = FrequencyBand(2.437e9, 20e6)
     solo_rate_bps: float | None = None  # skip channel synthesis when given
 
     def __post_init__(self):
@@ -648,7 +647,7 @@ def _solo_rate(pair: SharingPair, template: SceneTemplate, settings: LinkSetting
             Node("ap", "receiver", contacts=(pair.ap,)),
         ),
     )
-    return run_link(scene, replace(settings, band=pair.band)).phy_rate_bps
+    return run_link(scene, replace(settings, band=_SHARE_BAND)).phy_rate_bps
 
 
 def share_sim(config: SharingConfig, n_slots: int,
@@ -662,8 +661,8 @@ def share_sim(config: SharingConfig, n_slots: int,
     backoffs make ties a measure-zero event, so two symmetric contenders
     split airtime exactly in half in expectation.  Each channel consumes its
     own seeded generator, so activity on one channel never perturbs another.
-    A pair with no solo rate takes its bandwidth's rows of
-    settings.mcs_table.  Returns [ShareResult, ...] in pair order.
+    A pair with no solo rate is synthesized on _SHARE_BAND and takes its
+    rows of settings.mcs_table.  Returns [ShareResult, ...] in pair order.
     """
     if n_slots <= 0:
         raise ConfigError(f"n_slots must be positive, got {n_slots}")

@@ -27,10 +27,9 @@ class SurfaceSpec:
     material: MaterialParams
 
     def __post_init__(self):
-        if self.width_m <= 0 or self.height_m <= 0:
-            raise DomainError(
-                f"surface extents must be positive, got {self.width_m} x {self.height_m}"
-            )
+        if not (0 < self.width_m < math.inf and 0 < self.height_m < math.inf):
+            raise DomainError(f"surface extents must be finite and positive, "
+                              f"got {self.width_m} x {self.height_m}")
 
     def contains(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width_m and 0.0 <= y <= self.height_m

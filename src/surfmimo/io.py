@@ -42,8 +42,7 @@ _OBSTACLE_KEYS = {"x_min", "y_min", "x_max", "y_max", "kind", "perturbation_db"}
 # dataclass gives the key's default and range check
 _ANALYSIS_KEYS = {
     **{f.name: (NoiseModel, f) for f in fields(NoiseModel)},
-    **{f.name: (ChannelParams, f) for f in fields(ChannelParams)
-       if f.name not in ("coupling", "air_multipath")},
+    **{f.name: (ChannelParams, f) for f in fields(ChannelParams) if f.name != "coupling"},
     **{("subcarriers" if f.name == "n_subcarriers" else f.name): (LinkSettings, f)
        for f in fields(LinkSettings) if f.name not in ("band", "noise", "params")},
 }

@@ -71,6 +71,8 @@ def load_yaml(text):
 def _materials(doc, path) -> dict:
     if not isinstance(doc, dict) or "materials" not in doc:
         raise PresetError(f"material preset file {path} has no 'materials' section")
+    if not isinstance(doc["materials"], dict):
+        raise PresetError(f"the 'materials' section of {path} must be a mapping")
     out = {}
     for name, spec in doc["materials"].items():
         try:

@@ -42,6 +42,8 @@ class FrequencyBand:
     def __post_init__(self):
         if not self.center_hz > 0:
             raise DomainError(f"center_hz must be positive, got {self.center_hz}")
+        if self.center_hz == math.inf:
+            raise DomainError(f"center_hz must be finite, got {self.center_hz}")
         if self.band_id is None:
             band_id = ("900MHz" if self.center_hz < 1.5e9
                        else "2.4GHz" if self.center_hz < 4e9 else "5GHz")
@@ -136,23 +138,16 @@ def _surface_field(d, gamma, m: MaterialParams):
     return e
 
 
-def _air_amplitude(ratio, p: float):
-    # Integer exponents use plain multiplication so the doubling-distance
-    # ratio identities hold exactly in floating point.
-    if p == 1:
-        return ratio
-    if p == 2:
-        return ratio * ratio
-    return ratio**p
-
-
 def _air_field(d, k, air_ref: float, p: float):
     """Air gain (air_ref/d)^p exp(-j k d) at distances d (not below air_ref),
     at wavenumber k or an array of them (one leading axis per entry): shape
     k.shape + d.shape."""
     e = np.asarray(np.multiply.outer(-1j * k, d))
     np.exp(e, out=e)
-    e *= _air_amplitude(air_ref / d, p)
+    ratio = air_ref / d
+    # Integer exponents use plain multiplication so the doubling-distance
+    # ratio identities hold exactly in floating point.
+    e *= ratio if p == 1 else ratio * ratio if p == 2 else ratio**p
     return e
 
 

@@ -9,15 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import j0
 
 from surfmimo.channel import (
-    AirMultipathModel,
     ChannelMatrix,
     ChannelParams,
     ImpulseResponse,
     NoiseModel,
-    _scatterers,
     build_mimo,
     csi,
     h_aa,
@@ -38,7 +35,6 @@ from surfmimo.geometry import (
     _axis_images,
     segment_crosses_rect,
 )
-from surfmimo.mimo import capacity
 from surfmimo.presets import CouplingConstants
 from surfmimo.propagation import (
     SPEED_OF_LIGHT,
@@ -431,8 +427,7 @@ def test_csi_single_subcarrier_equals_center_matrix():
     st = ex.LinkSettings()
     hybrid = ex.build_link_scene(ex.default_template(), (0.6,), ex.MODE_3X3, st)
     hybrid = Scene(hybrid.surface, hybrid.nodes, (Obstacle(0.4, 0.0, 0.5, 0.4),))
-    coupled = ChannelParams(coupling=CouplingConstants(0.05, 0.03, 0.04, 0.7),
-                            air_multipath=AirMultipathModel(n_scatterers=8))
+    coupled = ChannelParams(coupling=CouplingConstants(0.05, 0.03, 0.04, 0.7))
     mat = csi(hybrid, BAND, n_subcarriers=7, grid=12, params=coupled)
     assert mat.frequency == BAND and mat.entries.shape == (7, 3, 3)
     for f_sc, h in zip(subcarrier_frequencies(BAND, 7), mat.entries):
@@ -592,105 +587,6 @@ def test_composite_cluster_never_precedes_the_direct_tap():
                                 scene, BAND, grid=16, params=p)
         assert resp.delays()[0] == d / phase_velocity(BAND, m)
         assert len(resp.taps) == 2
-
-
-# --- optional air multipath ---------------------------------------------------
-
-
-def test_scatterer_ring_kernel_matches_bessel():
-    # uniform angles: (1/n) sum exp(j k delta cos(theta)) -> J0(k delta),
-    # spectrally accurate for n >> k*delta
-    k = 2 * math.pi * 2.437e9 / SPEED_OF_LIGHT
-    n = 256
-    theta = 2 * math.pi * np.arange(n) / n
-    for delta in (0.005, 0.02, 0.0615, 0.1):
-        s = np.mean(np.exp(1j * k * delta * np.cos(theta)))
-        assert abs(s - j0(k * delta)) < 1e-12
-
-
-def test_scatterer_field_correlation_tracks_bessel():
-    k = 2 * math.pi * 2.437e9 / SPEED_OF_LIGHT
-    tx = (0.0, 0.0, 0.02)
-
-    def field(rx, seed):
-        mp = AirMultipathModel(n_scatterers=256, seed=seed, center_m=(0.5, 0.0))
-        pos, phases = _scatterers(tx, rx, mp)
-        d1 = np.sqrt(np.sum((pos - np.asarray(tx)) ** 2, axis=1))
-        d2 = np.sqrt(np.sum((pos - np.asarray(rx)) ** 2, axis=1))
-        return np.sum(np.exp(1j * (phases - k * (d1 + d2))))
-
-    delta = 0.02
-    a = np.array([field((1.0, 0.0, 0.02), s) for s in range(300)])
-    b = np.array([field((1.0, delta, 0.02), s) for s in range(300)])
-    corr = np.mean(a * np.conj(b)) / math.sqrt(np.mean(np.abs(a) ** 2)
-                                               * np.mean(np.abs(b) ** 2))
-    assert abs(abs(corr) - j0(k * delta)) < 0.05
-
-
-def test_sub_half_wavelength_spacing_degrades_air_mimo():
-    # ring model ensemble vs an independent correlated-fading construction:
-    # both lose capacity when the arrays shrink below lambda/2
-    f = 2.437e9
-    k = 2 * math.pi * f / SPEED_OF_LIGHT
-    lam = SPEED_OF_LIGHT / f
-    rho = 1000.0
-
-    def ring_cap(spacing, seed):
-        mp = AirMultipathModel(n_scatterers=256, seed=seed, relative_gain_db=-3.0,
-                               center_m=(0.5, 0.0))
-        p = ChannelParams(air_multipath=mp)
-        tx = [(0.0, -spacing / 2, 0.02), (0.0, spacing / 2, 0.02)]
-        rx = [(1.0, -spacing / 2, 0.02), (1.0, spacing / 2, 0.02)]
-        h = np.array([[h_aa(t, r, f, p) for t in tx] for r in rx])
-        return capacity(h, rho)
-
-    seeds = range(150)
-    ring_ratio = (np.mean([ring_cap(0.02, s) for s in seeds])
-                  / np.mean([ring_cap(lam / 2, s) for s in seeds]))
-    assert ring_ratio < 1.0
-
-    # oracle: LoS plus Kronecker-correlated Rayleigh scatter with J0 spacing
-    rng = np.random.default_rng(123)
-
-    def kron_cap(spacing, n_draws=1500):
-        d = 1.0
-        los_amp = (0.1 / d) ** 2
-        tx = np.array([[0.0, -spacing / 2], [0.0, spacing / 2]])
-        rx = np.array([[d, -spacing / 2], [d, spacing / 2]])
-        los = np.array([[los_amp * np.exp(-1j * k * np.linalg.norm(t - r)) for t in tx]
-                        for r in rx])
-        r_corr = np.array([[1.0, j0(k * spacing)], [j0(k * spacing), 1.0]])
-        chol = np.linalg.cholesky(r_corr)
-        ps = los_amp * 10 ** (-3.0 / 20)
-        caps = []
-        for _ in range(n_draws):
-            w = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2)
-            caps.append(capacity(los + ps * (chol @ w @ chol.T), rho))
-        return float(np.mean(caps))
-
-    kron_ratio = kron_cap(0.02) / kron_cap(lam / 2)
-    assert kron_ratio < 1.0
-    assert abs(ring_ratio - kron_ratio) < 0.1
-
-
-def test_air_multipath_defaults_off_and_validation():
-    p = ChannelParams()
-    assert p.air_multipath is None
-    with pytest.raises(DomainError):
-        AirMultipathModel(n_scatterers=0)
-    with pytest.raises(DomainError):
-        AirMultipathModel(radius_m=0.0)
-    with pytest.raises(DomainError):
-        AirMultipathModel(center_m=(1.0,))
-    # midpoint default vs pinned center
-    mp_mid = AirMultipathModel()
-    pos_a, _ = _scatterers((0, 0, 0), (2, 0, 0), mp_mid)
-    pos_b, _ = _scatterers((0, 0, 0), (4, 0, 0), mp_mid)
-    assert not np.allclose(pos_a, pos_b)  # ring follows the link midpoint
-    mp_fix = AirMultipathModel(center_m=(1.0, 0.0, 0.0))
-    pos_c, _ = _scatterers((0, 0, 0), (2, 0, 0), mp_fix)
-    pos_d, _ = _scatterers((0, 0, 0), (4, 0, 0), mp_fix)
-    assert np.allclose(pos_c, pos_d)  # pinned ring is shared by all pairs
 
 
 def test_noise_model_budget():

@@ -498,6 +498,22 @@ def test_a_material_file_given_by_path_holds_only_materials(tmp_path, capsys, se
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["--material", "scene"])
+def test_a_materials_section_that_is_not_a_mapping_exits_2(tmp_path, capsys, route):
+    # both routes crashed with an AttributeError traceback
+    material = tmp_path / "m.yaml"
+    material.write_text("materials: [1, 2]\n")
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(_tiny_scene(tmp_path).read_text().replace("spraypaint", str(material)))
+    argv, where = {"--material": (["sweep", "--material", str(material), *FAST_SWEEP], ""),
+                   "scene": (["channel", "--scene", str(scene)], f"{scene}: line 2: ")}[route]
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {where}the 'materials' section of {material} must be a mapping\n")
+    assert not out.exists()
+
+
 def test_aggregate_command(tmp_path):
     out = tmp_path / "agg.csv"
     assert main(["aggregate", "--distances-ft", "1", "--out", str(out)]) == EXIT_OK
@@ -688,6 +704,11 @@ def test_non_finite_scene_geometry_exits_2(tmp_path, capsys, command, rx_antenna
      "solo_rate_bps must be finite and >= 0"),
     (["radiation", "--front-db=-1"], EXIT_CONFIG, "radiation offsets must be >= 0"),
     (["share", "--slots", "0"], EXIT_CONFIG, "n_slots must be positive, got 0"),
+    # an infinite offset wrote -inf and inf cells
+    (["radiation", "--front-db", "inf"], EXIT_CONFIG,
+     "radiation offsets must be >= 0 and finite, got (inf, 25.0)"),
+    (["radiation", "--back-db", "inf"], EXIT_CONFIG,
+     "radiation offsets must be >= 0 and finite, got (13.0, inf)"),
 ])
 def test_non_finite_radiation_and_share_values_are_refused(tmp_path, capsys, command,
                                                            code, message):
@@ -727,6 +748,26 @@ def test_bad_scene_inputs_exit_2(tmp_path, capsys):
         assert "center_hz must be positive, got nan" in capsys.readouterr().err
     assert main(["channel", "--scene", "no_such_preset",
                  "--out", str(out)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("width_m: 3.0", "width_m: .inf", "line 2: surface extents must be finite and positive, "
+                                      "got inf x 1.0"),
+    ("height_m: 1.0", "height_m: .nan", "line 2: surface extents must be finite and positive, "
+                                        "got 3.0 x nan"),
+    ("name: tiny", "name: tiny\nband: {center_ghz: .inf}", "line 2: center_hz must be finite, "
+                                                           "got inf"),
+], ids=["inf-width", "nan-height", "inf-center"])
+def test_non_finite_surface_extents_and_band_center_exit_2_from_the_parse(
+        tmp_path, capsys, old, new, message):
+    # an infinite width exited 3 on a non-finite channel matrix, and an
+    # infinite center was refused by csi, naming no file or line
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(_tiny_scene(tmp_path).read_text().replace(old, new))
+    out = tmp_path / "o.csv"
+    assert main(["channel", "--scene", str(scene), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {scene}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("analysis", [{"esm_beta": 0}, {"esm_beta": -2},

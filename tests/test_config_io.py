@@ -9,7 +9,7 @@ import os
 import sys
 import tempfile
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 import surfmimo
 from surfmimo import io as rio
 from surfmimo import presets
-from surfmimo.channel import ChannelMatrix, build_mimo, csi, subcarrier_frequencies
+from surfmimo.channel import (
+    ChannelMatrix,
+    ChannelParams,
+    NoiseModel,
+    build_mimo,
+    csi,
+    subcarrier_frequencies,
+)
 from surfmimo.errors import ConfigError, PresetError, ResultIOError
 from surfmimo.experiments import (
     ChainResult,
@@ -337,11 +344,25 @@ def test_analysis_keys_default_to_the_dataclass_defaults():
 
 
 def test_parsed_channel_params_are_channel_params():
-    from surfmimo.channel import ChannelParams
-
     assert parse_config(GOOD).settings.params == ChannelParams()
     friis = parse_config(GOOD + "analysis: {air_exponent: 1.0}\n")
     assert friis.settings.params == ChannelParams(air_exponent=1.0)
+
+
+# the settings fields that are not scene analysis keys, each with its reason
+NOT_ANALYSIS_KEYS = {
+    "coupling": "the calibration, written only in the shipped materials.json",
+    "band": "set by the scene's band section",
+    "noise": "a section of fields that are each an analysis key",
+    "params": "a section of fields that are each an analysis key",
+}
+
+
+def test_every_settings_field_is_a_scene_analysis_key():
+    # a field that no scene can set is a knob that only its default reaches
+    names = {f.name for cls in (ChannelParams, NoiseModel, LinkSettings) for f in fields(cls)}
+    keyed = {f.name for _, f in rio._ANALYSIS_KEYS.values()}
+    assert names - keyed == set(NOT_ANALYSIS_KEYS)
 
 
 def test_analysis_link_budget_values_must_be_finite():

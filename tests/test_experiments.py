@@ -392,20 +392,20 @@ def test_radiation_offsets_exact():
 
 
 def test_radiation_reference_is_the_plain_air_budget():
-    pos = ((0.0, 0.0, 1.0),)
-    sample = radiation_benchmark(positions=pos, tx_power_dbm=0.0)[0]
+    # every probe point is 1 m from the feed, at 2.437 GHz and the default air law
     g = air_gain(1.0, 2.437e9, 0.1, 2.0)
-    assert sample.reference_dbm == pytest.approx(received_power_dbm(0.0, g), abs=1e-12)
+    for sample in radiation_benchmark(tx_power_dbm=0.0):
+        assert sample.reference_dbm == pytest.approx(received_power_dbm(0.0, g), abs=1e-12)
 
 
 def test_radiation_positions_mirrored():
-    pts = default_radiation_positions(radius_m=2.0, n_per_side=3)
-    assert len(pts) == 6
-    for i in range(3):
-        front, back = pts[i], pts[i + 3]
+    pts = default_radiation_positions()
+    assert len(pts) == 8
+    for i in range(4):
+        front, back = pts[i], pts[i + 4]
         assert front[2] > 0 > back[2]
         assert front[:2] == back[:2] and front[2] == -back[2]
-        assert math.hypot(*front) == pytest.approx(2.0)
+        assert math.hypot(*front) == pytest.approx(1.0)
 
 
 def test_radiation_profile_validation():

@@ -23,8 +23,6 @@ KEPT = {
     "mimo.map_rate": "oracle of the rate lookup of link_results",
     "mimo.McsTable.max_rate_bps": "acceptance criterion: the aggregate peak is every top rate",
     "experiments.PulseProfile.residual_after": "acceptance criterion: the pulse tail",
-    "channel.AirMultipathModel": "tested library model of correlated air fading; "
-                                 "no command enables it",
 }
 
 

@@ -327,7 +327,7 @@ def test_aggregate_and_share_parse_presets_once(file_reads):
     rows = aggregate_sweep(scenario2_plan(), (FOOT_M, 2 * FOOT_M), settings=fast)
     assert len(rows) == 2
     pairs = (SharingPair((0.2, 0.3), (0.5, 0.3), 1),
-             SharingPair((0.2, 0.1), (0.5, 0.1), 1, band=FrequencyBand(2.437e9, 40e6)),
+             SharingPair((0.2, 0.1), (0.5, 0.1), 1),
              SharingPair((0.2, 0.5), (0.5, 0.5), 6))
     share_sim(SharingConfig(pairs), 50, settings=fast)
     share_sim(SharingConfig(pairs), 50)
