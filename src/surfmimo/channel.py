@@ -689,11 +689,12 @@ def subcarrier_count(band: FrequencyBand, n_subcarriers: int | None = None) -> i
 # --- impulse responses ---------------------------------------------------------
 
 
-def _merge_taps(taps, tol=1e-13):
+def _merge_taps(taps):
     taps = sorted((t for t in taps if t[1] != 0), key=lambda t: t[0])
     merged = []
     for delay, amp in taps:
-        if merged and delay - merged[-1][0] <= tol:
+        # taps at most 0.1 ps apart are one tap
+        if merged and delay - merged[-1][0] <= 1e-13:
             merged[-1][1] += amp
         else:
             merged.append([delay, amp])

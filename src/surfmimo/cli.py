@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from . import __version__, presets
 from . import io as rio
-from .channel import csi
+from .channel import _scene_ports, csi
 from .errors import ConfigError, ResultIOError, SurfMimoError
 from .experiments import (
     FOOT_M,
@@ -170,9 +170,8 @@ def _cmd_separation(args) -> tuple:
 
 def _cmd_pulse(args) -> tuple:
     cfg = _load_scene_config(args.scene)
-    # every node's ports in node order, as csi orders the matrix and channel labels it
-    tx = [port for node in cfg.scene.transmitters() for port in node.ports]
-    rx = [port for node in cfg.scene.receivers() for port in node.ports]
+    # the ports in the order of the channel matrix and the channel command's labels
+    rx, _, tx, _ = _scene_ports(cfg.scene)
     if not (0 <= args.tx_port < len(tx) and 0 <= args.rx_port < len(rx)):
         raise ConfigError([f"port index out of range: tx has {len(tx)}, rx has {len(rx)}"])
     inputs = {

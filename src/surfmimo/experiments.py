@@ -275,10 +275,10 @@ def _port_index(scene: Scene, host: Scene):
 
 def multi_mode_separation_sweep(template: SceneTemplate | None = None,
                                 separations_m=(0.01, 0.03, 0.06), modes=(MODE_2X2,),
-                                settings: LinkSettings | None = None,
-                                distances_m=None) -> dict:
-    """Distance sweeps of each mode repeated at several antenna separations:
-    {mode: [(separation_m, LinkResult), ...]} in the order of modes.
+                                settings: LinkSettings | None = None) -> dict:
+    """Distance sweeps of each mode over ``default_distances_m()`` (1-16 ft),
+    repeated at several antenna separations: {mode: [(separation_m,
+    LinkResult), ...]} in the order of modes.
 
     For siso and the surface modes the separation is the antenna height
     above its contact; for the air-MIMO baseline it is the array element
@@ -286,12 +286,8 @@ def multi_mode_separation_sweep(template: SceneTemplate | None = None,
     capacity, worst-case condition number, mean pooled stream SNR.  At each
     separation, the modes of antenna height are one multi_mode_sweep and
     air-mimo is another, so all four modes take two engine passes per
-    separation.  An empty list of distances is refused with ConfigError."""
+    separation."""
     settings = settings or LinkSettings()
-    if distances_m is not None:
-        distances_m = tuple(distances_m)
-        if not distances_m:
-            raise ConfigError("a separation sweep needs at least one distance")
     groups = {"antenna_height_m": tuple(m for m in modes if m != MODE_AIR_MIMO),
               "air_antenna_spacing_m": tuple(m for m in modes if m == MODE_AIR_MIMO)}
     out = {mode: [] for mode in modes}
@@ -299,7 +295,7 @@ def multi_mode_separation_sweep(template: SceneTemplate | None = None,
         rows = {}
         for knob, group in groups.items():
             if group:
-                rows.update(multi_mode_sweep(template, distances_m, group,
+                rows.update(multi_mode_sweep(template, default_distances_m(), group,
                                              replace(settings, **{knob: float(sep)})))
         for mode in out:
             out[mode].append((float(sep), _sweep_summary(rows[mode])))
@@ -321,6 +317,8 @@ def _sweep_summary(rows) -> LinkResult:
 
 # --- pulse profiling -----------------------------------------------------------
 
+PULSE_WIDTH_S = 1e-9  # the width of the rectangular probe pulse, in seconds
+
 
 @dataclass(frozen=True)
 class PulseProfile:
@@ -330,7 +328,6 @@ class PulseProfile:
     samples: np.ndarray
     response: object  # the underlying ImpulseResponse
     sample_rate_hz: float
-    pulse_width_s: float
 
     def peak_amplitude(self) -> float:
         return float(np.max(np.abs(self.samples)))
@@ -346,9 +343,9 @@ class PulseProfile:
 def pulse_profile(scene: Scene, tx_port, rx_port,
                   band: FrequencyBand | None = None,
                   sample_rate_hz: float = 4e9, duration_s: float | None = None,
-                  pulse_width_s: float = 1e-9, grid: int = 32,
-                  params: ChannelParams | None = None) -> PulseProfile:
-    """Convolve a rectangular probe pulse with the link's impulse response.
+                  grid: int = 32, params: ChannelParams | None = None) -> PulseProfile:
+    """Convolve the rectangular 1 ns probe pulse (``PULSE_WIDTH_S``) with the
+    link's impulse response.
 
     Ports are (kind, position) pairs as produced by Node.ports.  The default
     horizon extends well past the last tap so late-time residuals can be read
@@ -358,8 +355,6 @@ def pulse_profile(scene: Scene, tx_port, rx_port,
         raise ConfigError(f"sample rate must be finite and >= 1 GHz, got {sample_rate_hz:.3g}")
     if duration_s is not None and not (math.isfinite(duration_s) and duration_s > 0):
         raise ConfigError(f"duration must be positive and finite, got {duration_s:.3g} s")
-    if not (math.isfinite(pulse_width_s) and pulse_width_s > 0):
-        raise ConfigError(f"pulse width must be positive and finite, got {pulse_width_s:.3g} s")
     band = band or FrequencyBand(2.437e9, 40e6)
     resp = impulse_response(tx_port, rx_port, scene, band, grid, params)
     delays = resp.delays()
@@ -371,10 +366,10 @@ def pulse_profile(scene: Scene, tx_port, rx_port,
     # tap k covers the samples with delay <= t < delay + width: one index
     # range each on the sorted sample times, added in tap order
     lo = np.searchsorted(t, delays)
-    hi = np.searchsorted(t, delays + pulse_width_s)
+    hi = np.searchsorted(t, delays + PULSE_WIDTH_S)
     for a, b, (_, amp) in zip(lo.tolist(), hi.tolist(), resp.taps):
         y[a:b] += amp
-    return PulseProfile(t, y, resp, sample_rate_hz, pulse_width_s)
+    return PulseProfile(t, y, resp, sample_rate_hz)
 
 
 # --- multi-band aggregation ------------------------------------------------------

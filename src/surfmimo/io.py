@@ -161,12 +161,22 @@ def parse_config(text) -> "ScenarioConfig":
         if not isinstance(material_ref, str) or not material_ref:
             col.add(("surface", "material"), "surface needs a material preset name or path")
         elif width is not None and height is not None:
+            material = None
             try:
-                surface = SurfaceSpec(width, height, presets.load_material(material_ref))
+                material = presets.load_material(material_ref)
             except SurfMimoError as exc:
                 col.add(("surface", "material"), str(exc))
             except OSError as exc:
                 col.add(("surface", "material"), f"cannot read material file: {exc}")
+            # checked with or without a material, at the extent at fault or the section
+            try:
+                spec = SurfaceSpec(width, height, material)
+            except SurfMimoError as exc:
+                bad = [key for key, v in (("width_m", width), ("height_m", height))
+                       if not 0 < v < math.inf]
+                col.add(("surface", *bad) if len(bad) == 1 else ("surface",), str(exc))
+            else:
+                surface = spec if material is not None else None
 
     # band ------------------------------------------------------------------
     band = None

@@ -231,10 +231,7 @@ def effective_snr(snrs_linear, beta: float = 1.0) -> float:
 @dataclass(frozen=True)
 class McsRow:
     mcs_index: int
-    modulation: str
-    coding_rate: str
     bandwidth_mhz: float
-    guard_interval_ns: float
     phy_rate_bps: float
     min_snr_db: float
 

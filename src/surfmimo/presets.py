@@ -182,10 +182,7 @@ def load_mcs_table(path=None) -> McsTable:
             rows.append(
                 McsRow(
                     mcs_index=int(rec["mcs_index"]),
-                    modulation=rec["modulation"],
-                    coding_rate=rec["coding_rate"],
                     bandwidth_mhz=float(rec["bandwidth_mhz"]),
-                    guard_interval_ns=float(rec["guard_interval_ns"]),
                     phy_rate_bps=float(rec["phy_rate_mbps"]) * 1e6,
                     min_snr_db=float(rec["min_snr_db"]),
                 )

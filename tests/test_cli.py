@@ -471,7 +471,39 @@ def test_pulse_ports_index_every_node_in_the_order_channel_labels_them(tmp_path)
     assert body(a) == body(b)
 
 
-SECTIONS = {"coupling": "coupling: {c1: 5.0, c2: 0.02, c3: 0.02, near_field_coupling: 0.95}",
+def test_pulse_ports_read_the_channel_entry_of_their_labels(tmp_path, monkeypatch):
+    # pulse --tx-port i --rx-port j on default_3x3 is the link of the channel
+    # entry labelled (rx port j, tx port i): its taps sum to that entry at the
+    # band center, and that entry is the one of the nine they come closest to
+    from surfmimo import cli, presets
+
+    scene = tmp_path / "center.yaml"
+    scene.write_text(Path(presets.scene_path("default_3x3")).read_text()
+                     + "analysis: {subcarriers: 1}\n")
+    ch = tmp_path / "ch.csv"
+    assert main(["channel", "--scene", str(scene), "--out", str(ch)]) == EXIT_OK
+    rows = read_results(ch).rows
+    rx_labels = list(dict.fromkeys(row[1] for row in rows))
+    tx_labels = list(dict.fromkeys(row[2] for row in rows))
+    entries = {(row[1], row[2]): complex(row[3], row[4]) for row in rows}
+    assert len(entries) == 9
+
+    profiles = []
+    pulse_profile = cli.pulse_profile
+    monkeypatch.setattr(cli, "pulse_profile",
+                        lambda **kw: profiles.append(pulse_profile(**kw)) or profiles[-1])
+    for i in range(3):
+        for j in range(3):
+            assert main(["pulse", "--scene", "default_3x3", "--tx-port", str(i),
+                         "--rx-port", str(j), "--out", str(tmp_path / "p.csv")]) == EXIT_OK
+            total = complex(sum(profiles[-1].response.amplitudes()))
+            want = entries[rx_labels[j], tx_labels[i]]
+            assert abs(total - want) <= 1e-9 * abs(want)
+            assert min(entries, key=lambda k: abs(entries[k] - total)) == (rx_labels[j],
+                                                                           tx_labels[i])
+
+
+SECTIONS = {"coupling":"coupling: {c1: 5.0, c2: 0.02, c3: 0.02, near_field_coupling: 0.95}",
             "version": "version: 2"}
 
 

@@ -411,6 +411,37 @@ def test_merged_key_problem_reports_the_line_it_is_written_on():
     assert "line 2: 'width_m' must be a number, got 'wide'" in problems
 
 
+SURFACE = """\
+name: unit
+surface:
+  material: {material}
+  width_m: {width}
+  height_m: {height}
+nodes:
+  - {{id: tx, role: transmitter, contacts: [[0.5, 0.5]]}}
+  - {{id: rx, role: receiver, contacts: [[1.5, 0.5]]}}
+"""
+
+
+@pytest.mark.parametrize("material, width, height, want", [
+    # an extent problem at the extent at fault, at the section when both are
+    ("spraypaint", "-1.0", "1.0", ["line 4: surface extents must be finite and positive, "
+                                   "got -1.0 x 1.0"]),
+    ("spraypaint", "3.0", ".inf", ["line 5: surface extents must be finite and positive, "
+                                   "got 3.0 x inf"]),
+    ("spraypaint", "0.0", ".nan", ["line 2: surface extents must be finite and positive, "
+                                   "got 0.0 x nan"]),
+    # a material problem at material, and the extents are checked all the same
+    ("nosuch", "-1.0", "1.0", ["line 3: unknown material 'nosuch'; available: "
+                               "['cloth', 'spraypaint']",
+                               "line 4: surface extents must be finite and positive, "
+                               "got -1.0 x 1.0"]),
+])
+def test_a_surface_problem_is_reported_at_the_key_at_fault(material, width, height, want):
+    # once every surface problem was reported at the line of 'material'
+    assert _problems(SURFACE.format(material=material, width=width, height=height)) == want
+
+
 def test_valid_config_builds_no_line_index(monkeypatch):
     def refuse(root):
         raise AssertionError("line index built for a valid config")

@@ -19,6 +19,7 @@ from surfmimo.experiments import (
     MODE_3X3,
     MODE_AIR_MIMO,
     MODE_SISO,
+    PULSE_WIDTH_S,
     SWEEP_MODES,
     AggregationPlan,
     Chain,
@@ -43,7 +44,7 @@ from surfmimo.experiments import (
     share_template,
 )
 from surfmimo.geometry import Node, Scene, SurfaceSpec
-from surfmimo.mimo import McsTable
+from surfmimo.mimo import LinkResult, McsTable
 from surfmimo.presets import CouplingConstants
 from surfmimo.propagation import FrequencyBand, air_gain, received_power_dbm
 
@@ -192,8 +193,7 @@ def test_separation_insensitive_for_surface_modes():
     # the near-field patch saturates the antenna hop, so sliding the antenna
     # between 1 and 6 cm leaves the matrix (and hence the rate) unchanged
     rows = multi_mode_separation_sweep(separations_m=(0.01, 0.03, 0.06), modes=(MODE_2X2,),
-                                       settings=FAST,
-                                       distances_m=(FOOT_M, 3 * FOOT_M))[MODE_2X2]
+                                       settings=FAST)[MODE_2X2]
     rates = [r.phy_rate_bps for _, r in rows]
     assert rates[0] == rates[1] == rates[2]
     assert [s for s, _ in rows] == [0.01, 0.03, 0.06]
@@ -201,16 +201,27 @@ def test_separation_insensitive_for_surface_modes():
 
 def test_separation_matters_for_the_air_baseline():
     rows = multi_mode_separation_sweep(separations_m=(0.01, 0.0625), modes=(MODE_AIR_MIMO,),
-                                       settings=FAST,
-                                       distances_m=(2 * FOOT_M,))[MODE_AIR_MIMO]
+                                       settings=FAST)[MODE_AIR_MIMO]
     conds = [r.condition_number for _, r in rows]
     assert conds[0] > conds[1]  # tighter array, worse conditioning
 
 
-def test_separation_sweep_refuses_an_empty_distance_list():
-    # once a bare numpy ValueError from the summary of an empty sweep
-    with pytest.raises(ConfigError, match="at least one distance"):
-        multi_mode_separation_sweep(separations_m=(0.01,), settings=FAST, distances_m=())
+def test_separation_sweep_summarizes_the_sixteen_default_distances():
+    # each separation's entry is the summary of one sweep over 1-16 ft
+    sweep = multi_mode_sweep(distances_m=default_distances_m(), modes=(MODE_2X2,),
+                             settings=replace(FAST, antenna_height_m=0.03))[MODE_2X2]
+    assert [d for d, _ in sweep] == list(default_distances_m())
+    (sep, summary), = multi_mode_separation_sweep(separations_m=(0.03,), modes=(MODE_2X2,),
+                                                  settings=FAST)[MODE_2X2]
+    assert sep == 0.03
+    assert summary == experiments._sweep_summary(sweep)
+
+
+def test_sweep_summary_is_the_mean_rate_and_capacity_and_the_worst_condition():
+    rows = [(FOOT_M, LinkResult(100e6, 2.0, (10.0, 20.0), 60e6, "MIMO-2x2", (0, 1))),
+            (2 * FOOT_M, LinkResult(50e6, 8.0, (4.0,), 30e6, "MIMO-2x2", (0,)))]
+    summary = experiments._sweep_summary(rows)
+    assert summary == LinkResult(75e6, 8.0, (9.5,), 45e6, "MIMO-2x2")
 
 
 # --- pulse profiling ----------------------------------------------------------
@@ -247,17 +258,14 @@ def test_pulse_profile_validates_sample_rate():
     tx, rx = scene.transmitters()[0].ports[0], scene.receivers()[0].ports[0]
     with pytest.raises(ConfigError):
         pulse_profile(scene, tx, rx, sample_rate_hz=0.5e9)
-    for width in (0.0, -1e-9, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="pulse width"):
-            pulse_profile(scene, tx, rx, pulse_width_s=width)
 
 
-def _mask_samples(time_s, taps, width_s):
-    """Each tap added to the samples with delay <= t < delay + width, one
+def _mask_samples(time_s, taps):
+    """Each tap added to the samples with delay <= t < delay + 1 ns, one
     boolean mask over all samples per tap: the reference placement."""
     y = np.zeros(len(time_s), dtype=complex)
     for delay, amp in taps:
-        y[(time_s >= delay) & (time_s < delay + width_s)] += amp
+        y[(time_s >= delay) & (time_s < delay + PULSE_WIDTH_S)] += amp
     return y
 
 
@@ -265,20 +273,20 @@ def _mask_samples(time_s, taps, width_s):
 @given(st.lists(st.tuples(st.integers(1, 60), st.sampled_from([0.0, 0.5, 0.999999]),
                           st.complex_numbers(max_magnitude=10.0, allow_nan=False)),
                 min_size=1, max_size=8, unique_by=lambda tap: tap[:2]),
-       st.sampled_from([1e-9, 0.25e-9, 0.6e-9, 5e-9]))
-def test_pulse_taps_land_on_the_samples_the_mask_picks(picks, width_s):
-    # delays on sample boundaries (k / fs), between them, and past the 40
-    # sample horizon; widths of whole and fractional sample counts
-    fs = 4e9
+       st.sampled_from([2.5e9, 3e9, 4e9, 5.3e9]))
+def test_pulse_taps_land_on_the_samples_the_mask_picks(picks, fs):
+    # delays on sample boundaries (k / fs), between them, and past the 10 ns
+    # horizon; the 1 ns pulse spans a whole sample count at 4 GS/s, a
+    # fractional one at 2.5 and 5.3 GS/s, and at 3 GS/s three samples of a
+    # period (1/3 ns) that no float holds exactly
     taps = tuple(sorted(((k + frac) / fs, amp) for k, frac, amp in picks))
     scene = _single_path_scene()
     tx, rx = scene.transmitters()[0].ports[0], scene.receivers()[0].ports[0]
     with mock.patch.object(experiments, "impulse_response",
                            return_value=ImpulseResponse(taps, 40e6)):
-        prof = pulse_profile(scene, tx, rx, sample_rate_hz=fs, duration_s=10e-9,
-                             pulse_width_s=width_s)
-    assert len(prof.samples) == 40
-    expected = _mask_samples(prof.time_s, taps, width_s)
+        prof = pulse_profile(scene, tx, rx, sample_rate_hz=fs, duration_s=10e-9)
+    assert len(prof.samples) == math.ceil(10e-9 * fs)
+    expected = _mask_samples(prof.time_s, taps)
     assert prof.samples.tobytes() == expected.tobytes()
 
 
@@ -291,7 +299,7 @@ def test_pulse_samples_of_the_desk_scene_equal_the_mask_placement():
     for tx in tx_ports:
         for rx in rx_ports:
             prof = pulse_profile(cfg.scene, tx, rx, band=cfg.settings.band, grid=8)
-            expected = _mask_samples(prof.time_s, prof.response.taps, prof.pulse_width_s)
+            expected = _mask_samples(prof.time_s, prof.response.taps)
             assert prof.samples.tobytes() == expected.tobytes()
 
 

@@ -159,9 +159,9 @@ def test_effective_snr_matches_scipy_logsumexp():
 
 def _tiny_table():
     return McsTable((
-        McsRow(0, "BPSK", "1/2", 40.0, 800.0, 30e6, 5.0),
-        McsRow(1, "QPSK", "1/2", 40.0, 800.0, 60e6, 8.0),
-        McsRow(2, "16-QAM", "1/2", 40.0, 800.0, 120e6, 14.0),
+        McsRow(0, 40.0, 30e6, 5.0),
+        McsRow(1, 40.0, 60e6, 8.0),
+        McsRow(2, 40.0, 120e6, 14.0),
     ))
 
 
@@ -189,9 +189,9 @@ def test_mcs_table_validation_and_filtering():
         McsTable(())
     rows = _tiny_table().rows
     with pytest.raises(DomainError):  # rate must increase with index
-        McsTable((rows[1], McsRow(2, "x", "1/2", 40.0, 800.0, 60e6, 14.0)))
+        McsTable((rows[1], McsRow(2, 40.0, 60e6, 14.0)))
     with pytest.raises(DomainError):  # snr threshold must increase with rate
-        McsTable((rows[0], McsRow(1, "x", "1/2", 40.0, 800.0, 60e6, 4.0)))
+        McsTable((rows[0], McsRow(1, 40.0, 60e6, 4.0)))
     full = presets.load_mcs_table()
     t40 = full.for_bandwidth(40.0)
     assert all(r.bandwidth_mhz == 40.0 for r in t40.rows)

@@ -527,7 +527,7 @@ def rate_tables(draw):
     thresholds = sorted(draw(st.lists(st.floats(-10.0, 40.0), min_size=n, max_size=n,
                                       unique=True)))
     rates = sorted(draw(st.lists(st.floats(1e6, 1e9), min_size=n, max_size=n, unique=True)))
-    rows = [McsRow(i, "qam", "1/2", 20.0, 800.0, r, t)
+    rows = [McsRow(i, 20.0, r, t)
             for i, (t, r) in enumerate(zip(thresholds, rates))]
     return McsTable(tuple(draw(st.permutations(rows))))
 

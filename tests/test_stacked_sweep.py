@@ -130,12 +130,10 @@ def test_modes_held_by_another_mode_are_not_synthesized(monkeypatch):
 
 
 def test_separation_all_modes_match_each_mode_alone():
-    seps, distances = (0.01, 0.0625), (FOOT_M, 3 * FOOT_M, 7 * FOOT_M)
-    st_ = LinkSettings(grid=12, n_subcarriers=4)
-    together = multi_mode_separation_sweep(default_template(), seps, SWEEP_MODES, st_,
-                                           distances)
+    seps = (0.01, 0.0625)
+    together = multi_mode_separation_sweep(default_template(), seps, SWEEP_MODES, FAST)
     _assert_rows_match(together, {
-        mode: multi_mode_separation_sweep(default_template(), seps, (mode,), st_, distances)[mode]
+        mode: multi_mode_separation_sweep(default_template(), seps, (mode,), FAST)[mode]
         for mode in SWEEP_MODES})
     # the air baseline's separation is its element spacing, not the height
     air = together[MODE_AIR_MIMO]
@@ -147,13 +145,13 @@ def test_separation_sweep_shares_ports_at_each_separation(monkeypatch):
     synthesize = channel._synthesize
     monkeypatch.setattr(channel, "_synthesize",
                         lambda *args: calls.append(len(args[4])) or synthesize(*args))
-    distances = (FOOT_M, 2 * FOOT_M)
     rows = multi_mode_separation_sweep(separations_m=(0.01, 0.03, 0.06), modes=SWEEP_MODES,
-                                       settings=FAST, distances_m=distances)
+                                       settings=FAST)
     assert list(rows) == list(SWEEP_MODES)
     assert [len(r) for r in rows.values()] == [3, 3, 3, 3]
-    # per separation: surface-3x3 (holding siso and surface-2x2), then air-mimo
-    assert calls == [2 * 3, 2 * 2] * 3
+    # per separation: surface-3x3 (holding siso and surface-2x2), then
+    # air-mimo, each over the 16 default distances
+    assert calls == [16 * 3, 16 * 2] * 3
 
 
 def test_sweep_synthesizes_once_per_mode(monkeypatch):
