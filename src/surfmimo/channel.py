@@ -15,10 +15,11 @@ Every gain evaluates the propagation laws defined once in
 ``propagation.py``: the surface law ``_surface_field``, the air law
 ``_air_field`` and the wavenumber (``_wavenumber``, ``_propagation``).  One
 engine synthesizes every port pair over a whole frequency vector from two
-evaluators, the only code that evaluates a gain: ``_paths`` streams each
-entry's discrete paths (legs and amplitudes over the vector), evaluated
-once per distinct (source, target) point pair, and ``_integrals`` takes the
-surface integrals, batched over frequency and ports.  The near-field hop
+evaluators, the only code that evaluates a gain: ``_paths`` builds one path
+table per pass, the distinct surface path sets (source, target) as arrays
+of lengths and loss factors and the entries on them, and yields the
+entries' legs and amplitudes per block of tones, and ``_integrals`` takes
+the surface integrals, batched over frequency and ports.  The near-field hop
 runs its surface leg to the foot under the antenna; when that foot is a
 contact of the scene (an antenna mounted above its node's contact), the leg
 is the contact pair's paths, evaluated once for both entries.  ``csi`` is
@@ -71,16 +72,19 @@ a gather, and distances repeat.  The kernel lattice is even in both offsets,
 a node's contacts mirror each other's image paths, field rows share grid
 distances, and antennas repeat their heights and their spacings.
 The distinct values of the kernel lattice are found when the grid is
-built, those of the field rows once per call before the tone-block loop,
-and the discrete paths group consecutive path sets up to the block budget
-of distinct lengths.  A pass evaluates the near-field hop once per
-distinct hop length and the antenna line of sight once per distinct
-antenna distance (``_air_link`` takes all of a pass's antenna pairs), and
-``impulse_response`` weights its composite delay by the air kernel its
-one-tone integral formed.  The result is bitwise the law on every
-distance, since each element depends only on its own (tone, distance).
-The gather is ``np.take`` along the last axis, which keeps the array
-C-contiguous; a fancy-indexed view would change how FFTs and BLAS round.
+built, and those of the field rows and of the path table once per call
+before the tone-block loop.  The path table's blocks are sized as the
+integrals' are, by ``_BLOCK_ELEMENTS`` over the elements one tone holds
+(the set and the entry amplitudes), and each block evaluates the surface
+law once per distinct length of the whole table and the near-field hop
+once per distinct hop length.  A pass evaluates the antenna line of sight
+once per distinct antenna distance (``_air_link`` takes all of a pass's
+antenna pair distances), and ``impulse_response`` weights its composite
+delay by the air kernel its one-tone integral formed.  The result is
+bitwise the law on every distance, since each element depends only on its
+own (tone, distance).  The gather is ``np.take`` along the last axis, which
+keeps the array C-contiguous; a fancy-indexed view would change how FFTs
+and BLAS round.
 
 An entry depends only on its two ports, so a distance sweep, where only the
 receiver moves, is one scene with one receiver node per distance, and one
@@ -125,7 +129,7 @@ from .propagation import (
 
 DEFAULT_SUBCARRIERS = {20e6: 56, 40e6: 114}
 
-# Complex elements per block of subcarriers in the C1 and C2/C3 integrals.
+# Complex elements per block of subcarriers in the integrals and the path table.
 _BLOCK_ELEMENTS = 2 ** 15
 
 # Cell offsets (x, y) at which correlations sum the kernel directly.
@@ -169,6 +173,8 @@ class ChannelParams:
         problems = [f"{name} must be finite, got {getattr(self, name)}"
                     for name in ("air_ref_m", "air_exponent", "near_field_radius_m")
                     if not math.isfinite(getattr(self, name))]
+        if self.air_ref_m <= 0:
+            problems.append(f"air_ref_m must be > 0, got {self.air_ref_m}")
         if self.max_image_order < 0:
             problems.append(f"max_image_order must be >= 0, got {self.max_image_order}")
         if problems:
@@ -429,11 +435,9 @@ def _near_field(antenna, scene: Scene, params: ChannelParams):
     return foot, max(hop, params.air_ref_m)
 
 
-def _air_link(pairs, k, params: ChannelParams):
-    """Antenna-to-antenna gains of each (tx, rx) antenna pair at the
-    wavenumbers k, shape (F, pairs): the line of sight, evaluated once per
-    distinct distance."""
-    d = [math.dist(tx, rx) for tx, rx in pairs]
+def _air_link(d, k, params: ChannelParams):
+    """Line-of-sight gains of antenna pairs at the distances d and the
+    wavenumbers k, shape (F, pairs), evaluated once per distinct distance."""
     for dist in d:
         if dist < params.air_ref_m:
             raise NearFieldError(f"antenna separation {dist:.4g} m is below the air "
@@ -445,69 +449,57 @@ def _air_link(pairs, k, params: ChannelParams):
 
 
 def _paths(scene: Scene, gamma, k, params: ChannelParams, rx_ports, tx_ports):
-    """The discrete paths of each (RX port, TX port) entry at the surface
-    constants gamma and air wavenumbers k, streamed one entry at a time as
-    (i, j, surface-leg lengths (P,), air-leg length, amplitudes (F, P)):
-    a contact pair's direct path and images (no air leg); a contact ->
-    foot path set followed by the near-field hop; an antenna pair's line of
-    sight, one column with no surface leg (gamma is not read).  Each
-    distinct surface path set is evaluated once, in groups of consecutive
-    sets (``_path_sets``), and the air law once per distinct hop length and
-    once per distinct antenna distance."""
-    # the entries on each distinct surface path set (source, target), with
-    # the near-field hop length or None for a contact -> contact entry
-    uses, air = {}, []
+    """The discrete paths of every (RX port, TX port) entry at the surface
+    constants gamma and air wavenumbers k, as blocks (tones f, RX ports i,
+    TX ports j, surface-leg lengths (E, P), air-leg lengths (E,), amplitudes
+    (B, E, P)).  The antenna pairs come first, for all tones: the line of
+    sight, one column with no surface leg (gamma is not read).  The path
+    table holds each distinct surface path set (source, target) once, as
+    (S, P) lengths and loss factors, and its entries as (i, j, set, hop);
+    per block of tones it yields the contact pairs, the direct path and
+    images with no air leg, and then the near-field entries, a contact ->
+    foot path set followed by the hop.  A block holds as many tones as fit
+    in _BLOCK_ELEMENTS over the set and entry amplitudes, and evaluates the
+    surface law once per distinct length of the table and the air law once
+    per distinct hop length, after the previous block's are freed; the
+    antenna pairs take it once per distinct distance."""
+    sets, entries, air = {}, [], []
     for i, (rk, rp) in enumerate(rx_ports):
         for j, (tk, tp) in enumerate(tx_ports):
             if tk == CONTACT and rk == CONTACT:
-                uses.setdefault((tuple(tp), tuple(rp)), []).append((i, j, None))
+                entries.append((i, j, sets.setdefault((tuple(tp), tuple(rp)), len(sets)), 0.0))
             elif tk == ANTENNA and rk == ANTENNA:
-                air.append((i, j, tp, rp))
+                air.append((i, j, math.dist(tp, rp)))
             else:
                 contact, antenna = (tp, rp) if tk == CONTACT else (rp, tp)
                 near = _near_field(antenna, scene, params)
                 if near is not None:
-                    foot, hop_c = near
-                    uses.setdefault((tuple(contact), foot), []).append((i, j, hop_c))
+                    foot, hop = near
+                    entries.append((i, j, sets.setdefault((tuple(contact), foot), len(sets)),
+                                    hop))
     if air:
-        gains = _air_link([(tp, rp) for _, _, tp, rp in air], k, params)
-        for p, (i, j, tp, rp) in enumerate(air):
-            yield i, j, np.zeros(1), math.dist(tp, rp), gains[:, p, None]
-    hops = sorted({hop_c for entries in uses.values() for _, _, hop_c in entries
-                   if hop_c is not None})
-    if hops:
-        hop_fields = _air_field(np.array(hops), k, params.air_ref_m, params.air_exponent)
-    for lengths, amps, entries in _path_sets(uses, scene, gamma, len(k), params):
-        for i, j, hop_c in entries:
-            if hop_c is None:
-                yield i, j, lengths, 0.0, amps
-            else:
-                hop = hop_fields[:, hops.index(hop_c), None]
-                yield i, j, lengths, hop_c, params.coupling.near_field_coupling * amps * hop
-
-
-def _path_sets(uses, scene: Scene, gamma, tones: int, params: ChannelParams):
-    """(lengths, amplitudes (F, P), entries) of each surface path set
-    (source, target) -> entries of uses.  Consecutive sets form groups of at
-    most _BLOCK_ELEMENTS // F distinct lengths (at least one set), and the
-    surface law is evaluated once per distinct length of a group."""
-    m = scene.surface.material
-    cap = max(1, _BLOCK_ELEMENTS // tones)
-    groups, seen = [], set()
-    for (source, target), entries in uses.items():
-        lengths, loss = _surface_paths(source, target, scene, params)
-        new = set(lengths.tolist())
-        seen |= new
-        if not groups or len(seen) > cap:
-            groups.append([])
-            seen = new
-        groups[-1].append((lengths, loss, entries))
-    for group in groups:
-        values, at = _distinct(np.concatenate([lengths for lengths, _, _ in group]))
-        field, stop = _surface_field(values, gamma, m), 0
-        for lengths, loss, entries in group:
-            start, stop = stop, stop + lengths.size
-            yield lengths, loss * np.take(field, at[start:stop], axis=-1), entries
+        i, j, d = (np.array(c) for c in zip(*air))
+        yield slice(None), i, j, np.zeros((d.size, 1)), d, _air_link(d, k, params)[..., None]
+    if not sets:
+        return
+    lengths, loss = (np.array(c) for c in zip(*(_surface_paths(source, target, scene, params)
+                                                  for source, target in sets)))
+    table = _distinct(lengths)
+    i, j, s, hop = (np.array(c) for c in zip(*entries))
+    # the contact pairs (air leg 0) and the near-field entries, each as
+    # (i, j, surface legs, air legs) and the sets they read
+    (pairs, on_pairs), (near, on_near) = (((i[e], j[e], lengths[s[e]], hop[e]), s[e])
+                                          for e in (hop == 0, hop > 0))
+    hops = _distinct(near[3])
+    c = params.coupling.near_field_coupling
+    tones = max(1, _BLOCK_ELEMENTS // ((len(sets) + len(entries)) * lengths.shape[1]))
+    for lo in range(0, len(k), tones):
+        f = slice(lo, lo + tones)
+        amps = loss * _on_distinct(_surface_field, table, gamma[f], scene.surface.material)
+        yield f, *pairs, np.take(amps, on_pairs, axis=1)
+        hop_field = _on_distinct(_air_field, hops, k[f], params.air_ref_m, params.air_exponent)
+        yield f, *near, c * np.take(amps, on_near, axis=1) * hop_field[..., None]
+        del amps, hop_field
 
 
 def _integrals(g: _Grid, m, gamma, k, params: ChannelParams, rx_ports, tx_ports):
@@ -575,8 +567,8 @@ def _synthesize(scene: Scene, freqs, grid: int, params: ChannelParams,
     gamma, k = _propagation(m, freqs)
     h = _integrals(_Grid(scene.surface, grid, params), m, gamma, k, params,
                    rx_ports, tx_ports)[0]
-    for i, j, _, _, amps in _paths(scene, gamma, k, params, rx_ports, tx_ports):
-        h[:, i, j] += np.sum(amps, axis=-1)
+    for f, i, j, _, _, amps in _paths(scene, gamma, k, params, rx_ports, tx_ports):
+        h[f, i, j] += np.sum(amps, axis=-1)
     return h
 
 
@@ -615,7 +607,7 @@ def h_aa(tx_antenna, rx_antenna, f, params: ChannelParams | None = None) -> comp
     """Antenna-to-antenna gain: direct air path."""
     params = params or ChannelParams()
     k = _wavenumber([_center_hz(f)])
-    return complex(_air_link([(tx_antenna, rx_antenna)], k, params)[0, 0])
+    return complex(_air_link([math.dist(tx_antenna, rx_antenna)], k, params)[0, 0])
 
 
 # --- matrix assembly ----------------------------------------------------------
@@ -725,8 +717,9 @@ def impulse_response(tx_port, rx_port, scene: Scene, band: FrequencyBand,
         g = _Grid(scene.surface, grid, params)
         h, fields = _integrals(g, m, gamma, k, params, [rx_port], [tx_port])
         amp = h[0, 0, 0]
-    taps = [tap for _, _, legs, air, amps in _paths(scene, gamma, k, params, [rx_port], [tx_port])
-            for tap in zip(legs / v + air / SPEED_OF_LIGHT, amps[0])]
+    taps = [tap for _, _, _, legs, air, amps in _paths(scene, gamma, k, params, [rx_port],
+                                                       [tx_port])
+            for tap in zip((legs / v + air[:, None] / SPEED_OF_LIGHT).ravel(), amps[0].ravel())]
 
     # the composite tap, where the pair has an integral, weighted by the
     # magnitudes of the port fields that the integral's one-tone pass formed

@@ -77,12 +77,17 @@ class MaterialParams:
         a = np.asarray(self.alphas_np_per_m, dtype=float)
         b = np.asarray(self.betas_rad_per_m, dtype=float)
         problems = []
-        if self.d0_m <= 0:
-            problems.append(f"{self.name}: d0_m must be > 0, got {self.d0_m}")
+        nonfinite = [f"{self.name}: {key} anchors must be finite, got {t.tolist()}"
+                     for key, t in (("frequency_hz", f), ("alpha_np_per_m", a),
+                                    ("beta_rad_per_m", b)) if not np.isfinite(t).all()]
+        if not 0 < self.d0_m < math.inf:
+            problems.append(f"{self.name}: d0_m must be finite and > 0, got {self.d0_m}")
         if not (0.0 <= self.refl_coeff <= 1.0):
             problems.append(f"{self.name}: refl_coeff must be in [0, 1], got {self.refl_coeff}")
         if len(f) < 1 or len(f) != len(a) or len(f) != len(b):
             problems.append(f"{self.name}: need matching non-empty alpha/beta/frequency tables")
+        elif nonfinite:
+            problems += nonfinite
         else:
             if np.any(np.diff(f) <= 0):
                 problems.append(f"{self.name}: frequency anchors must be strictly increasing")

@@ -716,9 +716,10 @@ analysis: {grid: 16, subcarriers: 8}
 ])
 def test_a_pass_takes_the_air_law_once_per_hop_length_and_antenna_distance(
         monkeypatch, tmp_path, command):
-    # every distance that reaches the air law while a pass streams its
-    # discrete paths, against the distinct near-field hop lengths and
-    # antenna-pair distances of that pass's port pairs
+    # every distance that reaches the air law while a pass yields its blocks
+    # of discrete paths (one block of tones at these tone counts), against
+    # the distinct near-field hop lengths and antenna-pair distances of that
+    # pass's port pairs
     from surfmimo.cli import main
 
     passes, streaming = [], []

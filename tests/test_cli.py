@@ -530,6 +530,26 @@ def test_a_material_file_given_by_path_holds_only_materials(tmp_path, capsys, se
     assert not out.exists()
 
 
+@pytest.mark.parametrize("d0, alpha, shown", [
+    (".nan", "0.3", "d0_m must be finite and > 0, got nan"),
+    (".inf", "0.3", "d0_m must be finite and > 0, got inf"),
+    ("0.1", ".nan", "alpha_np_per_m anchors must be finite, got [nan, 0.6]"),
+])
+def test_a_non_finite_material_value_exits_2(tmp_path, capsys, d0, alpha, shown):
+    # each was loaded, and the channel then exited 3 with non-finite entries
+    material = tmp_path / "plate.yaml"
+    material.write_text(
+        f"materials:\n  plate: {{d0_m: {d0}, refl_coeff: 0.5, bands: ["
+        f"{{frequency_hz: 1.0e9, alpha_np_per_m: {alpha}, beta_rad_per_m: 40.0}}, "
+        "{frequency_hz: 6.0e9, alpha_np_per_m: 0.6, beta_rad_per_m: 240.0}]}\n")
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(_tiny_scene(tmp_path).read_text().replace("spraypaint", str(material)))
+    out = tmp_path / "o.csv"
+    assert main(["channel", "--scene", str(scene), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {scene}: line 2: plate: {shown}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("route", ["--material", "scene"])
 def test_a_materials_section_that_is_not_a_mapping_exits_2(tmp_path, capsys, route):
     # both routes crashed with an AttributeError traceback

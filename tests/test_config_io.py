@@ -386,6 +386,14 @@ def test_analysis_channel_params_must_be_finite():
     ]
 
 
+@pytest.mark.parametrize("value", ["0", "-0.1"])
+def test_analysis_air_ref_must_be_positive(value):
+    # the air laws divide by it: a zero or negative reference distance made
+    # every air gain non-finite
+    problems = _problems(GOOD + f"analysis: {{air_ref_m: {value}}}\n")
+    assert problems == [f"line 13: air_ref_m must be > 0, got {float(value)}"]
+
+
 def test_invalid_config_problems_equal_under_both_loaders(monkeypatch):
     default, pure = _under_both_loaders(monkeypatch, lambda: _problems(BAD))
     assert default == pure

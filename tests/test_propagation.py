@@ -126,6 +126,18 @@ def test_material_interpolation_and_coverage():
 def test_material_validation_collects_problems():
     with pytest.raises(PresetError):
         MaterialParams("bad", -0.1, 1.5, (2e9, 1e9), (0.1, 0.2), (10.0, 20.0))
+    # a NaN or infinite reference distance or anchor is refused here: it
+    # would reach the channel matrix as non-finite entries
+    tables = ((1e9, 6e9), (0.3, 0.6), (40.0, 240.0))
+    MaterialParams("good", 0.1, 0.5, *tables)
+    for d0 in (math.nan, math.inf):
+        with pytest.raises(PresetError, match="d0_m must be finite and > 0"):
+            MaterialParams("bad", d0, 0.5, *tables)
+    for t, key in enumerate(("frequency_hz", "alpha_np_per_m", "beta_rad_per_m")):
+        for value in (math.nan, math.inf):
+            bad = [tables[u] if u != t else (value, tables[t][1]) for u in range(3)]
+            with pytest.raises(PresetError, match=f"{key} anchors must be finite"):
+                MaterialParams("bad", 0.1, 0.5, *bad)
 
 
 def test_band_validation_and_labels():

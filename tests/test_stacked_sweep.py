@@ -181,8 +181,8 @@ def test_kernel_is_exactly_even_on_the_sweep_grid():
 def test_non_finite_entry_on_the_stacked_path_raises(monkeypatch):
     real = channel._air_link
 
-    def poisoned(pairs, k, params):
-        h = real(pairs, k, params)
+    def poisoned(d, k, params):
+        h = real(d, k, params)
         h[-1] = np.nan
         return h
 
@@ -206,3 +206,30 @@ def test_the_surface_law_runs_once_per_distinct_distance(monkeypatch):
     assert [(tones, d.shape) for tones, d in calls] == [(3, (34,)), (3, (19,)), (3, (151,))]
     assert all(np.unique(d).size == d.size for _, d in calls)
     assert sum(tones * d.size for tones, d in calls) == 612
+
+    # 16 distances at 114 tones take several blocks of tones: each block
+    # evaluates the law on every distinct length of the pass's path sets
+    # once, so the path stage holds tones x those lengths
+    lengths, stage = [], []
+    surface_paths, paths = channel._surface_paths, channel._paths
+
+    def surface(*args):
+        out = surface_paths(*args)
+        lengths.append(out[0])
+        return out
+
+    def traced(*args):
+        stage.append(len(calls))
+        yield from paths(*args)
+        stage.append(len(calls))
+
+    monkeypatch.setattr(channel, "_surface_paths", surface)
+    monkeypatch.setattr(channel, "_paths", traced)
+    calls.clear()
+    multi_mode_sweep(distances_m=default_distances_m(), modes=(MODE_3X3,),
+                     settings=LinkSettings(grid=8, n_subcarriers=114))
+    distinct = np.unique(np.concatenate(lengths))
+    blocks = calls[stage[0]:stage[1]]
+    assert len(blocks) > 1 and all(np.array_equal(d, distinct) for _, d in blocks)
+    assert sum(tones for tones, _ in blocks) == 114
+    assert sum(tones * d.size for tones, d in blocks) == 114 * distinct.size
